@@ -11,6 +11,10 @@ one-parameter semigroup generated by (A, M) is
 This calculus reproduces, at the n x n level, the commutator algebra of the
 quadratic-fermion Liouvillians assembled in :mod:`quadferm.fock`; it is what
 makes the correlation-matrix dynamics in :mod:`quadferm.gaussian` exact.
+:func:`flow` is the package's one propagator: every correlation-matrix
+evolution is ``act(flow(p, t), r)``.  Since e^{tA} of a damped drift
+underflows to zero at long horizons, only :func:`inverse` checks that u is
+invertible.
 """
 
 from __future__ import annotations
@@ -34,13 +38,13 @@ __all__ = [
     "conjugation_identity_check",
 ]
 
-#: Reject linear parts with condition number above this as non-invertible.
+#: :func:`inverse` rejects linear parts with condition number above this.
 CONDITION_CAP = 1e12
 
 
 @dataclass(frozen=True)
 class AffineElement:
-    """Group element (u, m): the map ``X -> u X u† + m``."""
+    """Element (u, m): the map ``X -> u X u† + m``; u may be singular."""
 
     u: np.ndarray
     m: np.ndarray
@@ -52,11 +56,6 @@ class AffineElement:
             raise ValidationError(
                 f"linear and translation parts differ in size: "
                 f"{u.shape} vs {m.shape}"
-            )
-        if np.linalg.cond(u) > CONDITION_CAP:
-            raise ValidationError(
-                "linear part is singular or too ill-conditioned "
-                f"(cond > {CONDITION_CAP:.0e})"
             )
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "m", m)
@@ -109,7 +108,12 @@ def compose(g: AffineElement, h: AffineElement) -> AffineElement:
 
 
 def inverse(g: AffineElement) -> AffineElement:
-    """Group inverse ``(u⁻¹, -u⁻¹ m u⁻¹†)``."""
+    """Group inverse ``(u⁻¹, -u⁻¹ m u⁻¹†)``; rejects a singular u."""
+    if np.linalg.cond(g.u) > CONDITION_CAP:
+        raise ValidationError(
+            "linear part is singular or too ill-conditioned "
+            f"(cond > {CONDITION_CAP:.0e})"
+        )
     u_inv = np.linalg.inv(g.u)
     return AffineElement(u_inv, -u_inv @ g.m @ u_inv.conj().T)
 

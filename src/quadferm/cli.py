@@ -28,8 +28,8 @@ from .config import JobConfig, load_config
 from .errors import PhysicsError, ValidationError
 from .gaussian import (GaussianState, entropy, evolve_state,
                        stationary_correlation)
-from .skin import (build_bath, featureless_choice, liouvillian_params,
-                   localization_slope, steady_profile)
+from .skin import (featureless_choice, liouvillian_params, localization_slope,
+                   steady_profile)
 from .verify import check_names, run_suite
 
 EXIT_OK = 0
@@ -129,7 +129,6 @@ def _cmd_skin(cfg: JobConfig, out: str | None) -> int:
     p = cfg.hatano_nelson
     if p is None:
         raise ValidationError("skin requires a hatano-nelson model section")
-    build_bath(p)
     profile = steady_profile(p)
     flat = featureless_choice(p, cfg.delta)
     flat_profile = flat.diagonal().real

@@ -32,8 +32,9 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
+from .affine import AffineGenerator
 from .errors import ValidationError
-from .gaussian import GaussianState, LiouvillianParams
+from .gaussian import GaussianState
 from .linalg import as_square, hermitize
 
 __all__ = [
@@ -215,8 +216,8 @@ def super_basic(kind: str, a, n: int) -> np.ndarray:
     raise ValidationError(f"unknown superoperator kind {kind!r}")
 
 
-def super_liouvillian(params: LiouvillianParams, n: int | None = None) -> np.ndarray:
-    """The dense matrix of the generator L(A, M).
+def super_liouvillian(params: AffineGenerator, n: int | None = None) -> np.ndarray:
+    """The dense matrix of the generator L(A, M) of any pair (A, M).
 
     Trace preserving for every (A, M): the vectorized trace functional
     annihilates it.
@@ -288,8 +289,8 @@ def apply_generator(a, m, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def dense_evolve(params: LiouvillianParams, rho: np.ndarray, t: float) -> np.ndarray:
-    """Evolve a density matrix by exponentiating the dense generator."""
+def dense_evolve(params: AffineGenerator, rho: np.ndarray, t: float) -> np.ndarray:
+    """Evolve a density matrix by exponentiating the dense generator L(A, M)."""
     n = params.n
     if n > MAX_DENSE_EVOLVE_MODES:
         raise ValidationError(

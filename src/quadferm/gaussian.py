@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affine import AffineGenerator
+from .affine import AffineGenerator, act, flow
 from .errors import PhysicsError, ValidationError
 from .linalg import (as_square, hermitize, is_hermitian, lyapunov_solve,
-                     mat_exp, spectral_split, van_loan_integral)
+                     spectral_split)
 
 __all__ = [
     "LiouvillianParams",
@@ -47,25 +47,19 @@ GKSL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class LiouvillianParams:
-    """Generator pair (a, m); ``gksl`` records admissibility.
+class LiouvillianParams(AffineGenerator):
+    """Generator pair (a, m) with its admissibility flag ``gksl``.
 
     ``gksl`` is computed at construction: True iff m is Hermitian and
     ``O <= m <= -a - a†`` within GKSL_TOL (eigenvalue checks on m and on
     ``-a - a† - m``).
     """
 
-    a: np.ndarray
-    m: np.ndarray
     gksl: bool = field(init=False)
 
     def __post_init__(self):
-        a = as_square(self.a, "drift")
-        m = as_square(self.m, "noise")
-        if a.shape != m.shape:
-            raise ValidationError(f"size mismatch: {a.shape} vs {m.shape}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "m", m)
+        super().__post_init__()
+        a, m = self.a, self.m
         ok = is_hermitian(m)
         if ok:
             scale = max(1.0, float(np.linalg.norm(m)),
@@ -75,10 +69,6 @@ class LiouvillianParams:
             hi = float(np.min(np.linalg.eigvalsh(hermitize(gap))))
             ok = lo >= -GKSL_TOL * scale and hi >= -GKSL_TOL * scale
         object.__setattr__(self, "gksl", bool(ok))
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
 
 
 @dataclass(frozen=True)
@@ -170,11 +160,12 @@ def params_from_model(model: PhysicalModel) -> LiouvillianParams:
     return LiouvillianParams(-1j * model.h - d - e, 2 * e)
 
 
-def evolve_state(params: LiouvillianParams, state: GaussianState,
+def evolve_state(params: AffineGenerator, state: GaussianState,
                  t: float) -> GaussianState:
-    """Evolve a Gaussian state: ``r(t) = e^{tA} r e^{tA†} + noise integral``.
+    """Evolve a Gaussian state: ``r(t) = act(flow(params, t), r)``, that is
+    ``e^{tA} r e^{tA†} + int_0^t e^{sA} M e^{sA†} ds``.
 
-    Equivalently the affine flow of (A, M) applied to r.  Raises
+    Raises ValidationError for a size mismatch or a negative time, and
     PhysicsError if the evolved spectrum escapes [0, 1] beyond tolerance,
     which signals an inadmissible generator or numerical failure.
     """
@@ -182,12 +173,7 @@ def evolve_state(params: LiouvillianParams, state: GaussianState,
         raise ValidationError(
             f"size mismatch: params {params.n}, state {state.n}"
         )
-    t = float(t)
-    if t < 0:
-        raise ValidationError(f"time must be nonnegative, got {t}")
-    prop = mat_exp(t * params.a)
-    r_t = prop @ state.r @ prop.conj().T + van_loan_integral(params.a, params.m, t)
-    return GaussianState(hermitize(r_t))
+    return GaussianState(hermitize(act(flow(params, t), state.r)))
 
 
 def stationary_correlation(params: LiouvillianParams) -> np.ndarray:
@@ -226,9 +212,9 @@ class AsymptoticDecomposition:
     p0: np.ndarray
 
     def predicted_correlation(self, t: float) -> np.ndarray:
-        """The asymptotic correlation matrix at time t."""
-        rot = mat_exp(t * self.a0_flow.a)
-        return self.m_inf + rot @ self.projected.r @ rot.conj().T
+        """The asymptotic correlation matrix at time t >= 0:
+        ``m_inf + act(flow(a0_flow, t), P0 r P0)``."""
+        return self.m_inf + act(flow(self.a0_flow, t), self.projected.r)
 
 
 def asymptotic_decomposition(params: LiouvillianParams,

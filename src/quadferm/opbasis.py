@@ -29,7 +29,7 @@ import scipy.linalg
 from .errors import ValidationError
 from .fock import (apply_generator, smeared_annihilation, smeared_creation,
                    super_liouvillian, unvec, vacuum_projector, vec)
-from .gaussian import LiouvillianParams
+from .affine import AffineGenerator
 from .linalg import mat_exp
 
 __all__ = [
@@ -201,8 +201,8 @@ def phi_evolution_residual(a, xis, etas, t: float, n: int) -> float:
     a = np.asarray(a, dtype=complex)
     xis = _as_vectors(xis, n, "creation list")
     etas = _as_vectors(etas, n, "annihilation list")
-    params = LiouvillianParams(a, np.zeros((n, n), dtype=complex))
-    prop = scipy.linalg.expm(t * super_liouvillian(params, n))
+    gen = AffineGenerator(a, np.zeros((n, n), dtype=complex))
+    prop = scipy.linalg.expm(t * super_liouvillian(gen, n))
     lhs = unvec(prop @ vec(phi_element(xis, etas, n)))
     rot = mat_exp(t * a)
     rhs = phi_element([rot @ v for v in xis], [rot @ v for v in etas], n)

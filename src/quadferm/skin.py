@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PhysicsError, ValidationError
-from .gaussian import LiouvillianParams, expectation_quadratic, steady_state
+from .gaussian import LiouvillianParams, steady_state
 from .linalg import hermitize, lyapunov_solve
 
 __all__ = [
@@ -172,16 +172,9 @@ def liouvillian_params(p: HatanoNelsonParams) -> LiouvillianParams:
 
 
 def steady_profile(p: HatanoNelsonParams) -> np.ndarray:
-    """Steady occupations n_j = x kappa^(2-2j), read through the Gaussian
-    steady state and quadratic expectations of the projectors e_j e_j†."""
-    state = steady_state(liouvillian_params(p))
-    n = p.n
-    occs = np.empty(n)
-    for j in range(n):
-        proj = np.zeros((n, n), dtype=complex)
-        proj[j, j] = 1.0
-        occs[j] = expectation_quadratic(state, proj).real
-    return occs
+    """Steady occupations n_j = x kappa^(2-2j), the real diagonal of the
+    Gaussian steady state's correlation matrix."""
+    return steady_state(liouvillian_params(p)).occupations()
 
 
 def localization_slope(profile: np.ndarray) -> tuple[float, float]:

@@ -15,8 +15,9 @@ import numpy as np
 import scipy.linalg
 
 from . import fock, opbasis
+from .affine import AffineGenerator
 from .errors import ValidationError
-from .gaussian import GaussianState, LiouvillianParams, entropy
+from .gaussian import GaussianState, LiouvillianParams, entropy, evolve_state
 from .linalg import hermitize, mat_exp, van_loan_integral
 
 __all__ = [
@@ -128,7 +129,7 @@ def _basic_commutators(rng, n: int, draws: int, which: str) -> float:
 
 
 def _super_lam(a, m, n):
-    return fock.super_liouvillian(LiouvillianParams(a, m), n)
+    return fock.super_liouvillian(AffineGenerator(a, m), n)
 
 
 def _check_generator_commutator(rng, n, draws):
@@ -321,8 +322,7 @@ def _check_fast_path_evolution(rng, n, draws):
         for t in (0.5, 2.0):
             rho_t = fock.dense_evolve(params, rho0, t)
             dense_r = fock.read_correlations(rho_t)
-            rot = mat_exp(t * params.a)
-            fast_r = rot @ r0 @ rot.conj().T + van_loan_integral(params.a, params.m, t)
+            fast_r = evolve_state(params, GaussianState(r0), t).r
             worst = max(worst, float(np.max(np.abs(dense_r - fast_r))))
     return worst
 

@@ -6,7 +6,8 @@ from quadferm.affine import (AffineElement, AffineGenerator, act, bracket,
                              identity, inverse)
 from quadferm.errors import ValidationError
 from quadferm.linalg import hermitize, mat_exp, van_loan_integral
-from quadferm.verify import random_complex_matrix, random_psd
+from quadferm.verify import (random_complex_matrix, random_gksl_params,
+                             random_psd)
 
 from conftest import stable_matrix
 
@@ -79,7 +80,7 @@ class TestGroupLaw:
 
     def test_singular_linear_part_rejected(self):
         with pytest.raises(ValidationError):
-            AffineElement(np.zeros((2, 2)), np.zeros((2, 2)))
+            inverse(AffineElement(np.zeros((2, 2)), np.zeros((2, 2))))
 
 
 class TestBracket:
@@ -168,6 +169,17 @@ class TestFlow:
     def test_negative_time_rejected(self, rng):
         with pytest.raises(ValidationError):
             flow(random_generator(rng, 2), -1.0)
+
+    def test_long_horizon_of_damped_generator(self, rng):
+        # e^{tA} of a damped drift is numerically singular at t = 100 and
+        # exactly zero at t = 1e4: a valid flow element with no inverse
+        p = random_gksl_params(rng, 4, min_damping=0.5)
+        for t in (100.0, 1e4):
+            g = flow(p, t)
+            assert np.all(np.isfinite(g.u)) and np.all(np.isfinite(g.m))
+        assert np.linalg.norm(flow(p, 1e4).u) == 0.0
+        with pytest.raises(ValidationError):
+            inverse(flow(p, 1e4))
 
 
 class TestConjugationIdentity:

@@ -152,6 +152,28 @@ class TestCommands:
         flat = [float(r[header.index("featureless_occupation")]) for r in rows]
         assert np.max(np.abs(np.array(flat) - 0.25)) < 1e-9
 
+    def test_skin_runs_three_lyapunov_solves(self, tmp_path, monkeypatch):
+        # one each for the bath, its steady state and the featureless split
+        import quadferm.gaussian
+        import quadferm.skin
+        from quadferm.linalg import lyapunov_solve
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lyapunov_solve(*args, **kwargs)
+
+        monkeypatch.setattr(quadferm.skin, "lyapunov_solve", counting)
+        monkeypatch.setattr(quadferm.gaussian, "lyapunov_solve", counting)
+        cfg = tmp_path / "job.ini"
+        cfg.write_text("[model]\nkind = hatano-nelson\n"
+                       "[model.hatano-nelson]\n"
+                       "n = 6\nomega = 1.0\nlambda = 0.3\ngamma = 0.5\na = 2.5\n",
+                       encoding="utf-8")
+        out = tmp_path / "skin.csv"
+        assert main(["skin", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(calls) == 3
+
     def test_steady_on_chain_matches_skin_profile(self, tmp_path):
         body = ("[model]\nkind = hatano-nelson\n"
                 "[model.hatano-nelson]\n"

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from quadferm import fock
+from quadferm.affine import AffineGenerator, act, flow
 from quadferm.errors import PhysicsError, ValidationError
 from quadferm.gaussian import (GaussianState, LiouvillianParams,
                                PhysicalModel, asymptotic_decomposition,
                                entropy, evolve_state, expectation_quadratic,
-                               params_from_model, steady_state)
+                               params_from_model, stationary_correlation,
+                               steady_state)
+from quadferm.linalg import hermitize
 from quadferm.verify import (random_correlation_matrix, random_gksl_params,
                              random_hermitian, random_psd)
 
@@ -48,6 +51,15 @@ class TestParamsFromModel:
     def test_non_hermitian_hamiltonian_rejected(self):
         with pytest.raises(ValidationError):
             PhysicalModel(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_params_are_affine_generators(self):
+        params = params_from_model(PhysicalModel(np.eye(2)))
+        assert isinstance(params, AffineGenerator)
+        assert params.n == 2
+
+    def test_mismatched_sizes_rejected(self):
+        with pytest.raises(ValidationError):
+            LiouvillianParams(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
 class TestEvolveState:
@@ -100,6 +112,20 @@ class TestEvolveState:
         params = random_gksl_params(rng, 2)
         with pytest.raises(ValidationError):
             evolve_state(params, GaussianState.vacuum(2), -0.5)
+
+    def test_is_exactly_the_flow_action_at_long_horizons(self, rng):
+        params = random_gksl_params(rng, 4, min_damping=0.5)
+        r = random_correlation_matrix(rng, 4)
+        for t in (0.0, 0.5, 100.0, 1e4):
+            via_flow = hermitize(act(flow(params, t), r))
+            assert np.array_equal(via_flow,
+                                  evolve_state(params, GaussianState(r), t).r)
+
+    def test_long_time_limit_is_the_steady_state(self, rng):
+        params = random_gksl_params(rng, 4, min_damping=0.5)
+        r = random_correlation_matrix(rng, 4)
+        late = act(flow(params, 1e4), r)
+        assert np.max(np.abs(late - stationary_correlation(params))) <= 1e-10
 
 
 class TestSteadyState:
