@@ -12,8 +12,9 @@ from .affine import (AffineElement, AffineGenerator, act, bracket, compose,
 from .errors import PhysicsError, QuadfermError, ValidationError
 from .gaussian import (AsymptoticDecomposition, GaussianState,
                        LiouvillianParams, PhysicalModel,
-                       asymptotic_decomposition, entropy, evolve_state,
-                       expectation_quadratic, params_from_model, steady_state)
+                       asymptotic_decomposition, entropy, evolve_grid,
+                       evolve_state, expectation_quadratic, params_from_model,
+                       steady_state)
 from .linalg import (SpectralSplit, lyapunov_solve, mat_exp, spectral_split,
                      van_loan_integral)
 from .skin import (HatanoNelsonParams, build_bath, build_matrices,
@@ -25,8 +26,9 @@ __all__ = [
     "conjugation_identity_check", "flow", "identity", "inverse",
     "PhysicsError", "QuadfermError", "ValidationError",
     "AsymptoticDecomposition", "GaussianState", "LiouvillianParams",
-    "PhysicalModel", "asymptotic_decomposition", "entropy", "evolve_state",
-    "expectation_quadratic", "params_from_model", "steady_state",
+    "PhysicalModel", "asymptotic_decomposition", "entropy", "evolve_grid",
+    "evolve_state", "expectation_quadratic", "params_from_model",
+    "steady_state",
     "SpectralSplit", "lyapunov_solve", "mat_exp", "spectral_split",
     "van_loan_integral",
     "HatanoNelsonParams", "build_bath", "build_matrices",

@@ -18,15 +18,13 @@ Exit codes: 0 success, 1 validation error, 2 physics/convergence error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 
 import numpy as np
 
 from .config import JobConfig, load_config
 from .errors import PhysicsError, ValidationError
-from .gaussian import (GaussianState, entropy, evolve_state,
+from .gaussian import (GaussianState, entropy, evolve_grid,
                        stationary_correlation)
 from .skin import (featureless_choice, liouvillian_params, localization_slope,
                    steady_profile)
@@ -42,17 +40,35 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_field(text: str) -> str:
+    """A string cell as csv.writer's minimal quoting writes it with a "\\n"
+    line terminator: double-quoted, quotes doubled, when it holds a comma,
+    a double quote or a newline."""
+    if any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _render(comments: list[tuple[str, object]], header: list[str],
             rows: list[list]) -> str:
-    buf = io.StringIO()
-    for key, value in comments:
-        buf.write(f"# {key}={value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([cell if isinstance(cell, str) else _fmt(cell)
-                         for cell in row])
-    return buf.getvalue()
+    """Provenance lines, header and rows as CSV text.
+
+    Every row has the first row's layout of string and numeric cells, so
+    one precomputed %-format string renders each row; "%.17g" gives the
+    same bytes as ``format(float(x), ".17g")``.
+    """
+    lines = [f"# {key}={value}\n" for key, value in comments]
+    lines.append(",".join(map(_csv_field, header)) + "\n")
+    if rows:
+        text = [j for j, cell in enumerate(rows[0]) if isinstance(cell, str)]
+        fmt = ",".join("%s" if isinstance(cell, str) else "%.17g"
+                       for cell in rows[0]) + "\n"
+        for row in rows:
+            cells = list(row)
+            for j in text:
+                cells[j] = _csv_field(cells[j])
+            lines.append(fmt % tuple(cells))
+    return "".join(lines)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -73,11 +89,8 @@ def _matrix_columns(prefix: str, n: int) -> list[str]:
 
 
 def _matrix_cells(mat: np.ndarray) -> list[float]:
-    cells = []
-    for val in mat.reshape(-1):
-        cells.append(val.real)
-        cells.append(val.imag)
-    return cells
+    """Row-major (re, im) pairs of a complex matrix."""
+    return np.ascontiguousarray(mat, dtype=complex).view(float).ravel().tolist()
 
 
 def _require_params(cfg: JobConfig):
@@ -100,11 +113,8 @@ def _cmd_evolve(cfg: JobConfig, out: str | None) -> int:
     n = params.n
     header = ["t"] + _matrix_columns("r", n) \
         + [f"occ{j}" for j in range(1, n + 1)] + ["entropy"]
-    rows = []
-    for t in cfg.times:
-        evolved = evolve_state(params, state, t)
-        rows.append([t] + _matrix_cells(evolved.r)
-                    + list(evolved.occupations()) + [entropy(evolved)])
+    rows = [[t] + _matrix_cells(s.r) + s.occupations().tolist() + [entropy(s)]
+            for t, s in zip(cfg.times, evolve_grid(params, state, cfg.times))]
     comments = [("command", "evolve"), ("n", n),
                 ("gksl", str(params.gksl).lower())]
     _emit(_render(comments, header, rows), out)
@@ -118,7 +128,8 @@ def _cmd_steady(cfg: JobConfig, out: str | None) -> int:
     n = params.n
     header = _matrix_columns("minf", n) \
         + [f"occ{j}" for j in range(1, n + 1)] + ["entropy"]
-    rows = [_matrix_cells(state.r) + list(state.occupations()) + [entropy(state)]]
+    rows = [_matrix_cells(state.r) + state.occupations().tolist()
+            + [entropy(state)]]
     comments = [("command", "steady"), ("n", n),
                 ("gksl", str(params.gksl).lower())]
     _emit(_render(comments, header, rows), out)

@@ -33,6 +33,7 @@ __all__ = [
     "PhysicalModel",
     "AsymptoticDecomposition",
     "params_from_model",
+    "evolve_grid",
     "evolve_state",
     "steady_state",
     "stationary_correlation",
@@ -44,6 +45,10 @@ __all__ = [
 #: Spectrum-of-R physicality tolerance and admissibility tolerance.
 SPECTRUM_TOL = 1e-10
 GKSL_TOL = 1e-10
+
+#: Flows one :func:`evolve_grid` call keeps for reuse; bounds its memory on
+#: grids whose steps all differ, such as logarithmic ones.
+FLOW_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -160,20 +165,58 @@ def params_from_model(model: PhysicalModel) -> LiouvillianParams:
     return LiouvillianParams(-1j * model.h - d - e, 2 * e)
 
 
-def evolve_state(params: AffineGenerator, state: GaussianState,
-                 t: float) -> GaussianState:
-    """Evolve a Gaussian state: ``r(t) = act(flow(params, t), r)``, that is
-    ``e^{tA} r e^{tA†} + int_0^t e^{sA} M e^{sA†} ds``.
+def evolve_grid(params: AffineGenerator, state: GaussianState,
+                times) -> list[GaussianState]:
+    """Evolve a Gaussian state over sorted times, one state per time.
 
-    Raises ValidationError for a size mismatch or a negative time, and
-    PhysicsError if the evolved spectrum escapes [0, 1] beyond tolerance,
-    which signals an inadmissible generator or numerical failure.
+    Each state comes from the one before it by the semigroup law,
+    ``r_k = act(flow(params, t_k - t_{k-1}), r_{k-1})`` with ``t_{-1} = 0``,
+    so a grid costs at most two :func:`flow` calls per distinct step length,
+    and a uniform grid two in all (t_0 and the step).  Flows are
+    reused by exact float step length; the FLOW_CACHE_SIZE most recently
+    built are kept.  Where a new flow is needed and the step is at least
+    the time already elapsed, as on logarithmic grids, the state is instead
+    ``act(flow(params, t_k), r)`` from the initial r: the same cost, and no
+    rounding compounded over the steps.  Every state is a validated
+    :class:`GaussianState`.
+
+    Raises ValidationError for a size mismatch or a negative step (a
+    negative or unsorted time), and PhysicsError if a spectrum escapes
+    [0, 1] beyond tolerance, which signals an inadmissible generator or
+    numerical failure.
     """
     if params.n != state.n:
         raise ValidationError(
             f"size mismatch: params {params.n}, state {state.n}"
         )
-    return GaussianState(hermitize(act(flow(params, t), state.r)))
+    flows = {}
+    states = []
+    prev = 0.0
+    for t in times:
+        t = float(t)
+        step = t - prev
+        base = states[-1] if states else state
+        if step not in flows and step >= prev:
+            base, step = state, t
+        g = flows.get(step)
+        if g is None:
+            if len(flows) == FLOW_CACHE_SIZE:
+                del flows[next(iter(flows))]
+            g = flows[step] = flow(params, step)
+        states.append(GaussianState(hermitize(act(g, base.r))))
+        prev = t
+    return states
+
+
+def evolve_state(params: AffineGenerator, state: GaussianState,
+                 t: float) -> GaussianState:
+    """Evolve a Gaussian state to one time t >= 0:
+    ``r(t) = act(flow(params, t), r)``, that is
+    ``e^{tA} r e^{tA†} + int_0^t e^{sA} M e^{sA†} ds``.
+
+    The one-point case of :func:`evolve_grid`, with its errors.
+    """
+    return evolve_grid(params, state, [t])[0]
 
 
 def stationary_correlation(params: LiouvillianParams) -> np.ndarray:

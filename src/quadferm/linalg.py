@@ -75,9 +75,11 @@ def van_loan_integral(a, m, t: float) -> np.ndarray:
     e^{sA} and the top-right block times e^{sA†} gives the integral over
     [0, s].  The -A† block grows like e^{s |Re lambda|}, which destroys the
     extraction once ``s * max|Re lambda|`` passes a few dozen, so long
-    horizons are split into chunks of bounded growth and accumulated through
-    the cocycle identity ``G(t+s) = G(s) + e^{sA} G(t) e^{sA†}`` (one block
-    exponential total).  The result is Hermitian whenever ``m`` is.
+    horizons are split into k equal chunks of bounded growth.  The chunk
+    element (U_s, G_s) is raised to the k-th power by binary powering with
+    the cocycle identity ``G(t+s) = G(s) + e^{sA} G(t) e^{sA†}``: one block
+    exponential and O(log k) matrix products in total, so the cost grows
+    as log t.  The result is Hermitian whenever ``m`` is.
     """
     a = as_square(a, "drift")
     m = as_square(m, "noise")
@@ -101,11 +103,17 @@ def van_loan_integral(a, m, t: float) -> np.ndarray:
     w = scipy.linalg.expm(step * block)
     prop_step = w[:n, :n]
     g_step = w[:n, n:] @ prop_step.conj().T
-    out = np.zeros((n, n), dtype=complex)
-    prop = np.eye(n, dtype=complex)
-    for _ in range(chunks):
-        out = out + prop @ g_step @ prop.conj().T
-        prop = prop_step @ prop
+    # Invariant: (prop_step, g_step) is the chunk element raised to the
+    # current bit's power; out accumulates the bits already set.
+    out = None
+    while chunks:
+        if chunks & 1:
+            out = g_step if out is None else \
+                prop_step @ out @ prop_step.conj().T + g_step
+        chunks >>= 1
+        if chunks:
+            g_step = g_step + prop_step @ g_step @ prop_step.conj().T
+            prop_step = prop_step @ prop_step
     if is_hermitian(m):
         out = hermitize(out)
     return out

@@ -72,6 +72,13 @@ class HatanoNelsonParams:
         if not self.a > 2:
             raise ValidationError(f"loss parameter a must exceed 2, got {self.a}")
         cap = self.kappa ** (2 * self.n - 2) / 2
+        if cap / 2 == 0:
+            raise ValidationError(
+                f"amplitude bound kappa^(2n-2)/2 underflows to {cap:.3g} at "
+                f"n={self.n}, kappa={self.kappa:.6g}, so no amplitude x fits; "
+                f"the longest usable chain at this kappa has "
+                f"n={_longest_chain(self.kappa)}"
+            )
         if self.x is None:
             object.__setattr__(self, "x", cap / 2)
         if not 0 < self.x < cap:
@@ -82,6 +89,17 @@ class HatanoNelsonParams:
     @property
     def kappa(self) -> float:
         return float(np.sqrt((self.gamma - self.lam) / (self.gamma + self.lam)))
+
+
+def _longest_chain(kappa: float) -> int:
+    """Largest n whose default amplitude kappa^(2n-2)/4 is a positive double."""
+    tiny = float(np.finfo(float).smallest_subnormal)
+    n = 1 + int(np.log(4 * tiny) / (2 * np.log(kappa)))
+    while kappa ** (2 * n) / 4 > 0:
+        n += 1
+    while n > 1 and kappa ** (2 * n - 2) / 4 == 0:
+        n -= 1
+    return n
 
 
 class SkinMatrices(NamedTuple):

@@ -1,10 +1,12 @@
 import csv
+import io
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from quadferm import cli
 from quadferm.cli import main
 from quadferm.config import parse_config_text
 from quadferm.errors import ValidationError
@@ -262,3 +264,65 @@ def test_verify_byte_identical_across_runs(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def _csv_writer_render(comments, header, rows):
+    """The renderer as csv.writer with per-cell format(x, ".17g")."""
+    buf = io.StringIO()
+    for key, value in comments:
+        buf.write(f"# {key}={value}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell if isinstance(cell, str)
+                         else format(float(cell), ".17g") for cell in row])
+    return buf.getvalue()
+
+
+def _per_entry_cells(mat):
+    cells = []
+    for val in mat.reshape(-1):
+        cells.append(val.real)
+        cells.append(val.imag)
+    return cells
+
+
+class TestRenderer:
+    def test_matches_csv_writer_byte_for_byte(self):
+        comments = [("command", "test"), ("n", 3)]
+        header = ["label", "x", "y", "note"]
+        rows = [
+            ["plain", -0.0, 5e-324, 'say "hi", twice'],
+            ["a,b", 1e308, float("inf"), '"quoted"'],
+            ['x"y', float("nan"), -float("inf"), "line\nbreak"],
+            ["7", 3, np.float64(0.1), ""],
+            ["", np.int64(-12), True, "tail,"],
+        ]
+        assert cli._render(comments, header, rows) \
+            == _csv_writer_render(comments, header, rows)
+
+    def test_all_numeric_rows(self, rng):
+        mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        rows = [[0.5] + cli._matrix_cells(mat), [1.5] + cli._matrix_cells(-mat)]
+        assert cli._matrix_cells(mat) == _per_entry_cells(mat)
+        header = ["t"] + [f"c{j}" for j in range(18)]
+        assert cli._render([], header, rows) \
+            == _csv_writer_render([], header, rows)
+
+    @pytest.mark.parametrize("argv, body", [
+        (["steady"], EXPLICIT),
+        (["skin"], "[model]\nkind = hatano-nelson\n[model.hatano-nelson]\n"
+                   "n = 6\nomega = 1.0\nlambda = 0.3\ngamma = 0.5\na = 2.5\n"),
+        (["verify", "--n", "2"], None),
+    ])
+    def test_command_output_unchanged(self, tmp_path, monkeypatch, argv, body):
+        if body is not None:
+            cfg = tmp_path / "job.ini"
+            cfg.write_text(body, encoding="utf-8")
+            argv = argv + ["--config", str(cfg)]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        code = main(argv + ["--out", str(new)])
+        monkeypatch.setattr(cli, "_render", _csv_writer_render)
+        monkeypatch.setattr(cli, "_matrix_cells", _per_entry_cells)
+        assert main(argv + ["--out", str(old)]) == code
+        assert new.read_bytes() == old.read_bytes()

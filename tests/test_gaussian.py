@@ -6,9 +6,9 @@ from quadferm.affine import AffineGenerator, act, flow
 from quadferm.errors import PhysicsError, ValidationError
 from quadferm.gaussian import (GaussianState, LiouvillianParams,
                                PhysicalModel, asymptotic_decomposition,
-                               entropy, evolve_state, expectation_quadratic,
-                               params_from_model, stationary_correlation,
-                               steady_state)
+                               entropy, evolve_grid, evolve_state,
+                               expectation_quadratic, params_from_model,
+                               stationary_correlation, steady_state)
 from quadferm.linalg import hermitize
 from quadferm.verify import (random_correlation_matrix, random_gksl_params,
                              random_hermitian, random_psd)
@@ -126,6 +126,81 @@ class TestEvolveState:
         r = random_correlation_matrix(rng, 4)
         late = act(flow(params, 1e4), r)
         assert np.max(np.abs(late - stationary_correlation(params))) <= 1e-10
+
+
+class TestEvolveGrid:
+    def test_first_state_is_evolve_state(self, rng):
+        params = random_gksl_params(rng, 4)
+        state = GaussianState(random_correlation_matrix(rng, 4))
+        for times in ([0.0, 1.0], [0.7, 0.9, 3.0]):
+            first = evolve_grid(params, state, times)[0]
+            assert np.array_equal(first.r,
+                                  evolve_state(params, state, times[0]).r)
+
+    @pytest.mark.parametrize("times", [np.arange(0.0, 20.05, 0.1),
+                                       np.linspace(0.0, 37.0, 201)])
+    def test_matches_per_time_evolution(self, rng, times):
+        assert len(times) == 201
+        for _ in range(2):
+            params = random_gksl_params(rng, 6)
+            state = GaussianState(random_correlation_matrix(rng, 6))
+            grid = evolve_grid(params, state, times)
+            assert len(grid) == len(times)
+            for t, stepped in zip(times, grid):
+                direct = evolve_state(params, state, t).r
+                assert (np.linalg.norm(stepped.r - direct)
+                        <= 1e-12 * np.linalg.norm(direct))
+
+    def test_growing_steps_restart_from_the_initial_state(self, rng):
+        # each step of a logarithmic grid is at least the elapsed time, so
+        # every state is the one-time evolution, bit for bit
+        params = random_gksl_params(rng, 4, min_damping=0.5)
+        state = GaussianState(random_correlation_matrix(rng, 4))
+        times = [0.0] + [10.0 ** k for k in range(-8, 5)]
+        for t, stepped in zip(times, evolve_grid(params, state, times)):
+            assert np.array_equal(stepped.r, evolve_state(params, state, t).r)
+
+    def test_repeated_times_give_equal_states(self, rng):
+        params = random_gksl_params(rng, 3)
+        state = GaussianState(random_correlation_matrix(rng, 3))
+        grid = evolve_grid(params, state, [0.5, 0.5, 1.5, 1.5, 1.5])
+        assert np.array_equal(grid[0].r, grid[1].r)
+        assert np.array_equal(grid[2].r, grid[3].r)
+        assert np.array_equal(grid[3].r, grid[4].r)
+
+    def test_one_flow_per_distinct_step(self, rng, monkeypatch):
+        import quadferm.gaussian
+        steps = []
+
+        def counting(p, t):
+            steps.append(t)
+            return flow(p, t)
+
+        monkeypatch.setattr(quadferm.gaussian, "flow", counting)
+        params = random_gksl_params(rng, 3)
+        state = GaussianState(random_correlation_matrix(rng, 3))
+        # steps: 0, 1, 1, 1, 0, 1.5, 1.5, 1
+        evolve_grid(params, state, [0.0, 1.0, 2.0, 3.0, 3.0, 4.5, 6.0, 7.0])
+        assert sorted(steps) == [0.0, 1.0, 1.5]
+        steps.clear()
+        evolve_grid(params, state, np.arange(101.0))
+        assert sorted(steps) == [0.0, 1.0]
+
+    def test_unitary_stepping_error_matches_per_time_error(self, rng):
+        # closed system: r(t) = V e^{-i L t} V† r V e^{i L t} V†
+        n = 32
+        h = random_hermitian(rng, n)
+        params = LiouvillianParams(-1j * h, np.zeros((n, n)))
+        state = GaussianState(random_correlation_matrix(rng, n))
+        lam, v = np.linalg.eigh(h)
+        t = 1000.0
+        u = (v * np.exp(-1j * lam * t)) @ v.conj().T
+        exact = u @ state.r @ u.conj().T
+        stepped = evolve_grid(params, state, np.arange(1001.0))[-1].r
+        direct = evolve_state(params, state, t).r
+        err_stepped = np.linalg.norm(stepped - exact)
+        err_direct = np.linalg.norm(direct - exact)
+        assert err_stepped <= 2 * err_direct
 
 
 class TestSteadyState:

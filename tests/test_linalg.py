@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
+from scipy.linalg import expm
 
 from quadferm.errors import PhysicsError, ValidationError
 from quadferm.linalg import (hermitize, lyapunov_solve, mat_exp,
                              spectral_split, van_loan_integral)
-from quadferm.verify import random_complex_matrix, random_psd
+from quadferm.verify import (random_complex_matrix, random_gksl_params,
+                             random_psd)
 
 from conftest import stable_matrix
 
@@ -88,6 +90,34 @@ class TestVanLoanIntegral:
         m = hermitize(random_complex_matrix(rng, 3))
         out = van_loan_integral(a, m, 1.4)
         assert np.linalg.norm(out - out.conj().T) == 0.0
+
+    def test_doubling_matches_the_chunk_loop(self, rng):
+        # Reference: the chunk loop doubling replaced, same step and block
+        # exponential, cost linear in the chunk count.
+        def chunk_loop(a, m, t):
+            n = a.shape[0]
+            abscissa = float(np.max(np.abs(np.linalg.eigvals(a).real)))
+            chunks = max(1, int(np.ceil(t * abscissa / 8.0)))
+            block = np.zeros((2 * n, 2 * n), dtype=complex)
+            block[:n, :n] = a
+            block[:n, n:] = m
+            block[n:, n:] = -a.conj().T
+            w = expm((t / chunks) * block)
+            prop_step = w[:n, :n]
+            g_step = w[:n, n:] @ prop_step.conj().T
+            out = np.zeros((n, n), dtype=complex)
+            prop = np.eye(n, dtype=complex)
+            for _ in range(chunks):
+                out = out + prop @ g_step @ prop.conj().T
+                prop = prop_step @ prop
+            return hermitize(out)
+
+        for n in (4, 32):
+            p = random_gksl_params(rng, n, min_damping=0.5)
+            for t in np.logspace(-8, 4, 13):
+                ref = chunk_loop(p.a, p.m, t)
+                out = van_loan_integral(p.a, p.m, t)
+                assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValidationError):

@@ -1,0 +1,37 @@
+"""Property tests for the invariants grid stepping relies on."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadferm.affine import compose, flow
+from quadferm.gaussian import GaussianState, evolve_grid
+from quadferm.verify import random_correlation_matrix, random_gksl_params
+
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+times = st.floats(min_value=0.0, max_value=50.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=1, max_value=5), t=times, s=times)
+def test_flow_semigroup_law(seed, n, t, s):
+    params = random_gksl_params(np.random.default_rng(seed), n)
+    lhs = compose(flow(params, t), flow(params, s))
+    rhs = flow(params, t + s)
+    # admissible drifts are dissipative, so ||e^{tA}||_2 <= 1
+    assert np.linalg.norm(lhs.u - rhs.u) <= 1e-10
+    assert (np.linalg.norm(lhs.m - rhs.m)
+            <= 1e-10 * max(1.0, np.linalg.norm(rhs.m)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=1, max_value=5),
+       steps=st.lists(st.floats(min_value=0.0, max_value=5.0),
+                      min_size=1, max_size=30))
+def test_spectrum_stays_in_unit_interval_along_a_grid(seed, n, steps):
+    rng = np.random.default_rng(seed)
+    params = random_gksl_params(rng, n)
+    state = GaussianState(random_correlation_matrix(rng, n, lo=0.0, hi=1.0))
+    for evolved in evolve_grid(params, state, np.cumsum(steps)):
+        occ = np.linalg.eigvalsh(evolved.r)
+        assert occ[0] >= -1e-10 and occ[-1] <= 1 + 1e-10

@@ -35,6 +35,16 @@ class TestParams:
             HatanoNelsonParams(n=3, omega=1.0, lam=0.3, gamma=0.5, a=2.5,
                                x=kappa ** 4 / 2)
 
+    def test_underflowing_amplitude_names_longest_chain(self):
+        # kappa = 0.5: the default x = 2^(-2n) is the smallest positive
+        # double at n = 537 and underflows to 0 from n = 538 on
+        for n in (538, 540):
+            with pytest.raises(ValidationError,
+                               match=r"underflows.*longest usable chain.*n=537"):
+                HatanoNelsonParams(n=n, omega=1.0, lam=0.3, gamma=0.5, a=2.5)
+        assert HatanoNelsonParams(n=537, omega=1.0, lam=0.3, gamma=0.5,
+                                  a=2.5).x > 0
+
     def test_nonpositive_omega_rejected(self):
         with pytest.raises(ValidationError, match="omega"):
             HatanoNelsonParams(n=2, omega=0.0, lam=0.3, gamma=0.5, a=2.5)
