@@ -46,10 +46,6 @@ __all__ = [
 SPECTRUM_TOL = 1e-10
 GKSL_TOL = 1e-10
 
-#: Flows one :func:`evolve_grid` call keeps for reuse; bounds its memory on
-#: grids whose steps all differ, such as logarithmic ones.
-FLOW_CACHE_SIZE = 16
-
 
 @dataclass(frozen=True)
 class LiouvillianParams(AffineGenerator):
@@ -170,14 +166,14 @@ def evolve_grid(params: AffineGenerator, state: GaussianState,
     """Evolve a Gaussian state over sorted times, one state per time.
 
     Each state comes from the one before it by the semigroup law,
-    ``r_k = act(flow(params, t_k - t_{k-1}), r_{k-1})`` with ``t_{-1} = 0``,
-    so a grid costs at most two :func:`flow` calls per distinct step length,
-    and a uniform grid two in all (t_0 and the step).  Flows are
-    reused by exact float step length; the FLOW_CACHE_SIZE most recently
-    built are kept.  Where a new flow is needed and the step is at least
-    the time already elapsed, as on logarithmic grids, the state is instead
-    ``act(flow(params, t_k), r)`` from the initial r: the same cost, and no
-    rounding compounded over the steps.  Every state is a validated
+    ``r_k = act(flow(params, t_k - t_{k-1}), r_{k-1})`` with ``t_{-1} = 0``.
+    The last flow built is reused while the step length stays the same
+    (exact float equality), so a grid costs one :func:`flow` call each
+    time its step length changes: at most two for a uniform grid (t_0 and
+    the step).  Where the step changes to one at least the time already
+    elapsed, as on logarithmic grids, the state is instead
+    ``act(flow(params, t_k), r)`` from the initial r: the same cost, and
+    no rounding compounded over the steps.  Every state is a validated
     :class:`GaussianState`.
 
     Raises ValidationError for a size mismatch or a negative step (a
@@ -189,20 +185,17 @@ def evolve_grid(params: AffineGenerator, state: GaussianState,
         raise ValidationError(
             f"size mismatch: params {params.n}, state {state.n}"
         )
-    flows = {}
+    last_step, g = None, None
     states = []
     prev = 0.0
     for t in times:
         t = float(t)
         step = t - prev
         base = states[-1] if states else state
-        if step not in flows and step >= prev:
+        if step != last_step and step >= prev:
             base, step = state, t
-        g = flows.get(step)
-        if g is None:
-            if len(flows) == FLOW_CACHE_SIZE:
-                del flows[next(iter(flows))]
-            g = flows[step] = flow(params, step)
+        if step != last_step:
+            g, last_step = flow(params, step), step
         states.append(GaussianState(hermitize(act(g, base.r))))
         prev = t
     return states

@@ -179,12 +179,13 @@ class TestEvolveGrid:
         monkeypatch.setattr(quadferm.gaussian, "flow", counting)
         params = random_gksl_params(rng, 3)
         state = GaussianState(random_correlation_matrix(rng, 3))
-        # steps: 0, 1, 1, 1, 0, 1.5, 1.5, 1
-        evolve_grid(params, state, [0.0, 1.0, 2.0, 3.0, 3.0, 4.5, 6.0, 7.0])
-        assert sorted(steps) == [0.0, 1.0, 1.5]
+        # steps: 0, 1, 1, 1, 2, 2, 2, 3, 3; each length is built once
+        evolve_grid(params, state, [0.0, 1.0, 2.0, 3.0, 5.0, 7.0, 9.0,
+                                    12.0, 15.0])
+        assert steps == [0.0, 1.0, 2.0, 3.0]
         steps.clear()
         evolve_grid(params, state, np.arange(101.0))
-        assert sorted(steps) == [0.0, 1.0]
+        assert steps == [0.0, 1.0]
 
     def test_unitary_stepping_error_matches_per_time_error(self, rng):
         # closed system: r(t) = V e^{-i L t} V† r V e^{i L t} V†
