@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_square, lyapunov_solve, mat_exp, van_loan_integral
+from .linalg import _van_loan_pair, as_square, lyapunov_solve, mat_exp
 
 __all__ = [
     "AffineElement",
@@ -134,12 +134,12 @@ def flow(p: AffineGenerator, t: float) -> AffineElement:
     """One-parameter semigroup ``(e^{tA}, int_0^t e^{sA} M e^{sA†} ds)``.
 
     Satisfies ``flow(p, t) ∘ flow(p, s) = flow(p, t + s)`` and
-    ``flow(p, 0) = (I, O)``.
+    ``flow(p, 0) = (I, O)``.  Both parts come from one block exponential.
     """
     t = float(t)
     if t < 0:
         raise ValidationError(f"flow time must be nonnegative, got {t}")
-    return AffineElement(mat_exp(t * p.a), van_loan_integral(p.a, p.m, t))
+    return AffineElement(*_van_loan_pair(p.a, p.m, t))
 
 
 def conjugation_identity_check(a, m, t: float,

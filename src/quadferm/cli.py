@@ -226,8 +226,6 @@ def main(argv=None) -> int:
         if args.command == "skin":
             return _cmd_skin(cfg, out)
         n = args.n if args.n is not None else (cfg.n or 2)
-        if not 1 <= n <= 5:
-            raise ValidationError(f"verify supports 1 <= n <= 5, got {n}")
         seed = args.seed if args.seed is not None else cfg.seed
         draws = args.draws if args.draws is not None else cfg.draws
         return _cmd_verify(cfg, out, n=n, seed=seed, draws=draws, tol=args.tol)

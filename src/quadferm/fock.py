@@ -23,6 +23,13 @@ with the four basic maps ``loss(B): rho -> sum B_jk c_k rho c_j†``,
 and ``right(B): rho -> rho (c, B c)``.  A microscopic model with
 Hamiltonian H, loss Gram matrix D and gain Gram matrix E corresponds to
 ``L(-iH - D - E, 2E)``.
+
+Sandwich terms.  Every superoperator here is a short list of pairs
+(x_k, y_k), the map ``rho -> sum_k x_k rho y_k`` with None for an identity
+factor; loss(B), for one, is the n pairs ``(c_k, sum_j B_jk c_j†)``.
+``_generator_terms`` is the one place the L(A, M) coefficients appear.
+``_assemble`` turns a list into its 4^n x 4^n matrix (no other code forms
+one from operator pairs) and ``_apply`` applies it to one operator.
 """
 
 from __future__ import annotations
@@ -48,15 +55,13 @@ __all__ = [
     "quadratic_form",
     "vec",
     "unvec",
-    "super_left",
-    "super_right",
-    "super_sandwich",
     "super_basic",
     "super_liouvillian",
     "super_master_equation",
     "apply_generator",
     "dense_evolve",
     "gaussian_density",
+    "density_modes",
     "read_correlations",
     "majorana_operators",
     "majorana_liouvillian",
@@ -72,25 +77,43 @@ _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _PARITY = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _check_modes(n: int, cap: int = MAX_MODES) -> int:
+def _check_modes(n: int) -> int:
     n = int(n)
-    if not 1 <= n <= cap:
-        raise ValidationError(f"mode count must be in [1, {cap}], got {n}")
+    if not 1 <= n <= MAX_MODES:
+        raise ValidationError(f"mode count must be in [1, {MAX_MODES}], got {n}")
     return n
 
 
 @lru_cache(maxsize=None)
-def _car(n: int) -> tuple[np.ndarray, ...]:
-    """Annihilators c_1..c_n as 2^n x 2^n matrices (graded tensor build)."""
+def _car(n: int) -> np.ndarray:
+    """Annihilators c_1..c_n as a read-only n x 2^n x 2^n stack (graded
+    tensor build)."""
     ops = []
     for j in range(n):
         factors = [_PARITY] * j + [_LOWER] + [np.eye(2, dtype=complex)] * (n - j - 1)
         op = factors[0]
         for f in factors[1:]:
             op = np.kron(op, f)
-        op.setflags(write=False)
         ops.append(op)
-    return tuple(ops)
+    ops = np.array(ops)
+    ops.setflags(write=False)
+    return ops
+
+
+def _dagger(ops: np.ndarray) -> np.ndarray:
+    """Adjoint of every operator in a stack."""
+    return ops.conj().transpose(0, 2, 1)
+
+
+def _smear(coeffs: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """``sum_j coeffs_j ops_j``; for a matrix of coefficients, the stack
+    whose k-th operator is ``sum_j coeffs_jk ops_j``."""
+    return np.tensordot(coeffs, ops, axes=(0, 0))
+
+
+def _bilinear(coeffs: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``sum_jk coeffs_jk xs_j ys_k``."""
+    return np.sum(xs @ _smear(coeffs.T, ys), axis=0)
 
 
 def annihilators(n: int) -> list[np.ndarray]:
@@ -117,10 +140,7 @@ def smeared_creation(xi, n: int) -> np.ndarray:
     ops = _car(_check_modes(n))
     if xi.shape != (len(ops),):
         raise ValidationError(f"vector length {xi.shape[0]} != mode count {n}")
-    out = np.zeros_like(ops[0])
-    for coeff, op in zip(xi, ops):
-        out += coeff * op.conj().T
-    return out
+    return _smear(xi, _dagger(ops))
 
 
 def smeared_annihilation(eta, n: int) -> np.ndarray:
@@ -129,10 +149,7 @@ def smeared_annihilation(eta, n: int) -> np.ndarray:
     ops = _car(_check_modes(n))
     if eta.shape != (len(ops),):
         raise ValidationError(f"vector length {eta.shape[0]} != mode count {n}")
-    out = np.zeros_like(ops[0])
-    for coeff, op in zip(eta, ops):
-        out += np.conj(coeff) * op
-    return out
+    return _smear(eta.conj(), ops)
 
 
 def quadratic_form(a, n: int) -> np.ndarray:
@@ -141,13 +158,7 @@ def quadratic_form(a, n: int) -> np.ndarray:
     ops = _car(_check_modes(n))
     if a.shape != (n, n):
         raise ValidationError(f"coefficient matrix is {a.shape}, expected {(n, n)}")
-    out = np.zeros_like(ops[0])
-    for j in range(n):
-        row = np.zeros_like(ops[0])
-        for k in range(n):
-            row += a[j, k] * ops[k]
-        out += ops[j].conj().T @ row
-    return out
+    return _bilinear(a, _dagger(ops), ops)
 
 
 # -- superoperators as 4^n x 4^n matrices (column-stacking vec) -----------
@@ -165,19 +176,57 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-def super_left(op: np.ndarray) -> np.ndarray:
-    """rho -> op rho."""
-    return np.kron(np.eye(op.shape[0], dtype=complex), op)
+def _assemble(terms, dim: int) -> np.ndarray:
+    """The 4^n x 4^n matrix of ``rho -> sum_k x_k rho y_k``.
+
+    On column-stacked operators each term is ``kron(y_k^T, x_k)``, whose
+    entry [(b, a), (j, i)] is ``y_k[j, b] x_k[a, i]``.  The sum over k is
+    one product of the K x dim^2 stacks of the y_k^T and the x_k, which
+    yields the entries in (b, j, a, i) order; one transpose reorders them.
+    None stands for the identity.
+    """
+    eye = np.eye(dim, dtype=complex)
+    xs = np.array([eye if x is None else x for x, _ in terms])
+    ys = np.array([eye if y is None else y.T for _, y in terms])
+    prod = ys.reshape(len(terms), -1).T @ xs.reshape(len(terms), -1)
+    return prod.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3) \
+        .reshape(dim * dim, dim * dim)
 
 
-def super_right(op: np.ndarray) -> np.ndarray:
-    """rho -> rho op."""
-    return np.kron(op.T, np.eye(op.shape[0], dtype=complex))
+def _apply(terms, rho: np.ndarray) -> np.ndarray:
+    """``sum_k x_k rho y_k`` without forming the 4^n matrix; None factors
+    are skipped, not multiplied."""
+    out = np.zeros(rho.shape, dtype=complex)
+    for x, y in terms:
+        term = rho if x is None else x @ rho
+        out += term if y is None else term @ y
+    return out
 
 
-def super_sandwich(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """rho -> x rho y, i.e. kron(y^T, x) on column-stacked operators."""
-    return np.kron(y.T, x)
+def _basic_terms(kind: str, a, n: int) -> list:
+    """Sandwich terms of one basic superoperator (see :func:`super_basic`)."""
+    a = as_square(a, "coefficient matrix")
+    n = _check_modes(n)
+    if a.shape != (n, n):
+        raise ValidationError(f"coefficient matrix is {a.shape}, expected {(n, n)}")
+    c = _car(n)
+    if kind == "loss":
+        return list(zip(c, _smear(a, _dagger(c))))
+    if kind == "gain":
+        return list(zip(_dagger(c), _smear(a.T, c)))
+    if kind == "left":
+        return [(quadratic_form(a, n), None)]
+    if kind == "right":
+        return [(None, quadratic_form(a, n))]
+    raise ValidationError(f"unknown superoperator kind {kind!r}")
+
+
+def _generator_terms(a: np.ndarray, m: np.ndarray, n: int) -> list:
+    """Sandwich terms of L(A, M); -tr(M) rides on the left factor."""
+    ah = a.conj().T
+    left = quadratic_form(a + m, n) - np.trace(m) * np.eye(2 ** n)
+    return [*_basic_terms("loss", -a - ah - m, n), *_basic_terms("gain", m, n),
+            (left, None), (None, quadratic_form(ah + m, n))]
 
 
 def super_basic(kind: str, a, n: int) -> np.ndarray:
@@ -188,32 +237,7 @@ def super_basic(kind: str, a, n: int) -> np.ndarray:
           'left'  -> (c, a c) rho
           'right' -> rho (c, a c)
     """
-    a = as_square(a, "coefficient matrix")
-    n = _check_modes(n)
-    if a.shape != (n, n):
-        raise ValidationError(f"coefficient matrix is {a.shape}, expected {(n, n)}")
-    ops = _car(n)
-    dim = 2 ** n
-    if kind == "left":
-        return super_left(quadratic_form(a, n))
-    if kind == "right":
-        return super_right(quadratic_form(a, n))
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    if kind == "loss":
-        for k in range(n):
-            envelope = np.zeros((dim, dim), dtype=complex)
-            for j in range(n):
-                envelope += a[j, k] * ops[j].conj()
-            out += np.kron(envelope, ops[k])
-        return out
-    if kind == "gain":
-        for j in range(n):
-            envelope = np.zeros((dim, dim), dtype=complex)
-            for k in range(n):
-                envelope += a[j, k] * ops[k]
-            out += np.kron(envelope.T, ops[j].conj().T)
-        return out
-    raise ValidationError(f"unknown superoperator kind {kind!r}")
+    return _assemble(_basic_terms(kind, a, n), 2 ** int(n))
 
 
 def super_liouvillian(params: AffineGenerator, n: int | None = None) -> np.ndarray:
@@ -227,14 +251,7 @@ def super_liouvillian(params: AffineGenerator, n: int | None = None) -> np.ndarr
     n = _check_modes(n)
     if params.n != n:
         raise ValidationError(f"params are {params.n}-mode, expected {n}")
-    a, m = params.a, params.m
-    dim = 2 ** n
-    out = super_basic("loss", -a - a.conj().T - m, n)
-    out += super_basic("gain", m, n)
-    out += super_basic("left", a + m, n)
-    out += super_basic("right", a.conj().T + m, n)
-    out -= np.trace(m) * np.eye(dim * dim, dtype=complex)
-    return out
+    return _assemble(_generator_terms(params.a, params.m, n), 2 ** n)
 
 
 def super_master_equation(h, loss_vectors=(), gain_vectors=()) -> np.ndarray:
@@ -244,49 +261,29 @@ def super_master_equation(h, loss_vectors=(), gain_vectors=()) -> np.ndarray:
                + sum_loss (2 D rho D† - {D† D, rho})
                + sum_gain (2 D† rho D - {D D†, rho}),
 
-    with jump operators D = (l, c).  Independent of the L(A, M) assembly;
+    with jump operators D = (l, c).  Independent of the L(A, M) terms;
     used to pin the convention A = -iH - D - E, M = 2E.
     """
     h = as_square(h, "hamiltonian matrix")
     n = h.shape[0]
-    _check_modes(n)
     ham = quadratic_form(h, n)
-    out = -1j * (super_left(ham) - super_right(ham))
+    terms = [(-1j * ham, None), (None, 1j * ham)]
     for v in loss_vectors:
         d_op = smeared_annihilation(v, n)
-        out += 2 * super_sandwich(d_op, d_op.conj().T)
         dd = d_op.conj().T @ d_op
-        out -= super_left(dd) + super_right(dd)
+        terms += [(2 * d_op, d_op.conj().T), (-dd, None), (None, -dd)]
     for v in gain_vectors:
         d_op = smeared_annihilation(v, n)
-        out += 2 * super_sandwich(d_op.conj().T, d_op)
         dd = d_op @ d_op.conj().T
-        out -= super_left(dd) + super_right(dd)
-    return out
+        terms += [(2 * d_op.conj().T, d_op), (-dd, None), (None, -dd)]
+    return _assemble(terms, 2 ** n)
 
 
 def apply_generator(a, m, rho: np.ndarray) -> np.ndarray:
     """Apply L(A, M) to a single operator without building the 4^n matrix."""
-    a = as_square(a, "drift")
-    m = as_square(m, "noise")
-    n = int(round(np.log2(rho.shape[0])))
-    ops = _car(_check_modes(n))
-    b = -a - a.conj().T - m
-    out = np.zeros_like(rho, dtype=complex)
-    for k in range(n):
-        envelope = np.zeros_like(rho, dtype=complex)
-        for j in range(n):
-            envelope += b[j, k] * ops[j].conj().T
-        out += ops[k] @ rho @ envelope
-    for j in range(n):
-        envelope = np.zeros_like(rho, dtype=complex)
-        for k in range(n):
-            envelope += m[j, k] * ops[k]
-        out += ops[j].conj().T @ rho @ envelope
-    out += quadratic_form(a + m, n) @ rho
-    out += rho @ quadratic_form(a.conj().T + m, n)
-    out -= np.trace(m) * rho
-    return out
+    n = density_modes(rho)
+    gen = AffineGenerator(a, m)
+    return _apply(_generator_terms(gen.a, gen.m, n), rho)
 
 
 def dense_evolve(params: AffineGenerator, rho: np.ndarray, t: float) -> np.ndarray:
@@ -332,16 +329,21 @@ def gaussian_density(state: GaussianState) -> np.ndarray:
     return hermitize(rho)
 
 
+def density_modes(rho) -> int:
+    """Mode count n of a 2^n x 2^n operator, 1 <= n <= MAX_MODES; raises
+    ValidationError for any other shape."""
+    shape = np.shape(rho)
+    dim = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
+    if dim < 2 or dim & (dim - 1):
+        raise ValidationError(f"density matrix must be 2^n x 2^n, got shape {shape}")
+    return _check_modes(dim.bit_length() - 1)
+
+
 def read_correlations(rho: np.ndarray) -> np.ndarray:
     """Correlation matrix of a density matrix: R_jk = Tr[c_k† c_j rho]."""
     rho = as_square(rho, "density matrix")
-    n = int(round(np.log2(rho.shape[0])))
-    ops = _car(_check_modes(n))
-    r = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            r[j, k] = np.trace(ops[k].conj().T @ ops[j] @ rho)
-    return r
+    ops = _car(density_modes(rho))
+    return np.trace(_dagger(ops)[None] @ ops[:, None] @ rho, axis1=2, axis2=3)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -357,13 +359,9 @@ def majorana_operators(n: int) -> list[np.ndarray]:
 
     w_{2m-1} = c_m + c_m†,  w_{2m} = i(c_m - c_m†).
     """
-    ops = _car(_check_modes(n))
-    out = []
-    for c in ops:
-        cd = c.conj().T
-        out.append(c + cd)
-        out.append(1j * (c - cd))
-    return out
+    c = _car(_check_modes(n))
+    cd = _dagger(c)
+    return [w for pair in zip(c + cd, 1j * (c - cd)) for w in pair]
 
 
 def majorana_liouvillian(a, n_mat, n: int) -> np.ndarray:
@@ -385,25 +383,12 @@ def majorana_liouvillian(a, n_mat, n: int) -> np.ndarray:
         )
     if np.linalg.norm(n_mat + n_mat.T) > 1e-12 * max(1.0, np.linalg.norm(n_mat)):
         raise ValidationError("noise coefficient matrix must be antisymmetric")
-    w = majorana_operators(n)
-    dim = 2 ** n
-    coeff_left = (a - a.T) / 8 + 1j * n_mat / 4
-    coeff_right = -(a - a.T) / 8 + 1j * n_mat / 4
-    coeff_mid = (-a - a.T + 2j * n_mat) / 4
-    g_left = np.zeros((dim, dim), dtype=complex)
-    g_right = np.zeros((dim, dim), dtype=complex)
-    for j in range(two_n):
-        for k in range(two_n):
-            prod = w[j] @ w[k]
-            g_left += coeff_left[j, k] * prod
-            g_right += coeff_right[j, k] * prod
-    out = super_left(g_left) + super_right(g_right)
-    for k in range(two_n):
-        envelope = np.zeros((dim, dim), dtype=complex)
-        for j in range(two_n):
-            envelope += coeff_mid[j, k] * w[j]
-        out += np.kron(w[k].T, envelope)
-    return out
+    w = np.array(majorana_operators(n))
+    antisym = (a - a.T) / 8
+    terms = [(_bilinear(antisym + 1j * n_mat / 4, w, w), None),
+             (None, _bilinear(-antisym + 1j * n_mat / 4, w, w)),
+             *zip(_smear((-a - a.T + 2j * n_mat) / 4, w), w)]
+    return _assemble(terms, 2 ** n)
 
 
 def majorana_commutator_residual(a, n_mat, b, r_mat, n: int) -> float:

@@ -74,9 +74,11 @@ class LiouvillianParams(AffineGenerator):
 
 @dataclass(frozen=True)
 class GaussianState:
-    """A Gaussian state, stored as its correlation matrix ``r``."""
+    """A Gaussian state: correlation matrix ``r`` and its ascending
+    eigenvalues ``spectrum``, computed once by the construction check."""
 
     r: np.ndarray
+    spectrum: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         r = as_square(self.r, "correlation matrix")
@@ -90,6 +92,7 @@ class GaussianState:
                 f"[{occ[0]:.3e}, {occ[-1]:.6f}]"
             )
         object.__setattr__(self, "r", r)
+        object.__setattr__(self, "spectrum", occ)
 
     @property
     def n(self) -> int:
@@ -320,7 +323,7 @@ def entropy(state: GaussianState) -> float:
     Evaluated on the occupation spectrum with the endpoint convention
     ``0 log 0 = 0``.
     """
-    occ = np.clip(np.linalg.eigvalsh(state.r), 0.0, 1.0)
+    occ = np.clip(state.spectrum, 0.0, 1.0)
     total = 0.0
     for p in occ:
         for q in (p, 1.0 - p):

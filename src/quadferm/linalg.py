@@ -81,6 +81,12 @@ def van_loan_integral(a, m, t: float) -> np.ndarray:
     exponential and O(log k) matrix products in total, so the cost grows
     as log t.  The result is Hermitian whenever ``m`` is.
     """
+    return _van_loan_pair(a, m, t)[1]
+
+
+def _van_loan_pair(a, m, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pair ``(e^{tA}, van_loan_integral(a, m, t))`` from the same block
+    exponential and powering; exactly (I, O) at t = 0."""
     a = as_square(a, "drift")
     m = as_square(m, "noise")
     if a.shape != m.shape:
@@ -91,8 +97,9 @@ def van_loan_integral(a, m, t: float) -> np.ndarray:
     if t < 0:
         raise ValidationError(f"integration time must be nonnegative, got {t}")
     n = a.shape[0]
+    prop, out = np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
     if t == 0.0:
-        return np.zeros((n, n), dtype=complex)
+        return prop, out
     abscissa = float(np.max(np.abs(np.linalg.eigvals(a).real))) if n else 0.0
     chunks = max(1, int(np.ceil(t * abscissa / _VAN_LOAN_THETA)))
     step = t / chunks
@@ -100,23 +107,22 @@ def van_loan_integral(a, m, t: float) -> np.ndarray:
     block[:n, :n] = a
     block[:n, n:] = m
     block[n:, n:] = -a.conj().T
-    w = scipy.linalg.expm(step * block)
+    w = mat_exp(step * block)
     prop_step = w[:n, :n]
     g_step = w[:n, n:] @ prop_step.conj().T
     # Invariant: (prop_step, g_step) is the chunk element raised to the
-    # current bit's power; out accumulates the bits already set.
-    out = None
+    # current bit's power; (prop, out) accumulates the bits already set.
     while chunks:
         if chunks & 1:
-            out = g_step if out is None else \
-                prop_step @ out @ prop_step.conj().T + g_step
+            prop = prop_step @ prop
+            out = prop_step @ out @ prop_step.conj().T + g_step
         chunks >>= 1
         if chunks:
             g_step = g_step + prop_step @ g_step @ prop_step.conj().T
             prop_step = prop_step @ prop_step
     if is_hermitian(m):
         out = hermitize(out)
-    return out
+    return prop, out
 
 
 def lyapunov_solve(a, m, res_tol: float = 1e-10) -> np.ndarray:

@@ -24,11 +24,11 @@ from itertools import combinations, permutations
 from math import factorial
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
-from .fock import (apply_generator, smeared_annihilation, smeared_creation,
-                   super_liouvillian, unvec, vacuum_projector, vec)
+from .fock import (apply_generator, dense_evolve, density_modes,
+                   smeared_annihilation, smeared_creation, unvec,
+                   vacuum_projector, vec)
 from .affine import AffineGenerator
 from .linalg import mat_exp
 
@@ -180,7 +180,7 @@ def project_persistent(rho: np.ndarray, p0: np.ndarray) -> np.ndarray:
     (persistent basis vectors first) and dropping every coefficient whose
     label touches a damped index.
     """
-    n = int(round(np.log2(rho.shape[0])))
+    n = density_modes(rho)
     p0 = np.asarray(p0, dtype=complex)
     occ, vecs_p = np.linalg.eigh(p0)
     order = np.argsort(-occ)
@@ -202,8 +202,7 @@ def phi_evolution_residual(a, xis, etas, t: float, n: int) -> float:
     xis = _as_vectors(xis, n, "creation list")
     etas = _as_vectors(etas, n, "annihilation list")
     gen = AffineGenerator(a, np.zeros((n, n), dtype=complex))
-    prop = scipy.linalg.expm(t * super_liouvillian(gen, n))
-    lhs = unvec(prop @ vec(phi_element(xis, etas, n)))
+    lhs = dense_evolve(gen, phi_element(xis, etas, n), t)
     rot = mat_exp(t * a)
     rhs = phi_element([rot @ v for v in xis], [rot @ v for v in etas], n)
     return float(np.linalg.norm(lhs - rhs))

@@ -524,8 +524,12 @@ def run_suite(n: int = 2, seed: int = 7, draws: int = 20,
 
     Draw streams are seeded per check from (seed, check index), so results
     are deterministic for a given (n, seed, draws).  ``tol_overrides`` maps
-    check names to replacement tolerances.
+    check names to replacement tolerances.  Raises ValidationError before
+    any draw unless 1 <= n <= fock.MAX_DENSE_EVOLVE_MODES.
     """
+    cap = fock.MAX_DENSE_EVOLVE_MODES
+    if not 1 <= n <= cap:
+        raise ValidationError(f"verify supports 1 <= n <= {cap}, got {n}")
     tol_overrides = dict(tol_overrides or {})
     unknown = set(tol_overrides) - set(check_names())
     if unknown:

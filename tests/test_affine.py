@@ -155,20 +155,31 @@ class TestFlow:
                 assert np.linalg.norm(lhs.m - rhs.m) < 1e-10
 
     def test_noise_then_drift_factorization(self, rng):
-        # the flow is, by construction, the translation by the finite-time
-        # noise integral composed with the pure drift flow
+        # the flow is the translation by the finite-time noise integral
+        # composed with the pure drift flow; its linear part comes from the
+        # Van Loan block exponential, so it matches mat_exp to roundoff
         p = random_generator(rng, 3)
         t = 1.3
         g = flow(p, t)
         shift = AffineElement(np.eye(3), van_loan_integral(p.a, p.m, t))
         drift = AffineElement(mat_exp(t * p.a), np.zeros((3, 3)))
         h = compose(shift, drift)
-        assert np.array_equal(g.u, h.u)
+        assert np.linalg.norm(g.u - h.u) <= 1e-13 * np.linalg.norm(h.u)
         assert np.array_equal(g.m, h.m)
 
     def test_negative_time_rejected(self, rng):
         with pytest.raises(ValidationError):
             flow(random_generator(rng, 2), -1.0)
+
+    @pytest.mark.parametrize("n", [4, 32])
+    def test_linear_part_matches_mat_exp(self, rng, n):
+        # the linear part comes from the Van Loan block exponential and its
+        # doubling, not from a separate mat_exp call
+        p = random_gksl_params(rng, n, min_damping=0.5)
+        for t in np.logspace(-8, 2, 11):
+            u, expected = flow(p, t).u, mat_exp(t * p.a)
+            assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.array_equal(flow(p, 1e4).u, mat_exp(1e4 * p.a))
 
     def test_long_horizon_of_damped_generator(self, rng):
         # e^{tA} of a damped drift is numerically singular at t = 100 and

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from quadferm import cli
+from quadferm import cli, verify
 from quadferm.cli import main
 from quadferm.config import parse_config_text
 from quadferm.errors import ValidationError
@@ -242,6 +243,16 @@ class TestVerifyCommand:
 
     def test_mode_count_cap(self):
         assert main(["verify", "--n", "9"]) == 1
+
+    @pytest.mark.parametrize("n", [0, 6])
+    def test_suite_rejects_mode_count_before_any_check(self, monkeypatch, n):
+        def sentinel(rng, n, draws):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify, "_REGISTRY", tuple(
+            dataclasses.replace(c, fn=sentinel) for c in verify._REGISTRY))
+        with pytest.raises(ValidationError):
+            verify.run_suite(n=n)
 
     def test_numbers_round_trip_at_17_digits(self, tmp_path):
         out = tmp_path / "verify.csv"

@@ -128,14 +128,35 @@ class TestLiouvillianFamily:
         direct = fock.super_master_equation(h, loss, gain)
         assert np.linalg.norm(direct - fock.super_liouvillian(params, n)) <= 1e-12
 
-    def test_apply_generator_matches_matrix(self, rng):
-        n = 3
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_apply_generator_matches_matrix(self, rng, n):
         a = random_complex_matrix(rng, n)
         m = random_complex_matrix(rng, n)
         rho = random_complex_matrix(rng, 2 ** n)
         mat = fock.super_liouvillian(LiouvillianParams(a, m), n)
         direct = fock.apply_generator(a, m, rho)
         assert np.linalg.norm(direct - fock.unvec(mat @ fock.vec(rho))) <= 1e-12
+
+
+class TestDensityMatrixShape:
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 2), (1, 1), (4,), (128, 128)])
+    def test_rejected_with_validation_error(self, shape):
+        rho = np.zeros(shape, dtype=complex)
+        zero = np.zeros((2, 2))
+        for call in (lambda: fock.density_modes(rho),
+                     lambda: fock.apply_generator(zero, zero, rho),
+                     lambda: fock.read_correlations(rho)):
+            with pytest.raises(ValidationError):
+                call()
+
+    def test_mode_count_of_fock_operators(self):
+        for n in range(1, fock.MAX_MODES + 1):
+            assert fock.density_modes(fock.vacuum_projector(n)) == n
+
+    def test_generator_size_must_match(self, rng):
+        a = random_complex_matrix(rng, 3)
+        with pytest.raises(ValidationError):
+            fock.apply_generator(a, a, fock.vacuum_projector(2))
 
 
 class TestDerivedCommutatorIdentities:
@@ -281,6 +302,26 @@ class TestMajorana:
             n_mat = (n_mat - n_mat.T) / 2
             r_mat = (r_mat - r_mat.T) / 2
             assert fock.majorana_commutator_residual(a, n_mat, b, r_mat, 2) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_defining_triple_sum(self, rng, n):
+        # the stored matrix applied to random operators against the literal
+        # sum in the docstring, term by term
+        w = fock.majorana_operators(n)
+        two_n = 2 * n
+        for _ in range(5):
+            a = rng.standard_normal((two_n, two_n))
+            n_mat = rng.standard_normal((two_n, two_n))
+            n_mat = (n_mat - n_mat.T) / 2
+            rho = random_complex_matrix(rng, 2 ** n)
+            expected = sum(
+                ((a - a.T)[j, k] / 2 * (w[j] @ w[k] @ rho - rho @ w[j] @ w[k])
+                 + 1j * n_mat[j, k] * (w[j] @ w[k] @ rho + rho @ w[j] @ w[k])
+                 + (-a - a.T + 2j * n_mat)[j, k] * w[j] @ rho @ w[k]) / 4
+                for j in range(two_n) for k in range(two_n))
+            mat = fock.majorana_liouvillian(a, n_mat, n)
+            out = fock.unvec(mat @ fock.vec(rho))
+            assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_symmetric_noise_rejected(self):
         with pytest.raises(ValidationError):

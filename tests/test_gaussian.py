@@ -325,6 +325,11 @@ class TestExpectationAndEntropy:
     def test_entropy_of_vacuum(self):
         assert entropy(GaussianState.vacuum(3)) == 0.0
 
+    def test_state_keeps_the_spectrum_it_checked(self, rng):
+        state = GaussianState(random_correlation_matrix(rng, 4))
+        assert np.array_equal(state.spectrum, np.linalg.eigvalsh(state.r))
+        assert "spectrum" not in repr(state)
+
     def test_entropy_matches_dense_oracle(self, rng):
         for _ in range(5):
             r = random_correlation_matrix(rng, 2)

@@ -132,6 +132,21 @@ class TestEvolutionCovariance:
             etas = [rand_vec(rng, n)]
             assert opbasis.phi_evolution_residual(a, xis, etas, 0.8, n) <= 1e-10
 
+    def test_same_value_as_exponentiating_the_generator(self, rng):
+        # the residual's left side is fock.dense_evolve; spelled out here as
+        # exp(t L(A, O)) on the vectorized element, it gives the same bits
+        n, t = 2, 0.8
+        a = random_complex_matrix(rng, n)
+        xis = [rand_vec(rng, n) for _ in range(2)]
+        etas = [rand_vec(rng, n) for _ in range(2)]
+        prop = scipy.linalg.expm(
+            t * fock.super_liouvillian(LiouvillianParams(a, np.zeros((n, n))), n))
+        lhs = fock.unvec(prop @ fock.vec(opbasis.phi_element(xis, etas, n)))
+        rot = scipy.linalg.expm(t * a)
+        rhs = opbasis.phi_element([rot @ v for v in xis], [rot @ v for v in etas], n)
+        expected = float(np.linalg.norm(lhs - rhs))
+        assert opbasis.phi_evolution_residual(a, xis, etas, t, n) == expected
+
 
 class TestPersistentProjection:
     def _split_instance(self, rng):
@@ -165,6 +180,10 @@ class TestPersistentProjection:
         rho = random_density_matrix(rng, 4)
         out = opbasis.project_persistent(rho, np.zeros((2, 2)))
         assert np.linalg.norm(out - fock.vacuum_projector(2)) <= 1e-12
+
+    def test_non_fock_dimension_rejected(self):
+        with pytest.raises(ValidationError):
+            opbasis.project_persistent(np.eye(6), np.eye(3))
 
     def test_full_projector_is_identity(self, rng):
         rho = random_density_matrix(rng, 4)
