@@ -202,7 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--n", type=int, default=None, help="mode count (<= 5)")
     ver.add_argument("--seed", type=int, default=None, help="RNG seed")
     ver.add_argument("--draws", type=int, default=None,
-                     help="random instances per identity")
+                     help="random instances per identity (at most 3 "
+                          "when n >= 4)")
     ver.add_argument("--tol", type=float, default=None,
                      help="override every tolerance with this value")
     return parser
@@ -225,7 +226,7 @@ def main(argv=None) -> int:
             return _cmd_steady(cfg, out)
         if args.command == "skin":
             return _cmd_skin(cfg, out)
-        n = args.n if args.n is not None else (cfg.n or 2)
+        n = args.n if args.n is not None else cfg.n if cfg.n is not None else 2
         seed = args.seed if args.seed is not None else cfg.seed
         draws = args.draws if args.draws is not None else cfg.draws
         return _cmd_verify(cfg, out, n=n, seed=seed, draws=draws, tol=args.tol)

@@ -38,7 +38,7 @@ def test_criterion_01_basic_commutator_suite():
     for n in (1, 2, 3):
         for idx, name in enumerate(LEMMA_CHECKS):
             rng = np.random.default_rng([101, n, idx])
-            worst = max(worst, verify._basic_commutators(rng, n, 50, name))
+            worst = np.maximum(worst, verify._worst(name, rng, n, 50))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-11 and elapsed < 30
     _report(1, "ten basic commutation relations, 50 pairs, n in {1,2,3}",
@@ -50,7 +50,8 @@ def test_criterion_02_generator_family_commutator():
     worst = 0.0
     for n in (1, 2, 3):
         rng = np.random.default_rng([102, n])
-        worst = max(worst, verify._check_generator_commutator(rng, n, 50))
+        worst = np.maximum(worst,
+                           verify._worst("generator_commutator", rng, n, 50))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 30
     _report(2, "generator-family commutator closes, 50 pairs, n in {1,2,3}",
@@ -107,14 +108,14 @@ def test_criterion_05_gaussian_state_formulas():
     worst_expect = worst_trace = worst_round = worst_entropy = 0.0
     for n in (1, 2, 3):
         rng = np.random.default_rng([105, n])
-        worst_expect = max(worst_expect,
-                           verify._check_quadratic_expectation(rng, n, 20))
-        worst_trace = max(worst_trace,
-                          verify._check_density_unit_trace(rng, n, 20))
-        worst_round = max(worst_round,
-                          verify._check_correlation_roundtrip(rng, n, 20))
-        worst_entropy = max(worst_entropy,
-                            verify._check_gaussian_entropy(rng, n, 20))
+        worst_expect = np.maximum(
+            worst_expect, verify._worst("quadratic_expectation", rng, n, 20))
+        worst_trace = np.maximum(
+            worst_trace, verify._worst("density_unit_trace", rng, n, 20))
+        worst_round = np.maximum(
+            worst_round, verify._worst("correlation_roundtrip", rng, n, 20))
+        worst_entropy = np.maximum(
+            worst_entropy, verify._worst("gaussian_entropy", rng, n, 20))
     ok = (worst_expect <= 1e-10 and worst_trace <= 1e-12
           and worst_round <= 1e-11 and worst_entropy <= 1e-9)
     _report(5, "Gaussian density formula: expectation/trace/roundtrip/entropy",
@@ -173,15 +174,14 @@ def test_criterion_07_operator_basis_suite():
     min_sv = np.inf
     for n in (2, 3):
         rng = np.random.default_rng([107, n])
-        worst["antisymmetry"] = max(worst["antisymmetry"],
-                                    verify._check_phi_antisymmetry(rng, n, 10))
-        worst["nilpotency"] = max(worst["nilpotency"],
-                                  verify._check_rank_one_nilpotency(rng, n, 20))
-        worst["roundtrip"] = max(worst["roundtrip"],
-                                 verify._check_phi_pi_roundtrip(rng, n, 10))
-        worst["evolution"] = max(worst["evolution"],
-                                 verify._check_phi_evolution(rng, n, 5))
-        min_sv = min(min_sv, verify._check_phi_basis_rank(rng, n, 2))
+        for key, name, draws in (
+                ("antisymmetry", "phi_antisymmetry", 10),
+                ("nilpotency", "rank_one_nilpotency", 20),
+                ("roundtrip", "phi_pi_roundtrip", 10),
+                ("evolution", "phi_evolution_covariance", 5)):
+            worst[key] = np.maximum(worst[key],
+                                   verify._worst(name, rng, n, draws))
+        min_sv = np.minimum(min_sv, verify._worst("phi_basis_rank", rng, n, 2))
     ok = (worst["antisymmetry"] <= 1e-12 and worst["nilpotency"] <= 1e-13
           and worst["roundtrip"] <= 1e-11 and worst["evolution"] <= 1e-10
           and min_sv > 1e-8)
@@ -226,7 +226,7 @@ def test_criterion_08_skin_effect():
 
 def test_criterion_09_majorana_family_commutator():
     rng = np.random.default_rng(109)
-    worst = verify._check_majorana_commutator(rng, 2, 20)
+    worst = verify._worst("majorana_commutator", rng, 2, 20)
     ok = worst <= 1e-10
     _report(9, "Majorana-form commutation relation, 20 quadruples, n=2",
             ok, f"worst={worst:.3e} <= 1e-10")

@@ -254,6 +254,28 @@ class TestVerifyCommand:
         with pytest.raises(ValidationError):
             verify.run_suite(n=n)
 
+    @pytest.mark.parametrize("draws", [0, -5])
+    def test_suite_rejects_draws_below_one_before_any_check(self, monkeypatch,
+                                                            draws):
+        def sentinel(rng, n):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify, "_REGISTRY", tuple(
+            dataclasses.replace(c, fn=sentinel) for c in verify._REGISTRY))
+        with pytest.raises(ValidationError):
+            verify.run_suite(n=1, draws=draws)
+
+    @pytest.mark.parametrize("draws", ["0", "-5"])
+    def test_draws_below_one_exits_with_validation_error(self, draws):
+        assert main(["verify", "--n", "1", "--draws", draws]) == 1
+
+    def test_config_mode_count_zero_rejected(self, tmp_path):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text("[job]\nn = 0\n", encoding="utf-8")
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_numbers_round_trip_at_17_digits(self, tmp_path):
         out = tmp_path / "verify.csv"
         main(["verify", "--n", "1", "--draws", "2", "--out", str(out)])

@@ -166,15 +166,15 @@ class TestDerivedCommutatorIdentities:
         for idx, which in enumerate(("fl_fl", "bl_bl", "fl_bl",
                                      "fl_s", "bl_s", "s_s")):
             rng = np.random.default_rng([55, n, idx])
-            assert verify._check_aux(rng, n, 10, which) <= 1e-11
+            assert verify._worst("aux_" + which, rng, n, 10) <= 1e-11
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_conjugation_lemmas(self, n):
         from quadferm import verify
         rng = np.random.default_rng([56, n])
-        assert verify._check_noise_conjugation(rng, n, 5) <= 1e-10
-        assert verify._check_translation_conjugation(rng, n, 5) <= 1e-10
-        assert verify._check_gain_intertwining(rng, n, 5) <= 1e-10
+        assert verify._worst("noise_conjugation", rng, n, 5) <= 1e-10
+        assert verify._worst("translation_conjugation", rng, n, 5) <= 1e-10
+        assert verify._worst("gain_intertwining", rng, n, 5) <= 1e-10
 
 
 class TestDenseEvolve:

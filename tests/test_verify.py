@@ -1,0 +1,148 @@
+"""The identity suite's row list, its reduction, and planted bugs."""
+
+import csv
+import dataclasses
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from quadferm import affine, fock, verify
+from quadferm.cli import main
+
+# (name, identity, comparison) of every row, in CSV order.
+ROWS = [
+    ("left_left", "[left(C), left(D)] = left([C,D])", "<="),
+    ("right_right", "[right(C), right(D)] = -right([C,D])", "<="),
+    ("left_loss", "[left(C), loss(D)] = -loss(DC)", "<="),
+    ("right_loss", "[right(C), loss(D)] = -loss(CD)", "<="),
+    ("left_gain", "[left(C), gain(D)] = gain(CD)", "<="),
+    ("right_gain", "[right(C), gain(D)] = gain(DC)", "<="),
+    ("left_right", "[left(C), right(D)] = 0", "<="),
+    ("loss_loss", "[loss(C), loss(D)] = 0", "<="),
+    ("gain_gain", "[gain(C), gain(D)] = 0", "<="),
+    ("loss_gain", "[loss(C), gain(D)] = tr(CD) - left(DC) - right(CD)", "<="),
+    ("generator_commutator",
+     "[L(A,M), L(B,N)] = L([A,B], AN + NA' - BM - MB')", "<="),
+    ("aux_fl_fl",
+     "[(left-loss)(C), (left-loss)(D)] = (left-loss)([C,D])", "<="),
+    ("aux_bl_bl",
+     "[(right-loss)(C), (right-loss)(D)] = -(right-loss)([C,D])", "<="),
+    ("aux_fl_bl", "[(left-loss)(C), (right-loss)(D)] = 0", "<="),
+    ("aux_fl_s", "[(left-loss)(C), S(D)] = S(CD) - tr(CD),"
+                 " S = left+right-loss+gain", "<="),
+    ("aux_bl_s", "[(right-loss)(C), S(D)] = S(DC) - tr(DC)", "<="),
+    ("aux_s_s", "[S(C), S(D)] = 0", "<="),
+    ("trace_preservation", "Tr(L(A,M) rho) = 0", "<="),
+    ("vacuum_invariance", "L(A,O) vacuum = 0", "<="),
+    ("semigroup_factorization",
+     "exp(tL(A,M)) = exp(L(O, int_0^t e^{sA}M e^{sA'} ds)) exp(tL(A,O))",
+     "<="),
+    ("noise_conjugation",
+     "exp(tL(A,O)) L(O,M) = L(O, e^{tA}M e^{tA'}) exp(tL(A,O))", "<="),
+    ("translation_conjugation",
+     "exp(L(O,T)) L(A,M) exp(-L(O,T)) = L(A, M - AT - TA')", "<="),
+    ("gain_intertwining",
+     "exp(tL(-M/2,M)) gain(T) = gain(e^{tM/2} T e^{tM/2}) exp(tL(-M/2,M))",
+     "<="),
+    ("rank_one_nilpotency", "L(O, xi eta')^2 = 0", "<="),
+    ("quadratic_expectation", "Tr[(c,Tc) rho_R] = tr(TR)", "<="),
+    ("density_unit_trace",
+     "Tr[det(I-R) exp((c, log(R(I-R)^-1) c))] = 1", "<="),
+    ("correlation_roundtrip", "read_correlations(density(R)) = R", "<="),
+    ("gaussian_entropy",
+     "-tr(R log R) - tr((I-R) log(I-R)) = -Tr[rho log rho]", "<="),
+    ("fast_path_evolution",
+     "corr(exp(tL(A,M)) rho_R) = e^{tA} R e^{tA'} + noise integral", "<="),
+    ("phi_antisymmetry", "phi is antisymmetric in each argument list", "<="),
+    ("phi_pi_roundtrip",
+     "phi <-> pi permutation expansions agree with direct builds", "<="),
+    ("phi_basis_rank",
+     "the 4^n dressed elements over two bases span the operator space", ">="),
+    ("phi_evolution_covariance",
+     "exp(tL(A,O)) phi(xi; eta) = phi(e^{tA} xi; e^{tA} eta)", "<="),
+    ("majorana_commutator",
+     "[L(A,N), L(B,R)] = L([A,B], AR + RA^T - BN - NB^T)  (Majorana form)",
+     "<="),
+]
+
+NAN_ROWS = ("left_left", "phi_basis_rank")
+
+
+def test_check_list_is_pinned():
+    assert len(ROWS) == 34
+    assert verify.check_names() == [name for name, _, _ in ROWS]
+    results = verify.run_suite(n=1, draws=1)
+    assert [(r.name, r.identity, r.comparison) for r in results] == ROWS
+
+
+def _plant_nan_on_second_draw(monkeypatch, names):
+    def plant(fn):
+        calls = itertools.count(1)
+
+        def draw(rng, n):
+            value = fn(rng, n)
+            return math.nan if next(calls) == 2 else value
+        return draw
+
+    monkeypatch.setattr(verify, "_REGISTRY", tuple(
+        dataclasses.replace(c, fn=plant(c.fn)) if c.name in names else c
+        for c in verify._REGISTRY))
+
+
+class TestNanResidual:
+    def test_suite_reports_nan_as_failure(self, monkeypatch):
+        _plant_nan_on_second_draw(monkeypatch, NAN_ROWS)
+        results = verify.run_suite(n=2, draws=3)
+        for res in results:
+            if res.name in NAN_ROWS:
+                assert math.isnan(res.value) and not res.passed, res
+            else:
+                assert res.passed, res
+
+    def test_cli_writes_nan_rows_and_exits_three(self, monkeypatch, tmp_path):
+        _plant_nan_on_second_draw(monkeypatch, NAN_ROWS)
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--n", "2", "--draws", "3",
+                     "--out", str(out)]) == 3
+        lines = [ln for ln in out.read_text().splitlines()
+                 if not ln.startswith("#")]
+        rows = {row[0]: row for row in csv.reader(lines[1:])}
+        for name in NAN_ROWS:
+            assert rows[name][2] == "nan" and rows[name][-1] == "fail"
+        assert [r[0] for r in rows.values() if r[-1] == "fail"] \
+            == list(NAN_ROWS)
+
+
+@pytest.mark.parametrize("comparison, expected", [("<=", 3.0), (">=", 0.125)])
+def test_worst_reduces_every_value_of_every_draw(monkeypatch, comparison,
+                                                 expected):
+    values = iter([[0.25, 3.0], 1.0, [0.5, 0.125]])
+    probe = verify._Check("probe", "", 1.0, comparison,
+                          lambda rng, n: next(values), 50)
+    monkeypatch.setattr(verify, "_REGISTRY", (probe,))
+    assert verify._worst("probe", None, 1, 3) == expected
+
+
+def test_planted_bracket_sign_bug_fails_generator_commutator(monkeypatch):
+    true_bracket = affine.bracket
+
+    def flipped_drift(p, q):
+        g = true_bracket(p, q)
+        return affine.AffineGenerator(-g.a, g.m)
+
+    monkeypatch.setattr(affine, "bracket", flipped_drift)
+    failed = [r.name for r in verify.run_suite(n=2) if not r.passed]
+    assert "generator_commutator" in failed
+
+
+def test_dropped_parity_string_fails(monkeypatch):
+    monkeypatch.setattr(fock, "_PARITY", np.eye(2, dtype=complex))
+    fock._car.cache_clear()
+    try:
+        results = verify.run_suite(n=2, draws=3)
+    finally:
+        monkeypatch.undo()
+        fock._car.cache_clear()
+    assert any(not r.passed for r in results)
