@@ -277,20 +277,13 @@ def asymptotic_decomposition(params: LiouvillianParams,
         )
     split = spectral_split(params.a)
     n = params.n
-    dim0 = int(round(split.p0.trace().real))
-    if dim0 == 0:
-        m_inf = lyapunov_solve(params.a, params.m)
-    elif dim0 == n:
-        m_inf = np.zeros((n, n), dtype=complex)
-    else:
-        # Orthonormal basis of the damped subspace from the projector
-        # complement; the drift leaves it invariant, so the restricted
-        # Lyapunov solve reproduces the full integral.
-        occ, vecs = np.linalg.eigh(split.p0)
-        w = vecs[:, occ < 0.5]
-        a_red = w.conj().T @ params.a @ w
-        m_red = w.conj().T @ params.m @ w
-        m_inf = w @ lyapunov_solve(a_red, m_red) @ w.conj().T
+    # Orthonormal basis w of the damped subspace (all of C^n or empty at the
+    # extremes); the drift leaves it invariant, so the solve restricted to
+    # it gives the full integral.
+    occ, vecs = np.linalg.eigh(split.p0)
+    w = vecs[:, occ < 0.5]
+    m_inf = w @ lyapunov_solve(w.conj().T @ params.a @ w,
+                               w.conj().T @ params.m @ w) @ w.conj().T
     projected = GaussianState(hermitize(split.p0 @ state.r @ split.p0))
     zero = np.zeros((n, n), dtype=complex)
     return AsymptoticDecomposition(

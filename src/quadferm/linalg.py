@@ -5,8 +5,8 @@ dissipative skin-effect construction) reduces to four operations on square
 complex matrices: the matrix exponential, the finite-time noise integral
 ``int_0^t e^{sA} M e^{sA'} ds``, the continuous Lyapunov solve
 ``A T + T A' = -M``, and the spectral split of a dissipative drift into its
-imaginary-axis and strictly damped parts.  All solvers here are dense and
-direct; the library targets small-to-moderate mode numbers.
+imaginary-axis and strictly damped parts.  The last two factor their drift
+once each, by one dense complex Schur form (Bartels-Stewart, LAPACK trsyl).
 """
 
 from __future__ import annotations
@@ -129,10 +129,11 @@ def lyapunov_solve(a, m, res_tol: float = 1e-10) -> np.ndarray:
     """Solve the continuous Lyapunov equation ``A T + T A† = -M``.
 
     For a stable drift the solution is the improper noise integral
-    ``int_0^inf e^{sA} M e^{sA†} ds``.  Solved by vectorization: with
-    column-stacked vec, ``(I ⊗ A + conj(A) ⊗ I) vec(T) = -vec(M)``.  The
-    n² x n² dense solve is exact up to conditioning and perfectly adequate
-    at the mode numbers this library targets.
+    ``int_0^inf e^{sA} M e^{sA†} ds``.  Bartels-Stewart (CACM 15 (1972) 820)
+    in the frame ``D = diag(sqrt|M_jj|)``, 1 where ``M_jj = 0``: one complex
+    Schur form of ``D⁻¹ A D`` and LAPACK trsyl give ``D⁻¹ T D⁻¹``.  Graded
+    solutions need the frame, or their small end is lost (the skin effect);
+    where it would more than double ``||A||_F``, D = I instead.
 
     Raises PhysicsError if some eigenvalue pair has ``λ_i + conj(λ_j) ≈ 0``
     (the equation is then singular or near-singular), naming the pair, or
@@ -142,8 +143,13 @@ def lyapunov_solve(a, m, res_tol: float = 1e-10) -> np.ndarray:
     m = as_square(m, "right-hand side")
     if a.shape != m.shape:
         raise ValidationError(f"size mismatch: {a.shape} vs {m.shape}")
-    n = a.shape[0]
-    eigs = np.linalg.eigvals(a)
+    if a.shape[0] == 0:
+        return np.zeros((0, 0), dtype=complex)
+    d = np.sqrt(np.where(m.diagonal() == 0, 1.0, np.abs(m.diagonal())))
+    if np.linalg.norm(a / d[:, None] * d) > 2 * np.linalg.norm(a):
+        d = np.ones_like(d)  # error grows as the square of that inflation
+    r, q = scipy.linalg.schur(a / d[:, None] * d, output="complex")
+    eigs = r.diagonal()
     scale = max(1.0, float(np.max(np.abs(eigs))))
     sums = eigs[:, None] + eigs[None, :].conj()
     i, j = np.unravel_index(np.argmin(np.abs(sums)), sums.shape)
@@ -153,12 +159,11 @@ def lyapunov_solve(a, m, res_tol: float = 1e-10) -> np.ndarray:
             f"lambda_{i} = {eigs[i]:.6g}, lambda_{j} = {eigs[j]:.6g} has "
             f"lambda_i + conj(lambda_j) = {sums[i, j]:.3e}"
         )
-    eye = np.eye(n)
-    coeff = np.kron(eye, a) + np.kron(a.conj(), eye)
-    sol = np.linalg.solve(coeff, -m.reshape(-1, order="F"))
-    t_mat = sol.reshape((n, n), order="F")
+    rhs = q.conj().T @ (m / np.outer(d, d)) @ q
+    y, y_scale, _ = scipy.linalg.lapack.ztrsyl(r, r, -rhs, tranb="C")
+    t_mat = q @ (y / y_scale) @ q.conj().T * np.outer(d, d)
     residual = np.linalg.norm(a @ t_mat + t_mat @ a.conj().T + m)
-    if residual > res_tol * (1.0 + np.linalg.norm(m)):
+    if not residual <= res_tol * (1.0 + np.linalg.norm(m)):
         raise PhysicsError(
             f"Lyapunov residual {residual:.3e} exceeds tolerance; "
             "the equation is too ill-conditioned for a direct solve"
@@ -195,6 +200,8 @@ def spectral_split(a, re_tol: float | None = None,
     makes imaginary-axis eigenvalues semisimple, and makes their eigenspaces
     orthogonal to all other generalized eigenspaces; the split
     ``A = A P0 + (A - A P0)`` is therefore an orthogonal block decomposition.
+    A complex Schur form ordered with ``|Re z| <= re_tol`` first gives an
+    orthonormal basis Q_k of the persistent subspace: ``P0 = Q_k Q_k†``.
 
     ``re_tol`` is the classification band around the axis; exact-arithmetic
     statements need none, floating point does.  Default ``1e-9 * ||A||_2``.
@@ -209,22 +216,13 @@ def spectral_split(a, re_tol: float | None = None,
         )
     if re_tol is None:
         re_tol = 1e-9 * scale
-    eigvals, eigvecs = np.linalg.eig(a)
-    on_axis = np.abs(eigvals.real) <= re_tol
-    ambiguous = bool(
-        np.any((np.abs(eigvals.real) > re_tol)
-               & (np.abs(eigvals.real) <= 2 * re_tol))
-    )
-    if np.any(on_axis):
-        q, r = np.linalg.qr(eigvecs[:, on_axis])
-        if np.min(np.abs(np.diag(r))) < 1e-8:
-            raise PhysicsError(
-                "imaginary-axis eigenvectors are numerically dependent; "
-                "cannot build the persistent projector"
-            )
-        p0 = hermitize(q @ q.conj().T)
-    else:
-        p0 = np.zeros((n, n), dtype=complex)
+    r, q, dim0 = scipy.linalg.schur(a, output="complex",
+                                    sort=lambda z: abs(z.real) <= re_tol)
+    eigvals = r.diagonal()
+    off = np.abs(eigvals.real)
+    ambiguous = bool(np.any((off > re_tol) & (off <= 2 * re_tol)))
+    basis = q[:, :dim0]
+    p0 = hermitize(basis @ basis.conj().T)
     comm = np.linalg.norm(a @ p0 - p0 @ a)
     if comm > 1e-6 * max(1.0, scale):
         raise PhysicsError(
@@ -232,12 +230,10 @@ def spectral_split(a, re_tol: float | None = None,
             f"(residual {comm:.3e}); spectrum too close to the band edge"
         )
     a0 = a @ p0
-    lam = eigvals[on_axis]
-    order = np.argsort(lam.imag)
     return SpectralSplit(
         p0=p0,
         a0=a0,
         a_minus=a - a0,
-        imaginary_eigenvalues=1j * lam.imag[order],
+        imaginary_eigenvalues=1j * np.sort(eigvals[:dim0].imag),
         ambiguous=ambiguous,
     )

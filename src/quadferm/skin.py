@@ -155,7 +155,8 @@ def build_bath(p: HatanoNelsonParams) -> BathMatrices:
     E solves ``(2X - I) E + E (2X - I) = -Q`` with
     ``Q = x V^{-1} [2 a gamma I + 2 sqrt(gamma^2-lam^2) g] V^{-1} >= 0``;
     the amplitude bound keeps ``2X - I`` negative definite so the solution
-    equals the convergent integral of ``e^{(2X-I)s} Q e^{(2X-I)s}``.
+    equals the convergent integral of ``e^{(2X-I)s} Q e^{(2X-I)s}``; with
+    ``c = diag(2X - I)`` that is ``E_ij = -Q_ij / (c_i + c_j)``.
     Postconditions checked here: E >= 0, the admissibility sandwich
     ``O <= M <= -A - A†``, and ``A X + X A† + M = 0``.
     """
@@ -167,7 +168,8 @@ def build_bath(p: HatanoNelsonParams) -> BathMatrices:
         2 * p.a * p.gamma * np.eye(n)
         + 2 * np.sqrt(p.gamma ** 2 - p.lam ** 2) * mats.g
     ) @ v_inv
-    e = hermitize(lyapunov_solve(2 * x_mat - np.eye(n), q))
+    c = 2 * x_mat.diagonal() - 1
+    e = hermitize(-q / (c[:, None] + c[None, :]))
     m = 2 * e
     a_mat = -1j * mats.h_nh - m
     for name, mat in (("gain matrix", e),
@@ -191,8 +193,16 @@ def liouvillian_params(p: HatanoNelsonParams) -> LiouvillianParams:
 
 def steady_profile(p: HatanoNelsonParams) -> np.ndarray:
     """Steady occupations n_j = x kappa^(2-2j), the real diagonal of the
-    Gaussian steady state's correlation matrix."""
-    return steady_state(liouvillian_params(p)).occupations()
+    Gaussian steady state's correlation matrix.  Raises PhysicsError unless
+    each is within 1e-10 relative: they span kappa^(2-2n), where the
+    absolute checks of :func:`build_bath` miss errors."""
+    occ = steady_state(liouvillian_params(p)).occupations()
+    target = p.x * p.kappa ** (-2.0 * np.arange(p.n))
+    err = float(np.max(np.abs(occ / target - 1)))
+    if not err <= 1e-10:
+        raise PhysicsError(
+            f"steady occupations miss x kappa^(2-2j) by {err:.3e} relative")
+    return occ
 
 
 def localization_slope(profile: np.ndarray) -> tuple[float, float]:

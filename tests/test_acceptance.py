@@ -60,22 +60,8 @@ def test_criterion_02_generator_family_commutator():
 
 def test_criterion_03_semigroup_factorization():
     t0 = time.perf_counter()
-    n = 2
-    zero = np.zeros((n, n))
     rng = np.random.default_rng(103)
-    worst = 0.0
-    for _ in range(20):
-        params = verify.random_gksl_params(rng, n)
-        full = fock.super_liouvillian(params, n)
-        drift = fock.super_liouvillian(LiouvillianParams(params.a, zero), n)
-        for t in (0.3, 1.0, 3.0):
-            from quadferm.linalg import van_loan_integral
-            noise = van_loan_integral(params.a, params.m, t)
-            lhs = scipy.linalg.expm(t * full)
-            rhs = scipy.linalg.expm(
-                fock.super_liouvillian(LiouvillianParams(zero, noise), n)
-            ) @ scipy.linalg.expm(t * drift)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    worst = verify._worst("semigroup_factorization", rng, 2, 20)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 60
     _report(3, "noise/drift factorization of the semigroup, n=2, 20 draws",
@@ -84,20 +70,8 @@ def test_criterion_03_semigroup_factorization():
 
 def test_criterion_04_gaussian_fast_path_vs_oracle():
     t0 = time.perf_counter()
-    n = 3
     rng = np.random.default_rng(104)
-    worst = 0.0
-    for _ in range(20):
-        params = verify.random_gksl_params(rng, n)
-        r0 = verify.random_correlation_matrix(rng, n)
-        rho0 = fock.gaussian_density(GaussianState(r0))
-        for t in (0.5, 2.0):
-            dense_r = fock.read_correlations(fock.dense_evolve(params, rho0, t))
-            from quadferm.linalg import mat_exp, van_loan_integral
-            rot = mat_exp(t * params.a)
-            fast_r = rot @ r0 @ rot.conj().T \
-                + van_loan_integral(params.a, params.m, t)
-            worst = max(worst, float(np.max(np.abs(dense_r - fast_r))))
+    worst = verify._worst("fast_path_evolution", rng, 3, 20)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 60
     _report(4, "correlation flow matches dense evolution, n=3, 20 draws",

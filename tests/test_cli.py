@@ -155,8 +155,9 @@ class TestCommands:
         flat = [float(r[header.index("featureless_occupation")]) for r in rows]
         assert np.max(np.abs(np.array(flat) - 0.25)) < 1e-9
 
-    def test_skin_runs_three_lyapunov_solves(self, tmp_path, monkeypatch):
-        # one each for the bath, its steady state and the featureless split
+    def test_skin_runs_two_lyapunov_solves(self, tmp_path, monkeypatch):
+        # one each for the steady state and the featureless split; the
+        # bath's diagonal-coefficient equation needs no solver
         import quadferm.gaussian
         import quadferm.skin
         from quadferm.linalg import lyapunov_solve
@@ -175,7 +176,7 @@ class TestCommands:
                        encoding="utf-8")
         out = tmp_path / "skin.csv"
         assert main(["skin", "--config", str(cfg), "--out", str(out)]) == 0
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_steady_on_chain_matches_skin_profile(self, tmp_path):
         body = ("[model]\nkind = hatano-nelson\n"

@@ -6,6 +6,7 @@ from scipy.linalg import expm
 from quadferm.errors import PhysicsError, ValidationError
 from quadferm.linalg import (hermitize, lyapunov_solve, mat_exp,
                              spectral_split, van_loan_integral)
+from quadferm.skin import HatanoNelsonParams, liouvillian_params
 from quadferm.verify import (random_complex_matrix, random_gksl_params,
                              random_psd)
 
@@ -126,6 +127,54 @@ class TestVanLoanIntegral:
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValidationError):
             van_loan_integral(np.zeros((2, 2)), np.eye(3), 1.0)
+
+
+def kron_lyapunov(a, m):
+    """Reference solve of ``A T + T A† = -M`` by column-stacked
+    vectorization, ``(I ⊗ A + conj(A) ⊗ I) vec(T) = -vec(M)``: one dense
+    n² x n² solve, affordable as an oracle for n <= 12."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    coeff = np.kron(eye, a) + np.kron(a.conj(), eye)
+    sol = np.linalg.solve(coeff, -m.reshape(-1, order="F"))
+    return sol.reshape((n, n), order="F")
+
+
+class TestLyapunovKroneckerOracle:
+    def test_random_stable_drifts(self, rng):
+        for k in range(30):
+            n = 1 + k % 12
+            a = stable_matrix(rng, n, margin=0.2)
+            m = random_psd(rng, n) if k % 2 else random_complex_matrix(rng, n)
+            ref = kron_lyapunov(a, m)
+            out = lyapunov_solve(a, m)
+            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_graded_skin_generator(self):
+        # occupations span kappa^(2-2n) = 4^11 at n = 12
+        p = HatanoNelsonParams(n=12, omega=1.0, lam=0.3, gamma=0.5, a=2.5)
+        params = liouvillian_params(p)
+        ref = kron_lyapunov(params.a, params.m)
+        out = lyapunov_solve(params.a, params.m)
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("leak", [1e-4, 1e-8])
+    def test_noise_localized_on_one_mode(self, rng, leak):
+        # diag M spans leak^2 but the solution does not: the diag(M) frame
+        # would inflate the drift by ~1/leak and fail the residual check
+        for _ in range(5):
+            a = random_gksl_params(rng, 6, min_damping=0.3).a
+            v = random_complex_matrix(rng, 6)[0]
+            v[1:] *= leak
+            m = np.outer(v, v.conj())
+            ref = kron_lyapunov(a, m)
+            out = lyapunov_solve(a, m)
+            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_empty_equation(self):
+        empty = np.zeros((0, 0), dtype=complex)
+        assert kron_lyapunov(empty, empty).shape == (0, 0)
+        assert lyapunov_solve(empty, empty).shape == (0, 0)
 
 
 class TestLyapunovSolve:

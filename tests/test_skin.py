@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from quadferm.errors import ValidationError
+import quadferm.gaussian
+from quadferm.errors import PhysicsError, ValidationError
 from quadferm.gaussian import steady_state
 from quadferm.skin import (HatanoNelsonParams, build_bath, build_matrices,
                            featureless_choice, liouvillian_params,
@@ -129,6 +131,24 @@ class TestSteadyProfile:
         slope, deviation = localization_slope(profile)
         assert abs(slope - (-2 * np.log(p.kappa))) <= 1e-10
         assert deviation <= 1e-12
+
+    @pytest.mark.parametrize("n", [30, 60, 120])
+    def test_long_chain_matches_closed_form(self, n):
+        # kappa = 0.5: the occupations span 4^(n-1), up to 4e71 at n = 120
+        p = default_params(n)
+        target = p.x * p.kappa ** (2 - 2 * np.arange(1, n + 1, dtype=float))
+        profile = steady_profile(p)
+        assert np.max(np.abs(profile - target) / target) <= 1e-12
+
+    def test_unscaled_solve_fails_the_relative_guard(self, monkeypatch):
+        # plain Bartels-Stewart loses the small end of the profile; the
+        # absolute postconditions of build_bath do not notice
+        def unscaled(a, m):
+            return scipy.linalg.solve_continuous_lyapunov(a, -m)
+
+        monkeypatch.setattr(quadferm.gaussian, "lyapunov_solve", unscaled)
+        with pytest.raises(PhysicsError, match="relative"):
+            steady_profile(default_params(30))
 
     def test_contrast_between_bath_choices(self):
         # localized split: max/min occupation ratio kappa^(2-2n); flat split: 1
