@@ -40,6 +40,8 @@ __all__ = [
 
 #: :func:`inverse` rejects linear parts with condition number above this.
 CONDITION_CAP = 1e12
+#: Residual bound of :func:`conjugation_identity_check`.
+CONJUGATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -142,14 +144,13 @@ def flow(p: AffineGenerator, t: float) -> AffineElement:
     return AffineElement(*_van_loan_pair(p.a, p.m, t))
 
 
-def conjugation_identity_check(a, m, t: float,
-                               tol: float = 1e-10) -> tuple[bool, float]:
+def conjugation_identity_check(a, m, t: float) -> tuple[bool, float]:
     """Check that translating by the Lyapunov solution kills the noise part.
 
     With T solving ``A T + T A† = -M``, the flow of (A, M) factors as
-    ``(I, T) ∘ (e^{tA}, O) ∘ (I, -T)``.  Returns (holds within tol, residual),
-    where the residual is the larger of the two component norms between the
-    direct flow and the three-factor composition.
+    ``(I, T) ∘ (e^{tA}, O) ∘ (I, -T)``.  Returns (residual within
+    CONJUGATION_TOL, residual), the residual being the larger component
+    norm of the direct flow minus the three-factor composition.
     """
     a = as_square(a, "drift")
     m = as_square(m, "noise")
@@ -164,4 +165,4 @@ def conjugation_identity_check(a, m, t: float,
         float(np.linalg.norm(direct.u - three.u)),
         float(np.linalg.norm(direct.m - three.m)),
     )
-    return residual <= tol, residual
+    return residual <= CONJUGATION_TOL, residual

@@ -24,8 +24,7 @@ import numpy as np
 
 from .config import JobConfig, load_config
 from .errors import PhysicsError, ValidationError
-from .gaussian import (GaussianState, entropy, evolve_grid,
-                       stationary_correlation)
+from .gaussian import GaussianState, entropy, evolve_grid, steady_state
 from .skin import (featureless_choice, liouvillian_params, localization_slope,
                    steady_profile)
 from .verify import check_names, run_suite
@@ -123,8 +122,7 @@ def _cmd_evolve(cfg: JobConfig, out: str | None) -> int:
 
 def _cmd_steady(cfg: JobConfig, out: str | None) -> int:
     params = _require_params(cfg)
-    r_inf = stationary_correlation(params)
-    state = GaussianState(r_inf)
+    state = steady_state(params)
     n = params.n
     header = _matrix_columns("minf", n) \
         + [f"occ{j}" for j in range(1, n + 1)] + ["entropy"]

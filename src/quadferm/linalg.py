@@ -29,6 +29,12 @@ __all__ = [
     "spectral_split",
 ]
 
+#: Relative tolerances; within ``_AXIS_BAND`` of the axis a mode is undamped.
+_HERMITIAN_TOL = 1e-12
+_RESIDUAL_TOL = 1e-10
+_DISSIPATIVE_TOL = 1e-10
+_AXIS_BAND = 1e-9
+
 
 def as_square(a, name: str = "matrix") -> np.ndarray:
     """Validate and return ``a`` as a square complex ndarray.
@@ -48,8 +54,9 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.linalg.norm(a - a.conj().T) <= tol * max(1.0, np.linalg.norm(a)))
+def is_hermitian(a: np.ndarray) -> bool:
+    return bool(np.linalg.norm(a - a.conj().T)
+                <= _HERMITIAN_TOL * max(1.0, np.linalg.norm(a)))
 
 
 def mat_exp(a) -> np.ndarray:
@@ -125,19 +132,20 @@ def _van_loan_pair(a, m, t: float) -> tuple[np.ndarray, np.ndarray]:
     return prop, out
 
 
-def lyapunov_solve(a, m, res_tol: float = 1e-10) -> np.ndarray:
-    """Solve the continuous Lyapunov equation ``A T + T A† = -M``.
+def lyapunov_solve(a, m) -> np.ndarray:
+    """Solve ``A T + T A† = -M`` for a strictly stable drift.
 
-    For a stable drift the solution is the improper noise integral
+    The solution is the improper noise integral
     ``int_0^inf e^{sA} M e^{sA†} ds``.  Bartels-Stewart (CACM 15 (1972) 820)
     in the frame ``D = diag(sqrt|M_jj|)``, 1 where ``M_jj = 0``: one complex
     Schur form of ``D⁻¹ A D`` and LAPACK trsyl give ``D⁻¹ T D⁻¹``.  Graded
     solutions need the frame, or their small end is lost (the skin effect);
     where it would more than double ``||A||_F``, D = I instead.
 
-    Raises PhysicsError if some eigenvalue pair has ``λ_i + conj(λ_j) ≈ 0``
-    (the equation is then singular or near-singular), naming the pair, or
-    if the final residual exceeds ``res_tol * (1 + ||M||)``.
+    Raises PhysicsError, naming each offending ``lambda_i``, unless every
+    eigenvalue has ``Re λ < -1e-9 max|λ|`` (relative to the spectral radius,
+    so ``|λ_i + conj λ_j| > 2e-9 max|λ|``), or if the final residual exceeds
+    ``1e-10 (1 + ||M||)``.
     """
     a = as_square(a, "drift")
     m = as_square(m, "right-hand side")
@@ -150,20 +158,19 @@ def lyapunov_solve(a, m, res_tol: float = 1e-10) -> np.ndarray:
         d = np.ones_like(d)  # error grows as the square of that inflation
     r, q = scipy.linalg.schur(a / d[:, None] * d, output="complex")
     eigs = r.diagonal()
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    sums = eigs[:, None] + eigs[None, :].conj()
-    i, j = np.unravel_index(np.argmin(np.abs(sums)), sums.shape)
-    if abs(sums[i, j]) <= 1e-12 * scale:
+    bad = np.flatnonzero(~(eigs.real < -_AXIS_BAND * np.max(np.abs(eigs))))
+    if bad.size:
         raise PhysicsError(
-            "Lyapunov equation is near-singular: eigenvalue pair "
-            f"lambda_{i} = {eigs[i]:.6g}, lambda_{j} = {eigs[j]:.6g} has "
-            f"lambda_i + conj(lambda_j) = {sums[i, j]:.3e}"
+            "no unique steady state: drift eigenvalues on or right of the "
+            f"imaginary-axis band Re lambda >= -{_AXIS_BAND:g} max|lambda| "
+            f"[{', '.join(f'lambda_{i} = {eigs[i]:.6g}' for i in bad)}]; "
+            "use asymptotic_decomposition"
         )
     rhs = q.conj().T @ (m / np.outer(d, d)) @ q
     y, y_scale, _ = scipy.linalg.lapack.ztrsyl(r, r, -rhs, tranb="C")
     t_mat = q @ (y / y_scale) @ q.conj().T * np.outer(d, d)
     residual = np.linalg.norm(a @ t_mat + t_mat @ a.conj().T + m)
-    if not residual <= res_tol * (1.0 + np.linalg.norm(m)):
+    if not residual <= _RESIDUAL_TOL * (1.0 + np.linalg.norm(m)):
         raise PhysicsError(
             f"Lyapunov residual {residual:.3e} exceeds tolerance; "
             "the equation is too ill-conditioned for a direct solve"
@@ -192,8 +199,7 @@ class SpectralSplit:
     ambiguous: bool = False
 
 
-def spectral_split(a, re_tol: float | None = None,
-                   diss_tol: float = 1e-10) -> SpectralSplit:
+def spectral_split(a, re_tol: float | None = None) -> SpectralSplit:
     """Split a drift with ``-A - A† >= 0`` along the imaginary axis.
 
     Dissipativity forces every eigenvalue into the closed left half-plane,
@@ -210,12 +216,12 @@ def spectral_split(a, re_tol: float | None = None,
     n = a.shape[0]
     scale = float(np.linalg.norm(a, 2)) if n else 0.0
     gap = float(np.min(np.linalg.eigvalsh(-(a + a.conj().T)))) if n else 0.0
-    if gap < -diss_tol * max(1.0, scale):
+    if gap < -_DISSIPATIVE_TOL * max(1.0, scale):
         raise PhysicsError(
             f"drift is not dissipative: min eig(-A - A†) = {gap:.3e}"
         )
     if re_tol is None:
-        re_tol = 1e-9 * scale
+        re_tol = _AXIS_BAND * scale
     r, q, dim0 = scipy.linalg.schur(a, output="complex",
                                     sort=lambda z: abs(z.real) <= re_tol)
     eigvals = r.diagonal()

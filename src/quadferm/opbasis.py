@@ -37,7 +37,6 @@ __all__ = [
     "pi_element",
     "phi_from_pi",
     "pi_from_phi",
-    "subset_labels",
     "phi_family_matrix",
     "expand_in_phi",
     "project_persistent",
@@ -137,7 +136,7 @@ def pi_from_phi(xis, etas, n: int) -> np.ndarray:
     return _pairing_expansion(xis, etas, n, phi_element, alternating=False)
 
 
-def subset_labels(n: int):
+def _subset_labels(n: int):
     """All (S, T) pairs of increasing index tuples, a 4^n enumeration."""
     subsets = [s for r in range(n + 1) for s in combinations(range(n), r)]
     return [(s, t) for s in subsets for t in subsets]
@@ -154,7 +153,7 @@ def phi_family_matrix(xi_basis, eta_basis, n: int) -> tuple[list, np.ndarray]:
     eta_basis = _as_vectors(eta_basis, n, "annihilation basis")
     if len(xi_basis) != n or len(eta_basis) != n:
         raise ValidationError("both bases must contain exactly n vectors")
-    labels = subset_labels(n)
+    labels = _subset_labels(n)
     dim = 4 ** n
     b = np.empty((dim, len(labels)), dtype=complex)
     for i, (s, t) in enumerate(labels):

@@ -227,7 +227,7 @@ def featureless_choice(p: HatanoNelsonParams, delta: float) -> np.ndarray:
     e_mat = delta * d_mat
     h = p.omega * np.eye(n) + p.lam * mats.f
     a_mat = -1j * h - d_mat - e_mat
-    x_out = hermitize(lyapunov_solve(a_mat, 2 * e_mat))
+    x_out = lyapunov_solve(a_mat, 2 * e_mat)
     target = delta / (1 + delta) * np.eye(n)
     if np.linalg.norm(x_out - target) > 1e-9 * n:
         raise PhysicsError(

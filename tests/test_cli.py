@@ -40,6 +40,17 @@ g1 = 0.65465367070797709 0.0
 """
 
 
+def _explicit_ini(a, m):
+    """An explicit-model job file holding the pair (a, m) exactly."""
+    lines = ["[model]", "kind = explicit"]
+    for name, mat in (("a", a), ("m", m)):
+        lines.append(f"[model.{name}]")
+        lines += [f"row{i} = "
+                  + " ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row)
+                  for i, row in enumerate(mat, start=1)]
+    return "\n".join(lines) + "\n"
+
+
 def read_csv(path):
     comments, rows = {}, []
     with open(path, encoding="utf-8") as fh:
@@ -177,6 +188,30 @@ class TestCommands:
         out = tmp_path / "skin.csv"
         assert main(["skin", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(calls) == 2
+
+    def test_steady_factors_the_drift_once(self, tmp_path, monkeypatch):
+        # the stability decision is read off the solve's own Schur form
+        import quadferm.gaussian
+        import scipy.linalg
+        from quadferm.linalg import spectral_split
+        schur, calls = scipy.linalg.schur, []
+
+        def counting_schur(*args, **kwargs):
+            calls.append("schur")
+            return schur(*args, **kwargs)
+
+        def counting_split(*args, **kwargs):
+            calls.append("spectral_split")
+            return spectral_split(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+        monkeypatch.setattr(quadferm.gaussian, "spectral_split", counting_split)
+        params = verify.random_gksl_params(np.random.default_rng(6), 6, 0.3)
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(_explicit_ini(params.a, params.m), encoding="utf-8")
+        out = tmp_path / "steady.csv"
+        assert main(["steady", "--config", str(cfg), "--out", str(out)]) == 0
+        assert calls == ["schur"]
 
     def test_steady_on_chain_matches_skin_profile(self, tmp_path):
         body = ("[model]\nkind = hatano-nelson\n"

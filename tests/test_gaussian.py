@@ -13,6 +13,8 @@ from quadferm.linalg import hermitize
 from quadferm.verify import (random_correlation_matrix, random_gksl_params,
                              random_hermitian, random_psd)
 
+from conftest import kron_lyapunov
+
 
 class TestParamsFromModel:
     def test_empty_model(self):
@@ -227,6 +229,28 @@ class TestSteadyState:
         with pytest.raises(PhysicsError, match="asymptotic_decomposition"):
             steady_state(params)
 
+    def test_stable_non_dissipative_drift_reaches_the_spectrum_check(self):
+        # -A - A† is indefinite (the pair is inadmissible) but the drift is
+        # stable, so the Lyapunov solution exists; its spectrum leaves [0, 1]
+        a = np.array([[-1.0, 10.0], [0.0, -1.0]])
+        params = LiouvillianParams(a, 0.1 * np.eye(2))
+        ref = kron_lyapunov(params.a, params.m)
+        out = stationary_correlation(params)
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+        with pytest.raises(PhysicsError, match="escapes"):
+            steady_state(params)
+
+    def test_slow_mode_of_non_normal_drift_has_a_steady_state(self):
+        # Re = -2e-9 is damped against max|lambda| = 1, though it lies
+        # inside spectral_split's band 1e-9 ||A||_2 (||A||_2 = 1 + sqrt 2)
+        a = np.zeros((3, 3), dtype=complex)
+        a[:2, :2] = [[-1.0, 2.0], [0.0, -1.0]]
+        a[2, 2] = -2e-9
+        params = LiouvillianParams(a, np.diag([0.0, 0.0, 4e-9]))
+        assert params.gksl
+        r = steady_state(params).r
+        assert np.linalg.norm(r - np.diag([0.0, 0.0, 1.0])) < 1e-12
+
     def test_entropy_stationary_at_steady_state(self, rng):
         params = random_gksl_params(rng, 3, min_damping=0.3)
         steady = steady_state(params)
@@ -292,6 +316,16 @@ class TestAsymptoticDecomposition:
         rho0 = fock.gaussian_density(GaussianState(r0))
         dense_r = fock.read_correlations(fock.dense_evolve(params, rho0, t))
         assert np.max(np.abs(dense_r - dec.predicted_correlation(t))) <= 1e-7
+
+    def test_slowly_damped_mode_is_solved_on_the_damped_part(self):
+        # Re = -3e-9 is outside spectral_split's band 1e-9 ||A||_2, so the
+        # restricted solve must accept the mode as damped too
+        params = LiouvillianParams(np.diag([1j, -3e-9, -1.0]),
+                                   np.diag([0.0, 0.0, 1.0]))
+        assert params.gksl
+        dec = asymptotic_decomposition(params, GaussianState.vacuum(3))
+        assert np.linalg.norm(dec.p0 - np.diag([1.0, 0.0, 0.0])) < 1e-12
+        assert np.linalg.norm(dec.m_inf - np.diag([0.0, 0.0, 0.5])) < 1e-12
 
     def test_requires_admissible_generator(self, rng):
         params = LiouvillianParams(np.diag([1j, -1.0]), np.diag([1.0, 0.0]))

@@ -10,7 +10,7 @@ from quadferm.skin import HatanoNelsonParams, liouvillian_params
 from quadferm.verify import (random_complex_matrix, random_gksl_params,
                              random_psd)
 
-from conftest import stable_matrix
+from conftest import kron_lyapunov, stable_matrix
 
 
 class TestMatExp:
@@ -129,17 +129,6 @@ class TestVanLoanIntegral:
             van_loan_integral(np.zeros((2, 2)), np.eye(3), 1.0)
 
 
-def kron_lyapunov(a, m):
-    """Reference solve of ``A T + T A† = -M`` by column-stacked
-    vectorization, ``(I ⊗ A + conj(A) ⊗ I) vec(T) = -vec(M)``: one dense
-    n² x n² solve, affordable as an oracle for n <= 12."""
-    n = a.shape[0]
-    eye = np.eye(n)
-    coeff = np.kron(eye, a) + np.kron(a.conj(), eye)
-    sol = np.linalg.solve(coeff, -m.reshape(-1, order="F"))
-    return sol.reshape((n, n), order="F")
-
-
 class TestLyapunovKroneckerOracle:
     def test_random_stable_drifts(self, rng):
         for k in range(30):
@@ -211,6 +200,19 @@ class TestLyapunovSolve:
         a = np.diag([1j, -1.0])
         with pytest.raises(PhysicsError, match="lambda_0"):
             lyapunov_solve(a, np.eye(2))
+
+    def test_unstable_drift_without_resonant_pair_is_named(self):
+        # no lambda_i + conj(lambda_j) vanishes, but the integral diverges
+        with pytest.raises(PhysicsError, match="lambda_0"):
+            lyapunov_solve(np.diag([0.5, -1.0]), np.eye(2))
+
+    def test_slow_drift_solves_like_the_unscaled_one(self, rng):
+        # the stability margin is relative to max|lambda|, so scaling the
+        # whole equation leaves it, and the solution, unchanged
+        params = random_gksl_params(rng, 4, min_damping=0.2)
+        ref = lyapunov_solve(params.a, params.m)
+        out = lyapunov_solve(1e-13 * params.a, 1e-13 * params.m)
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestSpectralSplit:

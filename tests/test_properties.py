@@ -1,11 +1,12 @@
-"""Property tests for the invariants grid stepping relies on."""
+"""Property tests for the invariants grid stepping relies on, and for the
+steady state it converges to."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadferm.affine import compose, flow
-from quadferm.gaussian import GaussianState, evolve_grid
+from quadferm.gaussian import GaussianState, evolve_grid, steady_state
 from quadferm.verify import random_correlation_matrix, random_gksl_params
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -35,3 +36,16 @@ def test_spectrum_stays_in_unit_interval_along_a_grid(seed, n, steps):
     for evolved in evolve_grid(params, state, np.cumsum(steps)):
         occ = np.linalg.eigvalsh(evolved.r)
         assert occ[0] >= -1e-10 and occ[-1] <= 1 + 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=1, max_value=5))
+def test_steady_state_is_the_long_time_limit(seed, n):
+    rng = np.random.default_rng(seed)
+    params = random_gksl_params(rng, n, min_damping=0.2)
+    state = GaussianState(random_correlation_matrix(rng, n, lo=0.0, hi=1.0))
+    # at T, e^{T max Re lambda} = 1e-16: the initial data has decayed away
+    rate = -float(np.max(np.linalg.eigvals(params.a).real))
+    late = evolve_grid(params, state, [0.0, np.log(1e16) / rate])[-1].r
+    steady = steady_state(params).r
+    assert np.linalg.norm(late - steady) <= 1e-10 * np.linalg.norm(steady)
