@@ -174,7 +174,7 @@ def _cmd_verify(cfg: JobConfig, out: str | None, n: int, seed: int,
     rows = []
     for res in results:
         rows.append([res.name, res.identity, res.value, res.tolerance,
-                     res.comparison, "pass" if res.passed else "fail"])
+                     res.comparison, res.status])
     _emit(_render(comments, header, rows), out)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 

@@ -12,7 +12,8 @@ class ValidationError(QuadfermError, ValueError):
 class PhysicsError(QuadfermError, RuntimeError):
     """Mathematically valid input outside the regime an operation supports.
 
-    Raised for dissipativity violations, near-resonant Lyapunov spectra,
-    correlation spectra escaping [0, 1], or generators without a unique
-    steady state.
+    Raised for dissipativity violations, correlation spectra escaping
+    [0, 1], ill-conditioned Lyapunov solves, or drifts without a unique
+    steady state: an eigenvalue undamped by the one axis rule of
+    ``linalg._ordered_schur``, ``Re λ >= -1e-9 max|λ|``.
     """

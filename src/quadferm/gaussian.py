@@ -272,14 +272,12 @@ def asymptotic_decomposition(params: LiouvillianParams,
         )
     split = spectral_split(params.a)
     n = params.n
-    # Orthonormal basis w of the damped subspace (all of C^n or empty at the
-    # extremes); the drift leaves it invariant, so the solve restricted to
-    # it gives the full integral.
-    occ, vecs = np.linalg.eigh(split.p0)
-    w = vecs[:, occ < 0.5]
+    # The drift leaves the damped subspace invariant, so the solve
+    # restricted to its basis w gives the full integral.
+    w = split.damped_basis
     m_inf = w @ lyapunov_solve(w.conj().T @ params.a @ w,
                                w.conj().T @ params.m @ w) @ w.conj().T
-    projected = GaussianState(hermitize(split.p0 @ state.r @ split.p0))
+    projected = GaussianState(split.p0 @ state.r @ split.p0)
     zero = np.zeros((n, n), dtype=complex)
     return AsymptoticDecomposition(
         a0_flow=AffineGenerator(split.a0, zero),

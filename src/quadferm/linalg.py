@@ -6,7 +6,9 @@ complex matrices: the matrix exponential, the finite-time noise integral
 ``int_0^t e^{sA} M e^{sA'} ds``, the continuous Lyapunov solve
 ``A T + T A' = -M``, and the spectral split of a dissipative drift into its
 imaginary-axis and strictly damped parts.  The last two factor their drift
-once each, by one dense complex Schur form (Bartels-Stewart, LAPACK trsyl).
+once each, by one dense complex Schur form ordered with its undamped
+eigenvalues first (LAPACK trsen); that ordering is the one place a mode is
+classified as undamped.  The Lyapunov solve is Bartels-Stewart (LAPACK trsyl).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ __all__ = [
     "spectral_split",
 ]
 
-#: Relative tolerances; within ``_AXIS_BAND`` of the axis a mode is undamped.
+#: Relative tolerances; a mode with ``Re λ >= -_AXIS_BAND max|λ|`` is undamped
 _HERMITIAN_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
 _DISSIPATIVE_TOL = 1e-10
@@ -132,6 +134,26 @@ def _van_loan_pair(a, m, t: float) -> tuple[np.ndarray, np.ndarray]:
     return prop, out
 
 
+def _ordered_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Complex Schur form ``a = q r q†``, its k undamped eigenvalues first.
+
+    The one rule for which modes are undamped: an eigenvalue is damped iff
+    ``Re λ < -1e-9 max|λ|`` (a NaN is undamped).  The spectral radius is a
+    similarity invariant, so every frame of ``a`` classifies alike.  LAPACK
+    trsen reorders the form; with k = 0 it leaves ``r`` and ``q`` as they are.
+    """
+    r, q = scipy.linalg.schur(a, output="complex")
+    if a.shape[0] == 0:
+        return r, q, 0
+    eigs = r.diagonal()
+    undamped = ~(eigs.real < -_AXIS_BAND * np.max(np.abs(eigs)))
+    r, q, _, k, _, _, info = scipy.linalg.lapack.ztrsen(undamped, r, q,
+                                                        job="N")
+    if info != 0:
+        raise PhysicsError(f"Schur reordering failed (trsen info={info})")
+    return r, q, int(k)
+
+
 def lyapunov_solve(a, m) -> np.ndarray:
     """Solve ``A T + T A† = -M`` for a strictly stable drift.
 
@@ -142,10 +164,10 @@ def lyapunov_solve(a, m) -> np.ndarray:
     solutions need the frame, or their small end is lost (the skin effect);
     where it would more than double ``||A||_F``, D = I instead.
 
-    Raises PhysicsError, naming each offending ``lambda_i``, unless every
-    eigenvalue has ``Re λ < -1e-9 max|λ|`` (relative to the spectral radius,
-    so ``|λ_i + conj λ_j| > 2e-9 max|λ|``), or if the final residual exceeds
-    ``1e-10 (1 + ||M||)``.
+    Raises PhysicsError, naming each undamped ``lambda_i``, unless every
+    eigenvalue has ``Re λ < -1e-9 max|λ|`` (the one rule, which
+    :func:`spectral_split` applies too; so ``|λ_i + conj λ_j| > 2e-9
+    max|λ|``), or if the final residual exceeds ``1e-10 (1 + ||M||)``.
     """
     a = as_square(a, "drift")
     m = as_square(m, "right-hand side")
@@ -156,15 +178,14 @@ def lyapunov_solve(a, m) -> np.ndarray:
     d = np.sqrt(np.where(m.diagonal() == 0, 1.0, np.abs(m.diagonal())))
     if np.linalg.norm(a / d[:, None] * d) > 2 * np.linalg.norm(a):
         d = np.ones_like(d)  # error grows as the square of that inflation
-    r, q = scipy.linalg.schur(a / d[:, None] * d, output="complex")
-    eigs = r.diagonal()
-    bad = np.flatnonzero(~(eigs.real < -_AXIS_BAND * np.max(np.abs(eigs))))
-    if bad.size:
+    r, q, k = _ordered_schur(a / d[:, None] * d)
+    if k:
+        named = (f"lambda_{i} = {z:.6g}"
+                 for i, z in enumerate(r.diagonal()[:k]))
         raise PhysicsError(
             "no unique steady state: drift eigenvalues on or right of the "
             f"imaginary-axis band Re lambda >= -{_AXIS_BAND:g} max|lambda| "
-            f"[{', '.join(f'lambda_{i} = {eigs[i]:.6g}' for i in bad)}]; "
-            "use asymptotic_decomposition"
+            f"[{', '.join(named)}]; use asymptotic_decomposition"
         )
     rhs = q.conj().T @ (m / np.outer(d, d)) @ q
     y, y_scale, _ = scipy.linalg.lapack.ztrsyl(r, r, -rhs, tranb="C")
@@ -185,32 +206,34 @@ class SpectralSplit:
     """Split of a dissipative drift A into persistent and damped parts.
 
     ``p0`` projects orthogonally onto the direct sum of eigenspaces whose
-    eigenvalues sit on the imaginary axis; ``a0 = A P0`` carries the
+    eigenvalues are undamped, ``Re λ >= -1e-9 max|λ|`` (the rule
+    :func:`lyapunov_solve` applies too); ``damped_basis`` is an orthonormal
+    basis of the complementary, A-invariant damped subspace, so
+    ``p0 = I - damped_basis damped_basis†``.  ``a0 = A P0`` carries the
     persistent oscillation and ``a_minus = A - a0`` the strict decay, with
-    ``e^{t a_minus} -> p0`` as t grows.  ``ambiguous`` flags eigenvalues
-    whose real part falls inside the unclassifiable band
-    ``(re_tol, 2 re_tol]``.
+    ``e^{t a_minus} -> p0`` as t grows.  ``ambiguous`` flags damped
+    eigenvalues within twice the band, ``Re λ >= -2e-9 max|λ|``.
     """
 
     p0: np.ndarray
     a0: np.ndarray
     a_minus: np.ndarray
     imaginary_eigenvalues: np.ndarray
+    damped_basis: np.ndarray
     ambiguous: bool = False
 
 
-def spectral_split(a, re_tol: float | None = None) -> SpectralSplit:
+def spectral_split(a) -> SpectralSplit:
     """Split a drift with ``-A - A† >= 0`` along the imaginary axis.
 
     Dissipativity forces every eigenvalue into the closed left half-plane,
     makes imaginary-axis eigenvalues semisimple, and makes their eigenspaces
     orthogonal to all other generalized eigenspaces; the split
     ``A = A P0 + (A - A P0)`` is therefore an orthogonal block decomposition.
-    A complex Schur form ordered with ``|Re z| <= re_tol`` first gives an
-    orthonormal basis Q_k of the persistent subspace: ``P0 = Q_k Q_k†``.
-
-    ``re_tol`` is the classification band around the axis; exact-arithmetic
-    statements need none, floating point does.  Default ``1e-9 * ||A||_2``.
+    A complex Schur form ordered with the k undamped eigenvalues first
+    (``Re λ >= -1e-9 max|λ|``, the one rule :func:`lyapunov_solve` also
+    applies) gives orthonormal bases of both parts: ``P0 = Q_k Q_k†``, and
+    the remaining columns span the damped subspace.
     """
     a = as_square(a, "drift")
     n = a.shape[0]
@@ -220,14 +243,11 @@ def spectral_split(a, re_tol: float | None = None) -> SpectralSplit:
         raise PhysicsError(
             f"drift is not dissipative: min eig(-A - A†) = {gap:.3e}"
         )
-    if re_tol is None:
-        re_tol = _AXIS_BAND * scale
-    r, q, dim0 = scipy.linalg.schur(a, output="complex",
-                                    sort=lambda z: abs(z.real) <= re_tol)
+    r, q, k = _ordered_schur(a)
     eigvals = r.diagonal()
-    off = np.abs(eigvals.real)
-    ambiguous = bool(np.any((off > re_tol) & (off <= 2 * re_tol)))
-    basis = q[:, :dim0]
+    rho = np.max(np.abs(eigvals), initial=0.0)
+    ambiguous = bool(np.any(eigvals[k:].real >= -2 * _AXIS_BAND * rho))
+    basis = q[:, :k]
     p0 = hermitize(basis @ basis.conj().T)
     comm = np.linalg.norm(a @ p0 - p0 @ a)
     if comm > 1e-6 * max(1.0, scale):
@@ -240,6 +260,7 @@ def spectral_split(a, re_tol: float | None = None) -> SpectralSplit:
         p0=p0,
         a0=a0,
         a_minus=a - a0,
-        imaginary_eigenvalues=1j * np.sort(eigvals[:dim0].imag),
+        imaginary_eigenvalues=1j * np.sort(eigvals[:k].imag),
+        damped_basis=q[:, k:],
         ambiguous=ambiguous,
     )

@@ -27,8 +27,6 @@ from .linalg import hermitize, lyapunov_solve
 
 __all__ = [
     "HatanoNelsonParams",
-    "SkinMatrices",
-    "BathMatrices",
     "build_matrices",
     "build_bath",
     "liouvillian_params",

@@ -25,7 +25,6 @@ from .gaussian import GaussianState, LiouvillianParams, entropy, evolve_state
 from .linalg import hermitize, mat_exp, van_loan_integral
 
 __all__ = [
-    "CheckResult",
     "run_suite",
     "check_names",
     "random_complex_matrix",
@@ -217,8 +216,6 @@ def _random_vectors(rng, n, count):
 
 
 def _check_phi_antisymmetry(rng, n):
-    if n < 2:
-        return 0.0
     xis = _random_vectors(rng, n, 2)
     etas = _random_vectors(rng, n, 2)
     plain = opbasis.phi_element(xis, etas, n)
@@ -304,10 +301,15 @@ def _zero(c, d, n):
 class CheckResult:
     name: str
     identity: str
-    value: float
+    value: float  # NaN when skipped
     tolerance: float
     comparison: str  # "<=" (residual) or ">=" (rank-style)
-    passed: bool
+    passed: bool  # True when skipped: a skip is not a failure
+    skipped: bool = False  # the check cannot run at this n
+
+    @property
+    def status(self) -> str:
+        return "skip" if self.skipped else "pass" if self.passed else "fail"
 
 
 @dataclass(frozen=True)
@@ -318,6 +320,7 @@ class _Check:
     comparison: str
     fn: Callable  # (rng, n) -> residual of one draw, or a list of them
     draw_cap: int
+    min_n: int = 1  # below it the check cannot run and is skipped
 
 
 def _commutator(name, identity, x, y, z):
@@ -405,7 +408,7 @@ _REGISTRY: tuple[_Check, ...] = (
            1e-9, "<=", _check_fast_path_evolution, 20),
     _Check("phi_antisymmetry",
            "phi is antisymmetric in each argument list",
-           1e-12, "<=", _check_phi_antisymmetry, 20),
+           1e-12, "<=", _check_phi_antisymmetry, 20, min_n=2),
     _Check("phi_pi_roundtrip",
            "phi <-> pi permutation expansions agree with direct builds",
            1e-11, "<=", _check_phi_pi_roundtrip, 10),
@@ -442,7 +445,9 @@ def run_suite(n: int = 2, seed: int = 7, draws: int = 20,
 
     Draw streams are seeded per check from (seed, check index), so results
     are deterministic for a given (n, seed, draws).  Each check runs
-    ``draws`` draws, capped per check, and at most 3 when n >= 4.
+    ``draws`` draws, capped per check, and at most 3 when n >= 4.  A
+    check that cannot run at n (``n < min_n``) draws nothing and is
+    reported skipped, with value NaN; it does not fail.
     ``tol_overrides`` maps check names to replacement tolerances.  Raises
     ValidationError before any draw unless 1 <= n <=
     fock.MAX_DENSE_EVOLVE_MODES and draws >= 1.
@@ -462,7 +467,8 @@ def run_suite(n: int = 2, seed: int = 7, draws: int = 20,
     for idx, check in enumerate(_REGISTRY):
         rng = np.random.default_rng([seed, idx])
         effective = min(draws, check.draw_cap, 3 if n >= 4 else draws)
-        value = _worst(check.name, rng, n, effective)
+        skipped = n < check.min_n
+        value = np.nan if skipped else _worst(check.name, rng, n, effective)
         tol = float(tol_overrides.get(check.name, check.tolerance))
         passed = value <= tol if check.comparison == "<=" else value >= tol
         results.append(CheckResult(
@@ -471,6 +477,7 @@ def run_suite(n: int = 2, seed: int = 7, draws: int = 20,
             value=value,
             tolerance=tol,
             comparison=check.comparison,
-            passed=bool(passed),
+            passed=bool(passed or skipped),
+            skipped=skipped,
         ))
     return results

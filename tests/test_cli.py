@@ -249,7 +249,18 @@ class TestVerifyCommand:
         assert comments["command"] == "verify"
         assert header == ["name", "identity", "value", "tolerance",
                           "comparison", "status"]
-        assert rows and all(r[-1] == "pass" for r in rows)
+        # phi_antisymmetry needs two modes; its skip row is pinned below
+        assert rows and all(r[-1] == "pass" for r in rows
+                            if r[0] != "phi_antisymmetry")
+
+    def test_check_that_cannot_run_reads_skip_and_exits_zero(self, tmp_path):
+        out = tmp_path / "verify.csv"
+        code = main(["verify", "--n", "1", "--seed", "7", "--out", str(out)])
+        assert code == 0
+        _, header, rows = read_csv(out)
+        skipped = [r for r in rows if r[-1] == "skip"]
+        assert [r[0] for r in skipped] == ["phi_antisymmetry"]
+        assert skipped[0][header.index("value")] == "nan"
 
     def test_impossible_tolerance_fails_with_exit_three(self, tmp_path):
         out = tmp_path / "verify.csv"

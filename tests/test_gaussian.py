@@ -242,7 +242,8 @@ class TestSteadyState:
 
     def test_slow_mode_of_non_normal_drift_has_a_steady_state(self):
         # Re = -2e-9 is damped against max|lambda| = 1, though it lies
-        # inside spectral_split's band 1e-9 ||A||_2 (||A||_2 = 1 + sqrt 2)
+        # inside 1e-9 ||A||_2 (||A||_2 = 1 + sqrt 2): the band scales with
+        # the spectral radius, not the norm, of this non-normal drift
         a = np.zeros((3, 3), dtype=complex)
         a[:2, :2] = [[-1.0, 2.0], [0.0, -1.0]]
         a[2, 2] = -2e-9
@@ -318,7 +319,7 @@ class TestAsymptoticDecomposition:
         assert np.max(np.abs(dense_r - dec.predicted_correlation(t))) <= 1e-7
 
     def test_slowly_damped_mode_is_solved_on_the_damped_part(self):
-        # Re = -3e-9 is outside spectral_split's band 1e-9 ||A||_2, so the
+        # Re = -3e-9 is outside the band 1e-9 max|lambda|, so the
         # restricted solve must accept the mode as damped too
         params = LiouvillianParams(np.diag([1j, -3e-9, -1.0]),
                                    np.diag([0.0, 0.0, 1.0]))
@@ -326,6 +327,17 @@ class TestAsymptoticDecomposition:
         dec = asymptotic_decomposition(params, GaussianState.vacuum(3))
         assert np.linalg.norm(dec.p0 - np.diag([1.0, 0.0, 0.0])) < 1e-12
         assert np.linalg.norm(dec.m_inf - np.diag([0.0, 0.0, 0.5])) < 1e-12
+
+    def test_slow_mode_of_non_normal_drift_agrees_with_steady_state(self):
+        # the pair steady_state solves: no mode is persistent, and the
+        # limit noise is its steady state
+        a = np.zeros((3, 3), dtype=complex)
+        a[:2, :2] = [[-1.0, 2.0], [0.0, -1.0]]
+        a[2, 2] = -2e-9
+        params = LiouvillianParams(a, np.diag([0.0, 0.0, 4e-9]))
+        dec = asymptotic_decomposition(params, GaussianState.vacuum(3))
+        assert np.array_equal(dec.p0, np.zeros((3, 3)))
+        assert np.linalg.norm(dec.m_inf - steady_state(params).r) < 1e-12
 
     def test_requires_admissible_generator(self, rng):
         params = LiouvillianParams(np.diag([1j, -1.0]), np.diag([1.0, 0.0]))

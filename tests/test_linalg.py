@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
@@ -292,9 +293,39 @@ class TestSpectralSplit:
             spectral_split(np.diag([1.0, -1.0]))
 
     def test_ambiguous_band_is_flagged(self):
-        split = spectral_split(np.diag([-1.5e-9 + 1j, -1.0]), re_tol=1e-9)
+        split = spectral_split(np.diag([-1.5e-9 + 1j, -1.0]))
         assert split.ambiguous
         assert split.imaginary_eigenvalues.size == 0
+
+    def test_empty_drift_gives_empty_split(self):
+        split = spectral_split(np.zeros((0, 0)))
+        for part in (split.p0, split.a0, split.a_minus, split.damped_basis):
+            assert part.shape == (0, 0)
+        assert split.imaginary_eigenvalues.size == 0
+        assert not split.ambiguous
+
+    def test_damped_basis_spans_the_complement_of_p0(self, rng):
+        q, _ = np.linalg.qr(random_complex_matrix(rng, 4))
+        a = q @ np.diag([0.5j, -1.3j, -0.7 + 0.1j, -0.2 - 0.4j]) @ q.conj().T
+        split = spectral_split(a)
+        w = split.damped_basis
+        assert w.shape == (4, 2)
+        assert np.linalg.norm(w.conj().T @ w - np.eye(2)) < 1e-13
+        assert np.linalg.norm(split.p0 + w @ w.conj().T - np.eye(4)) < 1e-13
+        # the damped subspace is invariant: A w = w (w† A w)
+        assert np.linalg.norm(a @ w - w @ (w.conj().T @ a @ w)) < 1e-12
+
+    def test_failed_schur_reordering_is_an_error(self, monkeypatch):
+        trsen = scipy.linalg.lapack.ztrsen
+
+        def failing(*args, **kwargs):
+            return (*trsen(*args, **kwargs)[:-1], 1)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "ztrsen", failing)
+        with pytest.raises(PhysicsError, match="trsen"):
+            spectral_split(np.diag([1j, -1.0]))
+        with pytest.raises(PhysicsError, match="trsen"):
+            lyapunov_solve(-np.eye(2), np.eye(2))
 
     def test_clean_spectrum_is_not_flagged(self):
         split = spectral_split(np.diag([1j, -1.0]))

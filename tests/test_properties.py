@@ -1,12 +1,17 @@
-"""Property tests for the invariants grid stepping relies on, and for the
-steady state it converges to."""
+"""Property tests for the invariants grid stepping relies on, for the
+steady state it converges to, and for the one rule that decides whether
+that steady state exists."""
 
 import numpy as np
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadferm.affine import compose, flow
-from quadferm.gaussian import GaussianState, evolve_grid, steady_state
+from quadferm.errors import PhysicsError
+from quadferm.gaussian import (GaussianState, LiouvillianParams,
+                               asymptotic_decomposition, evolve_grid,
+                               steady_state)
 from quadferm.verify import random_correlation_matrix, random_gksl_params
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -49,3 +54,30 @@ def test_steady_state_is_the_long_time_limit(seed, n):
     late = evolve_grid(params, state, [0.0, np.log(1e16) / rate])[-1].r
     steady = steady_state(params).r
     assert np.linalg.norm(late - steady) <= 1e-10 * np.linalg.norm(steady)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=1, max_value=4),
+       c=st.floats(min_value=0.25, max_value=8.0))
+@example(seed=0, n=3, c=1.25)  # damped by max|lambda|, not by ||A||_2
+def test_steady_state_exists_iff_no_mode_persists(seed, n, c):
+    # A damped block plus one slow mode at Re = -c 1e-9 rho, rho the
+    # block's spectral radius: persistent for c < 1, damped for c > 1.
+    # steady_state and asymptotic_decomposition factor the drift in
+    # different frames, so near c = 1 rounding decides the class; that
+    # edge is excluded.
+    assume(abs(c - 1.0) > 0.01)
+    block = random_gksl_params(np.random.default_rng(seed), n,
+                               min_damping=0.2)
+    slow = c * 1e-9 * float(np.max(np.abs(np.linalg.eigvals(block.a))))
+    params = LiouvillianParams(scipy.linalg.block_diag(block.a, -slow),
+                               scipy.linalg.block_diag(block.m, slow))
+    assert params.gksl
+    dec = asymptotic_decomposition(params, GaussianState.vacuum(n + 1))
+    try:
+        steady = steady_state(params).r
+    except PhysicsError:
+        assert np.linalg.norm(dec.p0) > 0
+        return
+    assert np.linalg.norm(dec.p0) == 0
+    assert np.linalg.norm(dec.m_inf - steady) <= 1e-10 * np.linalg.norm(steady)

@@ -77,6 +77,24 @@ def test_check_list_is_pinned():
     assert [(r.name, r.identity, r.comparison) for r in results] == ROWS
 
 
+def test_check_below_its_mode_count_is_skipped_without_drawing(monkeypatch):
+    def sentinel(rng, n):
+        raise AssertionError("a skipped check drew")
+
+    monkeypatch.setattr(verify, "_REGISTRY", tuple(
+        dataclasses.replace(c, fn=sentinel) if c.name == "phi_antisymmetry"
+        else c for c in verify._REGISTRY))
+    res = {r.name: r for r in verify.run_suite(n=1, draws=2)}
+    skip = res.pop("phi_antisymmetry")
+    assert skip.skipped and skip.passed and math.isnan(skip.value)
+    assert skip.status == "skip"
+    assert all(r.status == "pass" for r in res.values())
+    monkeypatch.undo()
+    row = {r.name: r for r in verify.run_suite(n=2, draws=2)}
+    phi = row["phi_antisymmetry"]
+    assert not phi.skipped and phi.status == "pass" and phi.value < 1e-12
+
+
 def _plant_nan_on_second_draw(monkeypatch, names):
     def plant(fn):
         calls = itertools.count(1)
