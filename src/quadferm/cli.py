@@ -9,7 +9,10 @@ Four commands, one CSV file per run:
 
 Output starts with `# key=value` provenance lines followed by a header row
 and data rows; every numeric cell uses 17 significant digits so doubles
-round-trip exactly and repeated runs are byte-identical.
+round-trip exactly and repeated runs are byte-identical.  A job prints each
+distinct bit pattern once and reuses its text for every cell that holds it:
+"%.17g" is a function of the bits, so the bytes are those of one conversion
+per cell.
 
 Exit codes: 0 success, 1 validation error, 2 physics/convergence error,
 3 verification failure.
@@ -43,31 +46,51 @@ def _csv_field(text: str) -> str:
     """A string cell as csv.writer's minimal quoting writes it with a "\\n"
     line terminator: double-quoted, quotes doubled, when it holds a comma,
     a double quote or a newline."""
-    if any(c in text for c in ',"\n'):
+    if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
+def _format_numbers(x: np.ndarray) -> np.ndarray:
+    """``"%.17g" % v`` for every v in float64 x, as an object array of x's
+    shape: one conversion per distinct bit pattern, gathered back by the
+    inverse index. Every NaN payload prints ``nan``."""
+    keys, inverse = np.unique(x.view(np.uint64).ravel(), return_inverse=True)
+    text = ("\n".join(["%.17g"] * len(keys))
+            % tuple(keys.view(np.float64).tolist())).split("\n")
+    return np.array(text, dtype=object)[inverse].reshape(x.shape)
+
+
 def _render(comments: list[tuple[str, object]], header: list[str],
-            rows: list[list]) -> str:
+            rows: list) -> str:
     """Provenance lines, header and rows as CSV text.
 
-    Every row has the first row's layout of string and numeric cells, so
-    one precomputed %-format string renders each row; "%.17g" gives the
-    same bytes as ``format(float(x), ".17g")``.
+    Every row has the first row's layout of string and numeric cells. The
+    numeric cells of all rows go into one float64 array (column by column
+    when a row also holds strings), and `_format_numbers` prints each
+    distinct bit pattern in it once with "%.17g", which gives the bytes of
+    ``format(float(x), ".17g")``. The text depends on the bits alone, so
+    sharing it between equal patterns changes no byte; keying on bits, not
+    on float equality, keeps 0.0 and -0.0 apart. An `evolve` job repeats
+    most of its numbers (the real parts below R's diagonal, a relaxed
+    state), so it prints a fraction of its cells.
     """
-    lines = [f"# {key}={value}\n" for key, value in comments]
-    lines.append(",".join(map(_csv_field, header)) + "\n")
+    lines = [f"# {key}={value}" for key, value in comments]
+    lines.append(",".join(map(_csv_field, header)))
     if rows:
         text = [j for j, cell in enumerate(rows[0]) if isinstance(cell, str)]
-        fmt = ",".join("%s" if isinstance(cell, str) else "%.17g"
-                       for cell in rows[0]) + "\n"
-        for row in rows:
-            cells = list(row)
+        if text:
+            num = [j for j in range(len(rows[0])) if j not in text]
+            cells = np.empty((len(rows), len(rows[0])), dtype=object)
+            cells[:, num] = _format_numbers(np.array(
+                [[row[j] for j in num] for row in rows], dtype=float))
             for j in text:
-                cells[j] = _csv_field(cells[j])
-            lines.append(fmt % tuple(cells))
-    return "".join(lines)
+                cells[:, j] = [_csv_field(row[j]) for row in rows]
+        else:
+            cells = _format_numbers(np.array(rows, dtype=float))
+        lines += map(",".join, cells.tolist())
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -112,8 +135,10 @@ def _cmd_evolve(cfg: JobConfig, out: str | None) -> int:
     n = params.n
     header = ["t"] + _matrix_columns("r", n) \
         + [f"occ{j}" for j in range(1, n + 1)] + ["entropy"]
-    rows = [[t] + _matrix_cells(s.r) + s.occupations().tolist() + [entropy(s)]
-            for t, s in zip(cfg.times, evolve_grid(params, state, cfg.times))]
+    rows = []
+    for t, s in zip(cfg.times, evolve_grid(params, state, cfg.times)):
+        r = np.ascontiguousarray(s.r).view(float).ravel()
+        rows.append(np.concatenate(([t], r, s.occupations(), [entropy(s)])))
     comments = [("command", "evolve"), ("n", n),
                 ("gksl", str(params.gksl).lower())]
     _emit(_render(comments, header, rows), out)

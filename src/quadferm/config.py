@@ -93,8 +93,7 @@ def _parse_matrix(cp, section: str) -> np.ndarray:
                 f"[{section}] {key}: entries come as (re, im) pairs, "
                 f"got {len(values)} numbers"
             )
-        rows.append([complex(values[i], values[i + 1])
-                     for i in range(0, len(values), 2)])
+        rows.append(np.array(values).view(complex))
     if not rows:
         raise ValidationError(f"[{section}] is empty")
     width = len(rows[0])
@@ -120,9 +119,7 @@ def _parse_vectors(cp, section: str) -> list[np.ndarray]:
             raise ValidationError(
                 f"[{section}] {key}: entries come as (re, im) pairs"
             )
-        vectors.append(np.array(
-            [complex(values[i], values[i + 1]) for i in range(0, len(values), 2)]
-        ))
+        vectors.append(np.array(values).view(complex))
     return vectors
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 from pathlib import Path
 
@@ -11,6 +13,20 @@ from quadferm.verify import random_complex_matrix
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
                   os.environ.get("PYTHONPATH")]))
+
+
+def csv_writer_render(comments, header, rows):
+    """The CLI renderer as csv.writer with per-cell format(x, ".17g"): the
+    reference `quadferm.cli._render` must match byte for byte."""
+    buf = io.StringIO()
+    for key, value in comments:
+        buf.write(f"# {key}={value}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell if isinstance(cell, str)
+                         else format(float(cell), ".17g") for cell in row])
+    return buf.getvalue()
 
 
 def stable_matrix(rng, n: int, margin: float = 0.3) -> np.ndarray:

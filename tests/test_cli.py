@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import io
 import subprocess
 import sys
 
@@ -11,6 +10,8 @@ from quadferm import cli, verify
 from quadferm.cli import main
 from quadferm.config import parse_config_text
 from quadferm.errors import ValidationError
+
+from conftest import csv_writer_render as _csv_writer_render
 
 EXPLICIT = """
 [model]
@@ -346,19 +347,6 @@ def test_verify_byte_identical_across_runs(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def _csv_writer_render(comments, header, rows):
-    """The renderer as csv.writer with per-cell format(x, ".17g")."""
-    buf = io.StringIO()
-    for key, value in comments:
-        buf.write(f"# {key}={value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([cell if isinstance(cell, str)
-                         else format(float(cell), ".17g") for cell in row])
-    return buf.getvalue()
-
-
 def _per_entry_cells(mat):
     cells = []
     for val in mat.reshape(-1):
@@ -405,4 +393,22 @@ class TestRenderer:
         monkeypatch.setattr(cli, "_render", _csv_writer_render)
         monkeypatch.setattr(cli, "_matrix_cells", _per_entry_cells)
         assert main(argv + ["--out", str(old)]) == code
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_evolve_output_unchanged(self, tmp_path, monkeypatch):
+        # time 0 twice, then a tail of equal steps of 50 long past the
+        # mixing time: e^{50 A} is below 1e-9, so each relaxed row repeats
+        # the one before it bit for bit
+        cfg = tmp_path / "job.ini"
+        times = "[times]\nvalues = 0 0 0.5 1 100 150 200 250\n"
+        cfg.write_text(EXPLICIT + times, encoding="utf-8")
+        argv = ["evolve", "--config", str(cfg)]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        assert main(argv + ["--out", str(new)]) == 0
+        _, _, rows = read_csv(new)
+        assert rows[0] == rows[1]
+        assert rows[-3][1:] == rows[-2][1:] == rows[-1][1:]
+        assert rows[2][1:] != rows[3][1:] != rows[4][1:]
+        monkeypatch.setattr(cli, "_render", _csv_writer_render)
+        assert main(argv + ["--out", str(old)]) == 0
         assert new.read_bytes() == old.read_bytes()

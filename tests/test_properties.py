@@ -1,18 +1,23 @@
 """Property tests for the invariants grid stepping relies on, for the
-steady state it converges to, and for the one rule that decides whether
-that steady state exists."""
+steady state it converges to, for the one rule that decides whether
+that steady state exists, and for the CSV renderer's number dedupe."""
+
+import math
 
 import numpy as np
 import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from quadferm import cli
 from quadferm.affine import compose, flow
 from quadferm.errors import PhysicsError
 from quadferm.gaussian import (GaussianState, LiouvillianParams,
                                asymptotic_decomposition, evolve_grid,
                                steady_state)
 from quadferm.verify import random_correlation_matrix, random_gksl_params
+
+from conftest import csv_writer_render
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 times = st.floats(min_value=0.0, max_value=50.0)
@@ -81,3 +86,46 @@ def test_steady_state_exists_iff_no_mode_persists(seed, n, c):
         return
     assert np.linalg.norm(dec.p0) == 0
     assert np.linalg.norm(dec.m_inf - steady) <= 1e-10 * np.linalg.norm(steady)
+
+
+def _bits(pattern: int) -> float:
+    return float(np.uint64(pattern).view(np.float64))
+
+
+# Doubles that equal each other as floats but not as bits (the zeros), NaNs
+# that differ in sign and payload, and the ends of the range.
+_EDGE_DOUBLES = [0.0, -0.0, math.inf, -math.inf, math.nan,
+                 _bits(0xFFF8000000000000), _bits(0x7FF8000000000001),
+                 5e-324, 1e308]
+
+
+@st.composite
+def _tables(draw):
+    """A header and rows with one layout of string and numeric cells. The
+    numbers come from a small pool, so rows repeat values exactly."""
+    pool = draw(st.lists(st.floats(), min_size=1, max_size=6))
+    numbers = st.sampled_from(pool + [-v for v in pool] + _EDGE_DOUBLES)
+    layout = draw(st.lists(st.booleans(), min_size=1, max_size=5))
+    # csv.writer writes a lone empty field as "", so a one-column row
+    # keeps its text nonempty (no command writes a one-column table)
+    text = st.text(alphabet='ab ,"\n', min_size=int(len(layout) == 1),
+                   max_size=4)
+    rows = draw(st.lists(
+        st.tuples(*[text if is_text else numbers for is_text in layout]),
+        max_size=8))
+    rows = [list(row) for row in rows]
+    if not any(layout) and draw(st.booleans()):
+        rows = [np.array(row) for row in rows]   # as `evolve` builds them
+    return [f"c{j}" for j in range(len(layout))], rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables())
+@example(table=(["x", "y"], []))
+@example(table=(["name", "note"], [["a", "b,c"], ["a", 'say "hi"']]))
+@example(table=(["x", "y"], [[0.0, -0.0], [-0.0, 0.0]]))
+def test_render_matches_csv_writer(table):
+    header, rows = table
+    comments = [("command", "test")]
+    assert cli._render(comments, header, rows) \
+        == csv_writer_render(comments, header, rows)
