@@ -15,8 +15,7 @@ from .gaussian import (AsymptoticDecomposition, GaussianState,
                        asymptotic_decomposition, entropy, evolve_grid,
                        evolve_state, expectation_quadratic, params_from_model,
                        steady_state)
-from .linalg import (SpectralSplit, lyapunov_solve, mat_exp, spectral_split,
-                     van_loan_integral)
+from .linalg import SpectralSplit, lyapunov_solve, mat_exp, spectral_split
 from .skin import (HatanoNelsonParams, build_bath, build_matrices,
                    featureless_choice, liouvillian_params, steady_profile)
 from .verify import run_suite
@@ -30,7 +29,6 @@ __all__ = [
     "evolve_state", "expectation_quadratic", "params_from_model",
     "steady_state",
     "SpectralSplit", "lyapunov_solve", "mat_exp", "spectral_split",
-    "van_loan_integral",
     "HatanoNelsonParams", "build_bath", "build_matrices",
     "featureless_choice", "liouvillian_params", "steady_profile",
     "run_suite",

@@ -139,8 +139,8 @@ def flow(p: AffineGenerator, t: float) -> AffineElement:
     ``flow(p, 0) = (I, O)``.  Both parts come from one block exponential.
     """
     t = float(t)
-    if t < 0:
-        raise ValidationError(f"flow time must be nonnegative, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValidationError(f"flow time must be finite and >= 0, got {t}")
     return AffineElement(*_van_loan_pair(p.a, p.m, t))
 
 
@@ -152,14 +152,13 @@ def conjugation_identity_check(a, m, t: float) -> tuple[bool, float]:
     CONJUGATION_TOL, residual), the residual being the larger component
     norm of the direct flow minus the three-factor composition.
     """
-    a = as_square(a, "drift")
-    m = as_square(m, "noise")
-    t_mat = lyapunov_solve(a, m)
-    n = a.shape[0]
+    p = AffineGenerator(a, m)
+    t_mat = lyapunov_solve(p.a, p.m)
+    n = p.n
     zero = np.zeros((n, n), dtype=complex)
-    direct = flow(AffineGenerator(a, m), t)
+    direct = flow(p, t)
     shift = AffineElement(np.eye(n, dtype=complex), t_mat)
-    linear = AffineElement(mat_exp(t * a), zero)
+    linear = AffineElement(mat_exp(t * p.a), zero)
     three = compose(compose(shift, linear), inverse(shift))
     residual = max(
         float(np.linalg.norm(direct.u - three.u)),

@@ -76,7 +76,7 @@ def _render(comments: list[tuple[str, object]], header: list[str],
     state), so it prints a fraction of its cells.
     """
     lines = [f"# {key}={value}" for key, value in comments]
-    lines.append(",".join(map(_csv_field, header)))
+    table = [list(map(_csv_field, header))]
     if rows:
         text = [j for j, cell in enumerate(rows[0]) if isinstance(cell, str)]
         if text:
@@ -88,7 +88,9 @@ def _render(comments: list[tuple[str, object]], header: list[str],
                 cells[:, j] = [_csv_field(row[j]) for row in rows]
         else:
             cells = _format_numbers(np.array(rows, dtype=float))
-        lines += map(",".join, cells.tolist())
+        table += cells.tolist()
+    # csv.writer writes a lone empty field as "", so that no line is blank
+    lines += ['""' if row == [""] else ",".join(row) for row in table]
     lines.append("")
     return "\n".join(lines)
 
@@ -110,9 +112,9 @@ def _matrix_columns(prefix: str, n: int) -> list[str]:
     return names
 
 
-def _matrix_cells(mat: np.ndarray) -> list[float]:
+def _matrix_cells(mat: np.ndarray) -> np.ndarray:
     """Row-major (re, im) pairs of a complex matrix."""
-    return np.ascontiguousarray(mat, dtype=complex).view(float).ravel().tolist()
+    return np.ascontiguousarray(mat, dtype=complex).view(float).ravel()
 
 
 def _require_params(cfg: JobConfig):
@@ -137,8 +139,8 @@ def _cmd_evolve(cfg: JobConfig, out: str | None) -> int:
         + [f"occ{j}" for j in range(1, n + 1)] + ["entropy"]
     rows = []
     for t, s in zip(cfg.times, evolve_grid(params, state, cfg.times)):
-        r = np.ascontiguousarray(s.r).view(float).ravel()
-        rows.append(np.concatenate(([t], r, s.occupations(), [entropy(s)])))
+        rows.append(np.concatenate(
+            ([t], _matrix_cells(s.r), s.occupations(), [entropy(s)])))
     comments = [("command", "evolve"), ("n", n),
                 ("gksl", str(params.gksl).lower())]
     _emit(_render(comments, header, rows), out)
@@ -151,8 +153,8 @@ def _cmd_steady(cfg: JobConfig, out: str | None) -> int:
     n = params.n
     header = _matrix_columns("minf", n) \
         + [f"occ{j}" for j in range(1, n + 1)] + ["entropy"]
-    rows = [_matrix_cells(state.r) + state.occupations().tolist()
-            + [entropy(state)]]
+    rows = [np.concatenate((_matrix_cells(state.r), state.occupations(),
+                            [entropy(state)]))]
     comments = [("command", "steady"), ("n", n),
                 ("gksl", str(params.gksl).lower())]
     _emit(_render(comments, header, rows), out)

@@ -232,6 +232,8 @@ def parse_config_text(text: str) -> JobConfig:
     if cp.has_section("tolerances"):
         for key in cp["tolerances"]:
             cfg.tolerances[key] = _get_float(cp, "tolerances", key)
+            if cfg.tolerances[key] is None:
+                raise ValidationError(f"[tolerances] {key}: a number is required")
 
     return cfg
 

@@ -84,6 +84,15 @@ def _check_modes(n: int) -> int:
     return n
 
 
+def _check_coefficients(a, n: int) -> tuple[np.ndarray, int]:
+    """``a`` as a finite n x n complex array and n as a checked mode count."""
+    a = as_square(a, "coefficient matrix")
+    n = _check_modes(n)
+    if a.shape != (n, n):
+        raise ValidationError(f"coefficient matrix is {a.shape}, expected {(n, n)}")
+    return a, n
+
+
 @lru_cache(maxsize=None)
 def _car(n: int) -> np.ndarray:
     """Annihilators c_1..c_n as a read-only n x 2^n x 2^n stack (graded
@@ -154,11 +163,9 @@ def smeared_annihilation(eta, n: int) -> np.ndarray:
 
 def quadratic_form(a, n: int) -> np.ndarray:
     """(c, A c) = sum_jk A_jk c_j† c_k on the Fock space."""
-    a = as_square(a, "coefficient matrix")
-    ops = _car(_check_modes(n))
-    if a.shape != (n, n):
-        raise ValidationError(f"coefficient matrix is {a.shape}, expected {(n, n)}")
-    return _bilinear(a, _dagger(ops), ops)
+    a, n = _check_coefficients(a, n)
+    c = _car(n)
+    return _bilinear(a, _dagger(c), c)
 
 
 # -- superoperators as 4^n x 4^n matrices (column-stacking vec) -----------
@@ -203,30 +210,27 @@ def _apply(terms, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _basic_terms(kind: str, a, n: int) -> list:
-    """Sandwich terms of one basic superoperator (see :func:`super_basic`)."""
-    a = as_square(a, "coefficient matrix")
-    n = _check_modes(n)
-    if a.shape != (n, n):
-        raise ValidationError(f"coefficient matrix is {a.shape}, expected {(n, n)}")
+def _basic_terms(kind: str, a: np.ndarray, n: int) -> list:
+    """Sandwich terms of :func:`super_basic`, for a checked ``a`` and n."""
     c = _car(n)
     if kind == "loss":
         return list(zip(c, _smear(a, _dagger(c))))
     if kind == "gain":
         return list(zip(_dagger(c), _smear(a.T, c)))
     if kind == "left":
-        return [(quadratic_form(a, n), None)]
+        return [(_bilinear(a, _dagger(c), c), None)]
     if kind == "right":
-        return [(None, quadratic_form(a, n))]
+        return [(None, _bilinear(a, _dagger(c), c))]
     raise ValidationError(f"unknown superoperator kind {kind!r}")
 
 
 def _generator_terms(a: np.ndarray, m: np.ndarray, n: int) -> list:
-    """Sandwich terms of L(A, M); -tr(M) rides on the left factor."""
+    """Sandwich terms of L(A, M), operands checked; -tr(M) rides on left."""
+    c = _car(n)
     ah = a.conj().T
-    left = quadratic_form(a + m, n) - np.trace(m) * np.eye(2 ** n)
+    left = _bilinear(a + m, _dagger(c), c) - np.trace(m) * np.eye(2 ** n)
     return [*_basic_terms("loss", -a - ah - m, n), *_basic_terms("gain", m, n),
-            (left, None), (None, quadratic_form(ah + m, n))]
+            (left, None), (None, _bilinear(ah + m, _dagger(c), c))]
 
 
 def super_basic(kind: str, a, n: int) -> np.ndarray:
@@ -237,7 +241,8 @@ def super_basic(kind: str, a, n: int) -> np.ndarray:
           'left'  -> (c, a c) rho
           'right' -> rho (c, a c)
     """
-    return _assemble(_basic_terms(kind, a, n), 2 ** int(n))
+    a, n = _check_coefficients(a, n)
+    return _assemble(_basic_terms(kind, a, n), 2 ** n)
 
 
 def super_liouvillian(params: AffineGenerator, n: int | None = None) -> np.ndarray:
@@ -283,6 +288,8 @@ def apply_generator(a, m, rho: np.ndarray) -> np.ndarray:
     """Apply L(A, M) to a single operator without building the 4^n matrix."""
     n = density_modes(rho)
     gen = AffineGenerator(a, m)
+    if gen.n != n:
+        raise ValidationError(f"generator is {gen.n}-mode, rho is {n}-mode")
     return _apply(_generator_terms(gen.a, gen.m, n), rho)
 
 
@@ -299,8 +306,8 @@ def dense_evolve(params: AffineGenerator, rho: np.ndarray, t: float) -> np.ndarr
             f"density matrix is {rho.shape[0]}-dimensional, expected {2 ** n}"
         )
     t = float(t)
-    if t < 0:
-        raise ValidationError(f"time must be nonnegative, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValidationError(f"time must be finite and >= 0, got {t}")
     prop = scipy.linalg.expm(t * super_liouvillian(params, n))
     return unvec(prop @ vec(rho))
 

@@ -26,7 +26,6 @@ __all__ = [
     "hermitize",
     "is_hermitian",
     "mat_exp",
-    "van_loan_integral",
     "lyapunov_solve",
     "spectral_split",
 ]
@@ -76,8 +75,10 @@ def mat_exp(a) -> np.ndarray:
 _VAN_LOAN_THETA = 8.0
 
 
-def van_loan_integral(a, m, t: float) -> np.ndarray:
-    """Finite-time noise integral ``int_0^t e^{sA} M e^{sA†} ds``.
+def _van_loan_pair(a: np.ndarray, m: np.ndarray,
+                   t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pair ``(e^{tA}, int_0^t e^{sA} M e^{sA†} ds)``, exactly (I, O) at
+    t = 0, for operands that :func:`~quadferm.affine.flow` has checked.
 
     Computed from the exponential of the 2n x 2n block matrix
     ``[[A, M], [0, -A†]]``: with W = expm(s * block), the top-left block is
@@ -88,23 +89,8 @@ def van_loan_integral(a, m, t: float) -> np.ndarray:
     element (U_s, G_s) is raised to the k-th power by binary powering with
     the cocycle identity ``G(t+s) = G(s) + e^{sA} G(t) e^{sA†}``: one block
     exponential and O(log k) matrix products in total, so the cost grows
-    as log t.  The result is Hermitian whenever ``m`` is.
+    as log t.  The integral is Hermitian whenever ``m`` is.
     """
-    return _van_loan_pair(a, m, t)[1]
-
-
-def _van_loan_pair(a, m, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The pair ``(e^{tA}, van_loan_integral(a, m, t))`` from the same block
-    exponential and powering; exactly (I, O) at t = 0."""
-    a = as_square(a, "drift")
-    m = as_square(m, "noise")
-    if a.shape != m.shape:
-        raise ValidationError(
-            f"drift and noise sizes differ: {a.shape} vs {m.shape}"
-        )
-    t = float(t)
-    if t < 0:
-        raise ValidationError(f"integration time must be nonnegative, got {t}")
     n = a.shape[0]
     prop, out = np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
     if t == 0.0:

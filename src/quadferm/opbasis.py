@@ -26,7 +26,7 @@ from math import factorial
 import numpy as np
 
 from .errors import ValidationError
-from .fock import (apply_generator, dense_evolve, density_modes,
+from .fock import (_apply, _generator_terms, dense_evolve, density_modes,
                    smeared_annihilation, smeared_creation, unvec,
                    vacuum_projector, vec)
 from .affine import AffineGenerator
@@ -70,11 +70,17 @@ def phi_element(xis, etas, n: int) -> np.ndarray:
     """The dressed basis element, built by the rank-one recursion."""
     xis = _as_vectors(xis, n, "creation list")
     etas = _as_vectors(etas, n, "annihilation list")
+    return _phi(xis, etas, n)
+
+
+def _phi(xis: list, etas: list, n: int) -> np.ndarray:
+    """:func:`phi_element` of checked vectors; :func:`pi_element` checks n."""
     if not xis or not etas:
         return pi_element(xis, etas, n)
-    inner = phi_element(xis[1:], etas[1:], n)
+    inner = _phi(xis[1:], etas[1:], n)
     zero = np.zeros((n, n), dtype=complex)
-    return apply_generator(zero, np.outer(xis[0], etas[0].conj()), inner)
+    terms = _generator_terms(zero, np.outer(xis[0], etas[0].conj()), n)
+    return _apply(terms, inner)
 
 
 def _perm_sign(perm) -> int:
@@ -133,7 +139,7 @@ def pi_from_phi(xis, etas, n: int) -> np.ndarray:
     """Evaluate a plain element through its expansion in dressed elements."""
     xis = _as_vectors(xis, n, "creation list")
     etas = _as_vectors(etas, n, "annihilation list")
-    return _pairing_expansion(xis, etas, n, phi_element, alternating=False)
+    return _pairing_expansion(xis, etas, n, _phi, alternating=False)
 
 
 def _subset_labels(n: int):
@@ -157,8 +163,7 @@ def phi_family_matrix(xi_basis, eta_basis, n: int) -> tuple[list, np.ndarray]:
     dim = 4 ** n
     b = np.empty((dim, len(labels)), dtype=complex)
     for i, (s, t) in enumerate(labels):
-        elem = phi_element([xi_basis[j] for j in s],
-                           [eta_basis[j] for j in t], n)
+        elem = _phi([xi_basis[j] for j in s], [eta_basis[j] for j in t], n)
         b[:, i] = vec(elem)
     return labels, b
 
@@ -201,7 +206,7 @@ def phi_evolution_residual(a, xis, etas, t: float, n: int) -> float:
     xis = _as_vectors(xis, n, "creation list")
     etas = _as_vectors(etas, n, "annihilation list")
     gen = AffineGenerator(a, np.zeros((n, n), dtype=complex))
-    lhs = dense_evolve(gen, phi_element(xis, etas, n), t)
+    lhs = dense_evolve(gen, _phi(xis, etas, n), t)
     rot = mat_exp(t * a)
-    rhs = phi_element([rot @ v for v in xis], [rot @ v for v in etas], n)
+    rhs = _phi([rot @ v for v in xis], [rot @ v for v in etas], n)
     return float(np.linalg.norm(lhs - rhs))

@@ -22,7 +22,7 @@ from . import affine, fock, opbasis
 from .affine import AffineGenerator
 from .errors import ValidationError
 from .gaussian import GaussianState, LiouvillianParams, entropy, evolve_state
-from .linalg import hermitize, mat_exp, van_loan_integral
+from .linalg import hermitize, mat_exp
 
 __all__ = [
     "run_suite",
@@ -122,7 +122,7 @@ def _check_factorization(rng, n):
     drift_only = _super_lam(params.a, zero, n)
     values = []
     for t in (0.3, 1.0, 3.0):
-        noise = van_loan_integral(params.a, params.m, t)
+        noise = affine.flow(params, t).m
         lhs = scipy.linalg.expm(t * full)
         rhs = scipy.linalg.expm(_super_lam(zero, noise, n)) \
             @ scipy.linalg.expm(t * drift_only)

@@ -5,7 +5,7 @@ from quadferm.affine import (AffineElement, AffineGenerator, act, bracket,
                              compose, conjugation_identity_check, flow,
                              identity, inverse)
 from quadferm.errors import ValidationError
-from quadferm.linalg import hermitize, mat_exp, van_loan_integral
+from quadferm.linalg import hermitize, mat_exp
 from quadferm.verify import (random_complex_matrix, random_gksl_params,
                              random_psd)
 
@@ -161,7 +161,7 @@ class TestFlow:
         p = random_generator(rng, 3)
         t = 1.3
         g = flow(p, t)
-        shift = AffineElement(np.eye(3), van_loan_integral(p.a, p.m, t))
+        shift = AffineElement(np.eye(3), flow(p, t).m)
         drift = AffineElement(mat_exp(t * p.a), np.zeros((3, 3)))
         h = compose(shift, drift)
         assert np.linalg.norm(g.u - h.u) <= 1e-13 * np.linalg.norm(h.u)
@@ -170,6 +170,11 @@ class TestFlow:
     def test_negative_time_rejected(self, rng):
         with pytest.raises(ValidationError):
             flow(random_generator(rng, 2), -1.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, rng, t):
+        with pytest.raises(ValidationError, match="finite"):
+            flow(random_generator(rng, 2), t)
 
     @pytest.mark.parametrize("n", [4, 32])
     def test_linear_part_matches_mat_exp(self, rng, n):

@@ -150,6 +150,17 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "imaginary-axis" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_time_exits_with_validation_error(self, tmp_path,
+                                                         capsys, bad):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(SINGLE_MODE + f"\n[times]\nvalues = 0 {bad}\n",
+                       encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("quadferm: validation error")
+        assert not out.exists()
+
     def test_skin_profile_and_slope(self, tmp_path):
         cfg = tmp_path / "job.ini"
         cfg.write_text("[model]\nkind = hatano-nelson\n"
@@ -324,6 +335,16 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_empty_tolerance_exits_with_validation_error(self, tmp_path,
+                                                         capsys):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text("[tolerances]\nrank_one_nilpotency =\n",
+                       encoding="utf-8")
+        assert main(["verify", "--n", "1", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("quadferm: validation error")
+        assert "rank_one_nilpotency" in err
+
     def test_numbers_round_trip_at_17_digits(self, tmp_path):
         out = tmp_path / "verify.csv"
         main(["verify", "--n", "1", "--draws", "2", "--out", str(out)])
@@ -371,8 +392,9 @@ class TestRenderer:
 
     def test_all_numeric_rows(self, rng):
         mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        rows = [[0.5] + cli._matrix_cells(mat), [1.5] + cli._matrix_cells(-mat)]
-        assert cli._matrix_cells(mat) == _per_entry_cells(mat)
+        rows = [np.concatenate(([0.5], cli._matrix_cells(mat))),
+                np.concatenate(([1.5], cli._matrix_cells(-mat)))]
+        assert cli._matrix_cells(mat).tolist() == _per_entry_cells(mat)
         header = ["t"] + [f"c{j}" for j in range(18)]
         assert cli._render([], header, rows) \
             == _csv_writer_render([], header, rows)
@@ -410,5 +432,6 @@ class TestRenderer:
         assert rows[-3][1:] == rows[-2][1:] == rows[-1][1:]
         assert rows[2][1:] != rows[3][1:] != rows[4][1:]
         monkeypatch.setattr(cli, "_render", _csv_writer_render)
+        monkeypatch.setattr(cli, "_matrix_cells", _per_entry_cells)
         assert main(argv + ["--out", str(old)]) == 0
         assert new.read_bytes() == old.read_bytes()

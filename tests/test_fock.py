@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quadferm import fock
+from quadferm.affine import flow
 from quadferm.errors import ValidationError
 from quadferm.gaussian import GaussianState, LiouvillianParams, steady_state
 from quadferm.verify import (random_complex_matrix, random_correlation_matrix,
@@ -198,13 +199,12 @@ class TestDenseEvolve:
             assert np.min(np.linalg.eigvalsh(out)) >= -1e-10
 
     def test_semigroup_factorization(self, rng):
-        from quadferm.linalg import van_loan_integral
         import scipy.linalg
         n, t = 2, 1.2
         zero = np.zeros((n, n))
         for _ in range(3):
             params = random_gksl_params(rng, n)
-            noise = van_loan_integral(params.a, params.m, t)
+            noise = flow(params, t).m
             lhs = scipy.linalg.expm(t * fock.super_liouvillian(params, n))
             rhs = scipy.linalg.expm(
                 fock.super_liouvillian(LiouvillianParams(zero, noise), n)
@@ -217,6 +217,12 @@ class TestDenseEvolve:
         params = LiouvillianParams(np.zeros((6, 6)), np.zeros((6, 6)))
         with pytest.raises(ValidationError):
             fock.dense_evolve(params, np.eye(64), 1.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        params = LiouvillianParams(np.zeros((1, 1)), np.zeros((1, 1)))
+        with pytest.raises(ValidationError, match="finite"):
+            fock.dense_evolve(params, fock.vacuum_projector(1), t)
 
 
 class TestGaussianDensity:

@@ -5,8 +5,8 @@ from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 from quadferm.errors import PhysicsError, ValidationError
-from quadferm.linalg import (hermitize, lyapunov_solve, mat_exp,
-                             spectral_split, van_loan_integral)
+from quadferm.affine import AffineGenerator, flow
+from quadferm.linalg import hermitize, lyapunov_solve, mat_exp, spectral_split
 from quadferm.skin import HatanoNelsonParams, liouvillian_params
 from quadferm.verify import (random_complex_matrix, random_gksl_params,
                              random_psd)
@@ -56,12 +56,12 @@ class TestMatExp:
 class TestVanLoanIntegral:
     def test_zero_drift_is_linear_in_time(self, rng):
         m = random_complex_matrix(rng, 3)
-        out = van_loan_integral(np.zeros((3, 3)), m, 3.0)
+        out = flow(AffineGenerator(np.zeros((3, 3)), m), 3.0).m
         assert np.linalg.norm(out - 3.0 * m) < 1e-12
 
     def test_scalar_closed_form(self):
         gamma, mu, t = 0.8, 1.7, 2.3
-        out = van_loan_integral([[-gamma]], [[mu]], t)
+        out = flow(AffineGenerator([[-gamma]], [[mu]]), t).m
         expected = mu * (1 - np.exp(-2 * gamma * t)) / (2 * gamma)
         assert abs(out[0, 0] - expected) < 1e-13
 
@@ -74,23 +74,24 @@ class TestVanLoanIntegral:
             return e @ m @ e.conj().T
 
         oracle, _ = quad_vec(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
-        assert np.linalg.norm(van_loan_integral(a, m, 1.0) - oracle) < 1e-9
+        out = flow(AffineGenerator(a, m), 1.0).m
+        assert np.linalg.norm(out - oracle) < 1e-9
 
     def test_cocycle_identity(self, rng):
         for _ in range(5):
             a = random_complex_matrix(rng, 3)
             m = random_complex_matrix(rng, 3)
             t, s = 0.6, 1.1
-            whole = van_loan_integral(a, m, t + s)
+            whole = flow(AffineGenerator(a, m), t + s).m
             prop = mat_exp(t * a)
-            split = van_loan_integral(a, m, t) \
-                + prop @ van_loan_integral(a, m, s) @ prop.conj().T
+            split = flow(AffineGenerator(a, m), t).m \
+                + prop @ flow(AffineGenerator(a, m), s).m @ prop.conj().T
             assert np.linalg.norm(whole - split) < 1e-10
 
     def test_hermitian_noise_gives_hermitian_result(self, rng):
         a = random_complex_matrix(rng, 3)
         m = hermitize(random_complex_matrix(rng, 3))
-        out = van_loan_integral(a, m, 1.4)
+        out = flow(AffineGenerator(a, m), 1.4).m
         assert np.linalg.norm(out - out.conj().T) == 0.0
 
     def test_doubling_matches_the_chunk_loop(self, rng):
@@ -118,16 +119,16 @@ class TestVanLoanIntegral:
             p = random_gksl_params(rng, n, min_damping=0.5)
             for t in np.logspace(-8, 4, 13):
                 ref = chunk_loop(p.a, p.m, t)
-                out = van_loan_integral(p.a, p.m, t)
+                out = flow(AffineGenerator(p.a, p.m), t).m
                 assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValidationError):
-            van_loan_integral(np.zeros((2, 2)), np.eye(2), -0.1)
+            flow(AffineGenerator(np.zeros((2, 2)), np.eye(2)), -0.1)
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValidationError):
-            van_loan_integral(np.zeros((2, 2)), np.eye(3), 1.0)
+            flow(AffineGenerator(np.zeros((2, 2)), np.eye(3)), 1.0)
 
 
 class TestLyapunovKroneckerOracle:
@@ -186,7 +187,8 @@ class TestLyapunovSolve:
         m = random_psd(rng, 3)
         t_large = 40.0 / abs(np.max(np.linalg.eigvals(a).real))
         t_mat = lyapunov_solve(a, m)
-        assert np.linalg.norm(t_mat - van_loan_integral(a, m, t_large)) < 1e-8
+        out = flow(AffineGenerator(a, m), t_large).m
+        assert np.linalg.norm(t_mat - out) < 1e-8
 
     def test_residuals_over_random_stable_instances(self, rng):
         for k in range(100):
@@ -349,5 +351,6 @@ def test_lyapunov_equals_van_loan_extrapolation_spec_example(rng):
     m = random_psd(rng, 3)
     t_mat = lyapunov_solve(a, m)
     rate = abs(np.max(np.linalg.eigvals(a).real))
-    diff = np.linalg.norm(t_mat - van_loan_integral(a, m, 50.0 / rate))
+    out = flow(AffineGenerator(a, m), 50.0 / rate).m
+    diff = np.linalg.norm(t_mat - out)
     assert diff < 1e-8
