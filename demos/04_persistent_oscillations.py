@@ -4,16 +4,16 @@
 If the drift has eigenvalues on the imaginary axis, admissibility forces the
 noise matrix to vanish on those directions, and the long-time state is not
 stationary: it keeps rotating inside the persistent subspace on top of a
-relaxed background.  The decomposition splits the drift, computes the
-limiting noise on the damped part, and predicts the late-time correlation
-matrix in closed form.
+relaxed background.  The decomposition reads the persistent modes and
+their frequencies off one Schur form of the drift, computes the limiting
+noise on the damped part, and predicts the late-time correlation matrix in
+closed form.  `quadferm steady` prints the same limit and frequencies.
 """
 
 import numpy as np
 
 from quadferm.gaussian import (GaussianState, LiouvillianParams,
                                asymptotic_decomposition, evolve_state)
-from quadferm.linalg import spectral_split
 from quadferm.verify import random_correlation_matrix, random_hermitian, random_psd
 
 rng = np.random.default_rng(11)
@@ -30,12 +30,10 @@ m[1:, 1:] = 2 * e2
 params = LiouvillianParams(a, m)
 print("admissible:", params.gksl)
 
-split = spectral_split(a)
-print("persistent dimension:", int(round(split.p0.trace().real)))
-print("persistent frequencies:", split.imaginary_eigenvalues)
-
 r0 = random_correlation_matrix(rng, 3)
 dec = asymptotic_decomposition(params, GaussianState(r0))
+print("persistent dimension:", dec.frequencies.size)
+print("persistent frequencies:", dec.frequencies)
 print("limiting noise occupations:", np.round(np.diag(dec.m_inf).real, 6))
 print("projected initial occupations:",
       np.round(dec.projected.occupations(), 6))

@@ -7,6 +7,9 @@ Four commands, one CSV file per run:
     quadferm skin   --config job.ini [--out path]
     quadferm verify [--config job.ini] [--n N] [--seed S] [--tol T] [--out path]
 
+`steady` writes the long-time limit from the vacuum; k undamped modes of an
+admissible generator add `# persistent_modes=k` and `# frequency<j>=ω_j`.
+
 Output starts with `# key=value` provenance lines followed by a header row
 and data rows; every numeric cell uses 17 significant digits so doubles
 round-trip exactly and repeated runs are byte-identical.  A job prints each
@@ -27,7 +30,8 @@ import numpy as np
 
 from .config import JobConfig, load_config
 from .errors import PhysicsError, ValidationError
-from .gaussian import GaussianState, entropy, evolve_grid, steady_state
+from .gaussian import (GaussianState, asymptotic_decomposition, entropy,
+                       evolve_grid)
 from .skin import (featureless_choice, liouvillian_params, localization_slope,
                    steady_profile)
 from .verify import check_names, run_suite
@@ -149,7 +153,8 @@ def _cmd_evolve(cfg: JobConfig, out: str | None) -> int:
 
 def _cmd_steady(cfg: JobConfig, out: str | None) -> int:
     params = _require_params(cfg)
-    state = steady_state(params)
+    dec = asymptotic_decomposition(params, GaussianState.vacuum(params.n))
+    state = GaussianState(dec.m_inf)
     n = params.n
     header = _matrix_columns("minf", n) \
         + [f"occ{j}" for j in range(1, n + 1)] + ["entropy"]
@@ -157,6 +162,10 @@ def _cmd_steady(cfg: JobConfig, out: str | None) -> int:
                             [entropy(state)]))]
     comments = [("command", "steady"), ("n", n),
                 ("gksl", str(params.gksl).lower())]
+    if dec.frequencies.size:
+        comments.append(("persistent_modes", dec.frequencies.size))
+        comments += [(f"frequency{j}", _fmt(w))
+                     for j, w in enumerate(dec.frequencies, start=1)]
     _emit(_render(comments, header, rows), out)
     return EXIT_OK
 
@@ -215,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, desc in (
         ("evolve", "evolve a Gaussian state over the requested times"),
-        ("steady", "compute the unique steady state of a damped model"),
+        ("steady", "compute the long-time limit and any persistent modes"),
         ("skin", "build the localized bath and its occupation profile"),
     ):
         cmd = sub.add_parser(name, help=desc)

@@ -77,6 +77,14 @@ def _floats(text: str, where: str) -> list[float]:
     return out
 
 
+def _complex_values(text: str, where: str) -> np.ndarray:
+    values = _floats(text, where)
+    if len(values) % 2 != 0:
+        raise ValidationError(f"{where}: entries come as (re, im) pairs, "
+                              f"got {len(values)} numbers")
+    return np.array(values).view(complex)
+
+
 def _parse_matrix(cp, section: str) -> np.ndarray:
     if not cp.has_section(section):
         raise ValidationError(f"missing matrix section [{section}]")
@@ -87,13 +95,7 @@ def _parse_matrix(cp, section: str) -> np.ndarray:
             raise ValidationError(
                 f"[{section}]: expected key {expected!r}, found {key!r}"
             )
-        values = _floats(cp[section][key], f"[{section}] {key}")
-        if len(values) % 2 != 0:
-            raise ValidationError(
-                f"[{section}] {key}: entries come as (re, im) pairs, "
-                f"got {len(values)} numbers"
-            )
-        rows.append(np.array(values).view(complex))
+        rows.append(_complex_values(cp[section][key], f"[{section}] {key}"))
     if not rows:
         raise ValidationError(f"[{section}] is empty")
     width = len(rows[0])
@@ -112,15 +114,8 @@ def _parse_matrix(cp, section: str) -> np.ndarray:
 def _parse_vectors(cp, section: str) -> list[np.ndarray]:
     if not cp.has_section(section):
         return []
-    vectors = []
-    for key in cp[section]:
-        values = _floats(cp[section][key], f"[{section}] {key}")
-        if len(values) % 2 != 0:
-            raise ValidationError(
-                f"[{section}] {key}: entries come as (re, im) pairs"
-            )
-        vectors.append(np.array(values).view(complex))
-    return vectors
+    return [_complex_values(cp[section][key], f"[{section}] {key}")
+            for key in cp[section]]
 
 
 def _get_float(cp, section: str, key: str, default=None) -> float | None:
@@ -231,9 +226,11 @@ def parse_config_text(text: str) -> JobConfig:
 
     if cp.has_section("tolerances"):
         for key in cp["tolerances"]:
-            cfg.tolerances[key] = _get_float(cp, "tolerances", key)
-            if cfg.tolerances[key] is None:
-                raise ValidationError(f"[tolerances] {key}: a number is required")
+            tol = _get_float(cp, "tolerances", key)
+            if tol is None or not 0 <= tol < np.inf:
+                raise ValidationError(
+                    f"[tolerances] {key}: need a finite number >= 0, got {tol}")
+            cfg.tolerances[key] = tol
 
     return cfg
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .affine import AffineGenerator, act, flow
 from .errors import PhysicsError, ValidationError
-from .linalg import (as_square, hermitize, is_hermitian, lyapunov_solve,
-                     spectral_split)
+from .linalg import (_noise_limit, as_square, hermitize, is_hermitian,
+                     lyapunov_solve)
 
 __all__ = [
     "LiouvillianParams",
@@ -36,7 +36,6 @@ __all__ = [
     "evolve_grid",
     "evolve_state",
     "steady_state",
-    "stationary_correlation",
     "asymptotic_decomposition",
     "expectation_quadratic",
     "entropy",
@@ -215,20 +214,10 @@ def evolve_state(params: AffineGenerator, state: GaussianState,
     return evolve_grid(params, state, [t])[0]
 
 
-def stationary_correlation(params: LiouvillianParams) -> np.ndarray:
-    """Correlation matrix of the unique steady state, ``A R + R A† = -M``.
-
-    Requires every drift eigenvalue to have ``Re λ < -1e-9 max|λ|``, or
-    :func:`lyapunov_solve` raises PhysicsError: the steady state is then
-    not unique and :func:`asymptotic_decomposition` applies.
-    """
-    return lyapunov_solve(params.a, params.m)
-
-
 def steady_state(params: LiouvillianParams) -> GaussianState:
     """The unique steady state of a drift with every ``Re λ < -1e-9 max|λ|``;
     PhysicsError if its spectrum escapes [0, 1] (an inadmissible pair)."""
-    return GaussianState(stationary_correlation(params))
+    return GaussianState(lyapunov_solve(params.a, params.m))
 
 
 @dataclass(frozen=True)
@@ -237,13 +226,15 @@ class AsymptoticDecomposition:
 
     The correlation matrix approaches
     ``m_inf + e^{t a0} (P0 r P0) e^{t a0†}`` as t grows: a stationary part
-    plus an undamped oscillation of the projected initial data.
+    plus an undamped oscillation of the projected initial data, at the
+    ascending ``frequencies`` ω of the undamped drift eigenvalues ``i ω``.
     """
 
     a0_flow: AffineGenerator
     m_inf: np.ndarray
     projected: GaussianState
     p0: np.ndarray
+    frequencies: np.ndarray
 
     def predicted_correlation(self, t: float) -> np.ndarray:
         """The asymptotic correlation matrix at time t >= 0:
@@ -255,35 +246,23 @@ def asymptotic_decomposition(params: LiouvillianParams,
                              state: GaussianState) -> AsymptoticDecomposition:
     """Split the long-time behavior into steady and persistent parts.
 
-    Valid for admissible generators: dissipativity forces the noise matrix
-    to vanish on the persistent subspace (``A0 M = M A0 = O``), so the
-    improper integral ``m_inf = int_0^inf e^{sA} M e^{sA†} ds`` converges
-    even when imaginary-axis eigenvalues are present.  It is computed by a
-    Lyapunov solve restricted to the damped subspace.
+    ``m_inf = int_0^inf e^{sA} M e^{sA†} ds`` and P0 come from the Schur
+    form :func:`lyapunov_solve` reads, so with no undamped mode m_inf is
+    :func:`steady_state`'s, bit for bit.  An undamped mode needs an
+    admissible pair, else PhysicsError: dissipativity then makes the noise
+    vanish on the persistent subspace, so the integral converges.
     """
-    if not params.gksl:
-        raise PhysicsError(
-            "asymptotic decomposition requires an admissible generator "
-            "(O <= M <= -A - A†)"
-        )
     if params.n != state.n:
         raise ValidationError(
             f"size mismatch: params {params.n}, state {state.n}"
         )
-    split = spectral_split(params.a)
-    n = params.n
-    # The drift leaves the damped subspace invariant, so the solve
-    # restricted to its basis w gives the full integral.
-    w = split.damped_basis
-    m_inf = w @ lyapunov_solve(w.conj().T @ params.a @ w,
-                               w.conj().T @ params.m @ w) @ w.conj().T
-    projected = GaussianState(split.p0 @ state.r @ split.p0)
-    zero = np.zeros((n, n), dtype=complex)
+    m_inf, eigs, j, p0 = _noise_limit(params.a, params.m, params.gksl)
     return AsymptoticDecomposition(
-        a0_flow=AffineGenerator(split.a0, zero),
-        m_inf=hermitize(m_inf),
-        projected=projected,
-        p0=split.p0,
+        a0_flow=AffineGenerator(params.a @ p0, np.zeros_like(p0)),
+        m_inf=m_inf,
+        projected=GaussianState(p0 @ state.r @ p0),
+        p0=p0,
+        frequencies=np.sort(eigs[j:].imag),
     )
 
 

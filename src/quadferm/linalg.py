@@ -6,9 +6,10 @@ complex matrices: the matrix exponential, the finite-time noise integral
 ``int_0^t e^{sA} M e^{sA'} ds``, the continuous Lyapunov solve
 ``A T + T A' = -M``, and the spectral split of a dissipative drift into its
 imaginary-axis and strictly damped parts.  The last two factor their drift
-once each, by one dense complex Schur form ordered with its undamped
+once each, by one dense complex Schur form ordered with its damped
 eigenvalues first (LAPACK trsen); that ordering is the one place a mode is
-classified as undamped.  The Lyapunov solve is Bartels-Stewart (LAPACK trsyl).
+classified as undamped.  The Lyapunov solve, Bartels-Stewart (LAPACK trsyl)
+on the damped block, is also the long-time limit of an admissible drift.
 """
 
 from __future__ import annotations
@@ -121,34 +122,87 @@ def _van_loan_pair(a: np.ndarray, m: np.ndarray,
 
 
 def _ordered_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Complex Schur form ``a = q r q†``, its k undamped eigenvalues first.
+    """Complex Schur form ``a = q r q†``, its j damped eigenvalues first.
 
     The one rule for which modes are undamped: an eigenvalue is damped iff
-    ``Re λ < -1e-9 max|λ|`` (a NaN is undamped).  The spectral radius is a
-    similarity invariant, so every frame of ``a`` classifies alike.  LAPACK
-    trsen reorders the form; with k = 0 it leaves ``r`` and ``q`` as they are.
+    ``Re λ < -1e-9 max|λ|`` (a NaN is undamped), alike in every frame of
+    ``a``, whose leading j Schur vectors then span the damped subspace.
+    LAPACK trsen reorders the form; with j = n it leaves ``r`` and ``q``.
     """
     r, q = scipy.linalg.schur(a, output="complex")
     if a.shape[0] == 0:
         return r, q, 0
     eigs = r.diagonal()
-    undamped = ~(eigs.real < -_AXIS_BAND * np.max(np.abs(eigs)))
-    r, q, _, k, _, _, info = scipy.linalg.lapack.ztrsen(undamped, r, q,
+    damped = eigs.real < -_AXIS_BAND * np.max(np.abs(eigs))
+    r, q, _, j, _, _, info = scipy.linalg.lapack.ztrsen(damped, r, q,
                                                         job="N")
     if info != 0:
         raise PhysicsError(f"Schur reordering failed (trsen info={info})")
-    return r, q, int(k)
+    return r, q, int(j)
+
+
+def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
+                 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """``(T, λ, j, P0)`` for checked operands: ``T = int_0^inf e^{sA} M
+    e^{sA†} ds``, A's eigenvalues λ, the j damped first, and the orthogonal
+    projector P0 onto the undamped modes.
+
+    Bartels-Stewart (CACM 15 (1972) 820): trsyl on the damped block of the
+    ordered Schur form ``D⁻¹ A D = q r q†`` gives ``D⁻¹ T D⁻¹``, in the
+    frame ``D = diag(sqrt|M_jj|)`` (1 where ``M_jj = 0``) that graded
+    solutions need (the skin effect), or D = I where that frame would more
+    than double ``||A||_F``.  For an ``admissible`` pair, M vanishes on the
+    undamped modes (up to a mode in the band but off the axis, whose noise
+    is left out), which span the complement of the damped ones, D⁻¹ q_u.
+
+    PhysicsError names each undamped ``lambda_i`` of a pair not
+    ``admissible``, and flags a block-solve residual over
+    ``1e-10 (1 + ||M||)`` or a P0 that fails to commute with A.
+    """
+    n = a.shape[0]
+    d = np.sqrt(np.where(m.diagonal() == 0, 1.0, np.abs(m.diagonal())))
+    if np.linalg.norm(a / d[:, None] * d) > 2 * np.linalg.norm(a):
+        d = np.ones_like(d)  # error grows as the square of that inflation
+    r, q, j = _ordered_schur(a / d[:, None] * d)
+    if j < n and not admissible:
+        named = (f"lambda_{i} = {z:.6g}"
+                 for i, z in enumerate(r.diagonal()[j:]))
+        raise PhysicsError(
+            "no unique steady state: drift eigenvalues on or right of the "
+            f"imaginary-axis band Re lambda >= -{_AXIS_BAND:g} max|lambda| "
+            f"[{', '.join(named)}]"
+        )
+    qd = q[:, :j]
+    rhs = qd.conj().T @ (m / np.outer(d, d)) @ qd
+    t_mat = np.zeros((n, n), dtype=complex)
+    if j:
+        y, y_scale, _ = scipy.linalg.lapack.ztrsyl(r[:j, :j], r[:j, :j],
+                                                   -rhs, tranb="C")
+        t_mat = qd @ (y / y_scale) @ qd.conj().T * np.outer(d, d)
+    solved = m if j == n else qd @ rhs @ qd.conj().T * np.outer(d, d)
+    residual = np.linalg.norm(a @ t_mat + t_mat @ a.conj().T + solved)
+    if not residual <= _RESIDUAL_TOL * (1.0 + np.linalg.norm(solved)):
+        raise PhysicsError(
+            f"Lyapunov residual {residual:.3e} exceeds tolerance; "
+            "the equation is too ill-conditioned for a direct solve"
+        )
+    if is_hermitian(m):
+        t_mat = hermitize(t_mat)
+    w = np.linalg.qr(q[:, j:] / d[:, None])[0]
+    p0 = hermitize(w @ w.conj().T)
+    comm = np.linalg.norm(a @ p0 - p0 @ a) if w.size else 0.0
+    if comm > 1e-6 and comm > 1e-6 * np.linalg.norm(a, 2):
+        raise PhysicsError(
+            f"persistent projector fails to commute with the drift "
+            f"(residual {comm:.3e}); spectrum too close to the band edge"
+        )
+    return t_mat, r.diagonal(), j, p0
 
 
 def lyapunov_solve(a, m) -> np.ndarray:
-    """Solve ``A T + T A† = -M`` for a strictly stable drift.
-
-    The solution is the improper noise integral
-    ``int_0^inf e^{sA} M e^{sA†} ds``.  Bartels-Stewart (CACM 15 (1972) 820)
-    in the frame ``D = diag(sqrt|M_jj|)``, 1 where ``M_jj = 0``: one complex
-    Schur form of ``D⁻¹ A D`` and LAPACK trsyl give ``D⁻¹ T D⁻¹``.  Graded
-    solutions need the frame, or their small end is lost (the skin effect);
-    where it would more than double ``||A||_F``, D = I instead.
+    """Solve ``A T + T A† = -M`` for a strictly stable drift: T is the
+    noise integral ``int_0^inf e^{sA} M e^{sA†} ds``, accurate entry by
+    entry where it is graded.
 
     Raises PhysicsError, naming each undamped ``lambda_i``, unless every
     eigenvalue has ``Re λ < -1e-9 max|λ|`` (the one rule, which
@@ -159,32 +213,7 @@ def lyapunov_solve(a, m) -> np.ndarray:
     m = as_square(m, "right-hand side")
     if a.shape != m.shape:
         raise ValidationError(f"size mismatch: {a.shape} vs {m.shape}")
-    if a.shape[0] == 0:
-        return np.zeros((0, 0), dtype=complex)
-    d = np.sqrt(np.where(m.diagonal() == 0, 1.0, np.abs(m.diagonal())))
-    if np.linalg.norm(a / d[:, None] * d) > 2 * np.linalg.norm(a):
-        d = np.ones_like(d)  # error grows as the square of that inflation
-    r, q, k = _ordered_schur(a / d[:, None] * d)
-    if k:
-        named = (f"lambda_{i} = {z:.6g}"
-                 for i, z in enumerate(r.diagonal()[:k]))
-        raise PhysicsError(
-            "no unique steady state: drift eigenvalues on or right of the "
-            f"imaginary-axis band Re lambda >= -{_AXIS_BAND:g} max|lambda| "
-            f"[{', '.join(named)}]; use asymptotic_decomposition"
-        )
-    rhs = q.conj().T @ (m / np.outer(d, d)) @ q
-    y, y_scale, _ = scipy.linalg.lapack.ztrsyl(r, r, -rhs, tranb="C")
-    t_mat = q @ (y / y_scale) @ q.conj().T * np.outer(d, d)
-    residual = np.linalg.norm(a @ t_mat + t_mat @ a.conj().T + m)
-    if not residual <= _RESIDUAL_TOL * (1.0 + np.linalg.norm(m)):
-        raise PhysicsError(
-            f"Lyapunov residual {residual:.3e} exceeds tolerance; "
-            "the equation is too ill-conditioned for a direct solve"
-        )
-    if is_hermitian(m):
-        t_mat = hermitize(t_mat)
-    return t_mat
+    return _noise_limit(a, m, admissible=False)[0]
 
 
 @dataclass(frozen=True)
@@ -193,9 +222,7 @@ class SpectralSplit:
 
     ``p0`` projects orthogonally onto the direct sum of eigenspaces whose
     eigenvalues are undamped, ``Re λ >= -1e-9 max|λ|`` (the rule
-    :func:`lyapunov_solve` applies too); ``damped_basis`` is an orthonormal
-    basis of the complementary, A-invariant damped subspace, so
-    ``p0 = I - damped_basis damped_basis†``.  ``a0 = A P0`` carries the
+    :func:`lyapunov_solve` applies too).  ``a0 = A P0`` carries the
     persistent oscillation and ``a_minus = A - a0`` the strict decay, with
     ``e^{t a_minus} -> p0`` as t grows.  ``ambiguous`` flags damped
     eigenvalues within twice the band, ``Re λ >= -2e-9 max|λ|``.
@@ -205,7 +232,6 @@ class SpectralSplit:
     a0: np.ndarray
     a_minus: np.ndarray
     imaginary_eigenvalues: np.ndarray
-    damped_basis: np.ndarray
     ambiguous: bool = False
 
 
@@ -216,10 +242,8 @@ def spectral_split(a) -> SpectralSplit:
     makes imaginary-axis eigenvalues semisimple, and makes their eigenspaces
     orthogonal to all other generalized eigenspaces; the split
     ``A = A P0 + (A - A P0)`` is therefore an orthogonal block decomposition.
-    A complex Schur form ordered with the k undamped eigenvalues first
-    (``Re λ >= -1e-9 max|λ|``, the one rule :func:`lyapunov_solve` also
-    applies) gives orthonormal bases of both parts: ``P0 = Q_k Q_k†``, and
-    the remaining columns span the damped subspace.
+    P0 is that of the long-time limit of the noise-free generator (A, O),
+    read off the Schur form that :func:`lyapunov_solve` orders too.
     """
     a = as_square(a, "drift")
     n = a.shape[0]
@@ -229,24 +253,9 @@ def spectral_split(a) -> SpectralSplit:
         raise PhysicsError(
             f"drift is not dissipative: min eig(-A - A†) = {gap:.3e}"
         )
-    r, q, k = _ordered_schur(a)
-    eigvals = r.diagonal()
+    _, eigvals, j, p0 = _noise_limit(a, np.zeros_like(a), admissible=True)
     rho = np.max(np.abs(eigvals), initial=0.0)
-    ambiguous = bool(np.any(eigvals[k:].real >= -2 * _AXIS_BAND * rho))
-    basis = q[:, :k]
-    p0 = hermitize(basis @ basis.conj().T)
-    comm = np.linalg.norm(a @ p0 - p0 @ a)
-    if comm > 1e-6 * max(1.0, scale):
-        raise PhysicsError(
-            f"persistent projector fails to commute with the drift "
-            f"(residual {comm:.3e}); spectrum too close to the band edge"
-        )
+    ambiguous = bool(np.any(eigvals[:j].real >= -2 * _AXIS_BAND * rho))
     a0 = a @ p0
-    return SpectralSplit(
-        p0=p0,
-        a0=a0,
-        a_minus=a - a0,
-        imaginary_eigenvalues=1j * np.sort(eigvals[:k].imag),
-        damped_basis=q[:, k:],
-        ambiguous=ambiguous,
-    )
+    return SpectralSplit(p0, a0, a - a0, 1j * np.sort(eigvals[j:].imag),
+                         ambiguous)

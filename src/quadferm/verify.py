@@ -450,26 +450,32 @@ def run_suite(n: int = 2, seed: int = 7, draws: int = 20,
     reported skipped, with value NaN; it does not fail.
     ``tol_overrides`` maps check names to replacement tolerances.  Raises
     ValidationError before any draw unless 1 <= n <=
-    fock.MAX_DENSE_EVOLVE_MODES and draws >= 1.
+    fock.MAX_DENSE_EVOLVE_MODES, draws >= 1, seed >= 0 and every override
+    names a check and is finite and nonnegative.
     """
     cap = fock.MAX_DENSE_EVOLVE_MODES
     if not 1 <= n <= cap:
         raise ValidationError(f"verify supports 1 <= n <= {cap}, got {n}")
     if draws < 1:
         raise ValidationError(f"verify needs draws >= 1, got {draws}")
-    tol_overrides = dict(tol_overrides or {})
+    if seed < 0:
+        raise ValidationError(f"verify needs seed >= 0, got {seed}")
+    tol_overrides = {k: float(v) for k, v in (tol_overrides or {}).items()}
     unknown = set(tol_overrides) - set(check_names())
     if unknown:
         raise ValidationError(
             f"unknown check names in tolerance overrides: {sorted(unknown)}"
         )
+    bad = {k: v for k, v in tol_overrides.items() if not 0 <= v < np.inf}
+    if bad:
+        raise ValidationError(f"tolerances must be finite and >= 0: {bad}")
     results = []
     for idx, check in enumerate(_REGISTRY):
         rng = np.random.default_rng([seed, idx])
         effective = min(draws, check.draw_cap, 3 if n >= 4 else draws)
         skipped = n < check.min_n
         value = np.nan if skipped else _worst(check.name, rng, n, effective)
-        tol = float(tol_overrides.get(check.name, check.tolerance))
+        tol = tol_overrides.get(check.name, check.tolerance)
         passed = value <= tol if check.comparison == "<=" else value >= tol
         results.append(CheckResult(
             name=check.name,

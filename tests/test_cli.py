@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import inspect
+import re
 import subprocess
 import sys
 
@@ -142,13 +144,94 @@ class TestCommands:
         assert abs(occ - 0.3) < 1e-12
 
     def test_steady_undamped_exits_with_physics_error(self, tmp_path, capsys):
+        # a = i, m = 0 is admissible: its long-time limit from the vacuum
+        # is the vacuum, with one persistent mode
         cfg = tmp_path / "job.ini"
         cfg.write_text("[model]\nkind = explicit\n"
                        "[model.a]\nrow1 = 0.0 1.0\n"
                        "[model.m]\nrow1 = 0.0 0.0\n", encoding="utf-8")
+        out = tmp_path / "steady.csv"
+        assert main(["steady", "--config", str(cfg), "--out", str(out)]) == 0
+        comments, header, rows = read_csv(out)
+        assert comments["persistent_modes"] == "1"
+        assert float(comments["frequency1"]) == 1.0
+        assert [float(rows[0][header.index(c)])
+                for c in ("minf11_re", "minf11_im")] == [0.0, 0.0]
+        # a = i, m = 1 is not: noise feeds the undamped mode
+        cfg.write_text("[model]\nkind = explicit\n"
+                       "[model.a]\nrow1 = 0.0 1.0\n"
+                       "[model.m]\nrow1 = 1.0 0.0\n", encoding="utf-8")
         assert main(["steady", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "imaginary-axis" in err
+        import quadferm
+        functions = {name for mod in vars(quadferm).values()
+                     if inspect.ismodule(mod)
+                     for name, obj in vars(mod).items()
+                     if inspect.isfunction(obj)}
+        assert "asymptotic_decomposition" in functions
+        assert not [f for f in functions if re.search(rf"\b{f}\b", err)]
+
+    @pytest.mark.parametrize("body", [None, "[model]\nkind = hatano-nelson\n"
+                                      "[model.hatano-nelson]\nn = 4\n"
+                                      "omega = 1.0\nlambda = 0.3\n"
+                                      "gamma = 0.5\na = 2.5\n"],
+                             ids=["explicit-n6", "hatano-nelson-n4"])
+    def test_steady_without_persistent_mode_writes_the_lyapunov_state(
+            self, tmp_path, body):
+        from quadferm.gaussian import GaussianState, entropy
+        from quadferm.linalg import lyapunov_solve
+        from quadferm.skin import HatanoNelsonParams, liouvillian_params
+        if body is None:
+            params = verify.random_gksl_params(np.random.default_rng(6), 6,
+                                               0.3)
+            body = _explicit_ini(params.a, params.m)
+        else:
+            params = liouvillian_params(HatanoNelsonParams(
+                n=4, omega=1.0, lam=0.3, gamma=0.5, a=2.5))
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(body, encoding="utf-8")
+        out = tmp_path / "steady.csv"
+        assert main(["steady", "--config", str(cfg), "--out", str(out)]) == 0
+        state = GaussianState(lyapunov_solve(params.a, params.m))
+        n = params.n
+        header = [f"minf{j}{k}_{part}" for j in range(1, n + 1)
+                  for k in range(1, n + 1) for part in ("re", "im")]
+        header += [f"occ{j}" for j in range(1, n + 1)] + ["entropy"]
+        row = [*state.r.reshape(-1).view(float), *state.r.diagonal().real,
+               entropy(state)]
+        comments = [("command", "steady"), ("n", n), ("gksl", "true")]
+        assert out.read_text(encoding="utf-8") \
+            == _csv_writer_render(comments, header, [row])
+
+    def test_steady_with_persistent_mode_is_the_dense_long_time_limit(
+            self, tmp_path):
+        from quadferm import fock
+        from quadferm.gaussian import LiouvillianParams
+        # demo 04's model: mode 1 rotates freely at frequency 0.7
+        rng = np.random.default_rng(11)
+        h2 = verify.random_hermitian(rng, 2)
+        d2 = verify.random_psd(rng, 2) + 0.4 * np.eye(2)
+        e2 = verify.random_psd(rng, 2, scale=0.4)
+        a = np.zeros((3, 3), dtype=complex)
+        m = np.zeros((3, 3), dtype=complex)
+        a[0, 0] = 0.7j
+        a[1:, 1:] = -1j * h2 - d2 - e2
+        m[1:, 1:] = 2 * e2
+        params = LiouvillianParams(a, m)
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(_explicit_ini(a, m), encoding="utf-8")
+        out = tmp_path / "steady.csv"
+        assert main(["steady", "--config", str(cfg), "--out", str(out)]) == 0
+        comments, header, rows = read_csv(out)
+        assert comments["persistent_modes"] == "1"
+        assert abs(float(comments["frequency1"]) - 0.7) <= 1e-12
+        cells = np.array([float(v) for v in rows[0][:18]])
+        minf = cells.view(complex).reshape(3, 3)
+        rate = min(-z.real for z in np.linalg.eigvals(a) if z.real < -1e-6)
+        dense = fock.read_correlations(
+            fock.dense_evolve(params, fock.vacuum_projector(3), 30.0 / rate))
+        assert np.max(np.abs(minf - dense)) <= 1e-5
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_time_exits_with_validation_error(self, tmp_path,
@@ -203,21 +286,14 @@ class TestCommands:
 
     def test_steady_factors_the_drift_once(self, tmp_path, monkeypatch):
         # the stability decision is read off the solve's own Schur form
-        import quadferm.gaussian
         import scipy.linalg
-        from quadferm.linalg import spectral_split
         schur, calls = scipy.linalg.schur, []
 
         def counting_schur(*args, **kwargs):
             calls.append("schur")
             return schur(*args, **kwargs)
 
-        def counting_split(*args, **kwargs):
-            calls.append("spectral_split")
-            return spectral_split(*args, **kwargs)
-
         monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
-        monkeypatch.setattr(quadferm.gaussian, "spectral_split", counting_split)
         params = verify.random_gksl_params(np.random.default_rng(6), 6, 0.3)
         cfg = tmp_path / "job.ini"
         cfg.write_text(_explicit_ini(params.a, params.m), encoding="utf-8")
@@ -344,6 +420,48 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("quadferm: validation error")
         assert "rank_one_nilpotency" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tolerance_flag_exits_with_validation_error(self, capsys,
+                                                             tol):
+        assert main(["verify", "--n", "1", "--tol", tol]) == 1
+        assert capsys.readouterr().err.startswith("quadferm: validation error")
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-3", "inf"])
+    def test_bad_config_tolerance_exits_with_validation_error(self, tmp_path,
+                                                               capsys, tol):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(f"[tolerances]\nrank_one_nilpotency = {tol}\n",
+                       encoding="utf-8")
+        assert main(["verify", "--n", "1", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("quadferm: validation error")
+        assert "rank_one_nilpotency" in err
+
+    def test_negative_seed_exits_with_validation_error(self, tmp_path,
+                                                       capsys):
+        assert main(["verify", "--n", "1", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("quadferm: validation error")
+        cfg = tmp_path / "job.ini"
+        cfg.write_text("[job]\nseed = -3\n", encoding="utf-8")
+        assert main(["verify", "--n", "1", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("quadferm: validation error")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": -1},
+        {"tol_overrides": {"left_left": float("nan")}},
+        {"tol_overrides": {"left_left": -1.0}},
+        {"tol_overrides": {"left_left": float("inf")}},
+    ])
+    def test_suite_rejects_bad_seed_or_tolerance_before_any_check(
+            self, monkeypatch, kwargs):
+        def sentinel(rng, n):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify, "_REGISTRY", tuple(
+            dataclasses.replace(c, fn=sentinel) for c in verify._REGISTRY))
+        with pytest.raises(ValidationError):
+            verify.run_suite(n=1, **kwargs)
 
     def test_numbers_round_trip_at_17_digits(self, tmp_path):
         out = tmp_path / "verify.csv"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from quadferm import fock
 from quadferm.affine import AffineGenerator, act, flow
@@ -8,8 +9,8 @@ from quadferm.gaussian import (GaussianState, LiouvillianParams,
                                PhysicalModel, asymptotic_decomposition,
                                entropy, evolve_grid, evolve_state,
                                expectation_quadratic, params_from_model,
-                               stationary_correlation, steady_state)
-from quadferm.linalg import hermitize
+                               steady_state)
+from quadferm.linalg import hermitize, lyapunov_solve, spectral_split
 from quadferm.verify import (random_correlation_matrix, random_gksl_params,
                              random_hermitian, random_psd)
 
@@ -127,7 +128,7 @@ class TestEvolveState:
         params = random_gksl_params(rng, 4, min_damping=0.5)
         r = random_correlation_matrix(rng, 4)
         late = act(flow(params, 1e4), r)
-        assert np.max(np.abs(late - stationary_correlation(params))) <= 1e-10
+        assert np.max(np.abs(late - steady_state(params).r)) <= 1e-10
 
 
 class TestEvolveGrid:
@@ -226,7 +227,7 @@ class TestSteadyState:
 
     def test_undamped_drift_is_rejected_with_eigenvalues(self):
         params = LiouvillianParams(np.diag([0.7j, -1.0]), np.zeros((2, 2)))
-        with pytest.raises(PhysicsError, match="asymptotic_decomposition"):
+        with pytest.raises(PhysicsError, match=r"lambda_0 = 0\+0\.7j\]"):
             steady_state(params)
 
     def test_stable_non_dissipative_drift_reaches_the_spectrum_check(self):
@@ -235,7 +236,7 @@ class TestSteadyState:
         a = np.array([[-1.0, 10.0], [0.0, -1.0]])
         params = LiouvillianParams(a, 0.1 * np.eye(2))
         ref = kron_lyapunov(params.a, params.m)
-        out = stationary_correlation(params)
+        out = lyapunov_solve(params.a, params.m)
         assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
         with pytest.raises(PhysicsError, match="escapes"):
             steady_state(params)
@@ -342,8 +343,50 @@ class TestAsymptoticDecomposition:
     def test_requires_admissible_generator(self, rng):
         params = LiouvillianParams(np.diag([1j, -1.0]), np.diag([1.0, 0.0]))
         assert not params.gksl
-        with pytest.raises(PhysicsError):
+        with pytest.raises(PhysicsError, match="lambda_0"):
             asymptotic_decomposition(params, GaussianState.vacuum(2))
+
+    def test_stable_inadmissible_pair_is_solved_like_the_steady_state(self):
+        # with no undamped mode, admissibility is not needed
+        params = LiouvillianParams([[-1.0, 10.0], [0.0, -1.0]],
+                                   0.1 * np.eye(2))
+        assert not params.gksl
+        dec = asymptotic_decomposition(params, GaussianState.vacuum(2))
+        assert np.array_equal(dec.m_inf, lyapunov_solve(params.a, params.m))
+
+    def test_scaled_frame_projector_matches_the_raw_split(self, rng):
+        # a unitary near I mixes the persistent mode into every site, so
+        # the solve runs in the frame D = diag(sqrt|M_jj|) != I, where the
+        # undamped Schur vectors are not P0's; P0 must be the raw split's
+        params = _undamped_block_params(rng, freq=-1.3)
+        u = scipy.linalg.expm(0.3j * random_hermitian(rng, 3))
+        a = u @ params.a @ u.conj().T
+        m = u @ params.m @ u.conj().T
+        params = LiouvillianParams(a, m)
+        assert params.gksl
+        d = np.sqrt(np.abs(m.diagonal()))
+        assert np.ptp(d) > 0.5 * np.max(d)
+        assert np.linalg.norm(a / d[:, None] * d) <= 2 * np.linalg.norm(a)
+        dec = asymptotic_decomposition(params, GaussianState.vacuum(3))
+        assert np.linalg.norm(dec.p0 - spectral_split(a).p0) <= 1e-12
+        assert np.allclose(dec.frequencies, [-1.3], rtol=0, atol=1e-12)
+        res = a @ dec.m_inf + dec.m_inf @ a.conj().T + m
+        assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("undamped", [False, True])
+    def test_factors_the_drift_once(self, rng, monkeypatch, undamped):
+        schur, calls = scipy.linalg.schur, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counting)
+        params = (_undamped_block_params(rng) if undamped
+                  else random_gksl_params(rng, 3, min_damping=0.2))
+        dec = asymptotic_decomposition(params, GaussianState.vacuum(3))
+        assert dec.frequencies.size == undamped
+        assert len(calls) == 1
 
 
 class TestExpectationAndEntropy:

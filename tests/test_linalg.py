@@ -301,21 +301,22 @@ class TestSpectralSplit:
 
     def test_empty_drift_gives_empty_split(self):
         split = spectral_split(np.zeros((0, 0)))
-        for part in (split.p0, split.a0, split.a_minus, split.damped_basis):
+        for part in (split.p0, split.a0, split.a_minus):
             assert part.shape == (0, 0)
         assert split.imaginary_eigenvalues.size == 0
         assert not split.ambiguous
 
-    def test_damped_basis_spans_the_complement_of_p0(self, rng):
+    def test_p0_complements_the_damped_invariant_subspace(self, rng):
+        # the Schur form orders the damped modes first; P0 projects onto
+        # the orthogonal complement of the subspace they span
         q, _ = np.linalg.qr(random_complex_matrix(rng, 4))
         a = q @ np.diag([0.5j, -1.3j, -0.7 + 0.1j, -0.2 - 0.4j]) @ q.conj().T
         split = spectral_split(a)
-        w = split.damped_basis
-        assert w.shape == (4, 2)
-        assert np.linalg.norm(w.conj().T @ w - np.eye(2)) < 1e-13
-        assert np.linalg.norm(split.p0 + w @ w.conj().T - np.eye(4)) < 1e-13
-        # the damped subspace is invariant: A w = w (w† A w)
-        assert np.linalg.norm(a @ w - w @ (w.conj().T @ a @ w)) < 1e-12
+        assert abs(np.trace(split.p0) - 2.0) < 1e-13
+        damped = np.eye(4) - split.p0
+        assert np.linalg.norm(a @ damped - damped @ a @ damped) < 1e-12
+        assert np.allclose(split.imaginary_eigenvalues, [-1.3j, 0.5j],
+                           rtol=0, atol=1e-13)
 
     def test_failed_schur_reordering_is_an_error(self, monkeypatch):
         trsen = scipy.linalg.lapack.ztrsen
