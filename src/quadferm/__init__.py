@@ -8,27 +8,27 @@ it on dense 2^n Fock spaces and 4^n superoperators (:mod:`quadferm.fock`,
 """
 
 from .affine import (AffineElement, AffineGenerator, act, bracket, compose,
-                     conjugation_identity_check, flow, identity, inverse)
+                     flow, identity, inverse)
 from .errors import PhysicsError, QuadfermError, ValidationError
 from .gaussian import (AsymptoticDecomposition, GaussianState,
                        LiouvillianParams, PhysicalModel,
                        asymptotic_decomposition, entropy, evolve_grid,
                        evolve_state, expectation_quadratic, params_from_model,
                        steady_state)
-from .linalg import SpectralSplit, lyapunov_solve, mat_exp, spectral_split
+from .linalg import lyapunov_solve, mat_exp
 from .skin import (HatanoNelsonParams, build_bath, build_matrices,
                    featureless_choice, liouvillian_params, steady_profile)
 from .verify import run_suite
 
 __all__ = [
     "AffineElement", "AffineGenerator", "act", "bracket", "compose",
-    "conjugation_identity_check", "flow", "identity", "inverse",
+    "flow", "identity", "inverse",
     "PhysicsError", "QuadfermError", "ValidationError",
     "AsymptoticDecomposition", "GaussianState", "LiouvillianParams",
     "PhysicalModel", "asymptotic_decomposition", "entropy", "evolve_grid",
     "evolve_state", "expectation_quadratic", "params_from_model",
     "steady_state",
-    "SpectralSplit", "lyapunov_solve", "mat_exp", "spectral_split",
+    "lyapunov_solve", "mat_exp",
     "HatanoNelsonParams", "build_bath", "build_matrices",
     "featureless_choice", "liouvillian_params", "steady_profile",
     "run_suite",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _van_loan_pair, as_square, lyapunov_solve, mat_exp
+from .linalg import _van_loan_pair, as_square
 
 __all__ = [
     "AffineElement",
@@ -35,13 +35,10 @@ __all__ = [
     "inverse",
     "bracket",
     "flow",
-    "conjugation_identity_check",
 ]
 
 #: :func:`inverse` rejects linear parts with condition number above this.
 CONDITION_CAP = 1e12
-#: Residual bound of :func:`conjugation_identity_check`.
-CONJUGATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -143,25 +140,3 @@ def flow(p: AffineGenerator, t: float) -> AffineElement:
         raise ValidationError(f"flow time must be finite and >= 0, got {t}")
     return AffineElement(*_van_loan_pair(p.a, p.m, t))
 
-
-def conjugation_identity_check(a, m, t: float) -> tuple[bool, float]:
-    """Check that translating by the Lyapunov solution kills the noise part.
-
-    With T solving ``A T + T A† = -M``, the flow of (A, M) factors as
-    ``(I, T) ∘ (e^{tA}, O) ∘ (I, -T)``.  Returns (residual within
-    CONJUGATION_TOL, residual), the residual being the larger component
-    norm of the direct flow minus the three-factor composition.
-    """
-    p = AffineGenerator(a, m)
-    t_mat = lyapunov_solve(p.a, p.m)
-    n = p.n
-    zero = np.zeros((n, n), dtype=complex)
-    direct = flow(p, t)
-    shift = AffineElement(np.eye(n, dtype=complex), t_mat)
-    linear = AffineElement(mat_exp(t * p.a), zero)
-    three = compose(compose(shift, linear), inverse(shift))
-    residual = max(
-        float(np.linalg.norm(direct.u - three.u)),
-        float(np.linalg.norm(direct.m - three.m)),
-    )
-    return residual <= CONJUGATION_TOL, residual

@@ -54,7 +54,6 @@ _MODEL_KINDS = ("explicit", "physical", "hatano-nelson")
 @dataclass
 class JobConfig:
     command: str | None = None
-    model_kind: str | None = None
     params: LiouvillianParams | None = None
     hatano_nelson: HatanoNelsonParams | None = None
     delta: float = 1.0 / 3.0
@@ -158,7 +157,6 @@ def parse_config_text(text: str) -> JobConfig:
             raise ValidationError(
                 f"[model] kind must be one of {_MODEL_KINDS}, got {kind!r}"
             )
-    cfg.model_kind = kind
 
     model_sections = {
         "explicit": {"model.a", "model.m"},

@@ -65,7 +65,6 @@ __all__ = [
     "read_correlations",
     "majorana_operators",
     "majorana_liouvillian",
-    "majorana_commutator_residual",
     "trace_distance",
 ]
 
@@ -397,22 +396,3 @@ def majorana_liouvillian(a, n_mat, n: int) -> np.ndarray:
              *zip(_smear((-a - a.T + 2j * n_mat) / 4, w), w)]
     return _assemble(terms, 2 ** n)
 
-
-def majorana_commutator_residual(a, n_mat, b, r_mat, n: int) -> float:
-    """Residual of the Majorana-family commutation relation.
-
-    Checks ``[L(A, N), L(B, R)] = L([A, B], A R + R A^T - B N - N B^T)``
-    as dense matrices.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n_mat = np.asarray(n_mat, dtype=float)
-    r_mat = np.asarray(r_mat, dtype=float)
-    l1 = majorana_liouvillian(a, n_mat, n)
-    l2 = majorana_liouvillian(b, r_mat, n)
-    target = majorana_liouvillian(
-        a @ b - b @ a,
-        a @ r_mat + r_mat @ a.T - b @ n_mat - n_mat @ b.T,
-        n,
-    )
-    return float(np.linalg.norm(l1 @ l2 - l2 @ l1 - target))

@@ -64,9 +64,9 @@ class LiouvillianParams(AffineGenerator):
         if ok:
             scale = max(1.0, float(np.linalg.norm(m)),
                         float(np.linalg.norm(a)))
-            lo = float(np.min(np.linalg.eigvalsh(hermitize(m))))
+            lo = float(np.min(np.linalg.eigvalsh(hermitize(m)), initial=0.0))
             gap = -(a + a.conj().T) - m
-            hi = float(np.min(np.linalg.eigvalsh(hermitize(gap))))
+            hi = float(np.min(np.linalg.eigvalsh(hermitize(gap)), initial=0.0))
             ok = lo >= -GKSL_TOL * scale and hi >= -GKSL_TOL * scale
         object.__setattr__(self, "gksl", bool(ok))
 
@@ -228,6 +228,8 @@ class AsymptoticDecomposition:
     ``m_inf + e^{t a0} (P0 r P0) e^{t a0†}`` as t grows: a stationary part
     plus an undamped oscillation of the projected initial data, at the
     ascending ``frequencies`` ω of the undamped drift eigenvalues ``i ω``.
+    ``a0 = a0_flow.a = A P0`` is the persistent drift and ``A - a0`` the
+    damped one, with ``e^{t(A - a0)} -> P0``.
     """
 
     a0_flow: AffineGenerator
@@ -250,7 +252,10 @@ def asymptotic_decomposition(params: LiouvillianParams,
     form :func:`lyapunov_solve` reads, so with no undamped mode m_inf is
     :func:`steady_state`'s, bit for bit.  An undamped mode needs an
     admissible pair, else PhysicsError: dissipativity then makes the noise
-    vanish on the persistent subspace, so the integral converges.
+    vanish on the persistent subspace, so the integral converges.  The
+    returned m_inf solves ``A m_inf + m_inf A† + M = 0`` to
+    ``1e-10 (1 + ||M||)``; noise that reaches an undamped mode (one in the
+    band but off the axis) is a PhysicsError naming the undamped modes.
     """
     if params.n != state.n:
         raise ValidationError(

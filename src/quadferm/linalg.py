@@ -1,20 +1,17 @@
 """Dense complex linear-algebra kernels.
 
 Everything downstream (affine flows, correlation-matrix dynamics, the
-dissipative skin-effect construction) reduces to four operations on square
+dissipative skin-effect construction) reduces to three operations on square
 complex matrices: the matrix exponential, the finite-time noise integral
-``int_0^t e^{sA} M e^{sA'} ds``, the continuous Lyapunov solve
-``A T + T A' = -M``, and the spectral split of a dissipative drift into its
-imaginary-axis and strictly damped parts.  The last two factor their drift
-once each, by one dense complex Schur form ordered with its damped
-eigenvalues first (LAPACK trsen); that ordering is the one place a mode is
-classified as undamped.  The Lyapunov solve, Bartels-Stewart (LAPACK trsyl)
-on the damped block, is also the long-time limit of an admissible drift.
+``int_0^t e^{sA} M e^{sA'} ds`` and the continuous Lyapunov solve
+``A T + T A' = -M``.  The solve factors its drift once, by one dense
+complex Schur form ordered with its damped eigenvalues first (LAPACK
+trsen); that ordering is the one place a mode is classified as undamped.
+Bartels-Stewart (LAPACK trsyl) on the damped block is also the long-time
+limit of an admissible drift.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -22,19 +19,16 @@ import scipy.linalg
 from .errors import PhysicsError, ValidationError
 
 __all__ = [
-    "SpectralSplit",
     "as_square",
     "hermitize",
     "is_hermitian",
     "mat_exp",
     "lyapunov_solve",
-    "spectral_split",
 ]
 
 #: Relative tolerances; a mode with ``Re λ >= -_AXIS_BAND max|λ|`` is undamped
 _HERMITIAN_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
-_DISSIPATIVE_TOL = 1e-10
 _AXIS_BAND = 1e-9
 
 
@@ -152,39 +146,41 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
     frame ``D = diag(sqrt|M_jj|)`` (1 where ``M_jj = 0``) that graded
     solutions need (the skin effect), or D = I where that frame would more
     than double ``||A||_F``.  For an ``admissible`` pair, M vanishes on the
-    undamped modes (up to a mode in the band but off the axis, whose noise
-    is left out), which span the complement of the damped ones, D⁻¹ q_u.
+    undamped modes, which span the complement of the damped ones, D⁻¹ q_u.
 
-    PhysicsError names each undamped ``lambda_i`` of a pair not
-    ``admissible``, and flags a block-solve residual over
-    ``1e-10 (1 + ||M||)`` or a P0 that fails to commute with A.
+    T must solve the full equation ``A T + T A† + M = 0`` to
+    ``1e-10 (1 + ||M||)``, else PhysicsError; with an undamped mode that
+    means noise reaches it (a mode in the band but off the axis has no
+    limit here).  PhysicsError names each undamped ``lambda_i`` then, and
+    of a pair not ``admissible``, and flags a P0 that fails to commute
+    with A.
     """
     n = a.shape[0]
     d = np.sqrt(np.where(m.diagonal() == 0, 1.0, np.abs(m.diagonal())))
     if np.linalg.norm(a / d[:, None] * d) > 2 * np.linalg.norm(a):
         d = np.ones_like(d)  # error grows as the square of that inflation
     r, q, j = _ordered_schur(a / d[:, None] * d)
+    named = ", ".join(f"lambda_{i} = {z:.6g}"
+                      for i, z in enumerate(r.diagonal()[j:]))
     if j < n and not admissible:
-        named = (f"lambda_{i} = {z:.6g}"
-                 for i, z in enumerate(r.diagonal()[j:]))
         raise PhysicsError(
             "no unique steady state: drift eigenvalues on or right of the "
             f"imaginary-axis band Re lambda >= -{_AXIS_BAND:g} max|lambda| "
-            f"[{', '.join(named)}]"
+            f"[{named}]"
         )
-    qd = q[:, :j]
-    rhs = qd.conj().T @ (m / np.outer(d, d)) @ qd
     t_mat = np.zeros((n, n), dtype=complex)
     if j:
+        qd = q[:, :j]
+        rhs = qd.conj().T @ (m / np.outer(d, d)) @ qd
         y, y_scale, _ = scipy.linalg.lapack.ztrsyl(r[:j, :j], r[:j, :j],
                                                    -rhs, tranb="C")
         t_mat = qd @ (y / y_scale) @ qd.conj().T * np.outer(d, d)
-    solved = m if j == n else qd @ rhs @ qd.conj().T * np.outer(d, d)
-    residual = np.linalg.norm(a @ t_mat + t_mat @ a.conj().T + solved)
-    if not residual <= _RESIDUAL_TOL * (1.0 + np.linalg.norm(solved)):
+    residual = np.linalg.norm(a @ t_mat + t_mat @ a.conj().T + m)
+    if not residual <= _RESIDUAL_TOL * (1.0 + np.linalg.norm(m)):
         raise PhysicsError(
-            f"Lyapunov residual {residual:.3e} exceeds tolerance; "
-            "the equation is too ill-conditioned for a direct solve"
+            f"Lyapunov residual {residual:.3e} exceeds tolerance; " + (
+                f"noise reaches the undamped modes [{named}]" if j < n
+                else "the equation is too ill-conditioned for a direct solve")
         )
     if is_hermitian(m):
         t_mat = hermitize(t_mat)
@@ -206,56 +202,12 @@ def lyapunov_solve(a, m) -> np.ndarray:
 
     Raises PhysicsError, naming each undamped ``lambda_i``, unless every
     eigenvalue has ``Re λ < -1e-9 max|λ|`` (the one rule, which
-    :func:`spectral_split` applies too; so ``|λ_i + conj λ_j| > 2e-9
-    max|λ|``), or if the final residual exceeds ``1e-10 (1 + ||M||)``.
+    :func:`~quadferm.gaussian.asymptotic_decomposition` applies too; so
+    ``|λ_i + conj λ_j| > 2e-9 max|λ|``), or if the final residual exceeds
+    ``1e-10 (1 + ||M||)``.
     """
     a = as_square(a, "drift")
     m = as_square(m, "right-hand side")
     if a.shape != m.shape:
         raise ValidationError(f"size mismatch: {a.shape} vs {m.shape}")
     return _noise_limit(a, m, admissible=False)[0]
-
-
-@dataclass(frozen=True)
-class SpectralSplit:
-    """Split of a dissipative drift A into persistent and damped parts.
-
-    ``p0`` projects orthogonally onto the direct sum of eigenspaces whose
-    eigenvalues are undamped, ``Re λ >= -1e-9 max|λ|`` (the rule
-    :func:`lyapunov_solve` applies too).  ``a0 = A P0`` carries the
-    persistent oscillation and ``a_minus = A - a0`` the strict decay, with
-    ``e^{t a_minus} -> p0`` as t grows.  ``ambiguous`` flags damped
-    eigenvalues within twice the band, ``Re λ >= -2e-9 max|λ|``.
-    """
-
-    p0: np.ndarray
-    a0: np.ndarray
-    a_minus: np.ndarray
-    imaginary_eigenvalues: np.ndarray
-    ambiguous: bool = False
-
-
-def spectral_split(a) -> SpectralSplit:
-    """Split a drift with ``-A - A† >= 0`` along the imaginary axis.
-
-    Dissipativity forces every eigenvalue into the closed left half-plane,
-    makes imaginary-axis eigenvalues semisimple, and makes their eigenspaces
-    orthogonal to all other generalized eigenspaces; the split
-    ``A = A P0 + (A - A P0)`` is therefore an orthogonal block decomposition.
-    P0 is that of the long-time limit of the noise-free generator (A, O),
-    read off the Schur form that :func:`lyapunov_solve` orders too.
-    """
-    a = as_square(a, "drift")
-    n = a.shape[0]
-    scale = float(np.linalg.norm(a, 2)) if n else 0.0
-    gap = float(np.min(np.linalg.eigvalsh(-(a + a.conj().T)))) if n else 0.0
-    if gap < -_DISSIPATIVE_TOL * max(1.0, scale):
-        raise PhysicsError(
-            f"drift is not dissipative: min eig(-A - A†) = {gap:.3e}"
-        )
-    _, eigvals, j, p0 = _noise_limit(a, np.zeros_like(a), admissible=True)
-    rho = np.max(np.abs(eigvals), initial=0.0)
-    ambiguous = bool(np.any(eigvals[:j].real >= -2 * _AXIS_BAND * rho))
-    a0 = a @ p0
-    return SpectralSplit(p0, a0, a - a0, 1j * np.sort(eigvals[j:].imag),
-                         ambiguous)

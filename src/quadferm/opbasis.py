@@ -26,11 +26,9 @@ from math import factorial
 import numpy as np
 
 from .errors import ValidationError
-from .fock import (_apply, _generator_terms, dense_evolve, density_modes,
+from .fock import (_apply, _generator_terms, density_modes,
                    smeared_annihilation, smeared_creation, unvec,
                    vacuum_projector, vec)
-from .affine import AffineGenerator
-from .linalg import mat_exp
 
 __all__ = [
     "phi_element",
@@ -40,7 +38,6 @@ __all__ = [
     "phi_family_matrix",
     "expand_in_phi",
     "project_persistent",
-    "phi_evolution_residual",
 ]
 
 
@@ -196,17 +193,3 @@ def project_persistent(rho: np.ndarray, p0: np.ndarray) -> np.ndarray:
             coeffs[i] = 0.0
     return unvec(b @ coeffs)
 
-
-def phi_evolution_residual(a, xis, etas, t: float, n: int) -> float:
-    """Covariance residual of the noiseless semigroup on a dressed element:
-
-        || e^{tL(A,O)} phi(xi; eta) - phi(e^{tA} xi; e^{tA} eta) ||.
-    """
-    a = np.asarray(a, dtype=complex)
-    xis = _as_vectors(xis, n, "creation list")
-    etas = _as_vectors(etas, n, "annihilation list")
-    gen = AffineGenerator(a, np.zeros((n, n), dtype=complex))
-    lhs = dense_evolve(gen, _phi(xis, etas, n), t)
-    rot = mat_exp(t * a)
-    rhs = _phi([rot @ v for v in xis], [rot @ v for v in etas], n)
-    return float(np.linalg.norm(lhs - rhs))

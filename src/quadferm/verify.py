@@ -250,7 +250,12 @@ def _check_phi_evolution(rng, n):
     q_len = int(rng.integers(0, n + 1))
     xis = _random_vectors(rng, n, p_len)
     etas = _random_vectors(rng, n, q_len)
-    return opbasis.phi_evolution_residual(a, xis, etas, 0.9, n)
+    t = 0.9
+    lhs = fock.dense_evolve(AffineGenerator(a, np.zeros((n, n), dtype=complex)),
+                            opbasis.phi_element(xis, etas, n), t)
+    rot = mat_exp(t * a)
+    return _residual(lhs, opbasis.phi_element([rot @ v for v in xis],
+                                              [rot @ v for v in etas], n))
 
 
 def _check_majorana_commutator(rng, n):
@@ -261,7 +266,10 @@ def _check_majorana_commutator(rng, n):
     r_mat = rng.standard_normal((two_n, two_n))
     n_mat = (n_mat - n_mat.T) / 2
     r_mat = (r_mat - r_mat.T) / 2
-    return fock.majorana_commutator_residual(a, n_mat, b, r_mat, n)
+    lhs = _comm(fock.majorana_liouvillian(a, n_mat, n),
+                fock.majorana_liouvillian(b, r_mat, n))
+    return _residual(lhs, fock.majorana_liouvillian(
+        _comm(a, b), a @ r_mat + r_mat @ a.T - b @ n_mat - n_mat @ b.T, n))
 
 
 # -- commutator identities [X(C), Y(D)] = Z(C, D) ---------------------------

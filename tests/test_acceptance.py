@@ -15,7 +15,6 @@ import scipy.linalg
 from quadferm import fock, opbasis, verify
 from quadferm.gaussian import (GaussianState, LiouvillianParams,
                                asymptotic_decomposition, steady_state)
-from quadferm.linalg import spectral_split
 from quadferm.skin import (HatanoNelsonParams, build_bath, featureless_choice,
                            liouvillian_params, localization_slope,
                            steady_profile)
@@ -119,16 +118,16 @@ def test_criterion_06_long_time_asymptotics():
     a[1:, 1:] = -1j * h2 - d2 - e2
     m[1:, 1:] = 2 * e2
     params_p = LiouvillianParams(a, m)
-    split = spectral_split(a)
-    assert int(round(split.p0.trace().real)) == 1
-    m_inf = asymptotic_decomposition(params_p, GaussianState.vacuum(3)).m_inf
+    dec = asymptotic_decomposition(params_p, GaussianState.vacuum(3))
+    assert int(round(dec.p0.trace().real)) == 1
+    m_inf = dec.m_inf
     rho0_p = verify.random_density_matrix(rng, 8)
-    projected = opbasis.project_persistent(rho0_p, split.p0)
+    projected = opbasis.project_persistent(rho0_p, dec.p0)
     damped = [z for z in np.linalg.eigvals(a) if z.real < -1e-6]
     t_late = 30.0 / abs(max(z.real for z in damped))
     zero = np.zeros((3, 3))
     pred = scipy.linalg.expm(
-        t_late * fock.super_liouvillian(LiouvillianParams(split.a0, zero), 3)
+        t_late * fock.super_liouvillian(LiouvillianParams(dec.a0_flow.a, zero), 3)
     ) @ scipy.linalg.expm(
         fock.super_liouvillian(LiouvillianParams(zero, m_inf), 3)
     ) @ fock.vec(projected)

@@ -75,7 +75,7 @@ def read_csv(path):
 class TestConfigParsing:
     def test_explicit_model(self):
         cfg = parse_config_text(EXPLICIT)
-        assert cfg.model_kind == "explicit"
+        assert cfg.params.n == 2
         assert cfg.params.a[0, 1] == 0.1 + 0.05j
         assert cfg.params.gksl
 
@@ -171,6 +171,21 @@ class TestCommands:
                      if inspect.isfunction(obj)}
         assert "asymptotic_decomposition" in functions
         assert not [f for f in functions if re.search(rf"\b{f}\b", err)]
+
+    def test_steady_noise_on_a_mode_in_the_band_exits_2(self, tmp_path,
+                                                         capsys):
+        # admissible, but M feeds the mode whose Re lambda = -2.6e-10 lies
+        # in the undamped band: no limit is written, and the mode is named
+        cfg = tmp_path / "job.ini"
+        cfg.write_text("[model]\nkind = explicit\n"
+                       "[model.a]\nrow1 = -0.515 -0.089 0.0 0.0\n"
+                       "row2 = 0.0 0.0 -2.6e-10 0.0\n"
+                       "[model.m]\nrow1 = 0.209 0.0 0.0 0.0\n"
+                       "row2 = 0.0 0.0 2.6e-10 0.0\n", encoding="utf-8")
+        out = tmp_path / "steady.csv"
+        assert main(["steady", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "lambda_0 = -2.6e-10" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("body", [None, "[model]\nkind = hatano-nelson\n"
                                       "[model.hatano-nelson]\nn = 4\n"

@@ -10,7 +10,7 @@ from quadferm.gaussian import (GaussianState, LiouvillianParams,
                                entropy, evolve_grid, evolve_state,
                                expectation_quadratic, params_from_model,
                                steady_state)
-from quadferm.linalg import hermitize, lyapunov_solve, spectral_split
+from quadferm.linalg import hermitize, lyapunov_solve
 from quadferm.verify import (random_correlation_matrix, random_gksl_params,
                              random_hermitian, random_psd)
 
@@ -346,6 +346,17 @@ class TestAsymptoticDecomposition:
         with pytest.raises(PhysicsError, match="lambda_0"):
             asymptotic_decomposition(params, GaussianState.vacuum(2))
 
+    def test_noise_on_a_mode_in_the_band_is_an_error(self):
+        # Re lambda = -2.6e-10 lies in the band -1e-9 max|lambda|, so the
+        # mode counts as undamped, yet M feeds it: its true limit, 0.5, is
+        # reached only after ~1e10 time units, and no m_inf with a zero
+        # occupation there solves the full equation
+        params = LiouvillianParams(np.diag([-0.515 - 0.089j, -2.6e-10]),
+                                   np.diag([0.209, 2.6e-10]))
+        assert params.gksl
+        with pytest.raises(PhysicsError, match="lambda_0 = -2.6e-10"):
+            asymptotic_decomposition(params, GaussianState.vacuum(2))
+
     def test_stable_inadmissible_pair_is_solved_like_the_steady_state(self):
         # with no undamped mode, admissibility is not needed
         params = LiouvillianParams([[-1.0, 10.0], [0.0, -1.0]],
@@ -368,7 +379,10 @@ class TestAsymptoticDecomposition:
         assert np.ptp(d) > 0.5 * np.max(d)
         assert np.linalg.norm(a / d[:, None] * d) <= 2 * np.linalg.norm(a)
         dec = asymptotic_decomposition(params, GaussianState.vacuum(3))
-        assert np.linalg.norm(dec.p0 - spectral_split(a).p0) <= 1e-12
+        # with m = 0 the solve frame is D = I, the raw frame
+        raw = asymptotic_decomposition(LiouvillianParams(a, 0 * a),
+                                       GaussianState.vacuum(3))
+        assert np.linalg.norm(dec.p0 - raw.p0) <= 1e-12
         assert np.allclose(dec.frequencies, [-1.3], rtol=0, atol=1e-12)
         res = a @ dec.m_inf + dec.m_inf @ a.conj().T + m
         assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(m)

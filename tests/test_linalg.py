@@ -6,7 +6,9 @@ from scipy.linalg import expm
 
 from quadferm.errors import PhysicsError, ValidationError
 from quadferm.affine import AffineGenerator, flow
-from quadferm.linalg import hermitize, lyapunov_solve, mat_exp, spectral_split
+from quadferm.gaussian import (GaussianState, LiouvillianParams,
+                               asymptotic_decomposition)
+from quadferm.linalg import hermitize, lyapunov_solve, mat_exp
 from quadferm.skin import HatanoNelsonParams, liouvillian_params
 from quadferm.verify import (random_complex_matrix, random_gksl_params,
                              random_psd)
@@ -218,55 +220,63 @@ class TestLyapunovSolve:
         assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-class TestSpectralSplit:
+def _decompose(a):
+    """The long-time decomposition of the noise-free pair (a, O)."""
+    a = np.asarray(a, dtype=complex)
+    return asymptotic_decomposition(LiouvillianParams(a, 0 * a),
+                                    GaussianState.vacuum(a.shape[0]))
+
+
+class TestAsymptoticDecomposition:
+    """P0, the persistent drift ``a0 = A P0`` and the damped drift
+    ``A - a0`` of a dissipative drift, read off one ordered Schur form."""
+
     def test_fully_conservative_drift(self, rng):
         h = hermitize(random_complex_matrix(rng, 3))
         a = 1j * h
-        split = spectral_split(a)
-        assert np.linalg.norm(split.p0 - np.eye(3)) < 1e-10
-        assert np.linalg.norm(split.a0 - a) < 1e-10
-        assert np.linalg.norm(split.a_minus) < 1e-10
+        dec = _decompose(a)
+        a_minus = a - dec.a0_flow.a
+        assert np.linalg.norm(dec.p0 - np.eye(3)) < 1e-10
+        assert np.linalg.norm(dec.a0_flow.a - a) < 1e-10
+        assert np.linalg.norm(a_minus) < 1e-10
 
     def test_fully_damped_drift(self, rng):
         d = random_psd(rng, 3) + 0.4 * np.eye(3)
         a = -1j * hermitize(random_complex_matrix(rng, 3)) - d
-        split = spectral_split(a)
-        assert np.linalg.norm(split.p0) == 0.0
-        assert np.linalg.norm(split.a0) == 0.0
-        assert np.array_equal(split.a_minus, a)
-        assert split.imaginary_eigenvalues.size == 0
+        dec = _decompose(a)
+        assert np.linalg.norm(dec.p0) == 0.0
+        assert np.linalg.norm(dec.a0_flow.a) == 0.0
+        assert np.array_equal(a - dec.a0_flow.a, a)
+        assert dec.frequencies.size == 0
 
     def test_block_diagonal_example(self):
-        split = spectral_split(np.diag([1j, -1.0]))
-        assert np.linalg.norm(split.p0 - np.diag([1.0, 0.0])) < 1e-12
-        assert np.linalg.norm(split.a0 - np.diag([1j, 0.0])) < 1e-12
-        assert np.linalg.norm(split.a_minus - np.diag([0.0, -1.0])) < 1e-12
-        assert np.allclose(split.imaginary_eigenvalues, [1j])
-
-    def test_split_reassembles_exactly(self):
-        a = np.diag([0.9j, -0.4 + 0.2j, -1.0])
-        split = spectral_split(a)
-        assert np.array_equal(split.a0 + split.a_minus, a)
+        a = np.diag([1j, -1.0])
+        dec = _decompose(a)
+        a_minus = a - dec.a0_flow.a
+        assert np.linalg.norm(dec.p0 - np.diag([1.0, 0.0])) < 1e-12
+        assert np.linalg.norm(dec.a0_flow.a - np.diag([1j, 0.0])) < 1e-12
+        assert np.linalg.norm(a_minus - np.diag([0.0, -1.0])) < 1e-12
+        assert np.allclose(dec.frequencies, [1.0])
 
     def test_projector_invariants(self, rng):
         q, _ = np.linalg.qr(random_complex_matrix(rng, 4))
         a = q @ np.diag([0.5j, -1.3j, -0.7 + 0.1j, -0.2 - 0.4j]) @ q.conj().T
-        split = spectral_split(a)
-        p0 = split.p0
+        dec = _decompose(a)
+        p0, a0 = dec.p0, dec.a0_flow.a
         assert np.linalg.norm(p0 @ p0 - p0) < 1e-12
         assert np.linalg.norm(p0 - p0.conj().T) < 1e-13
         assert np.linalg.norm(a @ p0 - p0 @ a) < 1e-12
-        assert np.linalg.norm(split.a0 @ split.a_minus
-                              - split.a_minus @ split.a0) < 1e-12
+        assert np.linalg.norm(a0 @ (a - a0) - (a - a0) @ a0) < 1e-12
 
     def test_damped_flow_converges_to_projector(self, rng):
         q, _ = np.linalg.qr(random_complex_matrix(rng, 3))
         a = q @ np.diag([0.8j, -0.5, -1.1 + 0.3j]) @ q.conj().T
-        split = spectral_split(a)
-        damped = np.linalg.eigvals(split.a_minus)
+        dec = _decompose(a)
+        a_minus = a - dec.a0_flow.a
+        damped = np.linalg.eigvals(a_minus)
         rate = abs(max(z.real for z in damped if z.real < -1e-6))
         t = 50.0 / rate
-        assert np.linalg.norm(mat_exp(t * split.a_minus) - split.p0) <= 1e-6
+        assert np.linalg.norm(mat_exp(t * a_minus) - dec.p0) <= 1e-6
 
     def test_axis_eigenvector_orthogonality(self, rng):
         # Two distinct imaginary-axis eigenvalues plus a non-normal damped
@@ -285,38 +295,33 @@ class TestSpectralSplit:
                   for i in range(4) if abs(eigvals[i].real) >= 1e-9]
         assert len(axis) == 2
         assert abs(np.vdot(axis[0], axis[1])) <= 1e-8
-        # spectral_split succeeds and its projector annihilates nothing axial
-        split = spectral_split(a)
+        # the decomposition succeeds and its projector annihilates nothing
+        # axial
+        dec = _decompose(a)
         for v in axis:
-            assert np.linalg.norm(split.p0 @ v - v) < 1e-9
+            assert np.linalg.norm(dec.p0 @ v - v) < 1e-9
 
     def test_rejects_non_dissipative_drift(self):
-        with pytest.raises(PhysicsError, match="dissipative"):
-            spectral_split(np.diag([1.0, -1.0]))
-
-    def test_ambiguous_band_is_flagged(self):
-        split = spectral_split(np.diag([-1.5e-9 + 1j, -1.0]))
-        assert split.ambiguous
-        assert split.imaginary_eigenvalues.size == 0
+        # an undamped mode of an inadmissible pair is named
+        with pytest.raises(PhysicsError, match="lambda_0"):
+            _decompose(np.diag([1.0, -1.0]))
 
     def test_empty_drift_gives_empty_split(self):
-        split = spectral_split(np.zeros((0, 0)))
-        for part in (split.p0, split.a0, split.a_minus):
+        dec = _decompose(np.zeros((0, 0)))
+        for part in (dec.p0, dec.a0_flow.a, dec.m_inf):
             assert part.shape == (0, 0)
-        assert split.imaginary_eigenvalues.size == 0
-        assert not split.ambiguous
+        assert dec.frequencies.size == 0
 
     def test_p0_complements_the_damped_invariant_subspace(self, rng):
         # the Schur form orders the damped modes first; P0 projects onto
         # the orthogonal complement of the subspace they span
         q, _ = np.linalg.qr(random_complex_matrix(rng, 4))
         a = q @ np.diag([0.5j, -1.3j, -0.7 + 0.1j, -0.2 - 0.4j]) @ q.conj().T
-        split = spectral_split(a)
-        assert abs(np.trace(split.p0) - 2.0) < 1e-13
-        damped = np.eye(4) - split.p0
+        dec = _decompose(a)
+        assert abs(np.trace(dec.p0) - 2.0) < 1e-13
+        damped = np.eye(4) - dec.p0
         assert np.linalg.norm(a @ damped - damped @ a @ damped) < 1e-12
-        assert np.allclose(split.imaginary_eigenvalues, [-1.3j, 0.5j],
-                           rtol=0, atol=1e-13)
+        assert np.allclose(dec.frequencies, [-1.3, 0.5], rtol=0, atol=1e-13)
 
     def test_failed_schur_reordering_is_an_error(self, monkeypatch):
         trsen = scipy.linalg.lapack.ztrsen
@@ -326,13 +331,9 @@ class TestSpectralSplit:
 
         monkeypatch.setattr(scipy.linalg.lapack, "ztrsen", failing)
         with pytest.raises(PhysicsError, match="trsen"):
-            spectral_split(np.diag([1j, -1.0]))
+            _decompose(np.diag([1j, -1.0]))
         with pytest.raises(PhysicsError, match="trsen"):
             lyapunov_solve(-np.eye(2), np.eye(2))
-
-    def test_clean_spectrum_is_not_flagged(self):
-        split = spectral_split(np.diag([1j, -1.0]))
-        assert not split.ambiguous
 
 
 def test_mat_exp_commuting_invariant_at_spec_tolerance(rng):

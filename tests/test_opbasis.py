@@ -1,11 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from quadferm import fock, opbasis
+from quadferm import fock, opbasis, verify
+from quadferm.affine import AffineGenerator
 from quadferm.errors import ValidationError
-from quadferm.gaussian import LiouvillianParams
-from quadferm.linalg import spectral_split
+from quadferm.gaussian import (GaussianState, LiouvillianParams,
+                               asymptotic_decomposition)
+from quadferm.linalg import mat_exp
 from quadferm.verify import (random_complex_matrix, random_density_matrix,
                              random_hermitian, random_psd)
 
@@ -111,18 +115,28 @@ class TestFamily:
         assert np.linalg.norm(fock.unvec(b @ coeffs) - rho) <= 1e-11
 
 
+def covariance_residual(a, xis, etas, t, n):
+    """``|| e^{tL(A,O)} phi(xi; eta) - phi(e^{tA} xi; e^{tA} eta) ||``."""
+    lhs = fock.dense_evolve(AffineGenerator(a, np.zeros((n, n))),
+                            opbasis.phi_element(xis, etas, n), t)
+    rot = mat_exp(t * a)
+    rhs = opbasis.phi_element([rot @ v for v in xis],
+                              [rot @ v for v in etas], n)
+    return float(np.linalg.norm(lhs - rhs))
+
+
 class TestEvolutionCovariance:
     def test_time_zero(self, rng):
         n = 2
         xis = [rand_vec(rng, n)]
         etas = [rand_vec(rng, n)]
         a = random_complex_matrix(rng, n)
-        assert opbasis.phi_evolution_residual(a, xis, etas, 0.0, n) <= 1e-13
+        assert covariance_residual(a, xis, etas, 0.0, n) <= 1e-13
 
     def test_empty_lists_stay_at_vacuum(self, rng):
         n = 2
         a = random_complex_matrix(rng, n)
-        assert opbasis.phi_evolution_residual(a, [], [], 1.5, n) <= 1e-12
+        assert covariance_residual(a, [], [], 1.5, n) <= 1e-12
 
     def test_random_arguments(self, rng):
         n = 3
@@ -130,50 +144,54 @@ class TestEvolutionCovariance:
             a = random_complex_matrix(rng, n)
             xis = [rand_vec(rng, n) for _ in range(2)]
             etas = [rand_vec(rng, n)]
-            assert opbasis.phi_evolution_residual(a, xis, etas, 0.8, n) <= 1e-10
+            assert covariance_residual(a, xis, etas, 0.8, n) <= 1e-10
 
     def test_same_value_as_exponentiating_the_generator(self, rng):
-        # the residual's left side is fock.dense_evolve; spelled out here as
-        # exp(t L(A, O)) on the vectorized element, it gives the same bits
-        n, t = 2, 0.8
-        a = random_complex_matrix(rng, n)
-        xis = [rand_vec(rng, n) for _ in range(2)]
-        etas = [rand_vec(rng, n) for _ in range(2)]
+        # the verify row's left side is fock.dense_evolve; spelled out here
+        # as exp(t L(A, O)) on the vectorized element of the same draw, it
+        # gives the same bits
+        n, t = 2, 0.9
+        twin = copy.deepcopy(rng)
+        a = random_complex_matrix(twin, n)
+        p_len = int(twin.integers(1, n + 1))
+        q_len = int(twin.integers(0, n + 1))
+        xis = [rand_vec(twin, n) for _ in range(p_len)]
+        etas = [rand_vec(twin, n) for _ in range(q_len)]
         prop = scipy.linalg.expm(
             t * fock.super_liouvillian(LiouvillianParams(a, np.zeros((n, n))), n))
         lhs = fock.unvec(prop @ fock.vec(opbasis.phi_element(xis, etas, n)))
         rot = scipy.linalg.expm(t * a)
         rhs = opbasis.phi_element([rot @ v for v in xis], [rot @ v for v in etas], n)
         expected = float(np.linalg.norm(lhs - rhs))
-        assert opbasis.phi_evolution_residual(a, xis, etas, t, n) == expected
+        assert verify._check_phi_evolution(rng, n) == expected
 
 
 class TestPersistentProjection:
-    def _split_instance(self, rng):
+    def _decomposition(self, rng):
         h2 = random_hermitian(rng, 2)
         d2 = random_psd(rng, 2) + 0.4 * np.eye(2)
         a = np.zeros((3, 3), dtype=complex)
         a[0, 0] = 0.9j
         a[1:, 1:] = -1j * h2 - d2
-        return a
+        return a, asymptotic_decomposition(LiouvillianParams(a, 0 * a),
+                                           GaussianState.vacuum(3))
 
     def test_matches_damped_semigroup_limit(self, rng):
-        a = self._split_instance(rng)
-        split = spectral_split(a)
+        a, dec = self._decomposition(rng)
         rho = random_density_matrix(rng, 8)
-        projected = opbasis.project_persistent(rho, split.p0)
+        projected = opbasis.project_persistent(rho, dec.p0)
         zero = np.zeros((3, 3))
+        a_minus = a - dec.a0_flow.a
         prop = scipy.linalg.expm(
-            80.0 * fock.super_liouvillian(LiouvillianParams(split.a_minus, zero), 3))
+            80.0 * fock.super_liouvillian(LiouvillianParams(a_minus, zero), 3))
         limit = fock.unvec(prop @ fock.vec(rho))
         assert np.linalg.norm(projected - limit) <= 1e-10
 
     def test_idempotent(self, rng):
-        a = self._split_instance(rng)
-        split = spectral_split(a)
+        _, dec = self._decomposition(rng)
         rho = random_density_matrix(rng, 8)
-        once = opbasis.project_persistent(rho, split.p0)
-        twice = opbasis.project_persistent(once, split.p0)
+        once = opbasis.project_persistent(rho, dec.p0)
+        twice = opbasis.project_persistent(once, dec.p0)
         assert np.linalg.norm(twice - once) <= 1e-11
 
     def test_trivial_projector_keeps_only_vacuum(self, rng):
