@@ -9,8 +9,8 @@ R(t) = e^{tA} R e^{tA'} + int_0^t e^{sA} M e^{sA'} ds.
 
 import numpy as np
 
-from quadferm.gaussian import (GaussianState, PhysicalModel, entropy,
-                               evolve_state, params_from_model, steady_state)
+from quadferm.gaussian import (GaussianState, entropy, evolve_state,
+                               params_from_model, steady_state)
 
 n = 3
 hop = 0.4
@@ -18,9 +18,8 @@ h = hop * (np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)) \
     + np.diag([0.9, 1.0, 1.1])
 loss_at_first_site = np.array([0.8, 0.0, 0.0])
 gain_at_last_site = np.array([0.0, 0.0, 0.5])
-model = PhysicalModel(h, loss_vectors=(loss_at_first_site,),
-                      gain_vectors=(gain_at_last_site,))
-params = params_from_model(model)
+params = params_from_model(h, loss_vectors=(loss_at_first_site,),
+                           gain_vectors=(gain_at_last_site,))
 print("admissible generator:", params.gksl)
 
 state = GaussianState.vacuum(n)

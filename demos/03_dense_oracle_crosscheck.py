@@ -38,7 +38,7 @@ print("\nquadratic observables agree with tr(TR):")
 from quadferm.gaussian import expectation_quadratic
 t_mat = np.diag([1.0, 2.0, 3.0]).astype(complex)
 rho_t = fock.dense_evolve(params, rho0, 1.0)
-dense_val = np.trace(fock.quadratic_form(t_mat, n) @ rho_t).real
+dense_val = np.trace(fock.quadratic_form(t_mat) @ rho_t).real
 fast_val = expectation_quadratic(evolve_state(params, GaussianState(r0), 1.0),
                                  t_mat).real
 print(f"dense {dense_val:.12f}  vs  fast {fast_val:.12f}")

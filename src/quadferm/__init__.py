@@ -11,10 +11,9 @@ from .affine import (AffineElement, AffineGenerator, act, bracket, compose,
                      flow, identity, inverse)
 from .errors import PhysicsError, QuadfermError, ValidationError
 from .gaussian import (AsymptoticDecomposition, GaussianState,
-                       LiouvillianParams, PhysicalModel,
-                       asymptotic_decomposition, entropy, evolve_grid,
-                       evolve_state, expectation_quadratic, params_from_model,
-                       steady_state)
+                       LiouvillianParams, asymptotic_decomposition, entropy,
+                       evolve_grid, evolve_state, expectation_quadratic,
+                       params_from_model, steady_state)
 from .linalg import lyapunov_solve, mat_exp
 from .skin import (HatanoNelsonParams, build_bath, build_matrices,
                    featureless_choice, liouvillian_params, steady_profile)
@@ -25,9 +24,8 @@ __all__ = [
     "flow", "identity", "inverse",
     "PhysicsError", "QuadfermError", "ValidationError",
     "AsymptoticDecomposition", "GaussianState", "LiouvillianParams",
-    "PhysicalModel", "asymptotic_decomposition", "entropy", "evolve_grid",
-    "evolve_state", "expectation_quadratic", "params_from_model",
-    "steady_state",
+    "asymptotic_decomposition", "entropy", "evolve_grid", "evolve_state",
+    "expectation_quadratic", "params_from_model", "steady_state",
     "lyapunov_solve", "mat_exp",
     "HatanoNelsonParams", "build_bath", "build_matrices",
     "featureless_choice", "liouvillian_params", "steady_profile",

@@ -28,6 +28,7 @@ import sys
 
 import numpy as np
 
+from . import fock
 from .config import JobConfig, load_config
 from .errors import PhysicsError, ValidationError
 from .gaussian import (GaussianState, asymptotic_decomposition, entropy,
@@ -134,10 +135,6 @@ def _cmd_evolve(cfg: JobConfig, out: str | None) -> int:
     if not cfg.times:
         raise ValidationError("[times] values are required for evolve")
     state = cfg.initial or GaussianState.vacuum(params.n)
-    if state.n != params.n:
-        raise ValidationError(
-            f"initial state is {state.n}-mode but model is {params.n}-mode"
-        )
     n = params.n
     header = ["t"] + _matrix_columns("r", n) \
         + [f"occ{j}" for j in range(1, n + 1)] + ["entropy"]
@@ -233,7 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the dense identity suite")
     ver.add_argument("--config", default=None, help="job file (INI)")
     ver.add_argument("--out", default=None, help="output CSV path")
-    ver.add_argument("--n", type=int, default=None, help="mode count (<= 5)")
+    ver.add_argument("--n", type=int, default=None,
+                     help=f"mode count (<= {fock.MAX_DENSE_EVOLVE_MODES})")
     ver.add_argument("--seed", type=int, default=None, help="RNG seed")
     ver.add_argument("--draws", type=int, default=None,
                      help="random instances per identity (at most 3 "

@@ -42,8 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian import (GaussianState, LiouvillianParams, PhysicalModel,
-                       params_from_model)
+from .gaussian import GaussianState, LiouvillianParams, params_from_model
 from .skin import HatanoNelsonParams
 
 __all__ = ["JobConfig", "load_config", "parse_config_text"]
@@ -117,22 +116,19 @@ def _parse_vectors(cp, section: str) -> list[np.ndarray]:
             for key in cp[section]]
 
 
-def _get_float(cp, section: str, key: str, default=None) -> float | None:
+_NUMBER_KINDS = {float: "a number", int: "an integer"}
+
+
+def _get(cp, section: str, key: str, convert, default=None):
+    """``convert`` (float or int) of a value; ``default`` if it is absent or
+    empty."""
     if not cp.has_option(section, key) or not cp[section][key].strip():
         return default
     try:
-        return float(cp[section][key])
+        return convert(cp[section][key])
     except ValueError:
-        raise ValidationError(f"[{section}] {key}: not a number")
-
-
-def _get_int(cp, section: str, key: str, default=None) -> int | None:
-    if not cp.has_option(section, key) or not cp[section][key].strip():
-        return default
-    try:
-        return int(cp[section][key])
-    except ValueError:
-        raise ValidationError(f"[{section}] {key}: not an integer")
+        raise ValidationError(
+            f"[{section}] {key}: not {_NUMBER_KINDS[convert]}")
 
 
 def parse_config_text(text: str) -> JobConfig:
@@ -146,9 +142,9 @@ def parse_config_text(text: str) -> JobConfig:
     cfg = JobConfig()
     if cp.has_section("job"):
         cfg.command = cp["job"].get("command", "").strip().lower() or None
-        cfg.n = _get_int(cp, "job", "n")
-        cfg.seed = _get_int(cp, "job", "seed", 7)
-        cfg.draws = _get_int(cp, "job", "draws", 20)
+        cfg.n = _get(cp, "job", "n", int)
+        cfg.seed = _get(cp, "job", "seed", int, 7)
+        cfg.draws = _get(cp, "job", "draws", int, 20)
 
     kind = None
     if cp.has_section("model"):
@@ -177,27 +173,25 @@ def parse_config_text(text: str) -> JobConfig:
         m = _parse_matrix(cp, "model.m")
         cfg.params = LiouvillianParams(a, m)
     elif kind == "physical":
-        h = _parse_matrix(cp, "model.h")
-        model = PhysicalModel(
-            h,
-            loss_vectors=tuple(_parse_vectors(cp, "model.loss")),
-            gain_vectors=tuple(_parse_vectors(cp, "model.gain")),
+        cfg.params = params_from_model(
+            _parse_matrix(cp, "model.h"),
+            loss_vectors=_parse_vectors(cp, "model.loss"),
+            gain_vectors=_parse_vectors(cp, "model.gain"),
         )
-        cfg.params = params_from_model(model)
     elif kind == "hatano-nelson":
         sec = "model.hatano-nelson"
-        n = _get_int(cp, sec, "n")
+        n = _get(cp, sec, "n", int)
         if n is None:
             raise ValidationError(f"[{sec}]: chain length n is required")
         cfg.hatano_nelson = HatanoNelsonParams(
             n=n,
-            omega=_get_float(cp, sec, "omega", 1.0),
-            lam=_get_float(cp, sec, "lambda", 0.3),
-            gamma=_get_float(cp, sec, "gamma", 0.5),
-            a=_get_float(cp, sec, "a", 2.5),
-            x=_get_float(cp, sec, "x"),
+            omega=_get(cp, sec, "omega", float, 1.0),
+            lam=_get(cp, sec, "lambda", float, 0.3),
+            gamma=_get(cp, sec, "gamma", float, 0.5),
+            a=_get(cp, sec, "a", float, 2.5),
+            x=_get(cp, sec, "x", float),
         )
-        cfg.delta = _get_float(cp, sec, "delta", cfg.delta)
+        cfg.delta = _get(cp, sec, "delta", float, cfg.delta)
 
     if cp.has_section("initial"):
         state = cp["initial"].get("state", "vacuum").strip().lower()
@@ -224,7 +218,7 @@ def parse_config_text(text: str) -> JobConfig:
 
     if cp.has_section("tolerances"):
         for key in cp["tolerances"]:
-            tol = _get_float(cp, "tolerances", key)
+            tol = _get(cp, "tolerances", key, float)
             if tol is None or not 0 <= tol < np.inf:
                 raise ValidationError(
                     f"[tolerances] {key}: need a finite number >= 0, got {tol}")

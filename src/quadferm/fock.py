@@ -30,6 +30,11 @@ factor; loss(B), for one, is the n pairs ``(c_k, sum_j B_jk c_j†)``.
 ``_generator_terms`` is the one place the L(A, M) coefficients appear.
 ``_assemble`` turns a list into its 4^n x 4^n matrix (no other code forms
 one from operator pairs) and ``_apply`` applies it to one operator.
+
+Sizes.  Every function reads the mode count n from its operands: a
+coefficient matrix or generator is n x n, a smearing vector has n entries,
+a density matrix is 2^n x 2^n.  n is an argument only where it is the sole
+input (``annihilators``, ``vacuum_projector``, ``majorana_operators``).
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ __all__ = [
     "MAX_MODES",
     "MAX_DENSE_EVOLVE_MODES",
     "annihilators",
-    "creators",
     "vacuum_projector",
     "smeared_creation",
     "smeared_annihilation",
@@ -57,7 +61,6 @@ __all__ = [
     "unvec",
     "super_basic",
     "super_liouvillian",
-    "super_master_equation",
     "apply_generator",
     "dense_evolve",
     "gaussian_density",
@@ -65,7 +68,6 @@ __all__ = [
     "read_correlations",
     "majorana_operators",
     "majorana_liouvillian",
-    "trace_distance",
 ]
 
 #: Hard caps: operator construction / superoperator exponentiation.
@@ -83,13 +85,18 @@ def _check_modes(n: int) -> int:
     return n
 
 
-def _check_coefficients(a, n: int) -> tuple[np.ndarray, int]:
+def _check_coefficients(a) -> tuple[np.ndarray, int]:
     """``a`` as a finite n x n complex array and n as a checked mode count."""
     a = as_square(a, "coefficient matrix")
-    n = _check_modes(n)
-    if a.shape != (n, n):
-        raise ValidationError(f"coefficient matrix is {a.shape}, expected {(n, n)}")
-    return a, n
+    return a, _check_modes(a.shape[0])
+
+
+def _check_vector(v) -> tuple[np.ndarray, int]:
+    """``v`` as a 1-D complex array and its length as a checked mode count."""
+    v = np.asarray(v, dtype=complex)
+    if v.ndim != 1:
+        raise ValidationError(f"smearing vector must be 1-D, got shape {v.shape}")
+    return v, _check_modes(v.size)
 
 
 @lru_cache(maxsize=None)
@@ -130,10 +137,6 @@ def annihilators(n: int) -> list[np.ndarray]:
     return [op.copy() for op in _car(_check_modes(n))]
 
 
-def creators(n: int) -> list[np.ndarray]:
-    return [op.conj().T.copy() for op in _car(_check_modes(n))]
-
-
 def vacuum_projector(n: int) -> np.ndarray:
     """The vacuum density matrix |v><v| (all modes empty)."""
     dim = 2 ** _check_modes(n)
@@ -142,27 +145,21 @@ def vacuum_projector(n: int) -> np.ndarray:
     return omega
 
 
-def smeared_creation(xi, n: int) -> np.ndarray:
-    """(c, xi) = sum_j xi_j c_j†."""
-    xi = np.asarray(xi, dtype=complex).reshape(-1)
-    ops = _car(_check_modes(n))
-    if xi.shape != (len(ops),):
-        raise ValidationError(f"vector length {xi.shape[0]} != mode count {n}")
-    return _smear(xi, _dagger(ops))
+def smeared_creation(xi) -> np.ndarray:
+    """(c, xi) = sum_j xi_j c_j† on the len(xi) modes of xi."""
+    xi, n = _check_vector(xi)
+    return _smear(xi, _dagger(_car(n)))
 
 
-def smeared_annihilation(eta, n: int) -> np.ndarray:
-    """(eta, c) = sum_j conj(eta_j) c_j."""
-    eta = np.asarray(eta, dtype=complex).reshape(-1)
-    ops = _car(_check_modes(n))
-    if eta.shape != (len(ops),):
-        raise ValidationError(f"vector length {eta.shape[0]} != mode count {n}")
-    return _smear(eta.conj(), ops)
+def smeared_annihilation(eta) -> np.ndarray:
+    """(eta, c) = sum_j conj(eta_j) c_j on the len(eta) modes of eta."""
+    eta, n = _check_vector(eta)
+    return _smear(eta.conj(), _car(n))
 
 
-def quadratic_form(a, n: int) -> np.ndarray:
-    """(c, A c) = sum_jk A_jk c_j† c_k on the Fock space."""
-    a, n = _check_coefficients(a, n)
+def quadratic_form(a) -> np.ndarray:
+    """(c, A c) = sum_jk A_jk c_j† c_k on the Fock space of n x n A."""
+    a, n = _check_coefficients(a)
     c = _car(n)
     return _bilinear(a, _dagger(c), c)
 
@@ -209,9 +206,9 @@ def _apply(terms, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _basic_terms(kind: str, a: np.ndarray, n: int) -> list:
-    """Sandwich terms of :func:`super_basic`, for a checked ``a`` and n."""
-    c = _car(n)
+def _basic_terms(kind: str, a: np.ndarray) -> list:
+    """Sandwich terms of :func:`super_basic`, for a checked ``a``."""
+    c = _car(a.shape[0])
     if kind == "loss":
         return list(zip(c, _smear(a, _dagger(c))))
     if kind == "gain":
@@ -223,16 +220,17 @@ def _basic_terms(kind: str, a: np.ndarray, n: int) -> list:
     raise ValidationError(f"unknown superoperator kind {kind!r}")
 
 
-def _generator_terms(a: np.ndarray, m: np.ndarray, n: int) -> list:
+def _generator_terms(a: np.ndarray, m: np.ndarray) -> list:
     """Sandwich terms of L(A, M), operands checked; -tr(M) rides on left."""
+    n = a.shape[0]
     c = _car(n)
     ah = a.conj().T
     left = _bilinear(a + m, _dagger(c), c) - np.trace(m) * np.eye(2 ** n)
-    return [*_basic_terms("loss", -a - ah - m, n), *_basic_terms("gain", m, n),
+    return [*_basic_terms("loss", -a - ah - m), *_basic_terms("gain", m),
             (left, None), (None, _bilinear(ah + m, _dagger(c), c))]
 
 
-def super_basic(kind: str, a, n: int) -> np.ndarray:
+def super_basic(kind: str, a) -> np.ndarray:
     """One of the four basic superoperators with coefficient matrix ``a``.
 
     kind: 'loss'  -> sum_jk a_jk c_k rho c_j†
@@ -240,22 +238,18 @@ def super_basic(kind: str, a, n: int) -> np.ndarray:
           'left'  -> (c, a c) rho
           'right' -> rho (c, a c)
     """
-    a, n = _check_coefficients(a, n)
-    return _assemble(_basic_terms(kind, a, n), 2 ** n)
+    a, n = _check_coefficients(a)
+    return _assemble(_basic_terms(kind, a), 2 ** n)
 
 
-def super_liouvillian(params: AffineGenerator, n: int | None = None) -> np.ndarray:
+def super_liouvillian(params: AffineGenerator) -> np.ndarray:
     """The dense matrix of the generator L(A, M) of any pair (A, M).
 
     Trace preserving for every (A, M): the vectorized trace functional
     annihilates it.
     """
-    if n is None:
-        n = params.n
-    n = _check_modes(n)
-    if params.n != n:
-        raise ValidationError(f"params are {params.n}-mode, expected {n}")
-    return _assemble(_generator_terms(params.a, params.m, n), 2 ** n)
+    n = _check_modes(params.n)
+    return _assemble(_generator_terms(params.a, params.m), 2 ** n)
 
 
 def super_master_equation(h, loss_vectors=(), gain_vectors=()) -> np.ndarray:
@@ -266,30 +260,32 @@ def super_master_equation(h, loss_vectors=(), gain_vectors=()) -> np.ndarray:
                + sum_gain (2 D† rho D - {D D†, rho}),
 
     with jump operators D = (l, c).  Independent of the L(A, M) terms;
-    used to pin the convention A = -iH - D - E, M = 2E.
+    used to pin the convention A = -iH - D - E, M = 2E.  Not exported: it
+    is the reference the tests hold ``params_from_model`` to.
     """
     h = as_square(h, "hamiltonian matrix")
     n = h.shape[0]
-    ham = quadratic_form(h, n)
+    ham = quadratic_form(h)
+    if any(np.size(v) != n for v in (*loss_vectors, *gain_vectors)):
+        raise ValidationError(f"coupling vectors must have length {n}")
     terms = [(-1j * ham, None), (None, 1j * ham)]
     for v in loss_vectors:
-        d_op = smeared_annihilation(v, n)
+        d_op = smeared_annihilation(v)
         dd = d_op.conj().T @ d_op
         terms += [(2 * d_op, d_op.conj().T), (-dd, None), (None, -dd)]
     for v in gain_vectors:
-        d_op = smeared_annihilation(v, n)
+        d_op = smeared_annihilation(v)
         dd = d_op @ d_op.conj().T
         terms += [(2 * d_op.conj().T, d_op), (-dd, None), (None, -dd)]
     return _assemble(terms, 2 ** n)
 
 
-def apply_generator(a, m, rho: np.ndarray) -> np.ndarray:
+def apply_generator(params: AffineGenerator, rho: np.ndarray) -> np.ndarray:
     """Apply L(A, M) to a single operator without building the 4^n matrix."""
     n = density_modes(rho)
-    gen = AffineGenerator(a, m)
-    if gen.n != n:
-        raise ValidationError(f"generator is {gen.n}-mode, rho is {n}-mode")
-    return _apply(_generator_terms(gen.a, gen.m, n), rho)
+    if params.n != n:
+        raise ValidationError(f"generator is {params.n}-mode, rho is {n}-mode")
+    return _apply(_generator_terms(params.a, params.m), rho)
 
 
 def dense_evolve(params: AffineGenerator, rho: np.ndarray, t: float) -> np.ndarray:
@@ -307,7 +303,7 @@ def dense_evolve(params: AffineGenerator, rho: np.ndarray, t: float) -> np.ndarr
     t = float(t)
     if not 0 <= t < np.inf:
         raise ValidationError(f"time must be finite and >= 0, got {t}")
-    prop = scipy.linalg.expm(t * super_liouvillian(params, n))
+    prop = scipy.linalg.expm(t * super_liouvillian(params))
     return unvec(prop @ vec(rho))
 
 
@@ -325,12 +321,12 @@ def gaussian_density(state: GaussianState) -> np.ndarray:
     if np.min(occ) > 1e-12 and np.max(occ) < 1 - 1e-12:
         log_ratio = np.log(occ / (1 - occ))
         x_mat = (vecs * log_ratio) @ vecs.conj().T
-        rho = float(np.prod(1 - occ)) * scipy.linalg.expm(quadratic_form(x_mat, n))
+        rho = float(np.prod(1 - occ)) * scipy.linalg.expm(quadratic_form(x_mat))
     else:
         dim = 2 ** n
         rho = np.eye(dim, dtype=complex)
         for p, col in zip(occ, vecs.T):
-            number_op = smeared_creation(col, n) @ smeared_annihilation(col, n)
+            number_op = smeared_creation(col) @ smeared_annihilation(col)
             rho = rho @ ((1 - p) * (np.eye(dim) - number_op) + p * number_op)
     return hermitize(rho)
 
@@ -352,12 +348,6 @@ def read_correlations(rho: np.ndarray) -> np.ndarray:
     return np.trace(_dagger(ops)[None] @ ops[:, None] @ rho, axis1=2, axis2=3)
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Half the trace norm of rho - sigma."""
-    diff = hermitize(np.asarray(rho) - np.asarray(sigma))
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
-
-
 # -- Majorana form of the generator family ---------------------------------
 
 def majorana_operators(n: int) -> list[np.ndarray]:
@@ -370,10 +360,10 @@ def majorana_operators(n: int) -> list[np.ndarray]:
     return [w for pair in zip(c + cd, 1j * (c - cd)) for w in pair]
 
 
-def majorana_liouvillian(a, n_mat, n: int) -> np.ndarray:
+def majorana_liouvillian(a, n_mat) -> np.ndarray:
     """Dense generator of the general (not gauge-invariant) quadratic family.
 
-    For a real 2n x 2n matrix A and real antisymmetric N,
+    For a real 2n x 2n matrix A and real antisymmetric N of the same shape,
 
         L(A, N) rho = (1/4) sum_jk ( (A - A^T)_jk / 2 [w_j w_k, rho]
                                      + i N_jk {w_j w_k, rho}
@@ -381,12 +371,11 @@ def majorana_liouvillian(a, n_mat, n: int) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     n_mat = np.asarray(n_mat, dtype=float)
-    n = _check_modes(n)
-    two_n = 2 * n
-    if a.shape != (two_n, two_n) or n_mat.shape != (two_n, two_n):
-        raise ValidationError(
-            f"Majorana coefficient matrices must be {two_n} x {two_n}"
-        )
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2 \
+            or n_mat.shape != a.shape:
+        raise ValidationError("Majorana coefficient matrices must both be "
+                              f"2n x 2n, got {a.shape} and {n_mat.shape}")
+    n = _check_modes(a.shape[0] // 2)
     if np.linalg.norm(n_mat + n_mat.T) > 1e-12 * max(1.0, np.linalg.norm(n_mat)):
         raise ValidationError("noise coefficient matrix must be antisymmetric")
     w = np.array(majorana_operators(n))

@@ -30,7 +30,6 @@ from .linalg import (_noise_limit, as_square, hermitize, is_hermitian,
 __all__ = [
     "LiouvillianParams",
     "GaussianState",
-    "PhysicalModel",
     "AsymptoticDecomposition",
     "params_from_model",
     "evolve_grid",
@@ -106,61 +105,34 @@ class GaussianState:
         return self.r.diagonal().real.copy()
 
 
-@dataclass(frozen=True)
-class PhysicalModel:
-    """Microscopic data: Hamiltonian matrix and loss/gain coupling vectors."""
+def params_from_model(h, loss_vectors=(), gain_vectors=()) -> LiouvillianParams:
+    """Generator pair of a microscopic model: A = -iH - D - E, M = 2E.
 
-    h: np.ndarray
-    loss_vectors: tuple = ()
-    gain_vectors: tuple = ()
-
-    def __post_init__(self):
-        h = as_square(self.h, "hamiltonian matrix")
-        if not is_hermitian(h):
-            raise ValidationError("hamiltonian matrix must be Hermitian")
-        n = h.shape[0]
-        loss = tuple(np.asarray(v, dtype=complex).reshape(-1)
-                     for v in self.loss_vectors)
-        gain = tuple(np.asarray(v, dtype=complex).reshape(-1)
-                     for v in self.gain_vectors)
-        for v in (*loss, *gain):
-            if v.shape != (n,):
-                raise ValidationError(
-                    f"coupling vector has length {v.shape[0]}, expected {n}"
-                )
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "loss_vectors", loss)
-        object.__setattr__(self, "gain_vectors", gain)
-
-    @property
-    def n(self) -> int:
-        return self.h.shape[0]
-
-    def loss_gram(self) -> np.ndarray:
-        """D = sum of l l† over loss channels (positive semidefinite)."""
-        return _gram(self.loss_vectors, self.n)
-
-    def gain_gram(self) -> np.ndarray:
-        """E = sum of l l† over gain channels (positive semidefinite)."""
-        return _gram(self.gain_vectors, self.n)
+    ``h`` is the Hermitian n x n Hamiltonian matrix; D and E sum ``v v†``
+    over the length-n loss and gain coupling vectors.  Admissibility is
+    automatic here: M = 2E >= 0 and -A - A† - M = 2D >= 0 by construction.
+    Raises ValidationError for a non-Hermitian h or a vector of another
+    length.
+    """
+    h = as_square(h, "hamiltonian matrix")
+    if not is_hermitian(h):
+        raise ValidationError("hamiltonian matrix must be Hermitian")
+    d = _gram(loss_vectors, h.shape[0])
+    e = _gram(gain_vectors, h.shape[0])
+    return LiouvillianParams(-1j * h - d - e, 2 * e)
 
 
 def _gram(vectors, n: int) -> np.ndarray:
+    """Sum of v v† over coupling vectors of length n."""
     out = np.zeros((n, n), dtype=complex)
     for v in vectors:
+        v = np.asarray(v, dtype=complex).reshape(-1)
+        if v.shape != (n,):
+            raise ValidationError(
+                f"coupling vector has length {v.shape[0]}, expected {n}"
+            )
         out += np.outer(v, v.conj())
     return out
-
-
-def params_from_model(model: PhysicalModel) -> LiouvillianParams:
-    """Generator pair of a microscopic model: A = -iH - D - E, M = 2E.
-
-    Admissibility is automatic here: M = 2E >= 0 and
-    -A - A† - M = 2D >= 0 by construction.
-    """
-    d = model.loss_gram()
-    e = model.gain_gram()
-    return LiouvillianParams(-1j * model.h - d - e, 2 * e)
 
 
 def evolve_grid(params: AffineGenerator, state: GaussianState,

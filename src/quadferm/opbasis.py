@@ -16,6 +16,10 @@ noiseless semigroup: ``e^{tL(A,O)} phi(xi; eta) = phi(e^{tA} xi; e^{tA} eta)``.
 The phi family diagonalizes long-time behavior: mapping every argument
 through the persistent projector implements the projection onto the
 subspace of operators that survive the damped part of the evolution.
+
+The element functions take the mode count n, since either argument list
+may be empty; the family matrix and the expansion read it from their
+bases, which hold n vectors of length n.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from math import factorial
 import numpy as np
 
 from .errors import ValidationError
-from .fock import (_apply, _generator_terms, density_modes,
+from .fock import (_apply, _check_modes, _generator_terms, density_modes,
                    smeared_annihilation, smeared_creation, unvec,
                    vacuum_projector, vec)
 
@@ -57,9 +61,9 @@ def pi_element(xis, etas, n: int) -> np.ndarray:
     etas = _as_vectors(etas, n, "annihilation list")
     out = vacuum_projector(n)
     for xi in reversed(xis):
-        out = smeared_creation(xi, n) @ out
+        out = smeared_creation(xi) @ out
     for eta in reversed(etas):
-        out = out @ smeared_annihilation(eta, n)
+        out = out @ smeared_annihilation(eta)
     return out
 
 
@@ -76,7 +80,7 @@ def _phi(xis: list, etas: list, n: int) -> np.ndarray:
         return pi_element(xis, etas, n)
     inner = _phi(xis[1:], etas[1:], n)
     zero = np.zeros((n, n), dtype=complex)
-    terms = _generator_terms(zero, np.outer(xis[0], etas[0].conj()), n)
+    terms = _generator_terms(zero, np.outer(xis[0], etas[0].conj()))
     return _apply(terms, inner)
 
 
@@ -145,16 +149,18 @@ def _subset_labels(n: int):
     return [(s, t) for s in subsets for t in subsets]
 
 
-def phi_family_matrix(xi_basis, eta_basis, n: int) -> tuple[list, np.ndarray]:
-    """Column matrix of every dressed element over two bases of C^n.
+def phi_family_matrix(xi_basis, eta_basis) -> tuple[list, np.ndarray]:
+    """Column matrix of every dressed element over two bases of C^n, each
+    n vectors of length n.
 
     Returns (labels, B) where column i of B is the vectorized element for
     labels[i] = (S, T), built from the sub-families xi_basis[S], eta_basis[T].
     When both bases span C^n the columns span the full operator space.
     """
+    n = _check_modes(len(xi_basis))
     xi_basis = _as_vectors(xi_basis, n, "creation basis")
     eta_basis = _as_vectors(eta_basis, n, "annihilation basis")
-    if len(xi_basis) != n or len(eta_basis) != n:
+    if len(eta_basis) != n:
         raise ValidationError("both bases must contain exactly n vectors")
     labels = _subset_labels(n)
     dim = 4 ** n
@@ -165,9 +171,12 @@ def phi_family_matrix(xi_basis, eta_basis, n: int) -> tuple[list, np.ndarray]:
     return labels, b
 
 
-def expand_in_phi(rho: np.ndarray, xi_basis, eta_basis, n: int):
+def expand_in_phi(rho: np.ndarray, xi_basis, eta_basis):
     """Coefficients of an operator in the dressed family over given bases."""
-    labels, b = phi_family_matrix(xi_basis, eta_basis, n)
+    if density_modes(rho) != len(xi_basis):
+        raise ValidationError(f"rho is {density_modes(rho)}-mode, "
+                              f"the bases hold {len(xi_basis)} vectors")
+    labels, b = phi_family_matrix(xi_basis, eta_basis)
     coeffs = np.linalg.solve(b, vec(rho))
     return labels, coeffs, b
 
@@ -181,13 +190,12 @@ def project_persistent(rho: np.ndarray, p0: np.ndarray) -> np.ndarray:
     (persistent basis vectors first) and dropping every coefficient whose
     label touches a damped index.
     """
-    n = density_modes(rho)
     p0 = np.asarray(p0, dtype=complex)
     occ, vecs_p = np.linalg.eigh(p0)
     order = np.argsort(-occ)
     basis = [vecs_p[:, i] for i in order]
     dim0 = int(np.sum(occ > 0.5))
-    labels, coeffs, b = expand_in_phi(rho, basis, basis, n)
+    labels, coeffs, b = expand_in_phi(rho, basis, basis)
     for i, (s, t) in enumerate(labels):
         if any(j >= dim0 for j in s) or any(j >= dim0 for j in t):
             coeffs[i] = 0.0

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from quadferm import cli, verify
+from quadferm import cli, fock, verify
 from quadferm.cli import main
 from quadferm.config import parse_config_text
 from quadferm.errors import ValidationError
@@ -133,6 +133,17 @@ class TestCommands:
         cfg = tmp_path / "job.ini"
         cfg.write_text(SINGLE_MODE, encoding="utf-8")
         assert main(["evolve", "--config", str(cfg)]) == 1
+
+    def test_evolve_state_of_another_size_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(_explicit_ini(-np.eye(3), np.zeros((3, 3)))
+                       + "[initial]\nstate = matrix\n[initial.r]\n"
+                         "row1 = 0.5 0 0 0\nrow2 = 0 0 0.5 0\n"
+                         "[times]\nvalues = 0 1\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "size mismatch" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_steady_single_mode(self, tmp_path, capsys):
         cfg = tmp_path / "job.ini"
@@ -393,6 +404,12 @@ class TestVerifyCommand:
 
     def test_mode_count_cap(self):
         assert main(["verify", "--n", "9"]) == 1
+
+    def test_help_states_the_mode_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(fock, "MAX_DENSE_EVOLVE_MODES", 8)
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert "mode count (<= 8)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("n", [0, 6])
     def test_suite_rejects_mode_count_before_any_check(self, monkeypatch, n):

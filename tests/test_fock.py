@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quadferm import fock
-from quadferm.affine import flow
+from quadferm.affine import AffineGenerator, flow
 from quadferm.errors import ValidationError
 from quadferm.gaussian import GaussianState, LiouvillianParams, steady_state
 from quadferm.verify import (random_complex_matrix, random_correlation_matrix,
@@ -47,16 +47,20 @@ class TestCarConstruction:
 class TestBasicSuperoperators:
     def test_zero_coefficients_give_zero_map(self):
         zero = np.zeros((2, 2))
-        assert np.linalg.norm(fock.super_basic("left", zero, 2)) == 0.0
+        assert np.linalg.norm(fock.super_basic("left", zero)) == 0.0
 
     def test_left_multiplication_kills_vacuum(self):
         omega = fock.vacuum_projector(1)
-        op = fock.super_basic("left", np.array([[1.0]]), 1)
+        op = fock.super_basic("left", np.array([[1.0]]))
         assert np.linalg.norm(fock.unvec(op @ fock.vec(omega))) == 0.0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
-            fock.super_basic("twist", np.eye(2), 2)
+            fock.super_basic("twist", np.eye(2))
+
+    def test_sizes_come_from_the_operand(self):
+        assert fock.quadratic_form(np.eye(3)).shape == (8, 8)
+        assert fock.super_basic("left", np.eye(3)).shape == (64, 64)
 
     def test_matrices_agree_with_defining_sums(self, rng):
         # apply each stored 4^n matrix to random operators and compare with
@@ -71,11 +75,11 @@ class TestBasicSuperoperators:
                             for j in range(n) for k in range(n)),
                 "gain": sum(a[j, k] * ops[j].conj().T @ rho @ ops[k]
                             for j in range(n) for k in range(n)),
-                "left": fock.quadratic_form(a, n) @ rho,
-                "right": rho @ fock.quadratic_form(a, n),
+                "left": fock.quadratic_form(a) @ rho,
+                "right": rho @ fock.quadratic_form(a),
             }
             for kind, expected in by_sum.items():
-                out = fock.unvec(fock.super_basic(kind, a, n) @ fock.vec(rho))
+                out = fock.unvec(fock.super_basic(kind, a) @ fock.vec(rho))
                 assert np.linalg.norm(out - expected) <= 1e-12
 
     def test_loss_gain_commutator_identity(self, rng):
@@ -84,25 +88,25 @@ class TestBasicSuperoperators:
         for _ in range(5):
             c = random_complex_matrix(rng, n)
             d = random_complex_matrix(rng, n)
-            lhs = fock.super_basic("loss", c, n) @ fock.super_basic("gain", d, n) \
-                - fock.super_basic("gain", d, n) @ fock.super_basic("loss", c, n)
+            lhs = fock.super_basic("loss", c) @ fock.super_basic("gain", d) \
+                - fock.super_basic("gain", d) @ fock.super_basic("loss", c)
             rhs = np.trace(c @ d) * eye \
-                - fock.super_basic("left", d @ c, n) \
-                - fock.super_basic("right", c @ d, n)
+                - fock.super_basic("left", d @ c) \
+                - fock.super_basic("right", c @ d)
             assert np.linalg.norm(lhs - rhs) <= 1e-11
 
 
 class TestLiouvillianFamily:
     def test_zero_pair_gives_zero_map(self):
         params = LiouvillianParams(np.zeros((2, 2)), np.zeros((2, 2)))
-        assert np.linalg.norm(fock.super_liouvillian(params, 2)) == 0.0
+        assert np.linalg.norm(fock.super_liouvillian(params)) == 0.0
 
     def test_drift_only_annihilates_vacuum(self, rng):
         omega = fock.vacuum_projector(3)
         zero = np.zeros((3, 3))
         for _ in range(5):
             a = random_complex_matrix(rng, 3)
-            out = fock.apply_generator(a, zero, omega)
+            out = fock.apply_generator(AffineGenerator(a, zero), omega)
             assert np.linalg.norm(out) <= 1e-12
 
     def test_family_commutator_closes(self, rng):
@@ -110,11 +114,11 @@ class TestLiouvillianFamily:
         for _ in range(5):
             a, m = random_complex_matrix(rng, n), random_complex_matrix(rng, n)
             b, nn = random_complex_matrix(rng, n), random_complex_matrix(rng, n)
-            l1 = fock.super_liouvillian(LiouvillianParams(a, m), n)
-            l2 = fock.super_liouvillian(LiouvillianParams(b, nn), n)
+            l1 = fock.super_liouvillian(LiouvillianParams(a, m))
+            l2 = fock.super_liouvillian(LiouvillianParams(b, nn))
             target = fock.super_liouvillian(LiouvillianParams(
                 a @ b - b @ a,
-                a @ nn + nn @ a.conj().T - b @ m - m @ b.conj().T), n)
+                a @ nn + nn @ a.conj().T - b @ m - m @ b.conj().T))
             assert np.linalg.norm(l1 @ l2 - l2 @ l1 - target) <= 1e-10
 
     def test_matches_master_equation_assembly(self, rng):
@@ -127,15 +131,15 @@ class TestLiouvillianFamily:
         e = sum(np.outer(v, v.conj()) for v in gain)
         params = LiouvillianParams(-1j * h - d - e, 2 * e)
         direct = fock.super_master_equation(h, loss, gain)
-        assert np.linalg.norm(direct - fock.super_liouvillian(params, n)) <= 1e-12
+        assert np.linalg.norm(direct - fock.super_liouvillian(params)) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_apply_generator_matches_matrix(self, rng, n):
         a = random_complex_matrix(rng, n)
         m = random_complex_matrix(rng, n)
         rho = random_complex_matrix(rng, 2 ** n)
-        mat = fock.super_liouvillian(LiouvillianParams(a, m), n)
-        direct = fock.apply_generator(a, m, rho)
+        mat = fock.super_liouvillian(LiouvillianParams(a, m))
+        direct = fock.apply_generator(LiouvillianParams(a, m), rho)
         assert np.linalg.norm(direct - fock.unvec(mat @ fock.vec(rho))) <= 1e-12
 
 
@@ -143,9 +147,9 @@ class TestDensityMatrixShape:
     @pytest.mark.parametrize("shape", [(6, 6), (4, 2), (1, 1), (4,), (128, 128)])
     def test_rejected_with_validation_error(self, shape):
         rho = np.zeros(shape, dtype=complex)
-        zero = np.zeros((2, 2))
+        zero = AffineGenerator(np.zeros((2, 2)), np.zeros((2, 2)))
         for call in (lambda: fock.density_modes(rho),
-                     lambda: fock.apply_generator(zero, zero, rho),
+                     lambda: fock.apply_generator(zero, rho),
                      lambda: fock.read_correlations(rho)):
             with pytest.raises(ValidationError):
                 call()
@@ -157,7 +161,7 @@ class TestDensityMatrixShape:
     def test_generator_size_must_match(self, rng):
         a = random_complex_matrix(rng, 3)
         with pytest.raises(ValidationError):
-            fock.apply_generator(a, a, fock.vacuum_projector(2))
+            fock.apply_generator(AffineGenerator(a, a), fock.vacuum_projector(2))
 
 
 class TestDerivedCommutatorIdentities:
@@ -205,11 +209,11 @@ class TestDenseEvolve:
         for _ in range(3):
             params = random_gksl_params(rng, n)
             noise = flow(params, t).m
-            lhs = scipy.linalg.expm(t * fock.super_liouvillian(params, n))
+            lhs = scipy.linalg.expm(t * fock.super_liouvillian(params))
             rhs = scipy.linalg.expm(
-                fock.super_liouvillian(LiouvillianParams(zero, noise), n)
+                fock.super_liouvillian(LiouvillianParams(zero, noise))
             ) @ scipy.linalg.expm(
-                t * fock.super_liouvillian(LiouvillianParams(params.a, zero), n)
+                t * fock.super_liouvillian(LiouvillianParams(params.a, zero))
             )
             assert np.linalg.norm(lhs - rhs) <= 1e-10
 
@@ -249,7 +253,7 @@ class TestGaussianDensity:
         occ, vecs = np.linalg.eigh(r)
         product = np.eye(8, dtype=complex)
         for p, col in zip(occ, vecs.T):
-            n_op = fock.smeared_creation(col, 3) @ fock.smeared_annihilation(col, 3)
+            n_op = fock.smeared_creation(col) @ fock.smeared_annihilation(col)
             product = product @ ((1 - p) * (np.eye(8) - n_op) + p * n_op)
         assert np.linalg.norm(closed - product) <= 1e-12
 
@@ -258,7 +262,7 @@ class TestGaussianDensity:
         rho = fock.gaussian_density(GaussianState(r))
         for _ in range(10):
             t_mat = random_hermitian(rng, 3)
-            dense = np.trace(fock.quadratic_form(t_mat, 3) @ rho)
+            dense = np.trace(fock.quadratic_form(t_mat) @ rho)
             assert abs(dense - np.trace(t_mat @ r)) <= 1e-10
 
 
@@ -281,10 +285,10 @@ class TestReadCorrelations:
 def bracket_residual(a, n_mat, b, r_mat, n):
     """``|| [L(A,N), L(B,R)] - L([A,B], AR + RA^T - BN - NB^T) ||`` for
     the Majorana-form generators."""
-    l1 = fock.majorana_liouvillian(a, n_mat, n)
-    l2 = fock.majorana_liouvillian(b, r_mat, n)
+    l1 = fock.majorana_liouvillian(a, n_mat)
+    l2 = fock.majorana_liouvillian(b, r_mat)
     target = fock.majorana_liouvillian(
-        a @ b - b @ a, a @ r_mat + r_mat @ a.T - b @ n_mat - n_mat @ b.T, n)
+        a @ b - b @ a, a @ r_mat + r_mat @ a.T - b @ n_mat - n_mat @ b.T)
     return float(np.linalg.norm(l1 @ l2 - l2 @ l1 - target))
 
 
@@ -335,10 +339,19 @@ class TestMajorana:
                  + 1j * n_mat[j, k] * (w[j] @ w[k] @ rho + rho @ w[j] @ w[k])
                  + (-a - a.T + 2j * n_mat)[j, k] * w[j] @ rho @ w[k]) / 4
                 for j in range(two_n) for k in range(two_n))
-            mat = fock.majorana_liouvillian(a, n_mat, n)
+            mat = fock.majorana_liouvillian(a, n_mat)
             out = fock.unvec(mat @ fock.vec(rho))
             assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_symmetric_noise_rejected(self):
         with pytest.raises(ValidationError):
-            fock.majorana_liouvillian(np.eye(4), np.eye(4), 2)
+            fock.majorana_liouvillian(np.eye(4), np.eye(4))
+
+    @pytest.mark.parametrize("a, n_mat", [
+        (np.zeros((3, 3)), np.zeros((3, 3))),
+        (np.zeros((4, 4)), np.zeros((2, 2))),
+        (np.zeros((4, 2)), np.zeros((4, 2))),
+    ], ids=["odd", "mismatched", "non-square"])
+    def test_shape_rejected(self, a, n_mat):
+        with pytest.raises(ValidationError, match="2n x 2n"):
+            fock.majorana_liouvillian(a, n_mat)

@@ -6,10 +6,9 @@ from quadferm import fock
 from quadferm.affine import AffineGenerator, act, flow
 from quadferm.errors import PhysicsError, ValidationError
 from quadferm.gaussian import (GaussianState, LiouvillianParams,
-                               PhysicalModel, asymptotic_decomposition,
-                               entropy, evolve_grid, evolve_state,
-                               expectation_quadratic, params_from_model,
-                               steady_state)
+                               asymptotic_decomposition, entropy, evolve_grid,
+                               evolve_state, expectation_quadratic,
+                               params_from_model, steady_state)
 from quadferm.linalg import hermitize, lyapunov_solve
 from quadferm.verify import (random_correlation_matrix, random_gksl_params,
                              random_hermitian, random_psd)
@@ -19,23 +18,21 @@ from conftest import kron_lyapunov
 
 class TestParamsFromModel:
     def test_empty_model(self):
-        params = params_from_model(PhysicalModel(np.zeros((2, 2))))
+        params = params_from_model(np.zeros((2, 2)))
         assert np.linalg.norm(params.a) == 0.0
         assert np.linalg.norm(params.m) == 0.0
         assert params.gksl
 
     def test_single_decaying_mode(self):
         omega, gamma = 1.3, 0.6
-        model = PhysicalModel([[omega]], loss_vectors=([np.sqrt(gamma)],))
-        params = params_from_model(model)
+        params = params_from_model([[omega]], loss_vectors=([np.sqrt(gamma)],))
         assert abs(params.a[0, 0] - (-1j * omega - gamma)) < 1e-15
         assert abs(params.m[0, 0]) == 0.0
         assert params.gksl
 
     def test_single_gain_mode(self):
         omega, gamma = 0.9, 0.4
-        model = PhysicalModel([[omega]], gain_vectors=([np.sqrt(gamma)],))
-        params = params_from_model(model)
+        params = params_from_model([[omega]], gain_vectors=([np.sqrt(gamma)],))
         assert abs(params.a[0, 0] - (-1j * omega - gamma)) < 1e-15
         assert abs(params.m[0, 0] - 2 * gamma) < 1e-15
         # -A - A† - M = 2D - ... here D = 0, so the sandwich degenerates:
@@ -48,15 +45,38 @@ class TestParamsFromModel:
             loss = tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3)
                          for _ in range(2))
             gain = (rng.standard_normal(3) + 1j * rng.standard_normal(3),)
-            params = params_from_model(PhysicalModel(h, loss, gain))
+            params = params_from_model(h, loss, gain)
             assert params.gksl
 
     def test_non_hermitian_hamiltonian_rejected(self):
-        with pytest.raises(ValidationError):
-            PhysicalModel(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValidationError, match="Hermitian"):
+            params_from_model(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("channel", ["loss_vectors", "gain_vectors"])
+    def test_wrong_length_vector_rejected(self, channel):
+        vectors = ([1.0, 0.0], [0.5, 0.5, 0.0])
+        with pytest.raises(ValidationError, match="length 3, expected 2"):
+            params_from_model(np.eye(2), **{channel: vectors})
+
+    def test_sums_channels_in_order(self, rng):
+        # D and E are the running sums of v v† in channel order, so the
+        # pair is bit-identical to the one assembled by hand
+        h = random_hermitian(rng, 3)
+        loss = [rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                for _ in range(3)]
+        gain = [rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                for _ in range(2)]
+        d, e = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
+        for v in loss:
+            d += np.outer(v, v.conj())
+        for v in gain:
+            e += np.outer(v, v.conj())
+        params = params_from_model(h, loss, gain)
+        assert np.array_equal(params.a, -1j * h - d - e)
+        assert np.array_equal(params.m, 2 * e)
 
     def test_params_are_affine_generators(self):
-        params = params_from_model(PhysicalModel(np.eye(2)))
+        params = params_from_model(np.eye(2))
         assert isinstance(params, AffineGenerator)
         assert params.n == 2
 
@@ -418,7 +438,7 @@ class TestExpectationAndEntropy:
             r = random_correlation_matrix(rng, 2)
             t_mat = random_hermitian(rng, 2)
             rho = fock.gaussian_density(GaussianState(r))
-            dense = np.trace(fock.quadratic_form(t_mat, 2) @ rho)
+            dense = np.trace(fock.quadratic_form(t_mat) @ rho)
             fast = expectation_quadratic(GaussianState(r), t_mat)
             assert abs(dense - fast) <= 1e-10
 

@@ -60,7 +60,7 @@ class TestElements:
             xi, eta = rand_vec(rng, n), rand_vec(rng, n)
             params = LiouvillianParams(np.zeros((n, n)),
                                        np.outer(xi, eta.conj()))
-            gen = fock.super_liouvillian(params, n)
+            gen = fock.super_liouvillian(params)
             assert np.linalg.norm(gen @ gen) <= 1e-13
 
     def test_too_many_vectors_rejected(self, rng):
@@ -102,7 +102,7 @@ class TestFamily:
     def test_full_rank(self, rng, n):
         xi_basis = [rand_vec(rng, n) for _ in range(n)]
         eta_basis = [rand_vec(rng, n) for _ in range(n)]
-        _, b = opbasis.phi_family_matrix(xi_basis, eta_basis, n)
+        _, b = opbasis.phi_family_matrix(xi_basis, eta_basis)
         b = b / np.linalg.norm(b, axis=0, keepdims=True)
         assert np.linalg.svd(b, compute_uv=False)[-1] > 1e-8
 
@@ -110,9 +110,23 @@ class TestFamily:
         n = 2
         basis = [rand_vec(rng, n) for _ in range(n)]
         rho = random_complex_matrix(rng, 4)
-        labels, coeffs, b = opbasis.expand_in_phi(rho, basis, basis, n)
+        labels, coeffs, b = opbasis.expand_in_phi(rho, basis, basis)
         assert len(labels) == 16
         assert np.linalg.norm(fock.unvec(b @ coeffs) - rho) <= 1e-11
+
+    def test_expansion_of_another_size_rejected(self, rng):
+        basis = [rand_vec(rng, 2) for _ in range(2)]
+        with pytest.raises(ValidationError, match="3-mode"):
+            opbasis.expand_in_phi(np.eye(8), basis, basis)
+
+    def test_bases_of_different_counts_rejected(self, rng):
+        xi_basis = [rand_vec(rng, 2) for _ in range(2)]
+        with pytest.raises(ValidationError):
+            opbasis.phi_family_matrix(xi_basis, xi_basis[:1])
+        with pytest.raises(ValidationError):
+            opbasis.phi_family_matrix(xi_basis[:1], xi_basis)
+        with pytest.raises(ValidationError, match="mode count"):
+            opbasis.phi_family_matrix([], [])
 
 
 def covariance_residual(a, xis, etas, t, n):
@@ -158,7 +172,7 @@ class TestEvolutionCovariance:
         xis = [rand_vec(twin, n) for _ in range(p_len)]
         etas = [rand_vec(twin, n) for _ in range(q_len)]
         prop = scipy.linalg.expm(
-            t * fock.super_liouvillian(LiouvillianParams(a, np.zeros((n, n))), n))
+            t * fock.super_liouvillian(LiouvillianParams(a, np.zeros((n, n)))))
         lhs = fock.unvec(prop @ fock.vec(opbasis.phi_element(xis, etas, n)))
         rot = scipy.linalg.expm(t * a)
         rhs = opbasis.phi_element([rot @ v for v in xis], [rot @ v for v in etas], n)
@@ -183,7 +197,7 @@ class TestPersistentProjection:
         zero = np.zeros((3, 3))
         a_minus = a - dec.a0_flow.a
         prop = scipy.linalg.expm(
-            80.0 * fock.super_liouvillian(LiouvillianParams(a_minus, zero), 3))
+            80.0 * fock.super_liouvillian(LiouvillianParams(a_minus, zero)))
         limit = fock.unvec(prop @ fock.vec(rho))
         assert np.linalg.norm(projected - limit) <= 1e-10
 
@@ -202,6 +216,10 @@ class TestPersistentProjection:
     def test_non_fock_dimension_rejected(self):
         with pytest.raises(ValidationError):
             opbasis.project_persistent(np.eye(6), np.eye(3))
+
+    def test_projector_of_another_size_rejected(self):
+        with pytest.raises(ValidationError):
+            opbasis.project_persistent(fock.vacuum_projector(2), np.eye(3))
 
     def test_full_projector_is_identity(self, rng):
         rho = random_density_matrix(rng, 4)
