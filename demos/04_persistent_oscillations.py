@@ -12,8 +12,9 @@ closed form.  `quadferm steady` prints the same limit and frequencies.
 
 import numpy as np
 
-from quadferm.gaussian import (GaussianState, LiouvillianParams,
-                               asymptotic_decomposition, evolve_state)
+from quadferm.affine import AffineGenerator
+from quadferm.gaussian import (GaussianState, asymptotic_decomposition,
+                               evolve_state)
 from quadferm.verify import random_correlation_matrix, random_hermitian, random_psd
 
 rng = np.random.default_rng(11)
@@ -27,7 +28,7 @@ m = np.zeros((3, 3), dtype=complex)
 a[0, 0] = 0.7j
 a[1:, 1:] = -1j * h2 - d2 - e2
 m[1:, 1:] = 2 * e2
-params = LiouvillianParams(a, m)
+params = AffineGenerator(a, m)
 print("admissible:", params.gksl)
 
 r0 = random_correlation_matrix(rng, 3)

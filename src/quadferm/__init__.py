@@ -11,24 +11,24 @@ from .affine import (AffineElement, AffineGenerator, act, bracket, compose,
                      flow, identity, inverse)
 from .errors import PhysicsError, QuadfermError, ValidationError
 from .gaussian import (AsymptoticDecomposition, GaussianState,
-                       LiouvillianParams, asymptotic_decomposition, entropy,
-                       evolve_grid, evolve_state, expectation_quadratic,
-                       params_from_model, steady_state)
+                       asymptotic_decomposition, entropy, evolve_grid,
+                       evolve_state, expectation_quadratic, params_from_model,
+                       steady_state)
 from .linalg import lyapunov_solve, mat_exp
 from .skin import (HatanoNelsonParams, build_bath, build_matrices,
-                   featureless_choice, liouvillian_params, steady_profile)
+                   featureless_choice, steady_profile)
 from .verify import run_suite
 
 __all__ = [
     "AffineElement", "AffineGenerator", "act", "bracket", "compose",
     "flow", "identity", "inverse",
     "PhysicsError", "QuadfermError", "ValidationError",
-    "AsymptoticDecomposition", "GaussianState", "LiouvillianParams",
+    "AsymptoticDecomposition", "GaussianState",
     "asymptotic_decomposition", "entropy", "evolve_grid", "evolve_state",
     "expectation_quadratic", "params_from_model", "steady_state",
     "lyapunov_solve", "mat_exp",
     "HatanoNelsonParams", "build_bath", "build_matrices",
-    "featureless_choice", "liouvillian_params", "steady_profile",
+    "featureless_choice", "steady_profile",
     "run_suite",
 ]
 

@@ -15,16 +15,22 @@ makes the correlation-matrix dynamics in :mod:`quadferm.gaussian` exact.
 evolution is ``act(flow(p, t), r)``.  Since e^{tA} of a damped drift
 underflows to zero at long horizons, only :func:`inverse` checks that u is
 invertible.
+
+A generator (A, M) is admissible (generates a completely positive
+trace-preserving semigroup) iff ``O <= M <= -A - A†``, exactly when its
+flow keeps every R with ``O <= R <= I`` in that interval; the flag is
+:attr:`AffineGenerator.gksl`, computed when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _van_loan_pair, as_square
+from .linalg import _van_loan_pair, as_square, hermitize, is_hermitian
 
 __all__ = [
     "AffineElement",
@@ -39,6 +45,8 @@ __all__ = [
 
 #: :func:`inverse` rejects linear parts with condition number above this.
 CONDITION_CAP = 1e12
+#: :attr:`AffineGenerator.gksl` tolerance, relative to max(1, ||m||, ||a||).
+GKSL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -84,6 +92,21 @@ class AffineGenerator:
     @property
     def n(self) -> int:
         return self.a.shape[0]
+
+    @cached_property
+    def gksl(self) -> bool:
+        """Admissibility: True iff m is Hermitian and ``O <= m <= -a - a†``
+        within GKSL_TOL (eigenvalue checks on m and on ``-a - a† - m``).
+        Computed on first read, then cached."""
+        a, m = self.a, self.m
+        if not is_hermitian(m):
+            return False
+        tol = GKSL_TOL * max(1.0, float(np.linalg.norm(m)),
+                             float(np.linalg.norm(a)))
+        lo = float(np.min(np.linalg.eigvalsh(hermitize(m)), initial=0.0))
+        gap = -(a + a.conj().T) - m
+        hi = float(np.min(np.linalg.eigvalsh(hermitize(gap)), initial=0.0))
+        return lo >= -tol and hi >= -tol
 
 
 def identity(n: int) -> AffineElement:

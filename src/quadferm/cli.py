@@ -33,7 +33,7 @@ from .config import JobConfig, load_config
 from .errors import PhysicsError, ValidationError
 from .gaussian import (GaussianState, asymptotic_decomposition, entropy,
                        evolve_grid)
-from .skin import (featureless_choice, liouvillian_params, localization_slope,
+from .skin import (build_bath, featureless_choice, localization_slope,
                    steady_profile)
 from .verify import check_names, run_suite
 
@@ -126,7 +126,7 @@ def _require_params(cfg: JobConfig):
     if cfg.params is not None:
         return cfg.params
     if cfg.hatano_nelson is not None:
-        return liouvillian_params(cfg.hatano_nelson)
+        return build_bath(cfg.hatano_nelson)
     raise ValidationError("config does not define a model")
 
 

@@ -41,8 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .affine import AffineGenerator
 from .errors import ValidationError
-from .gaussian import GaussianState, LiouvillianParams, params_from_model
+from .gaussian import GaussianState, params_from_model
 from .skin import HatanoNelsonParams
 
 __all__ = ["JobConfig", "load_config", "parse_config_text"]
@@ -53,7 +54,7 @@ _MODEL_KINDS = ("explicit", "physical", "hatano-nelson")
 @dataclass
 class JobConfig:
     command: str | None = None
-    params: LiouvillianParams | None = None
+    params: AffineGenerator | None = None
     hatano_nelson: HatanoNelsonParams | None = None
     delta: float = 1.0 / 3.0
     initial: GaussianState | None = None
@@ -171,7 +172,7 @@ def parse_config_text(text: str) -> JobConfig:
     if kind == "explicit":
         a = _parse_matrix(cp, "model.a")
         m = _parse_matrix(cp, "model.m")
-        cfg.params = LiouvillianParams(a, m)
+        cfg.params = AffineGenerator(a, m)
     elif kind == "physical":
         cfg.params = params_from_model(
             _parse_matrix(cp, "model.h"),
@@ -196,7 +197,9 @@ def parse_config_text(text: str) -> JobConfig:
     if cp.has_section("initial"):
         state = cp["initial"].get("state", "vacuum").strip().lower()
         if state == "vacuum":
-            cfg.initial = None
+            if cp.has_section("initial.r"):
+                raise ValidationError("section [initial.r] does not belong "
+                                      "to [initial] state 'vacuum'")
         elif state == "matrix":
             cfg.initial = GaussianState(_parse_matrix(cp, "initial.r"))
         else:

@@ -10,10 +10,11 @@ noise M the label evolves by the affine flow
 which is polynomial in n.  This module is the efficient path; the
 exponential-cost ground truth lives in :mod:`quadferm.fock`.
 
-The generator pair is admissible (generates a completely positive
-trace-preserving semigroup) iff ``O <= M <= -A - A†``; a microscopic model
-(Hamiltonian matrix H, loss vectors, gain vectors) maps onto
-``A = -iH - D - E, M = 2E`` with D and E the loss/gain Gram matrices.
+The generator is an :class:`~quadferm.affine.AffineGenerator` (A, M); its
+flag ``gksl`` says whether it is admissible, ``O <= M <= -A - A†``, which is
+what keeps R's spectrum in [0, 1].  A microscopic model (Hamiltonian matrix
+H, loss vectors, gain vectors) maps onto ``A = -iH - D - E, M = 2E`` with D
+and E the loss/gain Gram matrices, an admissible pair by construction.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .linalg import (_noise_limit, as_square, hermitize, is_hermitian,
                      lyapunov_solve)
 
 __all__ = [
-    "LiouvillianParams",
     "GaussianState",
     "AsymptoticDecomposition",
     "params_from_model",
@@ -40,34 +40,8 @@ __all__ = [
     "entropy",
 ]
 
-#: Spectrum-of-R physicality tolerance and admissibility tolerance.
+#: Spectrum-of-R physicality tolerance.
 SPECTRUM_TOL = 1e-10
-GKSL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class LiouvillianParams(AffineGenerator):
-    """Generator pair (a, m) with its admissibility flag ``gksl``.
-
-    ``gksl`` is computed at construction: True iff m is Hermitian and
-    ``O <= m <= -a - a†`` within GKSL_TOL (eigenvalue checks on m and on
-    ``-a - a† - m``).
-    """
-
-    gksl: bool = field(init=False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        a, m = self.a, self.m
-        ok = is_hermitian(m)
-        if ok:
-            scale = max(1.0, float(np.linalg.norm(m)),
-                        float(np.linalg.norm(a)))
-            lo = float(np.min(np.linalg.eigvalsh(hermitize(m)), initial=0.0))
-            gap = -(a + a.conj().T) - m
-            hi = float(np.min(np.linalg.eigvalsh(hermitize(gap)), initial=0.0))
-            ok = lo >= -GKSL_TOL * scale and hi >= -GKSL_TOL * scale
-        object.__setattr__(self, "gksl", bool(ok))
 
 
 @dataclass(frozen=True)
@@ -105,7 +79,7 @@ class GaussianState:
         return self.r.diagonal().real.copy()
 
 
-def params_from_model(h, loss_vectors=(), gain_vectors=()) -> LiouvillianParams:
+def params_from_model(h, loss_vectors=(), gain_vectors=()) -> AffineGenerator:
     """Generator pair of a microscopic model: A = -iH - D - E, M = 2E.
 
     ``h`` is the Hermitian n x n Hamiltonian matrix; D and E sum ``v v†``
@@ -119,7 +93,7 @@ def params_from_model(h, loss_vectors=(), gain_vectors=()) -> LiouvillianParams:
         raise ValidationError("hamiltonian matrix must be Hermitian")
     d = _gram(loss_vectors, h.shape[0])
     e = _gram(gain_vectors, h.shape[0])
-    return LiouvillianParams(-1j * h - d - e, 2 * e)
+    return AffineGenerator(-1j * h - d - e, 2 * e)
 
 
 def _gram(vectors, n: int) -> np.ndarray:
@@ -186,7 +160,7 @@ def evolve_state(params: AffineGenerator, state: GaussianState,
     return evolve_grid(params, state, [t])[0]
 
 
-def steady_state(params: LiouvillianParams) -> GaussianState:
+def steady_state(params: AffineGenerator) -> GaussianState:
     """The unique steady state of a drift with every ``Re λ < -1e-9 max|λ|``;
     PhysicsError if its spectrum escapes [0, 1] (an inadmissible pair)."""
     return GaussianState(lyapunov_solve(params.a, params.m))
@@ -216,7 +190,7 @@ class AsymptoticDecomposition:
         return self.m_inf + act(flow(self.a0_flow, t), self.projected.r)
 
 
-def asymptotic_decomposition(params: LiouvillianParams,
+def asymptotic_decomposition(params: AffineGenerator,
                              state: GaussianState) -> AsymptoticDecomposition:
     """Split the long-time behavior into steady and persistent parts.
 

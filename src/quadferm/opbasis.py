@@ -33,6 +33,7 @@ from .errors import ValidationError
 from .fock import (_apply, _check_modes, _generator_terms, density_modes,
                    smeared_annihilation, smeared_creation, unvec,
                    vacuum_projector, vec)
+from .linalg import as_square, is_hermitian
 
 __all__ = [
     "phi_element",
@@ -188,9 +189,14 @@ def project_persistent(rho: np.ndarray, p0: np.ndarray) -> np.ndarray:
     persistent projector p0; elements with any damped argument vanish by
     multilinearity.  Implemented by expanding in a family adapted to p0
     (persistent basis vectors first) and dropping every coefficient whose
-    label touches a damped index.
+    label touches a damped index.  Raises ValidationError unless p0 is a
+    square Hermitian idempotent, ``||p0 p0 - p0|| <= 1e-10 max(1, ||p0||)``.
     """
-    p0 = np.asarray(p0, dtype=complex)
+    p0 = as_square(p0, "persistent projector")
+    if not is_hermitian(p0) or np.linalg.norm(p0 @ p0 - p0) \
+            > 1e-10 * max(1.0, np.linalg.norm(p0)):
+        raise ValidationError(
+            "persistent projector must be Hermitian and idempotent")
     occ, vecs_p = np.linalg.eigh(p0)
     order = np.argsort(-occ)
     basis = [vecs_p[:, i] for i in order]

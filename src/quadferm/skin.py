@@ -21,15 +21,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .affine import AffineGenerator
 from .errors import PhysicsError, ValidationError
-from .gaussian import LiouvillianParams, steady_state
+from .gaussian import steady_state
 from .linalg import hermitize, lyapunov_solve
 
 __all__ = [
     "HatanoNelsonParams",
     "build_matrices",
     "build_bath",
-    "liouvillian_params",
     "steady_profile",
     "featureless_choice",
     "localization_slope",
@@ -107,12 +107,6 @@ class SkinMatrices(NamedTuple):
     v_kappa: np.ndarray  # diagonal similarity diag(kappa^(j-1))
 
 
-class BathMatrices(NamedTuple):
-    e: np.ndarray        # gain Gram matrix
-    m: np.ndarray        # noise matrix, 2E
-    a: np.ndarray        # drift, -i H_nh - M
-
-
 def _hopping_patterns(n: int) -> tuple[np.ndarray, np.ndarray]:
     ones = np.ones(n - 1)
     f = np.diag(ones, -1) + np.diag(ones, 1)
@@ -147,16 +141,18 @@ def build_matrices(p: HatanoNelsonParams) -> SkinMatrices:
     return SkinMatrices(h_nh=h_nh, f=f, g=g, v_kappa=v_kappa)
 
 
-def build_bath(p: HatanoNelsonParams) -> BathMatrices:
-    """Gain matrix that makes ``X = x V(kappa)^{-2}`` the steady state.
+def build_bath(p: HatanoNelsonParams) -> AffineGenerator:
+    """Admissible pair ``A = -i H_nh - 2E, M = 2E`` whose steady state is
+    ``X = x V(kappa)^{-2}``.
 
     E solves ``(2X - I) E + E (2X - I) = -Q`` with
     ``Q = x V^{-1} [2 a gamma I + 2 sqrt(gamma^2-lam^2) g] V^{-1} >= 0``;
     the amplitude bound keeps ``2X - I`` negative definite so the solution
     equals the convergent integral of ``e^{(2X-I)s} Q e^{(2X-I)s}``; with
     ``c = diag(2X - I)`` that is ``E_ij = -Q_ij / (c_i + c_j)``.
-    Postconditions checked here: E >= 0, the admissibility sandwich
-    ``O <= M <= -A - A†``, and ``A X + X A† + M = 0``.
+    Raises PhysicsError unless the pair is admissible (its ``gksl`` flag)
+    and ``A X + X A† + M = 0`` holds entrywise to 1e-12 of
+    ``|A||X| + |X||A†| + |M|``, which scales with the graded X.
     """
     mats = build_matrices(p)
     n = p.n
@@ -167,34 +163,28 @@ def build_bath(p: HatanoNelsonParams) -> BathMatrices:
         + 2 * np.sqrt(p.gamma ** 2 - p.lam ** 2) * mats.g
     ) @ v_inv
     c = 2 * x_mat.diagonal() - 1
-    e = hermitize(-q / (c[:, None] + c[None, :]))
-    m = 2 * e
-    a_mat = -1j * mats.h_nh - m
-    for name, mat in (("gain matrix", e),
-                      ("admissibility gap", -(a_mat + a_mat.conj().T) - m)):
-        low = float(np.min(np.linalg.eigvalsh(hermitize(mat))))
-        if low < -1e-9:
-            raise PhysicsError(f"{name} is not positive: min eig = {low:.3e}")
-    fixed = np.linalg.norm(a_mat @ x_mat + x_mat @ a_mat.conj().T + m)
-    if fixed > 1e-9 * (1 + np.linalg.norm(m)):
+    m = 2 * hermitize(-q / (c[:, None] + c[None, :]))
+    params = AffineGenerator(-1j * mats.h_nh - m, m)
+    if not params.gksl:
+        raise PhysicsError("bath pair fails O <= M <= -A - A†")
+    a = params.a
+    res = np.abs(a @ x_mat + x_mat @ a.conj().T + m)
+    scale = np.abs(a) @ np.abs(x_mat) + np.abs(x_mat) @ np.abs(a).T + np.abs(m)
+    worst = float(np.max(res / np.where(scale > 0, scale, 1.0)))
+    if not worst <= 1e-12:
         raise PhysicsError(
             f"target steady state violates the fixed-point equation "
-            f"(residual {fixed:.3e})"
+            f"(entrywise residual {worst:.3e} of |A||X| + |X||A†| + |M|)"
         )
-    return BathMatrices(e=e, m=m, a=a_mat)
-
-
-def liouvillian_params(p: HatanoNelsonParams) -> LiouvillianParams:
-    bath = build_bath(p)
-    return LiouvillianParams(bath.a, bath.m)
+    return params
 
 
 def steady_profile(p: HatanoNelsonParams) -> np.ndarray:
     """Steady occupations n_j = x kappa^(2-2j), the real diagonal of the
     Gaussian steady state's correlation matrix.  Raises PhysicsError unless
-    each is within 1e-10 relative: they span kappa^(2-2n), where the
-    absolute checks of :func:`build_bath` miss errors."""
-    occ = steady_state(liouvillian_params(p)).occupations()
+    each is within 1e-10 relative: they span kappa^(2-2n), and this checks
+    the Lyapunov solve, where :func:`build_bath` checks its target."""
+    occ = steady_state(build_bath(p)).occupations()
     target = p.x * p.kappa ** (-2.0 * np.arange(p.n))
     err = float(np.max(np.abs(occ / target - 1)))
     if not err <= 1e-10:

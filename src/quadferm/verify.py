@@ -21,7 +21,7 @@ import scipy.linalg
 from . import affine, fock, opbasis
 from .affine import AffineGenerator
 from .errors import ValidationError
-from .gaussian import GaussianState, LiouvillianParams, entropy, evolve_state
+from .gaussian import GaussianState, entropy, evolve_state
 from .linalg import hermitize, mat_exp
 
 __all__ = [
@@ -51,12 +51,12 @@ def random_psd(rng, n: int, scale: float = 1.0) -> np.ndarray:
     return scale * hermitize(b @ b.conj().T) / n
 
 
-def random_gksl_params(rng, n: int, min_damping: float = 0.0) -> LiouvillianParams:
+def random_gksl_params(rng, n: int, min_damping: float = 0.0) -> AffineGenerator:
     """Admissible pair A = -iH - D - E, M = 2E from random model data."""
     h = random_hermitian(rng, n)
     d = random_psd(rng, n) + min_damping * np.eye(n)
     e = random_psd(rng, n, scale=0.5)
-    return LiouvillianParams(-1j * h - d - e, 2 * e)
+    return AffineGenerator(-1j * h - d - e, 2 * e)
 
 
 def random_correlation_matrix(rng, n: int, lo: float = 0.05,

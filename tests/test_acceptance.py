@@ -13,12 +13,12 @@ import numpy as np
 import scipy.linalg
 
 from quadferm import fock, opbasis, verify
-from quadferm.gaussian import (GaussianState, LiouvillianParams,
-                               asymptotic_decomposition, steady_state)
+from quadferm.affine import AffineGenerator
+from quadferm.gaussian import (GaussianState, asymptotic_decomposition,
+                               steady_state)
 from quadferm.linalg import hermitize
 from quadferm.skin import (HatanoNelsonParams, build_bath, featureless_choice,
-                           liouvillian_params, localization_slope,
-                           steady_profile)
+                           localization_slope, steady_profile)
 
 LEMMA_CHECKS = [
     "left_left", "right_right", "left_loss", "right_loss", "left_gain",
@@ -119,7 +119,7 @@ def test_criterion_06_long_time_asymptotics():
     a[0, 0] = 0.7j
     a[1:, 1:] = -1j * h2 - d2 - e2
     m[1:, 1:] = 2 * e2
-    params_p = LiouvillianParams(a, m)
+    params_p = AffineGenerator(a, m)
     dec = asymptotic_decomposition(params_p, GaussianState.vacuum(3))
     assert int(round(dec.p0.trace().real)) == 1
     m_inf = dec.m_inf
@@ -129,9 +129,9 @@ def test_criterion_06_long_time_asymptotics():
     t_late = 30.0 / abs(max(z.real for z in damped))
     zero = np.zeros((3, 3))
     pred = scipy.linalg.expm(
-        t_late * fock.super_liouvillian(LiouvillianParams(dec.a0_flow.a, zero))
+        t_late * fock.super_liouvillian(AffineGenerator(dec.a0_flow.a, zero))
     ) @ scipy.linalg.expm(
-        fock.super_liouvillian(LiouvillianParams(zero, m_inf))
+        fock.super_liouvillian(AffineGenerator(zero, m_inf))
     ) @ fock.vec(projected)
     dense = scipy.linalg.expm(
         t_late * fock.super_liouvillian(params_p)) @ fock.vec(rho0_p)
@@ -184,7 +184,7 @@ def test_criterion_08_skin_effect():
     flat_err = float(np.max(np.abs(flat - 0.25 * np.eye(6))))
 
     p3 = HatanoNelsonParams(n=3, omega=1.0, lam=0.3, gamma=0.5, a=2.5)
-    rho_late = fock.dense_evolve(liouvillian_params(p3),
+    rho_late = fock.dense_evolve(build_bath(p3),
                                  fock.vacuum_projector(3), 200.0)
     x3 = np.diag(p3.x * p3.kappa ** (2 - 2 * np.arange(1, 4, dtype=float)))
     dense_err = float(np.max(np.abs(fock.read_correlations(rho_late) - x3)))

@@ -106,6 +106,12 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match="exactly one model source"):
             parse_config_text(EXPLICIT + "\n[model.h]\nrow1 = 1.0 0.0\n")
 
+    def test_matrix_beside_vacuum_state_rejected(self):
+        with pytest.raises(ValidationError, match=r"\[initial\.r\]"):
+            parse_config_text(EXPLICIT + "\n[initial]\nstate = vacuum\n"
+                              "[initial.r]\nrow1 = 0.5 0 0 0\n"
+                              "row2 = 0 0 0.5 0\n")
+
     def test_odd_float_count_rejected(self):
         with pytest.raises(ValidationError, match=r"\(re, im\)"):
             parse_config_text("[model]\nkind = explicit\n"
@@ -207,13 +213,13 @@ class TestCommands:
             self, tmp_path, body):
         from quadferm.gaussian import GaussianState, entropy
         from quadferm.linalg import lyapunov_solve
-        from quadferm.skin import HatanoNelsonParams, liouvillian_params
+        from quadferm.skin import HatanoNelsonParams, build_bath
         if body is None:
             params = verify.random_gksl_params(np.random.default_rng(6), 6,
                                                0.3)
             body = _explicit_ini(params.a, params.m)
         else:
-            params = liouvillian_params(HatanoNelsonParams(
+            params = build_bath(HatanoNelsonParams(
                 n=4, omega=1.0, lam=0.3, gamma=0.5, a=2.5))
         cfg = tmp_path / "job.ini"
         cfg.write_text(body, encoding="utf-8")
@@ -233,7 +239,7 @@ class TestCommands:
     def test_steady_with_persistent_mode_is_the_dense_long_time_limit(
             self, tmp_path):
         from quadferm import fock
-        from quadferm.gaussian import LiouvillianParams
+        from quadferm.affine import AffineGenerator
         # demo 04's model: mode 1 rotates freely at frequency 0.7
         rng = np.random.default_rng(11)
         h2 = verify.random_hermitian(rng, 2)
@@ -244,7 +250,7 @@ class TestCommands:
         a[0, 0] = 0.7j
         a[1:, 1:] = -1j * h2 - d2 - e2
         m[1:, 1:] = 2 * e2
-        params = LiouvillianParams(a, m)
+        params = AffineGenerator(a, m)
         cfg = tmp_path / "job.ini"
         cfg.write_text(_explicit_ini(a, m), encoding="utf-8")
         out = tmp_path / "steady.csv"

@@ -4,7 +4,7 @@ import pytest
 from quadferm import fock
 from quadferm.affine import AffineGenerator, flow
 from quadferm.errors import ValidationError
-from quadferm.gaussian import GaussianState, LiouvillianParams, steady_state
+from quadferm.gaussian import GaussianState, steady_state
 from quadferm.verify import (random_complex_matrix, random_correlation_matrix,
                              random_gksl_params, random_hermitian)
 
@@ -98,7 +98,7 @@ class TestBasicSuperoperators:
 
 class TestLiouvillianFamily:
     def test_zero_pair_gives_zero_map(self):
-        params = LiouvillianParams(np.zeros((2, 2)), np.zeros((2, 2)))
+        params = AffineGenerator(np.zeros((2, 2)), np.zeros((2, 2)))
         assert np.linalg.norm(fock.super_liouvillian(params)) == 0.0
 
     def test_drift_only_annihilates_vacuum(self, rng):
@@ -114,9 +114,9 @@ class TestLiouvillianFamily:
         for _ in range(5):
             a, m = random_complex_matrix(rng, n), random_complex_matrix(rng, n)
             b, nn = random_complex_matrix(rng, n), random_complex_matrix(rng, n)
-            l1 = fock.super_liouvillian(LiouvillianParams(a, m))
-            l2 = fock.super_liouvillian(LiouvillianParams(b, nn))
-            target = fock.super_liouvillian(LiouvillianParams(
+            l1 = fock.super_liouvillian(AffineGenerator(a, m))
+            l2 = fock.super_liouvillian(AffineGenerator(b, nn))
+            target = fock.super_liouvillian(AffineGenerator(
                 a @ b - b @ a,
                 a @ nn + nn @ a.conj().T - b @ m - m @ b.conj().T))
             assert np.linalg.norm(l1 @ l2 - l2 @ l1 - target) <= 1e-10
@@ -129,7 +129,7 @@ class TestLiouvillianFamily:
         gain = ((rng.standard_normal(n) + 1j * rng.standard_normal(n)),)
         d = sum(np.outer(v, v.conj()) for v in loss)
         e = sum(np.outer(v, v.conj()) for v in gain)
-        params = LiouvillianParams(-1j * h - d - e, 2 * e)
+        params = AffineGenerator(-1j * h - d - e, 2 * e)
         direct = fock.super_master_equation(h, loss, gain)
         assert np.linalg.norm(direct - fock.super_liouvillian(params)) <= 1e-12
 
@@ -138,8 +138,8 @@ class TestLiouvillianFamily:
         a = random_complex_matrix(rng, n)
         m = random_complex_matrix(rng, n)
         rho = random_complex_matrix(rng, 2 ** n)
-        mat = fock.super_liouvillian(LiouvillianParams(a, m))
-        direct = fock.apply_generator(LiouvillianParams(a, m), rho)
+        mat = fock.super_liouvillian(AffineGenerator(a, m))
+        direct = fock.apply_generator(AffineGenerator(a, m), rho)
         assert np.linalg.norm(direct - fock.unvec(mat @ fock.vec(rho))) <= 1e-12
 
 
@@ -211,20 +211,20 @@ class TestDenseEvolve:
             noise = flow(params, t).m
             lhs = scipy.linalg.expm(t * fock.super_liouvillian(params))
             rhs = scipy.linalg.expm(
-                fock.super_liouvillian(LiouvillianParams(zero, noise))
+                fock.super_liouvillian(AffineGenerator(zero, noise))
             ) @ scipy.linalg.expm(
-                t * fock.super_liouvillian(LiouvillianParams(params.a, zero))
+                t * fock.super_liouvillian(AffineGenerator(params.a, zero))
             )
             assert np.linalg.norm(lhs - rhs) <= 1e-10
 
     def test_mode_cap(self):
-        params = LiouvillianParams(np.zeros((6, 6)), np.zeros((6, 6)))
+        params = AffineGenerator(np.zeros((6, 6)), np.zeros((6, 6)))
         with pytest.raises(ValidationError):
             fock.dense_evolve(params, np.eye(64), 1.0)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_non_finite_time_rejected(self, t):
-        params = LiouvillianParams(np.zeros((1, 1)), np.zeros((1, 1)))
+        params = AffineGenerator(np.zeros((1, 1)), np.zeros((1, 1)))
         with pytest.raises(ValidationError, match="finite"):
             fock.dense_evolve(params, fock.vacuum_projector(1), t)
 

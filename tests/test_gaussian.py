@@ -5,10 +5,10 @@ import scipy.linalg
 from quadferm import fock
 from quadferm.affine import AffineGenerator, act, flow
 from quadferm.errors import PhysicsError, ValidationError
-from quadferm.gaussian import (GaussianState, LiouvillianParams,
-                               asymptotic_decomposition, entropy, evolve_grid,
-                               evolve_state, expectation_quadratic,
-                               params_from_model, steady_state)
+from quadferm.gaussian import (GaussianState, asymptotic_decomposition,
+                               entropy, evolve_grid, evolve_state,
+                               expectation_quadratic, params_from_model,
+                               steady_state)
 from quadferm.linalg import hermitize, lyapunov_solve
 from quadferm.verify import (random_correlation_matrix, random_gksl_params,
                              random_hermitian, random_psd)
@@ -82,7 +82,30 @@ class TestParamsFromModel:
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValidationError):
-            LiouvillianParams(np.zeros((2, 2)), np.zeros((3, 3)))
+            AffineGenerator(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_admissibility_is_computed_when_read(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        state = GaussianState.vacuum(2)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        params = params_from_model(np.diag([1.0, -0.5]),
+                                   loss_vectors=([1.0, 0.5j],),
+                                   gain_vectors=([0.2, 0.3],))
+        flow(params, 1.5)
+        assert len(calls) == 0
+        times = [0.0, 0.5, 1.0]
+        evolve_grid(params, state, times)
+        # one spectrum check per returned state, none for the generator
+        assert len(calls) == len(times)
+        calls.clear()
+        assert params.gksl and params.gksl
+        assert len(calls) == 2
 
 
 class TestEvolveState:
@@ -94,7 +117,7 @@ class TestEvolveState:
 
     def test_scalar_relaxation_closed_form(self):
         gamma, nbar, r0, t = 0.7, 0.35, 0.9, 1.4
-        params = LiouvillianParams([[-gamma]], [[2 * gamma * nbar]])
+        params = AffineGenerator([[-gamma]], [[2 * gamma * nbar]])
         out = evolve_state(params, GaussianState([[r0]]), t)
         expected = np.exp(-2 * gamma * t) * r0 + nbar * (1 - np.exp(-2 * gamma * t))
         assert abs(out.r[0, 0] - expected) < 1e-13
@@ -214,7 +237,7 @@ class TestEvolveGrid:
         # closed system: r(t) = V e^{-i L t} V† r V e^{i L t} V†
         n = 32
         h = random_hermitian(rng, n)
-        params = LiouvillianParams(-1j * h, np.zeros((n, n)))
+        params = AffineGenerator(-1j * h, np.zeros((n, n)))
         state = GaussianState(random_correlation_matrix(rng, n))
         lam, v = np.linalg.eigh(h)
         t = 1000.0
@@ -230,12 +253,12 @@ class TestEvolveGrid:
 class TestSteadyState:
     def test_scalar_occupation(self):
         gamma, nbar = 0.8, 0.3
-        params = LiouvillianParams([[-gamma]], [[2 * gamma * nbar]])
+        params = AffineGenerator([[-gamma]], [[2 * gamma * nbar]])
         assert abs(steady_state(params).r[0, 0] - nbar) < 1e-13
 
     def test_zero_noise_gives_vacuum(self, rng):
         a = -random_psd(rng, 3) - 0.3 * np.eye(3)
-        params = LiouvillianParams(a, np.zeros((3, 3)))
+        params = AffineGenerator(a, np.zeros((3, 3)))
         assert np.linalg.norm(steady_state(params).r) < 1e-12
 
     def test_fixed_point_under_evolution(self, rng):
@@ -246,7 +269,7 @@ class TestSteadyState:
             assert np.linalg.norm(moved.r - steady.r) <= 1e-9
 
     def test_undamped_drift_is_rejected_with_eigenvalues(self):
-        params = LiouvillianParams(np.diag([0.7j, -1.0]), np.zeros((2, 2)))
+        params = AffineGenerator(np.diag([0.7j, -1.0]), np.zeros((2, 2)))
         with pytest.raises(PhysicsError, match=r"lambda_0 = 0\+0\.7j\]"):
             steady_state(params)
 
@@ -254,7 +277,7 @@ class TestSteadyState:
         # -A - A† is indefinite (the pair is inadmissible) but the drift is
         # stable, so the Lyapunov solution exists; its spectrum leaves [0, 1]
         a = np.array([[-1.0, 10.0], [0.0, -1.0]])
-        params = LiouvillianParams(a, 0.1 * np.eye(2))
+        params = AffineGenerator(a, 0.1 * np.eye(2))
         ref = kron_lyapunov(params.a, params.m)
         out = lyapunov_solve(params.a, params.m)
         assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -268,7 +291,7 @@ class TestSteadyState:
         a = np.zeros((3, 3), dtype=complex)
         a[:2, :2] = [[-1.0, 2.0], [0.0, -1.0]]
         a[2, 2] = -2e-9
-        params = LiouvillianParams(a, np.diag([0.0, 0.0, 4e-9]))
+        params = AffineGenerator(a, np.diag([0.0, 0.0, 4e-9]))
         assert params.gksl
         r = steady_state(params).r
         assert np.linalg.norm(r - np.diag([0.0, 0.0, 1.0])) < 1e-12
@@ -300,7 +323,7 @@ def _undamped_block_params(rng, freq=0.7):
     a[0, 0] = 1j * freq
     a[1:, 1:] = -1j * h2 - d2 - e2
     m[1:, 1:] = 2 * e2
-    return LiouvillianParams(a, m)
+    return AffineGenerator(a, m)
 
 
 class TestAsymptoticDecomposition:
@@ -314,7 +337,7 @@ class TestAsymptoticDecomposition:
 
     def test_closed_system_keeps_rotating(self, rng):
         h = random_hermitian(rng, 3)
-        params = LiouvillianParams(1j * h, np.zeros((3, 3)))
+        params = AffineGenerator(1j * h, np.zeros((3, 3)))
         state = GaussianState(random_correlation_matrix(rng, 3))
         dec = asymptotic_decomposition(params, state)
         assert np.linalg.norm(dec.m_inf) < 1e-12
@@ -342,8 +365,8 @@ class TestAsymptoticDecomposition:
     def test_slowly_damped_mode_is_solved_on_the_damped_part(self):
         # Re = -3e-9 is outside the band 1e-9 max|lambda|, so the
         # restricted solve must accept the mode as damped too
-        params = LiouvillianParams(np.diag([1j, -3e-9, -1.0]),
-                                   np.diag([0.0, 0.0, 1.0]))
+        params = AffineGenerator(np.diag([1j, -3e-9, -1.0]),
+                                 np.diag([0.0, 0.0, 1.0]))
         assert params.gksl
         dec = asymptotic_decomposition(params, GaussianState.vacuum(3))
         assert np.linalg.norm(dec.p0 - np.diag([1.0, 0.0, 0.0])) < 1e-12
@@ -355,13 +378,13 @@ class TestAsymptoticDecomposition:
         a = np.zeros((3, 3), dtype=complex)
         a[:2, :2] = [[-1.0, 2.0], [0.0, -1.0]]
         a[2, 2] = -2e-9
-        params = LiouvillianParams(a, np.diag([0.0, 0.0, 4e-9]))
+        params = AffineGenerator(a, np.diag([0.0, 0.0, 4e-9]))
         dec = asymptotic_decomposition(params, GaussianState.vacuum(3))
         assert np.array_equal(dec.p0, np.zeros((3, 3)))
         assert np.linalg.norm(dec.m_inf - steady_state(params).r) < 1e-12
 
     def test_requires_admissible_generator(self, rng):
-        params = LiouvillianParams(np.diag([1j, -1.0]), np.diag([1.0, 0.0]))
+        params = AffineGenerator(np.diag([1j, -1.0]), np.diag([1.0, 0.0]))
         assert not params.gksl
         with pytest.raises(PhysicsError, match="lambda_0"):
             asymptotic_decomposition(params, GaussianState.vacuum(2))
@@ -371,16 +394,16 @@ class TestAsymptoticDecomposition:
         # mode counts as undamped, yet M feeds it: its true limit, 0.5, is
         # reached only after ~1e10 time units, and no m_inf with a zero
         # occupation there solves the full equation
-        params = LiouvillianParams(np.diag([-0.515 - 0.089j, -2.6e-10]),
-                                   np.diag([0.209, 2.6e-10]))
+        params = AffineGenerator(np.diag([-0.515 - 0.089j, -2.6e-10]),
+                                 np.diag([0.209, 2.6e-10]))
         assert params.gksl
         with pytest.raises(PhysicsError, match="lambda_0 = -2.6e-10"):
             asymptotic_decomposition(params, GaussianState.vacuum(2))
 
     def test_stable_inadmissible_pair_is_solved_like_the_steady_state(self):
         # with no undamped mode, admissibility is not needed
-        params = LiouvillianParams([[-1.0, 10.0], [0.0, -1.0]],
-                                   0.1 * np.eye(2))
+        params = AffineGenerator([[-1.0, 10.0], [0.0, -1.0]],
+                                 0.1 * np.eye(2))
         assert not params.gksl
         dec = asymptotic_decomposition(params, GaussianState.vacuum(2))
         assert np.array_equal(dec.m_inf, lyapunov_solve(params.a, params.m))
@@ -393,14 +416,14 @@ class TestAsymptoticDecomposition:
         u = scipy.linalg.expm(0.3j * random_hermitian(rng, 3))
         a = u @ params.a @ u.conj().T
         m = u @ params.m @ u.conj().T
-        params = LiouvillianParams(a, m)
+        params = AffineGenerator(a, m)
         assert params.gksl
         d = np.sqrt(np.abs(m.diagonal()))
         assert np.ptp(d) > 0.5 * np.max(d)
         assert np.linalg.norm(a / d[:, None] * d) <= 2 * np.linalg.norm(a)
         dec = asymptotic_decomposition(params, GaussianState.vacuum(3))
         # with m = 0 the solve frame is D = I, the raw frame
-        raw = asymptotic_decomposition(LiouvillianParams(a, 0 * a),
+        raw = asymptotic_decomposition(AffineGenerator(a, 0 * a),
                                        GaussianState.vacuum(3))
         assert np.linalg.norm(dec.p0 - raw.p0) <= 1e-12
         assert np.allclose(dec.frequencies, [-1.3], rtol=0, atol=1e-12)

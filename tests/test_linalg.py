@@ -6,10 +6,9 @@ from scipy.linalg import expm
 
 from quadferm.errors import PhysicsError, ValidationError
 from quadferm.affine import AffineGenerator, flow
-from quadferm.gaussian import (GaussianState, LiouvillianParams,
-                               asymptotic_decomposition)
+from quadferm.gaussian import GaussianState, asymptotic_decomposition
 from quadferm.linalg import hermitize, lyapunov_solve, mat_exp
-from quadferm.skin import HatanoNelsonParams, liouvillian_params
+from quadferm.skin import HatanoNelsonParams, build_bath
 from quadferm.verify import (random_complex_matrix, random_gksl_params,
                              random_psd)
 
@@ -146,7 +145,7 @@ class TestLyapunovKroneckerOracle:
     def test_graded_skin_generator(self):
         # occupations span kappa^(2-2n) = 4^11 at n = 12
         p = HatanoNelsonParams(n=12, omega=1.0, lam=0.3, gamma=0.5, a=2.5)
-        params = liouvillian_params(p)
+        params = build_bath(p)
         ref = kron_lyapunov(params.a, params.m)
         out = lyapunov_solve(params.a, params.m)
         assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -223,7 +222,7 @@ class TestLyapunovSolve:
 def _decompose(a):
     """The long-time decomposition of the noise-free pair (a, O)."""
     a = np.asarray(a, dtype=complex)
-    return asymptotic_decomposition(LiouvillianParams(a, 0 * a),
+    return asymptotic_decomposition(AffineGenerator(a, 0 * a),
                                     GaussianState.vacuum(a.shape[0]))
 
 

@@ -7,8 +7,7 @@ import scipy.linalg
 from quadferm import fock, opbasis, verify
 from quadferm.affine import AffineGenerator
 from quadferm.errors import ValidationError
-from quadferm.gaussian import (GaussianState, LiouvillianParams,
-                               asymptotic_decomposition)
+from quadferm.gaussian import GaussianState, asymptotic_decomposition
 from quadferm.linalg import mat_exp
 from quadferm.verify import (random_complex_matrix, random_density_matrix,
                              random_hermitian, random_psd)
@@ -58,8 +57,8 @@ class TestElements:
         n = 3
         for _ in range(5):
             xi, eta = rand_vec(rng, n), rand_vec(rng, n)
-            params = LiouvillianParams(np.zeros((n, n)),
-                                       np.outer(xi, eta.conj()))
+            params = AffineGenerator(np.zeros((n, n)),
+                                     np.outer(xi, eta.conj()))
             gen = fock.super_liouvillian(params)
             assert np.linalg.norm(gen @ gen) <= 1e-13
 
@@ -172,7 +171,7 @@ class TestEvolutionCovariance:
         xis = [rand_vec(twin, n) for _ in range(p_len)]
         etas = [rand_vec(twin, n) for _ in range(q_len)]
         prop = scipy.linalg.expm(
-            t * fock.super_liouvillian(LiouvillianParams(a, np.zeros((n, n)))))
+            t * fock.super_liouvillian(AffineGenerator(a, np.zeros((n, n)))))
         lhs = fock.unvec(prop @ fock.vec(opbasis.phi_element(xis, etas, n)))
         rot = scipy.linalg.expm(t * a)
         rhs = opbasis.phi_element([rot @ v for v in xis], [rot @ v for v in etas], n)
@@ -187,7 +186,7 @@ class TestPersistentProjection:
         a = np.zeros((3, 3), dtype=complex)
         a[0, 0] = 0.9j
         a[1:, 1:] = -1j * h2 - d2
-        return a, asymptotic_decomposition(LiouvillianParams(a, 0 * a),
+        return a, asymptotic_decomposition(AffineGenerator(a, 0 * a),
                                            GaussianState.vacuum(3))
 
     def test_matches_damped_semigroup_limit(self, rng):
@@ -197,7 +196,7 @@ class TestPersistentProjection:
         zero = np.zeros((3, 3))
         a_minus = a - dec.a0_flow.a
         prop = scipy.linalg.expm(
-            80.0 * fock.super_liouvillian(LiouvillianParams(a_minus, zero)))
+            80.0 * fock.super_liouvillian(AffineGenerator(a_minus, zero)))
         limit = fock.unvec(prop @ fock.vec(rho))
         assert np.linalg.norm(projected - limit) <= 1e-10
 
@@ -220,6 +219,13 @@ class TestPersistentProjection:
     def test_projector_of_another_size_rejected(self):
         with pytest.raises(ValidationError):
             opbasis.project_persistent(fock.vacuum_projector(2), np.eye(3))
+
+    @pytest.mark.parametrize("p0", [
+        np.zeros((2, 3)), np.array([[1.0, 1.0], [0.0, 0.0]]), 0.5 * np.eye(2),
+    ], ids=["non-square", "idempotent-non-hermitian", "hermitian-non-idempotent"])
+    def test_non_projector_rejected(self, p0):
+        with pytest.raises(ValidationError, match="projector"):
+            opbasis.project_persistent(fock.vacuum_projector(2), p0)
 
     def test_full_projector_is_identity(self, rng):
         rho = random_density_matrix(rng, 4)

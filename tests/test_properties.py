@@ -10,11 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadferm import cli
-from quadferm.affine import compose, flow
+from quadferm.affine import AffineGenerator, compose, flow
 from quadferm.errors import PhysicsError
-from quadferm.gaussian import (GaussianState, LiouvillianParams,
-                               asymptotic_decomposition, evolve_grid,
-                               steady_state)
+from quadferm.gaussian import (GaussianState, asymptotic_decomposition,
+                               evolve_grid, steady_state)
 from quadferm.verify import random_correlation_matrix, random_gksl_params
 
 from conftest import csv_writer_render
@@ -76,8 +75,8 @@ def test_steady_state_exists_iff_no_mode_persists(seed, n, c):
     block = random_gksl_params(np.random.default_rng(seed), n,
                                min_damping=0.2)
     slow = c * 1e-9 * float(np.max(np.abs(np.linalg.eigvals(block.a))))
-    params = LiouvillianParams(scipy.linalg.block_diag(block.a, -slow),
-                               scipy.linalg.block_diag(block.m, slow))
+    params = AffineGenerator(scipy.linalg.block_diag(block.a, -slow),
+                             scipy.linalg.block_diag(block.m, slow))
     assert params.gksl
     try:
         steady = steady_state(params).r

@@ -3,11 +3,13 @@ import pytest
 import scipy.linalg
 
 import quadferm.gaussian
+import quadferm.skin
 from quadferm.errors import PhysicsError, ValidationError
 from quadferm.gaussian import steady_state
+from quadferm.linalg import hermitize
 from quadferm.skin import (HatanoNelsonParams, build_bath, build_matrices,
-                           featureless_choice, liouvillian_params,
-                           localization_slope, steady_profile)
+                           featureless_choice, localization_slope,
+                           steady_profile)
 
 
 def default_params(n=6):
@@ -111,6 +113,27 @@ class TestBuildBath:
         res = np.linalg.norm(bath.a @ x_mat + x_mat @ bath.a.conj().T + bath.m)
         assert res <= 1e-9
 
+    def test_relative_error_at_the_small_end_rejected(self, monkeypatch):
+        # E off by 1e-6 relative at site 1, where the occupation is
+        # smallest: the entrywise check sees it, a normwise one does not
+        p = default_params(12)
+        gains = []
+
+        def perturbed(mat):
+            e = hermitize(mat)
+            e[0, 0] *= 1 + 1e-6
+            gains.append(e)
+            return e
+
+        monkeypatch.setattr(quadferm.skin, "hermitize", perturbed)
+        with pytest.raises(PhysicsError, match="fixed-point"):
+            build_bath(p)
+        m = 2 * gains[0]
+        a = -1j * build_matrices(p).h_nh - m
+        x_mat = np.diag(p.x * p.kappa ** (-2.0 * np.arange(p.n)))
+        res = np.linalg.norm(a @ x_mat + x_mat @ a.conj().T + m)
+        assert res <= 1e-9 * (1 + np.linalg.norm(m))
+
 
 class TestSteadyProfile:
     def test_profile_is_geometric(self):
@@ -121,7 +144,7 @@ class TestSteadyProfile:
 
     def test_matches_lyapunov_steady_state(self):
         p = default_params(5)
-        state = steady_state(liouvillian_params(p))
+        state = steady_state(build_bath(p))
         x_target = np.diag(p.x * p.kappa ** (2 - 2 * np.arange(1, 6, dtype=float)))
         assert np.max(np.abs(state.r - x_target)) <= 1e-9
 
@@ -141,8 +164,8 @@ class TestSteadyProfile:
         assert np.max(np.abs(profile - target) / target) <= 1e-12
 
     def test_unscaled_solve_fails_the_relative_guard(self, monkeypatch):
-        # plain Bartels-Stewart loses the small end of the profile; the
-        # absolute postconditions of build_bath do not notice
+        # plain Bartels-Stewart loses the small end of the profile;
+        # build_bath checks only the target, not the solve
         def unscaled(a, m):
             return scipy.linalg.solve_continuous_lyapunov(a, -m)
 
