@@ -31,6 +31,19 @@ factor; loss(B), for one, is the n pairs ``(c_k, sum_j B_jk c_j†)``.
 ``_assemble`` turns a list into its 4^n x 4^n matrix (no other code forms
 one from operator pairs) and ``_apply`` applies it to one operator.
 
+Charge sectors.  Every superoperator here but the Majorana family keeps
+the charge ``q = N_ket - N_bra`` of an operator ``|a><b|``: in each
+sandwich term ``x rho y``, x moves the particle number of the ket as far
+as y moves that of the bra (loss lowers both by one, gain raises both,
+left and right keep both).  So the 4^n x 4^n matrix is block diagonal
+over 2n+1 sectors, and since ``_car`` is built from exact 0/1 Kronecker
+factors, every entry between two sectors is exactly zero, not roundoff.
+``_expm``, the one place a superoperator is exponentiated, tests that
+with no tolerance and then exponentiates each sector block (at n = 4,
+blocks of 70, 56, 28, 8 and 1 rows instead of one of 256), else the
+whole matrix.  The guard assumes no structure: a bug that breaks gauge
+invariance takes the full path, so the oracle loses no power.
+
 Sizes.  Every function reads the mode count n from its operands: a
 coefficient matrix or generator is n x n, a smearing vector has n entries,
 a density matrix is 2^n x 2^n.  n is an argument only where it is the sole
@@ -40,6 +53,7 @@ input (``annihilators``, ``vacuum_projector``, ``majorana_operators``).
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 import scipy.linalg
@@ -122,8 +136,11 @@ def _dagger(ops: np.ndarray) -> np.ndarray:
 
 def _smear(coeffs: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """``sum_j coeffs_j ops_j``; for a matrix of coefficients, the stack
-    whose k-th operator is ``sum_j coeffs_jk ops_j``."""
-    return np.tensordot(coeffs, ops, axes=(0, 0))
+    whose k-th operator is ``sum_j coeffs_jk ops_j``.  One product with the
+    operators flattened to rows: ``np.tensordot(coeffs, ops, (0, 0))`` in a
+    third of its time."""
+    flat = coeffs.T @ ops.reshape(ops.shape[0], -1)
+    return flat.reshape(coeffs.shape[1:] + ops.shape[1:])
 
 
 def _bilinear(coeffs: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -194,6 +211,34 @@ def _assemble(terms, dim: int) -> np.ndarray:
     prod = ys.reshape(len(terms), -1).T @ xs.reshape(len(terms), -1)
     return prod.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3) \
         .reshape(dim * dim, dim * dim)
+
+
+@lru_cache(maxsize=None)
+def _sectors(dim: int) -> tuple[np.ndarray, ...]:
+    """Column-stacked indices of dim x dim operators, one read-only array
+    per charge sector: entry (i, j), index ``i + dim*j``, has charge
+    ``popcount(i) - popcount(j)``."""
+    pop = np.array([bin(i).count("1") for i in range(dim)])
+    charge = (pop[:, None] - pop[None, :]).reshape(-1, order="F")
+    sectors = tuple(np.flatnonzero(charge == q) for q in np.unique(charge))
+    for idx in sectors:
+        idx.setflags(write=False)
+    return sectors
+
+
+def _expm(s: np.ndarray) -> np.ndarray:
+    """``e^s`` of a 4^n x 4^n superoperator: ``scipy.linalg.expm`` of each
+    charge-sector block when every entry between two sectors is exactly
+    zero (the on-sector blocks then hold all nonzeros, a NaN counting as
+    one), else of the whole matrix."""
+    sectors = _sectors(isqrt(len(s)))
+    blocks = [s[np.ix_(idx, idx)] for idx in sectors]
+    if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(s):
+        return scipy.linalg.expm(s)
+    out = np.zeros(s.shape, dtype=complex)
+    for idx, block in zip(sectors, blocks):
+        out[np.ix_(idx, idx)] = scipy.linalg.expm(block)
+    return out
 
 
 def _apply(terms, rho: np.ndarray) -> np.ndarray:
@@ -303,7 +348,7 @@ def dense_evolve(params: AffineGenerator, rho: np.ndarray, t: float) -> np.ndarr
     t = float(t)
     if not 0 <= t < np.inf:
         raise ValidationError(f"time must be finite and >= 0, got {t}")
-    prop = scipy.linalg.expm(t * super_liouvillian(params))
+    prop = _expm(t * super_liouvillian(params))
     return unvec(prop @ vec(rho))
 
 

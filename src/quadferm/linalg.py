@@ -145,8 +145,10 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
     ordered Schur form ``D⁻¹ A D = q r q†`` gives ``D⁻¹ T D⁻¹``, in the
     frame ``D = diag(sqrt|M_jj|)`` (1 where ``M_jj = 0``) that graded
     solutions need (the skin effect), or D = I where that frame would more
-    than double ``||A||_F``.  For an ``admissible`` pair, M vanishes on the
-    undamped modes, which span the complement of the damped ones, D⁻¹ q_u.
+    than double ``||A||_F``.  A frame in which ``D⁻¹ M D⁻¹`` is not finite
+    (``d_i d_k`` is subnormal once ``|M_jj|`` is) is a PhysicsError naming
+    the entry.  For an ``admissible`` pair, M vanishes on the undamped
+    modes, which span the complement of the damped ones, D⁻¹ q_u.
 
     T must solve the full equation ``A T + T A† + M = 0`` to
     ``1e-10 (1 + ||M||)``, else PhysicsError; with an undamped mode that
@@ -159,6 +161,16 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
     d = np.sqrt(np.where(m.diagonal() == 0, 1.0, np.abs(m.diagonal())))
     if np.linalg.norm(a / d[:, None] * d) > 2 * np.linalg.norm(a):
         d = np.ones_like(d)  # error grows as the square of that inflation
+    with np.errstate(all="ignore"):  # a non-finite entry is named below
+        m_scaled = m / np.outer(d, d)
+    if not np.all(np.isfinite(m_scaled)):
+        i, k = np.argwhere(~np.isfinite(m_scaled))[0]
+        raise PhysicsError(
+            f"noise frame diag(sqrt|M_jj|) overflows: M_ik / (d_i d_k) is not "
+            f"finite at (i, k) = ({i}, {k}), where |M_ii| = {abs(m[i, i]):.3g} "
+            f"and |M_kk| = {abs(m[k, k]):.3g} (smallest normal double "
+            f"{np.finfo(float).tiny:.3g})"
+        )
     r, q, j = _ordered_schur(a / d[:, None] * d)
     named = ", ".join(f"lambda_{i} = {z:.6g}"
                       for i, z in enumerate(r.diagonal()[j:]))
@@ -171,7 +183,7 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
     t_mat = np.zeros((n, n), dtype=complex)
     if j:
         qd = q[:, :j]
-        rhs = qd.conj().T @ (m / np.outer(d, d)) @ qd
+        rhs = qd.conj().T @ m_scaled @ qd
         y, y_scale, _ = scipy.linalg.lapack.ztrsyl(r[:j, :j], r[:j, :j],
                                                    -rhs, tranb="C")
         t_mat = qd @ (y / y_scale) @ qd.conj().T * np.outer(d, d)

@@ -4,6 +4,7 @@ import inspect
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,25 @@ class TestCommands:
             assert abs(hi / lo - 4.0) < 1e-9
         flat = [float(r[header.index("featureless_occupation")]) for r in rows]
         assert np.max(np.abs(np.array(flat) - 0.25)) < 1e-9
+
+    @pytest.mark.parametrize("n", [242, 244])
+    def test_skin_with_subnormal_amplitude_exits_2_without_warnings(
+            self, tmp_path, capsys, n):
+        # the default amplitude kappa^(2n-2)/4 is subnormal at these n, and
+        # so is the noise it grades: the solve's frame overflows on it
+        cfg = tmp_path / "job.ini"
+        cfg.write_text("[model]\nkind = hatano-nelson\n"
+                       f"[model.hatano-nelson]\nn = {n}\nomega = 1.0\n"
+                       "lambda = 0.45\ngamma = 0.5\na = 2.1\n",
+                       encoding="utf-8")
+        out = tmp_path / "skin.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["skin", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("quadferm: physics error: noise frame")
+        assert "(i, k) = (0, 0)" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_skin_runs_two_lyapunov_solves(self, tmp_path, monkeypatch):
         # one each for the steady state and the featureless split; the

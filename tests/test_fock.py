@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from quadferm import fock
+from quadferm import fock, verify
 from quadferm.affine import AffineGenerator, flow
 from quadferm.errors import ValidationError
 from quadferm.gaussian import GaussianState, steady_state
@@ -227,6 +230,90 @@ class TestDenseEvolve:
         params = AffineGenerator(np.zeros((1, 1)), np.zeros((1, 1)))
         with pytest.raises(ValidationError, match="finite"):
             fock.dense_evolve(params, fock.vacuum_projector(1), t)
+
+
+class TestSmear:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_same_bits_as_tensordot(self, rng, n):
+        c = fock._car(n)
+        w = np.array(fock.majorana_operators(n))
+        for coeffs, ops in [(random_complex_matrix(rng, n)[0], c),
+                            (random_complex_matrix(rng, n), fock._dagger(c)),
+                            (random_complex_matrix(rng, n).T, c),
+                            (rng.standard_normal(2 * n), w),
+                            (rng.standard_normal((2 * n, 2 * n)), w)]:
+            ref = np.tensordot(coeffs, ops, axes=(0, 0))
+            out = fock._smear(coeffs, ops)
+            assert out.shape == ref.shape and np.array_equal(out, ref)
+
+
+def _expm_sizes(monkeypatch):
+    """Record the size of every matrix scipy.linalg.expm is handed."""
+    sizes, true_expm = [], scipy.linalg.expm
+
+    def spy(a):
+        sizes.append(len(a))
+        return true_expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", spy)
+    return sizes
+
+
+class TestSectorExponential:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_whole_exponential(self, rng, n):
+        zero = np.zeros((n, n))
+        for s in (fock.super_liouvillian(random_gksl_params(rng, n)),
+                  fock.super_liouvillian(
+                      AffineGenerator(zero, random_complex_matrix(rng, n))),
+                  fock.super_basic("gain", random_complex_matrix(rng, n))):
+            ref = scipy.linalg.expm(s)
+            assert np.linalg.norm(fock._expm(s) - ref) \
+                <= 1e-13 * np.linalg.norm(ref)
+
+    def test_exponentiates_one_sector_at_a_time(self, rng, monkeypatch):
+        s = fock.super_liouvillian(random_gksl_params(rng, 2))
+        sizes = _expm_sizes(monkeypatch)
+        fock._expm(s)
+        assert sorted(sizes) == [1, 1, 4, 4, 6]
+
+    def test_any_off_sector_entry_takes_the_whole_exponential(self, rng):
+        # index 1 of a column-stacked 4 x 4 operator is entry (1, 0), of
+        # charge 1; index 0 has charge 0
+        s = fock.super_liouvillian(random_gksl_params(rng, 2))
+        s[1, 0] = 1e-300
+        a = rng.standard_normal((4, 4))
+        n_mat = rng.standard_normal((4, 4))
+        for t in (s, fock.majorana_liouvillian(a, n_mat - n_mat.T)):
+            assert np.array_equal(fock._expm(t), scipy.linalg.expm(t))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("breaks_sectors", [True, False],
+                             ids=["zero-entry", "nonzero-entry"])
+    def test_perturbed_annihilator_fails_the_suite(self, monkeypatch, n,
+                                                   breaks_sectors):
+        # c_1 + 1e-6 at a structurally zero diagonal entry mixes charge
+        # sectors, so every superoperator takes the whole exponential; at
+        # its nonzero entry (0, 2^n / 2) the sectors hold and the blocks
+        # are exponentiated.  The exponentiating rows fail either way.
+        true_car = fock._car
+        entry = (0, 0) if breaks_sectors else (0, 2 ** n // 2)
+
+        @functools.lru_cache(maxsize=None)
+        def perturbed_car(m):
+            ops = true_car(m).copy()
+            ops[0][entry] += 1e-6
+            ops.setflags(write=False)
+            return ops
+
+        monkeypatch.setattr(fock, "_car", perturbed_car)
+        sizes = _expm_sizes(monkeypatch)
+        failed = {r.name for r in verify.run_suite(n=n, draws=3)
+                  if not r.passed}
+        assert (4 ** n in sizes) == breaks_sectors
+        assert {"semigroup_factorization", "noise_conjugation",
+                "translation_conjugation", "gain_intertwining",
+                "phi_evolution_covariance"} <= failed
 
 
 class TestGaussianDensity:

@@ -210,6 +210,13 @@ class TestLyapunovSolve:
         with pytest.raises(PhysicsError, match="lambda_0"):
             lyapunov_solve(np.diag([0.5, -1.0]), np.eye(2))
 
+    def test_subnormal_noise_entry_is_named(self):
+        # with |M_11| subnormal, M_11 / (d_1 d_1) overflows in the frame
+        m = np.diag([1.0, 1e-310]).astype(complex)
+        with pytest.raises(PhysicsError,
+                           match=r"noise frame .* \(i, k\) = \(1, 1\)"):
+            lyapunov_solve(-np.eye(2), m)
+
     def test_slow_drift_solves_like_the_unscaled_one(self, rng):
         # the stability margin is relative to max|lambda|, so scaling the
         # whole equation leaves it, and the solution, unchanged

@@ -161,8 +161,8 @@ class TestEvolutionCovariance:
 
     def test_same_value_as_exponentiating_the_generator(self, rng):
         # the verify row's left side is fock.dense_evolve; spelled out here
-        # as exp(t L(A, O)) on the vectorized element of the same draw, it
-        # gives the same bits
+        # as exp(t L(A, O)), by the oracle's one superoperator exponential,
+        # on the vectorized element of the same draw, it gives the same bits
         n, t = 2, 0.9
         twin = copy.deepcopy(rng)
         a = random_complex_matrix(twin, n)
@@ -170,7 +170,7 @@ class TestEvolutionCovariance:
         q_len = int(twin.integers(0, n + 1))
         xis = [rand_vec(twin, n) for _ in range(p_len)]
         etas = [rand_vec(twin, n) for _ in range(q_len)]
-        prop = scipy.linalg.expm(
+        prop = fock._expm(
             t * fock.super_liouvillian(AffineGenerator(a, np.zeros((n, n)))))
         lhs = fock.unvec(prop @ fock.vec(opbasis.phi_element(xis, etas, n)))
         rot = scipy.linalg.expm(t * a)

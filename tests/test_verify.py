@@ -155,6 +155,13 @@ def test_planted_bracket_sign_bug_fails_generator_commutator(monkeypatch):
     assert "generator_commutator" in failed
 
 
+def test_fast_path_evolution_holds_at_five_modes():
+    # one draw on 1024 x 1024 superoperators, the largest the oracle takes
+    tol = {c.name: c.tolerance for c in verify._REGISTRY}["fast_path_evolution"]
+    rng = np.random.default_rng(7)
+    assert verify._worst("fast_path_evolution", rng, 5, 1) <= tol
+
+
 def test_dropped_parity_string_fails(monkeypatch):
     monkeypatch.setattr(fock, "_PARITY", np.eye(2, dtype=complex))
     fock._car.cache_clear()
