@@ -28,7 +28,7 @@ Sandwich terms.  Every superoperator here is a short list of pairs
 (x_k, y_k), the map ``rho -> sum_k x_k rho y_k`` with None for an identity
 factor; loss(B), for one, is the n pairs ``(c_k, sum_j B_jk c_j†)``.
 ``_generator_terms`` is the one place the L(A, M) coefficients appear.
-``_assemble`` turns a list into its 4^n x 4^n matrix (no other code forms
+``_assemble`` turns a list into its superoperator (no other code forms
 one from operator pairs) and ``_apply`` applies it to one operator.
 
 Charge sectors.  Every superoperator here but the Majorana family keeps
@@ -36,13 +36,18 @@ the charge ``q = N_ket - N_bra`` of an operator ``|a><b|``: in each
 sandwich term ``x rho y``, x moves the particle number of the ket as far
 as y moves that of the bra (loss lowers both by one, gain raises both,
 left and right keep both).  So the 4^n x 4^n matrix is block diagonal
-over 2n+1 sectors, and since ``_car`` is built from exact 0/1 Kronecker
-factors, every entry between two sectors is exactly zero, not roundoff.
-``_expm``, the one place a superoperator is exponentiated, tests that
-with no tolerance and then exponentiates each sector block (at n = 4,
-blocks of 70, 56, 28, 8 and 1 rows instead of one of 256), else the
-whole matrix.  The guard assumes no structure: a bug that breaks gauge
-invariance takes the full path, so the oracle loses no power.
+over 2n+1 sectors (at n = 4, blocks of 70, 56, 28, 8 and 1 rows instead
+of one of 256).  ``_assemble`` decides the form of each term list: it
+tests every nonzero entry of every term for one common popcount shift,
+exactly, with no tolerance, and returns `_Blocks` (the sector blocks,
+taken bit for bit from the one product that builds the whole matrix) when
+all terms pass, else the whole matrix.  The entries the block form drops
+are then exact zeros, not roundoff: each is a sum of products with an
+exact zero factor.  A bug that breaks gauge invariance fails the test, so
+its superoperators stay whole and the oracle loses no power.  The public
+``super_*`` functions always return the whole matrix; `verify` and
+``dense_evolve`` compute in the form ``_assemble`` returns.  Below n = 3
+the blocks are too small to pay and every form is whole.
 
 Sizes.  Every function reads the mode count n from its operands: a
 coefficient matrix or generator is n x n, a smearing vector has n entries,
@@ -53,7 +58,7 @@ input (``annihilators``, ``vacuum_projector``, ``majorana_operators``).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
+from numbers import Number
 
 import numpy as np
 import scipy.linalg
@@ -196,49 +201,214 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-def _assemble(terms, dim: int) -> np.ndarray:
-    """The 4^n x 4^n matrix of ``rho -> sum_k x_k rho y_k``.
+#: Sector blocks start at n = 3 (dim 8).  At n <= 2 they hold 1-6 rows,
+#: and the per-stack numpy and scipy calls cost more than the 16 x 16
+#: whole matrix they would replace.
+_MIN_SECTOR_DIM = 8
+
+
+class _Layout:
+    """Where the charge-sector blocks of the 4^n x 4^n superoperators on
+    dim x dim operators sit; one per dim, from `_layout`.
+
+    Sector q holds the column-stacked indices ``i + dim*j`` of the entries
+    (i, j) of charge ``popcount(i) - popcount(j) = q``.  Sectors q and -q
+    have equal size, so the blocks form n+1 stacks, one per |q|, each
+    ``(count, m, m)``: ``stacks`` holds the bounds and shape of each in the
+    flat block data, ``vstacks`` those of its rows in a vector gathered by
+    ``order`` (the sector indices, stack by stack).  ``take`` picks the
+    block entries, in data order, out of `_assemble`'s product; ``place``
+    puts them into the flat whole matrix.  ``shifts`` maps each float of a
+    flattened complex dim x dim operator to the popcount shift
+    ``popcount(a) - popcount(i)`` of its entry (a, i), one-hot over -n..n.
+    """
+
+    def __init__(self, dim: int):
+        n = dim.bit_length() - 1
+        pop = np.array([bin(i).count("1") for i in range(dim)])
+        shift = (pop[:, None] - pop[None, :]).reshape(-1)
+        self.shifts = np.repeat(shift[:, None] == np.arange(-n, n + 1), 2,
+                                axis=0).astype(np.float32)
+        charge = -shift  # of vec index i + dim*j, at flat index j*dim + i
+        sectors, self.stacks, self.vstacks = [], [], []
+        lo = vlo = 0
+        for q in range(n + 1):
+            group = [np.flatnonzero(charge == p) for p in sorted({-q, q})]
+            count, m = len(group), len(group[0])
+            self.stacks.append((lo, lo + count * m * m, (count, m, m)))
+            self.vstacks.append((vlo, vlo + count * m, (count, m)))
+            lo, vlo = lo + count * m * m, vlo + count * m
+            sectors += group
+        # S[r, c], r = a + dim*b, c = i + dim*j, is entry
+        # (b*dim + j)*dim^2 + a*dim + i of the flat product
+        idx = np.arange(dim * dim)
+        row_part = idx // dim * dim ** 3 + idx % dim * dim
+        col_part = idx // dim * dim ** 2 + idx % dim
+        self.dim = dim
+        self.order = np.concatenate(sectors)
+        self.take = np.concatenate(
+            [(row_part[s][:, None] + col_part[s]).reshape(-1) for s in sectors])
+        self.place = np.concatenate(
+            [(s[:, None] * dim * dim + s).reshape(-1) for s in sectors])
+        self.eye = np.concatenate(
+            [np.broadcast_to(np.eye(shape[1], dtype=complex), shape).reshape(-1)
+             for _, _, shape in self.stacks])
+        for arr in (self.shifts, self.order, self.take, self.place, self.eye):
+            arr.setflags(write=False)
+
+
+_layout = lru_cache(maxsize=None)(_Layout)
+
+
+class _Blocks:
+    """A superoperator that keeps charge, held as its sector blocks.
+
+    ``data`` is one flat complex array, cut by ``layout.stacks`` into
+    ``(count, m, m)`` stacks.  Sum, difference, scaling and `_norm` are one
+    numpy op on ``data``; a product and `_expm` one batched call per stack;
+    a vector (``vec(rho)``, the trace functional) is applied sector by
+    sector from either side and gives a whole vector.  A whole matrix never
+    meets a block form silently: any other array operand raises TypeError,
+    and `_whole` is the explicit conversion.
+    """
+
+    __slots__ = ("layout", "data")
+    __array_ufunc__ = None  # numpy defers every operator to the methods here
+
+    def __init__(self, layout: _Layout, data: np.ndarray):
+        self.layout = layout
+        self.data = data
+
+    def _stacks(self, data=None) -> list[np.ndarray]:
+        data = self.data if data is None else data
+        return [data[lo:hi].reshape(shape) for lo, hi, shape in self.layout.stacks]
+
+    def _refuse(self, other):
+        raise TypeError(f"sector blocks of a {self.layout.dim}-dim operator "
+                        f"space do not mix with {type(other).__name__}; "
+                        "convert with fock._whole")
+
+    def _same(self, other) -> np.ndarray:
+        if isinstance(other, _Blocks) and other.layout is self.layout:
+            return other.data
+        self._refuse(other)
+
+    def __array__(self, *args, **kwargs):
+        raise TypeError("sector blocks become an array only through "
+                        "fock._whole")
+
+    def __add__(self, other):
+        return _Blocks(self.layout, self.data + self._same(other))
+
+    def __sub__(self, other):
+        return _Blocks(self.layout, self.data - self._same(other))
+
+    def __neg__(self):
+        return _Blocks(self.layout, -self.data)
+
+    def __mul__(self, z):
+        if not isinstance(z, Number):
+            self._refuse(z)
+        return _Blocks(self.layout, z * self.data)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        if not isinstance(other, _Blocks):
+            return self._vector(other, column=True)
+        out = np.empty_like(self.data)
+        for a, b, o in zip(self._stacks(), self._stacks(self._same(other)),
+                           self._stacks(out)):
+            np.matmul(a, b, out=o)
+        return _Blocks(self.layout, out)
+
+    def __rmatmul__(self, other):
+        return self._vector(other, column=False)
+
+    def _vector(self, v, column: bool) -> np.ndarray:
+        """``self @ v`` for a column, ``v @ self`` for a row: a whole
+        vector, from one batched matmul per stack."""
+        lay = self.layout
+        if not (isinstance(v, np.ndarray) and v.shape == lay.order.shape):
+            self._refuse(v)
+        gathered = v[lay.order]
+        res = np.empty(len(gathered), dtype=np.result_type(v, self.data))
+        for block, (lo, hi, shape) in zip(self._stacks(), lay.vstacks):
+            part = gathered[lo:hi].reshape(shape)
+            prod = block @ part[..., None] if column else part[:, None] @ block
+            res[lo:hi] = prod.reshape(-1)
+        out = np.empty_like(res)
+        out[lay.order] = res
+        return out
+
+
+def _assemble(terms, dim: int, whole: bool = False):
+    """The superoperator ``rho -> sum_k x_k rho y_k`` in the form it keeps:
+    `_Blocks` when every term keeps charge, else the 4^n x 4^n matrix.
 
     On column-stacked operators each term is ``kron(y_k^T, x_k)``, whose
     entry [(b, a), (j, i)] is ``y_k[j, b] x_k[a, i]``.  The sum over k is
     one product of the K x dim^2 stacks of the y_k^T and the x_k, which
-    yields the entries in (b, j, a, i) order; one transpose reorders them.
-    None stands for the identity.
+    yields the entries in (b, j, a, i) order.  The whole matrix is that
+    product with one transpose; the block form takes its block entries
+    with ``_Layout.take``, bit for bit.  None stands for the identity.
+
+    The form is decided exactly, with no tolerance: a term keeps charge
+    when every nonzero entry (a, i) of x_k and (b, j) of y_k^T moves the
+    popcount by one common shift d, ``popcount(a) - popcount(i) = d``
+    (a NaN counts as nonzero).  Then every entry between two sectors is a
+    sum of products with an exact zero factor.  ``whole`` (the public
+    ``super_*`` functions), a term that breaks charge, or dim below
+    ``_MIN_SECTOR_DIM`` gives the whole matrix.
     """
     eye = np.eye(dim, dtype=complex)
-    xs = np.array([eye if x is None else x for x, _ in terms])
-    ys = np.array([eye if y is None else y.T for _, y in terms])
-    prod = ys.reshape(len(terms), -1).T @ xs.reshape(len(terms), -1)
+    k = len(terms)
+    ops = np.array([eye if x is None else x for x, _ in terms]
+                   + [eye if y is None else y.T for _, y in terms], dtype=complex)
+    xs, ys = ops[:k], ops[k:]
+    prod = ys.reshape(k, -1).T @ xs.reshape(k, -1)
+    if not (whole or dim < _MIN_SECTOR_DIM):
+        lay = _layout(dim)
+        nonzero = ops.reshape(2 * k, -1).view(np.float64) != 0
+        hits = nonzero.astype(np.float32) @ lay.shifts
+        if np.count_nonzero(hits[:k] + hits[k:], axis=1).max() <= 1:
+            return _Blocks(lay, prod.reshape(-1)[lay.take])
     return prod.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3) \
         .reshape(dim * dim, dim * dim)
 
 
-@lru_cache(maxsize=None)
-def _sectors(dim: int) -> tuple[np.ndarray, ...]:
-    """Column-stacked indices of dim x dim operators, one read-only array
-    per charge sector: entry (i, j), index ``i + dim*j``, has charge
-    ``popcount(i) - popcount(j)``."""
-    pop = np.array([bin(i).count("1") for i in range(dim)])
-    charge = (pop[:, None] - pop[None, :]).reshape(-1, order="F")
-    sectors = tuple(np.flatnonzero(charge == q) for q in np.unique(charge))
-    for idx in sectors:
-        idx.setflags(write=False)
-    return sectors
+def _whole(s) -> np.ndarray:
+    """The 4^n x 4^n matrix of a superoperator in either form (the explicit
+    conversion from `_Blocks`; zeros between sectors)."""
+    if not isinstance(s, _Blocks):
+        return s
+    dim2 = s.layout.dim ** 2
+    out = np.zeros(dim2 * dim2, dtype=s.data.dtype)
+    out[s.layout.place] = s.data
+    return out.reshape(dim2, dim2)
 
 
-def _expm(s: np.ndarray) -> np.ndarray:
-    """``e^s`` of a 4^n x 4^n superoperator: ``scipy.linalg.expm`` of each
-    charge-sector block when every entry between two sectors is exactly
-    zero (the on-sector blocks then hold all nonzeros, a NaN counting as
-    one), else of the whole matrix."""
-    sectors = _sectors(isqrt(len(s)))
-    blocks = [s[np.ix_(idx, idx)] for idx in sectors]
-    if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(s):
+def _norm(s) -> float:
+    """Frobenius norm of a superoperator in either form."""
+    return float(np.linalg.norm(s.data if isinstance(s, _Blocks) else s))
+
+
+def _identity(like):
+    """The identity superoperator in the form of ``like``."""
+    if isinstance(like, _Blocks):
+        return _Blocks(like.layout, like.layout.eye)
+    return np.eye(len(like), dtype=complex)
+
+
+def _expm(s):
+    """``e^s`` of a superoperator in either form: one ``scipy.linalg.expm``
+    call per stack of sector blocks, or one on the whole matrix."""
+    if not isinstance(s, _Blocks):
         return scipy.linalg.expm(s)
-    out = np.zeros(s.shape, dtype=complex)
-    for idx, block in zip(sectors, blocks):
-        out[np.ix_(idx, idx)] = scipy.linalg.expm(block)
-    return out
+    out = np.empty_like(s.data)
+    for block, (lo, hi, _) in zip(s._stacks(), s.layout.stacks):
+        out[lo:hi] = scipy.linalg.expm(block).reshape(-1)
+    return _Blocks(s.layout, out)
 
 
 def _apply(terms, rho: np.ndarray) -> np.ndarray:
@@ -275,6 +445,12 @@ def _generator_terms(a: np.ndarray, m: np.ndarray) -> list:
             (left, None), (None, _bilinear(ah + m, _dagger(c), c))]
 
 
+def _basic(kind: str, a, whole: bool = False):
+    """:func:`super_basic` in the form `_assemble` decides."""
+    a, n = _check_coefficients(a)
+    return _assemble(_basic_terms(kind, a), 2 ** n, whole)
+
+
 def super_basic(kind: str, a) -> np.ndarray:
     """One of the four basic superoperators with coefficient matrix ``a``.
 
@@ -283,8 +459,13 @@ def super_basic(kind: str, a) -> np.ndarray:
           'left'  -> (c, a c) rho
           'right' -> rho (c, a c)
     """
-    a, n = _check_coefficients(a)
-    return _assemble(_basic_terms(kind, a), 2 ** n)
+    return _basic(kind, a, whole=True)
+
+
+def _liouvillian(params: AffineGenerator, whole: bool = False):
+    """:func:`super_liouvillian` in the form `_assemble` decides."""
+    n = _check_modes(params.n)
+    return _assemble(_generator_terms(params.a, params.m), 2 ** n, whole)
 
 
 def super_liouvillian(params: AffineGenerator) -> np.ndarray:
@@ -293,8 +474,7 @@ def super_liouvillian(params: AffineGenerator) -> np.ndarray:
     Trace preserving for every (A, M): the vectorized trace functional
     annihilates it.
     """
-    n = _check_modes(params.n)
-    return _assemble(_generator_terms(params.a, params.m), 2 ** n)
+    return _liouvillian(params, whole=True)
 
 
 def super_master_equation(h, loss_vectors=(), gain_vectors=()) -> np.ndarray:
@@ -322,7 +502,7 @@ def super_master_equation(h, loss_vectors=(), gain_vectors=()) -> np.ndarray:
         d_op = smeared_annihilation(v)
         dd = d_op @ d_op.conj().T
         terms += [(2 * d_op.conj().T, d_op), (-dd, None), (None, -dd)]
-    return _assemble(terms, 2 ** n)
+    return _assemble(terms, 2 ** n, whole=True)
 
 
 def apply_generator(params: AffineGenerator, rho: np.ndarray) -> np.ndarray:
@@ -348,7 +528,7 @@ def dense_evolve(params: AffineGenerator, rho: np.ndarray, t: float) -> np.ndarr
     t = float(t)
     if not 0 <= t < np.inf:
         raise ValidationError(f"time must be finite and >= 0, got {t}")
-    prop = _expm(t * super_liouvillian(params))
+    prop = _expm(t * _liouvillian(params))
     return unvec(prop @ vec(rho))
 
 
@@ -428,5 +608,5 @@ def majorana_liouvillian(a, n_mat) -> np.ndarray:
     terms = [(_bilinear(antisym + 1j * n_mat / 4, w, w), None),
              (None, _bilinear(-antisym + 1j * n_mat / 4, w, w)),
              *zip(_smear((-a - a.T + 2j * n_mat) / 4, w), w)]
-    return _assemble(terms, 2 ** n)
+    return _assemble(terms, 2 ** n, whole=True)
 

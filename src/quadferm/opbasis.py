@@ -75,11 +75,13 @@ def phi_element(xis, etas, n: int) -> np.ndarray:
     return _phi(xis, etas, n)
 
 
-def _phi(xis: list, etas: list, n: int) -> np.ndarray:
-    """:func:`phi_element` of checked vectors; :func:`pi_element` checks n."""
+def _phi(xis: list, etas: list, n: int, inner=None) -> np.ndarray:
+    """:func:`phi_element` of checked vectors; :func:`pi_element` checks n.
+    ``inner``, when given, is the element of ``xis[1:], etas[1:]``."""
     if not xis or not etas:
         return pi_element(xis, etas, n)
-    inner = _phi(xis[1:], etas[1:], n)
+    if inner is None:
+        inner = _phi(xis[1:], etas[1:], n)
     zero = np.zeros((n, n), dtype=complex)
     terms = _generator_terms(zero, np.outer(xis[0], etas[0].conj()))
     return _apply(terms, inner)
@@ -166,9 +168,13 @@ def phi_family_matrix(xi_basis, eta_basis) -> tuple[list, np.ndarray]:
     labels = _subset_labels(n)
     dim = 4 ** n
     b = np.empty((dim, len(labels)), dtype=complex)
+    # labels run by subset size, so the element of (S[1:], T[1:]) that the
+    # recursion wraps is built, and kept, before that of (S, T)
+    elems = {}
     for i, (s, t) in enumerate(labels):
-        elem = _phi([xi_basis[j] for j in s], [eta_basis[j] for j in t], n)
-        b[:, i] = vec(elem)
+        elems[s, t] = _phi([xi_basis[j] for j in s], [eta_basis[j] for j in t],
+                           n, elems.get((s[1:], t[1:])))
+        b[:, i] = vec(elems[s, t])
     return labels, b
 
 

@@ -247,70 +247,158 @@ class TestSmear:
             assert out.shape == ref.shape and np.array_equal(out, ref)
 
 
-def _expm_sizes(monkeypatch):
-    """Record the size of every matrix scipy.linalg.expm is handed."""
-    sizes, true_expm = [], scipy.linalg.expm
+def _expm_shapes(monkeypatch):
+    """Record the shape of every array scipy.linalg.expm is handed."""
+    shapes, true_expm = [], scipy.linalg.expm
 
     def spy(a):
-        sizes.append(len(a))
+        shapes.append(np.shape(a))
         return true_expm(a)
 
     monkeypatch.setattr(scipy.linalg, "expm", spy)
-    return sizes
+    return shapes
+
+
+def _perturbed_car(monkeypatch, at_zero: bool):
+    """Rebind fock._car to one whose c_1 carries 1e-6 more at the
+    structurally zero (0, 0), or at its nonzero entry (0, 2^n / 2); the
+    real cache needs no clearing."""
+    true_car = fock._car
+
+    @functools.lru_cache(maxsize=None)
+    def perturbed_car(m):
+        ops = true_car(m).copy()
+        ops[0][(0, 0) if at_zero else (0, 2 ** m // 2)] += 1e-6
+        ops.setflags(write=False)
+        return ops
+
+    monkeypatch.setattr(fock, "_car", perturbed_car)
+
+
+def _sample_terms(rng, n):
+    """Sandwich term lists of L(A, M), of a drift L(A, O) (its gain terms
+    are zero maps) and of gain(T)."""
+    zero = np.zeros((n, n), dtype=complex)
+    p = random_gksl_params(rng, n)
+    return [fock._generator_terms(p.a, p.m),
+            fock._generator_terms(random_complex_matrix(rng, n), zero),
+            fock._basic_terms("gain", random_complex_matrix(rng, n))]
+
+
+@pytest.fixture
+def blocks_at_every_n(monkeypatch):
+    """Let _assemble return sector blocks below its usual minimum n = 3."""
+    monkeypatch.setattr(fock, "_MIN_SECTOR_DIM", 2)
+
+
+def _close(x, ref):
+    return np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.usefixtures("blocks_at_every_n")
+class TestSectorBlocks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_entries_are_the_whole_product_bit_for_bit(self, rng, n):
+        for terms in _sample_terms(rng, n):
+            blocks = fock._assemble(terms, 2 ** n)
+            assert isinstance(blocks, fock._Blocks)
+            assert np.array_equal(fock._whole(blocks),
+                                  fock._assemble(terms, 2 ** n, whole=True))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_arithmetic_matches_the_whole_matrices(self, rng, n):
+        x, y, z = (fock._assemble(t, 2 ** n) for t in _sample_terms(rng, n))
+        wx, wy, wz = map(fock._whole, (x, y, z))
+        v = rng.standard_normal(4 ** n) + 1j * rng.standard_normal(4 ** n)
+        assert _close(fock._whole(x @ y - 0.5j * z), wx @ wy - 0.5j * wz)
+        assert _close(fock._whole(-x + y), -wx + wy)
+        assert abs(fock._norm(x) - np.linalg.norm(wx)) \
+            <= 1e-13 * np.linalg.norm(wx)
+        assert _close(fock._whole(fock._expm(0.5 * x)),
+                      scipy.linalg.expm(0.5 * wx))
+        assert _close(x @ v, wx @ v) and _close(v @ x, v @ wx)
+        eye = fock._identity(x)
+        assert np.array_equal(fock._whole(eye), np.eye(4 ** n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_charge_breaking_terms_stay_whole(self, monkeypatch, rng, n):
+        w = fock.majorana_operators(n)
+        majorana = [(w[0], w[1]), (w[1] @ w[0], None)]
+        assert isinstance(fock._assemble(majorana, 2 ** n), np.ndarray)
+        _perturbed_car(monkeypatch, at_zero=True)
+        for terms in _sample_terms(rng, n):
+            whole = fock._assemble(terms, 2 ** n)
+            assert isinstance(whole, np.ndarray)
+            assert np.array_equal(whole, fock._assemble(terms, 2 ** n, True))
+
+    def test_mixing_with_an_array_raises(self, rng):
+        x = fock._assemble(_sample_terms(rng, 2)[0], 4)
+        other = fock._assemble(_sample_terms(rng, 3)[0], 8)
+        whole = fock._whole(x)
+        for mix in (lambda: x + whole, lambda: whole + x, lambda: x - whole,
+                    lambda: whole - x, lambda: x @ whole, lambda: whole @ x,
+                    lambda: x * whole, lambda: whole * x, lambda: x + 1.0,
+                    lambda: 1.0 - x, lambda: x @ other, lambda: x - other,
+                    lambda: x @ np.ones(15), lambda: np.asarray(x)):
+            with pytest.raises(TypeError):
+                mix()
 
 
 class TestSectorExponential:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_matches_the_whole_exponential(self, rng, n):
+    def test_matches_the_whole_exponential(self, rng, n, blocks_at_every_n):
         zero = np.zeros((n, n))
-        for s in (fock.super_liouvillian(random_gksl_params(rng, n)),
-                  fock.super_liouvillian(
+        for s in (fock._liouvillian(random_gksl_params(rng, n)),
+                  fock._liouvillian(
                       AffineGenerator(zero, random_complex_matrix(rng, n))),
-                  fock.super_basic("gain", random_complex_matrix(rng, n))):
-            ref = scipy.linalg.expm(s)
-            assert np.linalg.norm(fock._expm(s) - ref) \
-                <= 1e-13 * np.linalg.norm(ref)
+                  fock._basic("gain", random_complex_matrix(rng, n))):
+            ref = scipy.linalg.expm(fock._whole(s))
+            assert isinstance(s, fock._Blocks)
+            assert _close(fock._whole(fock._expm(s)), ref)
 
     def test_exponentiates_one_sector_at_a_time(self, rng, monkeypatch):
-        s = fock.super_liouvillian(random_gksl_params(rng, 2))
-        sizes = _expm_sizes(monkeypatch)
+        # at n = 3 the sectors q = 0, +-1, +-2, +-3 hold 20, 15, 6, 1 rows
+        s = fock._liouvillian(random_gksl_params(rng, 3))
+        shapes = _expm_shapes(monkeypatch)
         fock._expm(s)
-        assert sorted(sizes) == [1, 1, 4, 4, 6]
+        assert shapes == [(1, 20, 20), (2, 15, 15), (2, 6, 6), (2, 1, 1)]
 
     def test_any_off_sector_entry_takes_the_whole_exponential(self, rng):
-        # index 1 of a column-stacked 4 x 4 operator is entry (1, 0), of
-        # charge 1; index 0 has charge 0
-        s = fock.super_liouvillian(random_gksl_params(rng, 2))
-        s[1, 0] = 1e-300
-        a = rng.standard_normal((4, 4))
-        n_mat = rng.standard_normal((4, 4))
-        for t in (s, fock.majorana_liouvillian(a, n_mat - n_mat.T)):
-            assert np.array_equal(fock._expm(t), scipy.linalg.expm(t))
+        # entry (1, 0) moves the popcount by one, the identity None by
+        # none, so either term breaks charge at n = 3 and the list is whole
+        p = random_gksl_params(rng, 3)
+        kick = np.zeros((8, 8), dtype=complex)
+        kick[1, 0] = 1e-300
+        for term in ((kick, None), (None, kick)):
+            terms = [*fock._generator_terms(p.a, p.m), term]
+            s = fock._assemble(terms, 8)
+            assert isinstance(s, np.ndarray)
+            assert np.array_equal(s, fock._assemble(terms, 8, whole=True))
+            assert np.array_equal(fock._expm(s), scipy.linalg.expm(s))
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("breaks_sectors", [True, False],
                              ids=["zero-entry", "nonzero-entry"])
     def test_perturbed_annihilator_fails_the_suite(self, monkeypatch, n,
                                                    breaks_sectors):
         # c_1 + 1e-6 at a structurally zero diagonal entry mixes charge
-        # sectors, so every superoperator takes the whole exponential; at
-        # its nonzero entry (0, 2^n / 2) the sectors hold and the blocks
-        # are exponentiated.  The exponentiating rows fail either way.
-        true_car = fock._car
-        entry = (0, 0) if breaks_sectors else (0, 2 ** n // 2)
+        # sectors, so _assemble returns every superoperator whole; at its
+        # nonzero entry (0, 2^n / 2) the sectors hold and, from n = 3 on,
+        # it returns blocks.  The exponentiating rows fail either way.
+        _perturbed_car(monkeypatch, at_zero=breaks_sectors)
+        true_assemble, forms = fock._assemble, set()
 
-        @functools.lru_cache(maxsize=None)
-        def perturbed_car(m):
-            ops = true_car(m).copy()
-            ops[0][entry] += 1e-6
-            ops.setflags(write=False)
-            return ops
+        def spy(terms, dim, whole=False):
+            out = true_assemble(terms, dim, whole)
+            forms.add(type(out))
+            return out
 
-        monkeypatch.setattr(fock, "_car", perturbed_car)
-        sizes = _expm_sizes(monkeypatch)
+        monkeypatch.setattr(fock, "_assemble", spy)
         failed = {r.name for r in verify.run_suite(n=n, draws=3)
                   if not r.passed}
-        assert (4 ** n in sizes) == breaks_sectors
+        blocks = not breaks_sectors and n >= 3
+        assert forms == ({fock._Blocks, np.ndarray} if blocks
+                         else {np.ndarray})
         assert {"semigroup_factorization", "noise_conjugation",
                 "translation_conjugation", "gain_intertwining",
                 "phi_evolution_covariance"} <= failed

@@ -171,7 +171,7 @@ class TestEvolutionCovariance:
         xis = [rand_vec(twin, n) for _ in range(p_len)]
         etas = [rand_vec(twin, n) for _ in range(q_len)]
         prop = fock._expm(
-            t * fock.super_liouvillian(AffineGenerator(a, np.zeros((n, n)))))
+            t * fock._liouvillian(AffineGenerator(a, np.zeros((n, n)))))
         lhs = fock.unvec(prop @ fock.vec(opbasis.phi_element(xis, etas, n)))
         rot = scipy.linalg.expm(t * a)
         rhs = opbasis.phi_element([rot @ v for v in xis], [rot @ v for v in etas], n)

@@ -143,7 +143,7 @@ def test_worst_reduces_every_value_of_every_draw(monkeypatch, comparison,
     assert verify._worst("probe", None, 1, 3) == expected
 
 
-def test_planted_bracket_sign_bug_fails_generator_commutator(monkeypatch):
+def _flip_bracket_drift(monkeypatch):
     true_bracket = affine.bracket
 
     def flipped_drift(p, q):
@@ -151,8 +151,21 @@ def test_planted_bracket_sign_bug_fails_generator_commutator(monkeypatch):
         return affine.AffineGenerator(-g.a, g.m)
 
     monkeypatch.setattr(affine, "bracket", flipped_drift)
+
+
+def test_planted_bracket_sign_bug_fails_generator_commutator(monkeypatch):
+    _flip_bracket_drift(monkeypatch)
     failed = [r.name for r in verify.run_suite(n=2) if not r.passed]
     assert "generator_commutator" in failed
+
+
+def test_planted_bracket_sign_bug_fails_on_sector_blocks(monkeypatch):
+    # at n = 4 the generators are assembled as charge-sector blocks
+    _flip_bracket_drift(monkeypatch)
+    rng = np.random.default_rng(7)
+    tol = {c.name: c.tolerance for c in verify._REGISTRY}["generator_commutator"]
+    assert isinstance(verify._super_lam(np.eye(4), np.eye(4)), fock._Blocks)
+    assert verify._worst("generator_commutator", rng, 4, 3) > tol
 
 
 def test_fast_path_evolution_holds_at_five_modes():
@@ -162,12 +175,25 @@ def test_fast_path_evolution_holds_at_five_modes():
     assert verify._worst("fast_path_evolution", rng, 5, 1) <= tol
 
 
-def test_dropped_parity_string_fails(monkeypatch):
+def _suite_without_parity_strings(monkeypatch, n):
+    """(whether loss(I) is assembled as sector blocks, run_suite rows) with
+    the parity strings of the annihilators dropped."""
     monkeypatch.setattr(fock, "_PARITY", np.eye(2, dtype=complex))
     fock._car.cache_clear()
     try:
-        results = verify.run_suite(n=2, draws=3)
+        blocks = isinstance(verify._basic_map("loss")(np.eye(n)), fock._Blocks)
+        return blocks, verify.run_suite(n=n, draws=3)
     finally:
         monkeypatch.undo()
         fock._car.cache_clear()
+
+
+def test_dropped_parity_string_fails(monkeypatch):
+    _, results = _suite_without_parity_strings(monkeypatch, 2)
     assert any(not r.passed for r in results)
+
+
+def test_dropped_parity_string_fails_on_sector_blocks(monkeypatch):
+    # every term still keeps charge, so at n = 4 the suite runs on blocks
+    blocks, results = _suite_without_parity_strings(monkeypatch, 4)
+    assert blocks and any(not r.passed for r in results)
