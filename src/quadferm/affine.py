@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _van_loan_pair, as_square, hermitize, is_hermitian
+from .linalg import _GKSL_TOL, _van_loan_pair, as_square, hermitize, is_hermitian
 
 __all__ = [
     "AffineElement",
@@ -45,8 +45,15 @@ __all__ = [
 
 #: :func:`inverse` rejects linear parts with condition number above this.
 CONDITION_CAP = 1e12
-#: :attr:`AffineGenerator.gksl` tolerance, relative to max(1, ||m||, ||a||).
-GKSL_TOL = 1e-10
+
+
+def _square_pair(x, y, first: str, second: str):
+    """The two parts of an element or generator, square and of one size."""
+    x, y = as_square(x, f"{first} part"), as_square(y, f"{second} part")
+    if x.shape != y.shape:
+        raise ValidationError(f"{first} and {second} parts differ in size: "
+                              f"{x.shape} vs {y.shape}")
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -57,13 +64,7 @@ class AffineElement:
     m: np.ndarray
 
     def __post_init__(self):
-        u = as_square(self.u, "linear part")
-        m = as_square(self.m, "translation part")
-        if u.shape != m.shape:
-            raise ValidationError(
-                f"linear and translation parts differ in size: "
-                f"{u.shape} vs {m.shape}"
-            )
+        u, m = _square_pair(self.u, self.m, "linear", "translation")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "m", m)
 
@@ -80,12 +81,7 @@ class AffineGenerator:
     m: np.ndarray
 
     def __post_init__(self):
-        a = as_square(self.a, "drift part")
-        m = as_square(self.m, "noise part")
-        if a.shape != m.shape:
-            raise ValidationError(
-                f"drift and noise parts differ in size: {a.shape} vs {m.shape}"
-            )
+        a, m = _square_pair(self.a, self.m, "drift", "noise")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "m", m)
 
@@ -95,18 +91,15 @@ class AffineGenerator:
 
     @cached_property
     def gksl(self) -> bool:
-        """Admissibility: True iff m is Hermitian and ``O <= m <= -a - a†``
-        within GKSL_TOL (eigenvalue checks on m and on ``-a - a† - m``).
-        Computed on first read, then cached."""
+        """Admissibility: True iff m is Hermitian and ``O <= m <= -a - a†``,
+        each least eigenvalue >= ``-1e-10 (||a|| + ||m||)``, a bound that
+        scales with the pair.  Computed on first read, then cached."""
         a, m = self.a, self.m
         if not is_hermitian(m):
             return False
-        tol = GKSL_TOL * max(1.0, float(np.linalg.norm(m)),
-                             float(np.linalg.norm(a)))
-        lo = float(np.min(np.linalg.eigvalsh(hermitize(m)), initial=0.0))
-        gap = -(a + a.conj().T) - m
-        hi = float(np.min(np.linalg.eigvalsh(hermitize(gap)), initial=0.0))
-        return lo >= -tol and hi >= -tol
+        tol = _GKSL_TOL * (np.linalg.norm(a) + np.linalg.norm(m))
+        return all(np.min(np.linalg.eigvalsh(hermitize(x)), initial=0.0)
+                   >= -tol for x in (m, -(a + a.conj().T) - m))
 
 
 def identity(n: int) -> AffineElement:

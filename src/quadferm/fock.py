@@ -543,6 +543,7 @@ def gaussian_density(state: GaussianState) -> np.ndarray:
     n = _check_modes(state.n)
     occ, vecs = np.linalg.eigh(state.r)
     occ = np.clip(occ, 0.0, 1.0)
+    # absolute, as [0, 1] is: the closed form takes log(occ / (1 - occ))
     if np.min(occ) > 1e-12 and np.max(occ) < 1 - 1e-12:
         log_ratio = np.log(occ / (1 - occ))
         x_mat = (vecs * log_ratio) @ vecs.conj().T
@@ -601,6 +602,8 @@ def majorana_liouvillian(a, n_mat) -> np.ndarray:
         raise ValidationError("Majorana coefficient matrices must both be "
                               f"2n x 2n, got {a.shape} and {n_mat.shape}")
     n = _check_modes(a.shape[0] // 2)
+    # floored, not relative: N may be an exact zero computed from a
+    # bracket, which is then all roundoff and gives no scale of its own
     if np.linalg.norm(n_mat + n_mat.T) > 1e-12 * max(1.0, np.linalg.norm(n_mat)):
         raise ValidationError("noise coefficient matrix must be antisymmetric")
     w = np.array(majorana_operators(n))

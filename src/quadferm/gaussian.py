@@ -25,8 +25,8 @@ import numpy as np
 
 from .affine import AffineGenerator, act, flow
 from .errors import PhysicsError, ValidationError
-from .linalg import (_noise_limit, as_square, hermitize, is_hermitian,
-                     lyapunov_solve)
+from .linalg import (_SPECTRUM_TOL, _noise_limit, as_square, hermitize,
+                     is_hermitian, lyapunov_solve)
 
 __all__ = [
     "GaussianState",
@@ -40,14 +40,12 @@ __all__ = [
     "entropy",
 ]
 
-#: Spectrum-of-R physicality tolerance.
-SPECTRUM_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class GaussianState:
-    """A Gaussian state: correlation matrix ``r`` and its ascending
-    eigenvalues ``spectrum``, computed once by the construction check."""
+    """A Gaussian state: correlation matrix ``r``, Hermitian relative to its
+    norm, with spectrum in [0, 1] to an absolute 1e-10 (occupations are
+    probabilities); ``spectrum`` keeps the check's ascending eigenvalues."""
 
     r: np.ndarray
     spectrum: np.ndarray = field(init=False, compare=False, repr=False)
@@ -58,7 +56,7 @@ class GaussianState:
             raise ValidationError("correlation matrix must be Hermitian")
         r = hermitize(r)
         occ = np.linalg.eigvalsh(r)
-        if occ.size and (occ[0] < -SPECTRUM_TOL or occ[-1] > 1 + SPECTRUM_TOL):
+        if occ.size and (occ[0] < -_SPECTRUM_TOL or occ[-1] > 1 + _SPECTRUM_TOL):
             raise PhysicsError(
                 "correlation spectrum escapes [0, 1]: "
                 f"[{occ[0]:.3e}, {occ[-1]:.6f}]"

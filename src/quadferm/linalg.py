@@ -9,6 +9,25 @@ complex Schur form ordered with its damped eigenvalues first (LAPACK
 trsen); that ordering is the one place a mode is classified as undamped.
 Bartels-Stewart (LAPACK trsyl) on the damped block is also the long-time
 limit of an admissible drift.
+
+Two floors stay, in ``_noise_limit`` and ``fock.majorana_liouvillian``,
+each with its reason where it stands.  Every other fast-path postcondition
+follows one of three rules, which, like the claims they check, read alike
+when (A, M) are rescaled (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., ch. 1 and 7):
+
+======================  ======================  ===============================
+rule                    error model             checks and tolerances
+======================  ======================  ===============================
+normwise relative       ``||r|| <= tol ||x||``  is_hermitian 1e-12, gksl 1e-10,
+                        with no floor, as       build_matrices 1e-10,
+                        forming x errs by       featureless_choice 1e-9,
+                        about u ||x||           project_persistent 1e-10
+componentwise relative  graded: a norm misses   build_bath 1e-12,
+                        their small entries     steady_profile 1e-10
+absolute                the quantity itself is  R's spectrum 1e-10,
+                        absolute                gaussian_density 1e-12
+======================  ======================  ===============================
 """
 
 from __future__ import annotations
@@ -26,8 +45,10 @@ __all__ = [
     "lyapunov_solve",
 ]
 
-#: Relative tolerances; a mode with ``Re λ >= -_AXIS_BAND max|λ|`` is undamped
+#: The table's tolerances; ``Re λ >= -_AXIS_BAND max|λ|`` is undamped
 _HERMITIAN_TOL = 1e-12
+_GKSL_TOL = 1e-10
+_SPECTRUM_TOL = 1e-10
 _RESIDUAL_TOL = 1e-10
 _AXIS_BAND = 1e-9
 
@@ -52,7 +73,7 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 def is_hermitian(a: np.ndarray) -> bool:
     return bool(np.linalg.norm(a - a.conj().T)
-                <= _HERMITIAN_TOL * max(1.0, np.linalg.norm(a)))
+                <= _HERMITIAN_TOL * np.linalg.norm(a))
 
 
 def mat_exp(a) -> np.ndarray:

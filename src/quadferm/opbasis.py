@@ -88,20 +88,8 @@ def _phi(xis: list, etas: list, n: int, inner=None) -> np.ndarray:
 
 
 def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """(-1) to the number of inversions."""
+    return -1 if sum(i > j for i, j in combinations(perm, 2)) % 2 else 1
 
 
 def _pairing_expansion(xis, etas, n, inner_element, alternating: bool) -> np.ndarray:
@@ -196,11 +184,11 @@ def project_persistent(rho: np.ndarray, p0: np.ndarray) -> np.ndarray:
     multilinearity.  Implemented by expanding in a family adapted to p0
     (persistent basis vectors first) and dropping every coefficient whose
     label touches a damped index.  Raises ValidationError unless p0 is a
-    square Hermitian idempotent, ``||p0 p0 - p0|| <= 1e-10 max(1, ||p0||)``.
+    square Hermitian idempotent, ``||p0 p0 - p0|| <= 1e-10 ||p0||``.
     """
     p0 = as_square(p0, "persistent projector")
     if not is_hermitian(p0) or np.linalg.norm(p0 @ p0 - p0) \
-            > 1e-10 * max(1.0, np.linalg.norm(p0)):
+            > 1e-10 * np.linalg.norm(p0):
         raise ValidationError(
             "persistent projector must be Hermitian and idempotent")
     occ, vecs_p = np.linalg.eigh(p0)

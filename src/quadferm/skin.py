@@ -107,33 +107,26 @@ class SkinMatrices(NamedTuple):
     v_kappa: np.ndarray  # diagonal similarity diag(kappa^(j-1))
 
 
-def _hopping_patterns(n: int) -> tuple[np.ndarray, np.ndarray]:
-    ones = np.ones(n - 1)
-    f = np.diag(ones, -1) + np.diag(ones, 1)
-    g = 1j * np.diag(ones, -1) - 1j * np.diag(ones, 1)
-    return f.astype(complex), g
-
-
 def build_matrices(p: HatanoNelsonParams) -> SkinMatrices:
     """Lattice matrices of the open chain.
 
     The non-Hermitian Hamiltonian is ``(omega - i a gamma) I + K`` with
     (gamma + lam) on the subdiagonal and -(gamma - lam) on the
     superdiagonal; conjugating by V(kappa) turns it into
-    ``(omega - i a gamma) I - i sqrt(gamma^2 - lam^2) g``, which is normal,
-    so the verification below pins the construction.
+    ``(omega - i a gamma) I - i sqrt(gamma^2 - lam^2) g``, which is normal;
+    PhysicsError unless that holds to 1e-10 of ``||H_nh||``.
     """
     n = p.n
-    f, g = _hopping_patterns(n)
-    ones = np.ones(n - 1)
-    k = (p.gamma + p.lam) * np.diag(ones, -1) - (p.gamma - p.lam) * np.diag(ones, 1)
+    sub, sup = np.diag(np.ones(n - 1), -1), np.diag(np.ones(n - 1), 1)
+    f, g = (sub + sup).astype(complex), 1j * sub - 1j * sup
+    k = (p.gamma + p.lam) * sub - (p.gamma - p.lam) * sup
     h_nh = (p.omega - 1j * p.a * p.gamma) * np.eye(n) + k
     v_kappa = np.diag(p.kappa ** np.arange(n)).astype(complex)
     v_inv = np.diag(p.kappa ** -np.arange(n))
     target = (p.omega - 1j * p.a * p.gamma) * np.eye(n) \
         - 1j * np.sqrt(p.gamma ** 2 - p.lam ** 2) * g
     residual = np.linalg.norm(v_kappa @ h_nh @ v_inv - target)
-    if residual > 1e-10 * (1 + np.linalg.norm(h_nh)):
+    if residual > 1e-10 * np.linalg.norm(h_nh):
         raise PhysicsError(
             f"similarity check failed with residual {residual:.3e}; "
             "chain parameters are numerically degenerate"
@@ -194,7 +187,11 @@ def steady_profile(p: HatanoNelsonParams) -> np.ndarray:
 
 
 def localization_slope(profile: np.ndarray) -> tuple[float, float]:
-    """Mean and max deviation of the per-site slope of log occupations."""
+    """Mean and max deviation of the per-site slope of log occupations;
+    ValidationError for fewer than two sites, which have no slope."""
+    if len(profile) < 2:
+        raise ValidationError(
+            f"a slope needs a chain of at least 2 sites, got {len(profile)}")
     steps = np.diff(np.log(np.asarray(profile, dtype=float)))
     return float(np.mean(steps)), float(np.max(np.abs(steps - np.mean(steps))))
 
@@ -204,7 +201,8 @@ def featureless_choice(p: HatanoNelsonParams, delta: float) -> np.ndarray:
 
     The same non-Hermitian Hamiltonian, with loss and gain now sharing one
     spatial profile, relaxes to ``X = delta/(1+delta) I``: no localization.
-    Requires ``0 < delta < 1`` so both Gram matrices stay positive.
+    Requires ``0 < delta < 1`` so both Gram matrices stay positive; raises
+    PhysicsError unless the solve meets X to 1e-9 of ``||X||``.
     """
     delta = float(delta)
     if not 0 < delta < 1:
@@ -217,9 +215,8 @@ def featureless_choice(p: HatanoNelsonParams, delta: float) -> np.ndarray:
     a_mat = -1j * h - d_mat - e_mat
     x_out = lyapunov_solve(a_mat, 2 * e_mat)
     target = delta / (1 + delta) * np.eye(n)
-    if np.linalg.norm(x_out - target) > 1e-9 * n:
-        raise PhysicsError(
-            "flat-split steady state deviates from delta/(1+delta) I by "
-            f"{np.linalg.norm(x_out - target):.3e}"
-        )
+    err = np.linalg.norm(x_out - target) / np.linalg.norm(target)
+    if not err <= 1e-9:
+        raise PhysicsError("flat-split steady state deviates from "
+                           f"delta/(1+delta) I by {err:.3e} relative")
     return x_out

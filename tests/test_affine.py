@@ -21,6 +21,13 @@ def random_generator(rng, n):
                            random_complex_matrix(rng, n))
 
 
+class TestAdmissibility:
+    def test_small_negative_noise_is_not_admissible(self):
+        # M < 0 at every scale: the bound is relative to ||A|| + ||M||
+        assert not AffineGenerator([[-1e-12]], [[-1e-12]]).gksl
+        assert not AffineGenerator([[-1.0]], [[-1.0]]).gksl
+
+
 class TestAction:
     def test_identity_element(self, rng):
         x = random_complex_matrix(rng, 3)

@@ -136,6 +136,17 @@ class TestCommands:
             occ = float(row[header.index("occ1")])
             assert abs(occ - nbar * (1 - np.exp(-rate * t))) < 1e-12
 
+    def test_evolve_flags_small_negative_noise_as_inadmissible(
+            self, tmp_path):
+        # A = -2^-40, M = -1e-3 2^-40: negative noise, whatever the scale
+        scale = 2.0 ** -40
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(_explicit_ini([[-scale + 0j]], [[-1e-3 * scale + 0j]])
+                       + "[times]\nvalues = 0 1\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_csv(out)[0]["gksl"] == "false"
+
     def test_evolve_requires_times(self, tmp_path):
         cfg = tmp_path / "job.ini"
         cfg.write_text(SINGLE_MODE, encoding="utf-8")
@@ -293,6 +304,20 @@ class TestCommands:
             assert abs(hi / lo - 4.0) < 1e-9
         flat = [float(r[header.index("featureless_occupation")]) for r in rows]
         assert np.max(np.abs(np.array(flat) - 0.25)) < 1e-9
+
+    def test_skin_on_one_site_chain_exits_1_without_warnings(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text("[model]\nkind = hatano-nelson\n"
+                       "[model.hatano-nelson]\nn = 1\n", encoding="utf-8")
+        out = tmp_path / "skin.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["skin", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("quadferm: validation error: ")
+        assert "at least 2 sites" in err and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("n", [242, 244])
     def test_skin_with_subnormal_amplitude_exits_2_without_warnings(

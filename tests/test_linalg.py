@@ -7,12 +7,22 @@ from scipy.linalg import expm
 from quadferm.errors import PhysicsError, ValidationError
 from quadferm.affine import AffineGenerator, flow
 from quadferm.gaussian import GaussianState, asymptotic_decomposition
-from quadferm.linalg import hermitize, lyapunov_solve, mat_exp
+from quadferm.linalg import hermitize, is_hermitian, lyapunov_solve, mat_exp
 from quadferm.skin import HatanoNelsonParams, build_bath
 from quadferm.verify import (random_complex_matrix, random_gksl_params,
                              random_psd)
 
 from conftest import kron_lyapunov, stable_matrix
+
+
+class TestIsHermitian:
+    def test_tiny_nilpotent_is_not_hermitian(self):
+        # relative to its own norm, with no floor that would hide it
+        assert not is_hermitian(1e-20 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_zero_and_tiny_hermitian_matrices_are_hermitian(self):
+        assert is_hermitian(np.zeros((2, 2)))
+        assert is_hermitian(1e-300 * np.array([[1.0, 1j], [-1j, 2.0]]))
 
 
 class TestMatExp:

@@ -1,6 +1,7 @@
 """Property tests for the invariants grid stepping relies on, for the
 steady state it converges to, for the one rule that decides whether
-that steady state exists, and for the CSV renderer's number dedupe."""
+that steady state exists, for the scale-free tolerances of the fast path,
+and for the CSV renderer's number dedupe."""
 
 import math
 
@@ -11,10 +12,13 @@ from hypothesis import strategies as st
 
 from quadferm import cli
 from quadferm.affine import AffineGenerator, compose, flow
-from quadferm.errors import PhysicsError
+from quadferm.errors import PhysicsError, ValidationError
 from quadferm.gaussian import (GaussianState, asymptotic_decomposition,
                                evolve_grid, steady_state)
-from quadferm.verify import random_correlation_matrix, random_gksl_params
+from quadferm.linalg import lyapunov_solve
+from quadferm.skin import HatanoNelsonParams, build_bath
+from quadferm.verify import (random_complex_matrix, random_correlation_matrix,
+                             random_gksl_params)
 
 from conftest import csv_writer_render
 
@@ -93,6 +97,66 @@ def test_steady_state_exists_iff_no_mode_persists(seed, n, c):
     dec = asymptotic_decomposition(params, GaussianState.vacuum(n + 1))
     assert np.linalg.norm(dec.p0) == 0
     assert np.array_equal(dec.m_inf, steady)
+
+
+def _hermitian_verdict(r) -> bool:
+    """Whether GaussianState takes r as Hermitian; its spectrum check, an
+    absolute one since [0, 1] is, may refuse a scaled r all the same."""
+    try:
+        GaussianState(r)
+    except ValidationError:
+        return False
+    except PhysicsError:
+        pass
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=1, max_value=4),
+       k=st.integers(min_value=-40, max_value=40),
+       margin=st.sampled_from([-1e-3, -1e-8, 0.0, 1e-8, 1e-3]),
+       skew=st.sampled_from([0.0, 1e-9, 1e-3]),
+       t=st.just(0.0) | st.floats(min_value=1e-6, max_value=50.0))
+# M's least eigenvalue -1e-8 (||A|| + ||M||): a floor of 1e-10 absolute
+# took the pair for admissible once scaled by 2^-40
+@example(seed=0, n=1, k=-40, margin=-1e-8, skew=0.0, t=1.0)
+def test_decisions_and_results_are_scale_free(seed, n, k, margin, skew, t):
+    # Operands times s = 2^k (exact in floating point, and so is t/s) must
+    # get the same accept/reject decision, and results equal to roundoff:
+    # a flow at t/s, a Lyapunov solution unchanged, a bath's noise times s.
+    rng = np.random.default_rng(seed)
+    s = 2.0 ** k
+    base = random_gksl_params(rng, n, min_damping=0.2)
+    a = base.a
+    # M's least eigenvalue at margin (||A|| + ||M||); the damping floor
+    # keeps -A - A† - M positive definite
+    shift = margin * (np.linalg.norm(a) + np.linalg.norm(base.m)) \
+        - np.linalg.eigvalsh(base.m)[0]
+    m = base.m + shift * np.eye(n)
+    p, ps = AffineGenerator(a, m), AffineGenerator(s * a, s * m)
+    assert ps.gksl == p.gksl == (margin >= 0)
+
+    noise = random_complex_matrix(rng, n)
+    noise = noise - noise.conj().T  # anti-Hermitian: all of it is skew
+    r = random_correlation_matrix(rng, n, lo=0.0, hi=1.0)
+    r = r + skew * np.linalg.norm(r) / np.linalg.norm(noise) * noise
+    assert _hermitian_verdict(s * r) == _hermitian_verdict(r) == (skew == 0)
+
+    ref = lyapunov_solve(a, m)
+    assert (np.linalg.norm(lyapunov_solve(s * a, s * m) - ref)
+            <= 1e-10 * np.linalg.norm(ref))
+
+    g, gs = flow(p, t), flow(ps, t / s)
+    assert np.linalg.norm(gs.u - g.u) <= 1e-12  # ||e^{tA}||_2 <= 1
+    assert np.linalg.norm(gs.m - g.m) <= 1e-12 * np.linalg.norm(g.m)
+
+    omega, gamma = rng.uniform(0.1, 2.0, size=2)
+    lam, loss = gamma * rng.uniform(0.05, 0.95), rng.uniform(2.05, 4.0)
+    chain = [HatanoNelsonParams(n=n + 1, omega=c * omega, lam=c * lam,
+                                gamma=c * gamma, a=loss) for c in (1.0, s)]
+    bath, bath_s = (build_bath(q) for q in chain)
+    assert (np.linalg.norm(bath_s.m - s * bath.m)
+            <= 1e-12 * np.linalg.norm(s * bath.m))
 
 
 def _bits(pattern: int) -> float:

@@ -148,6 +148,10 @@ class TestSteadyProfile:
         x_target = np.diag(p.x * p.kappa ** (2 - 2 * np.arange(1, 6, dtype=float)))
         assert np.max(np.abs(state.r - x_target)) <= 1e-9
 
+    def test_one_site_has_no_slope(self):
+        with pytest.raises(ValidationError, match="at least 2 sites, got 1"):
+            localization_slope([0.25])
+
     def test_log_slope_is_constant(self):
         p = default_params(6)
         profile = steady_profile(p)
