@@ -30,7 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _GKSL_TOL, _van_loan_pair, as_square, hermitize, is_hermitian
+from .linalg import (_GKSL_TOL, _van_loan_pair, as_square, hermitize,
+                     is_hermitian)
 
 __all__ = [
     "AffineElement",
@@ -47,15 +48,6 @@ __all__ = [
 CONDITION_CAP = 1e12
 
 
-def _square_pair(x, y, first: str, second: str):
-    """The two parts of an element or generator, square and of one size."""
-    x, y = as_square(x, f"{first} part"), as_square(y, f"{second} part")
-    if x.shape != y.shape:
-        raise ValidationError(f"{first} and {second} parts differ in size: "
-                              f"{x.shape} vs {y.shape}")
-    return x, y
-
-
 @dataclass(frozen=True)
 class AffineElement:
     """Element (u, m): the map ``X -> u X u† + m``; u may be singular."""
@@ -64,7 +56,13 @@ class AffineElement:
     m: np.ndarray
 
     def __post_init__(self):
-        u, m = _square_pair(self.u, self.m, "linear", "translation")
+        u = as_square(self.u, "linear part")
+        m = as_square(self.m, "translation part")
+        if u.shape != m.shape:
+            raise ValidationError(
+                f"linear and translation parts differ in size: "
+                f"{u.shape} vs {m.shape}"
+            )
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "m", m)
 
@@ -81,7 +79,12 @@ class AffineGenerator:
     m: np.ndarray
 
     def __post_init__(self):
-        a, m = _square_pair(self.a, self.m, "drift", "noise")
+        a = as_square(self.a, "drift part")
+        m = as_square(self.m, "noise part")
+        if a.shape != m.shape:
+            raise ValidationError(
+                f"drift and noise parts differ in size: {a.shape} vs {m.shape}"
+            )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "m", m)
 
@@ -92,14 +95,17 @@ class AffineGenerator:
     @cached_property
     def gksl(self) -> bool:
         """Admissibility: True iff m is Hermitian and ``O <= m <= -a - a†``,
-        each least eigenvalue >= ``-1e-10 (||a|| + ||m||)``, a bound that
-        scales with the pair.  Computed on first read, then cached."""
+        each least eigenvalue (of m and of ``-a - a† - m``) within
+        ``linalg._GKSL_TOL (||a|| + ||m||)``, a bound that scales with the
+        pair.  Computed on first read, then cached."""
         a, m = self.a, self.m
         if not is_hermitian(m):
             return False
-        tol = _GKSL_TOL * (np.linalg.norm(a) + np.linalg.norm(m))
-        return all(np.min(np.linalg.eigvalsh(hermitize(x)), initial=0.0)
-                   >= -tol for x in (m, -(a + a.conj().T) - m))
+        tol = _GKSL_TOL * float(np.linalg.norm(a) + np.linalg.norm(m))
+        lo = float(np.min(np.linalg.eigvalsh(hermitize(m)), initial=0.0))
+        gap = -(a + a.conj().T) - m
+        hi = float(np.min(np.linalg.eigvalsh(hermitize(gap)), initial=0.0))
+        return lo >= -tol and hi >= -tol
 
 
 def identity(n: int) -> AffineElement:

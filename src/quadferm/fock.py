@@ -66,7 +66,7 @@ import scipy.linalg
 from .affine import AffineGenerator
 from .errors import ValidationError
 from .gaussian import GaussianState
-from .linalg import as_square, hermitize
+from .linalg import _ENDPOINT_TOL, as_square, hermitize
 
 __all__ = [
     "MAX_MODES",
@@ -543,8 +543,7 @@ def gaussian_density(state: GaussianState) -> np.ndarray:
     n = _check_modes(state.n)
     occ, vecs = np.linalg.eigh(state.r)
     occ = np.clip(occ, 0.0, 1.0)
-    # absolute, as [0, 1] is: the closed form takes log(occ / (1 - occ))
-    if np.min(occ) > 1e-12 and np.max(occ) < 1 - 1e-12:
+    if np.min(occ) > _ENDPOINT_TOL and np.max(occ) < 1 - _ENDPOINT_TOL:
         log_ratio = np.log(occ / (1 - occ))
         x_mat = (vecs * log_ratio) @ vecs.conj().T
         rho = float(np.prod(1 - occ)) * scipy.linalg.expm(quadratic_form(x_mat))

@@ -44,7 +44,7 @@ __all__ = [
 @dataclass(frozen=True)
 class GaussianState:
     """A Gaussian state: correlation matrix ``r``, Hermitian relative to its
-    norm, with spectrum in [0, 1] to an absolute 1e-10 (occupations are
+    norm, with spectrum in [0, 1] to an absolute ``_SPECTRUM_TOL`` (they are
     probabilities); ``spectrum`` keeps the check's ascending eigenvalues."""
 
     r: np.ndarray
@@ -132,6 +132,8 @@ def evolve_grid(params: AffineGenerator, state: GaussianState,
             f"size mismatch: params {params.n}, state {state.n}"
         )
     last_step, g = None, None
+    # u r u† + m is Hermitian when m is; rounding can break that in a small r
+    hermitian = is_hermitian(params.m)
     states = []
     prev = 0.0
     for t in times:
@@ -142,7 +144,8 @@ def evolve_grid(params: AffineGenerator, state: GaussianState,
             base, step = state, t
         if step != last_step:
             g, last_step = flow(params, step), step
-        states.append(GaussianState(act(g, base.r)))
+        r = act(g, base.r)
+        states.append(GaussianState(hermitize(r) if hermitian else r))
         prev = t
     return states
 
@@ -209,7 +212,7 @@ def asymptotic_decomposition(params: AffineGenerator,
     return AsymptoticDecomposition(
         a0_flow=AffineGenerator(params.a @ p0, np.zeros_like(p0)),
         m_inf=m_inf,
-        projected=GaussianState(p0 @ state.r @ p0),
+        projected=GaussianState(hermitize(p0 @ state.r @ p0)),
         p0=p0,
         frequencies=np.sort(eigs[j:].imag),
     )

@@ -10,24 +10,21 @@ trsen); that ordering is the one place a mode is classified as undamped.
 Bartels-Stewart (LAPACK trsyl) on the damped block is also the long-time
 limit of an admissible drift.
 
-Two floors stay, in ``_noise_limit`` and ``fock.majorana_liouvillian``,
-each with its reason where it stands.  Every other fast-path postcondition
-follows one of three rules, which, like the claims they check, read alike
-when (A, M) are rescaled (Higham, *Accuracy and Stability of Numerical
-Algorithms*, 2nd ed., ch. 1 and 7):
+Every fast-path postcondition follows one of three rules, which read alike
+when (A, M) are rescaled, as the claims they check do (Higham, *Accuracy
+and Stability of Numerical Algorithms*, 2nd ed., ch. 1 and 7); each check's
+tolerance is a constant below, with its rule.  Two floors stay, each with
+its reason where it stands, in ``_noise_limit`` and ``majorana_liouvillian``.
 
-======================  ======================  ===============================
-rule                    error model             checks and tolerances
-======================  ======================  ===============================
-normwise relative       ``||r|| <= tol ||x||``  is_hermitian 1e-12, gksl 1e-10,
-                        with no floor, as       build_matrices 1e-10,
-                        forming x errs by       featureless_choice 1e-9,
-                        about u ||x||           project_persistent 1e-10
-componentwise relative  graded: a norm misses   build_bath 1e-12,
-                        their small entries     steady_profile 1e-10
-absolute                the quantity itself is  R's spectrum 1e-10,
-                        absolute                gaussian_density 1e-12
-======================  ======================  ===============================
+======================  ====================================================
+rule                    error model
+======================  ====================================================
+normwise relative       ``||r|| <= tol ||x||`` with no floor: forming x
+                        errs by about u ||x||, in any units
+componentwise relative  entry by entry, where a norm misses the small
+                        entries of a graded result
+absolute                only where the quantity is, as R's spectrum in [0, 1]
+======================  ====================================================
 """
 
 from __future__ import annotations
@@ -45,10 +42,17 @@ __all__ = [
     "lyapunov_solve",
 ]
 
-#: The table's tolerances; ``Re λ >= -_AXIS_BAND max|λ|`` is undamped
-_HERMITIAN_TOL = 1e-12
-_GKSL_TOL = 1e-10
-_SPECTRUM_TOL = 1e-10
+#: The table's tolerances, one per check, with its rule
+_HERMITIAN_TOL = 1e-12    # normwise: is_hermitian
+_GKSL_TOL = 1e-10         # normwise: affine.AffineGenerator.gksl
+_SIMILARITY_TOL = 1e-10   # normwise: skin.build_matrices
+_FLAT_SPLIT_TOL = 1e-9    # normwise: skin.featureless_choice
+_IDEMPOTENT_TOL = 1e-10   # normwise: opbasis.project_persistent
+_FIXED_POINT_TOL = 1e-12  # componentwise: skin.build_bath
+_PROFILE_TOL = 1e-10      # componentwise: skin.steady_profile
+_SPECTRUM_TOL = 1e-10     # absolute: gaussian.GaussianState
+_ENDPOINT_TOL = 1e-12     # absolute: fock.gaussian_density
+#: ``_noise_limit``'s residual; ``Re λ >= -_AXIS_BAND max|λ|`` is undamped
 _RESIDUAL_TOL = 1e-10
 _AXIS_BAND = 1e-9
 
@@ -156,6 +160,9 @@ def _ordered_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return r, q, int(j)
 
 
+# Floored, unlike the table's checks: which rule replaces the floors of the
+# residual and P0 tests below decides which long-time answers are refused,
+# an open choice (ROADMAP.md, "No silent long-time answers").
 def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
                  ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """``(T, λ, j, P0)`` for checked operands: ``T = int_0^inf e^{sA} M

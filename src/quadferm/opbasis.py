@@ -33,7 +33,7 @@ from .errors import ValidationError
 from .fock import (_apply, _check_modes, _generator_terms, density_modes,
                    smeared_annihilation, smeared_creation, unvec,
                    vacuum_projector, vec)
-from .linalg import as_square, is_hermitian
+from .linalg import _IDEMPOTENT_TOL, as_square, is_hermitian
 
 __all__ = [
     "phi_element",
@@ -88,8 +88,20 @@ def _phi(xis: list, etas: list, n: int, inner=None) -> np.ndarray:
 
 
 def _perm_sign(perm) -> int:
-    """(-1) to the number of inversions."""
-    return -1 if sum(i > j for i, j in combinations(perm, 2)) % 2 else 1
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 def _pairing_expansion(xis, etas, n, inner_element, alternating: bool) -> np.ndarray:
@@ -184,11 +196,11 @@ def project_persistent(rho: np.ndarray, p0: np.ndarray) -> np.ndarray:
     multilinearity.  Implemented by expanding in a family adapted to p0
     (persistent basis vectors first) and dropping every coefficient whose
     label touches a damped index.  Raises ValidationError unless p0 is a
-    square Hermitian idempotent, ``||p0 p0 - p0|| <= 1e-10 ||p0||``.
+    square Hermitian idempotent, ``||p0 p0 - p0|| <= _IDEMPOTENT_TOL ||p0||``.
     """
     p0 = as_square(p0, "persistent projector")
     if not is_hermitian(p0) or np.linalg.norm(p0 @ p0 - p0) \
-            > 1e-10 * np.linalg.norm(p0):
+            > _IDEMPOTENT_TOL * np.linalg.norm(p0):
         raise ValidationError(
             "persistent projector must be Hermitian and idempotent")
     occ, vecs_p = np.linalg.eigh(p0)

@@ -24,7 +24,8 @@ import numpy as np
 from .affine import AffineGenerator
 from .errors import PhysicsError, ValidationError
 from .gaussian import steady_state
-from .linalg import hermitize, lyapunov_solve
+from .linalg import (_FIXED_POINT_TOL, _FLAT_SPLIT_TOL, _PROFILE_TOL,
+                     _SIMILARITY_TOL, hermitize, lyapunov_solve)
 
 __all__ = [
     "HatanoNelsonParams",
@@ -107,6 +108,13 @@ class SkinMatrices(NamedTuple):
     v_kappa: np.ndarray  # diagonal similarity diag(kappa^(j-1))
 
 
+def _hopping_patterns(n: int) -> tuple[np.ndarray, np.ndarray]:
+    ones = np.ones(n - 1)
+    f = np.diag(ones, -1) + np.diag(ones, 1)
+    g = 1j * np.diag(ones, -1) - 1j * np.diag(ones, 1)
+    return f.astype(complex), g
+
+
 def build_matrices(p: HatanoNelsonParams) -> SkinMatrices:
     """Lattice matrices of the open chain.
 
@@ -114,19 +122,19 @@ def build_matrices(p: HatanoNelsonParams) -> SkinMatrices:
     (gamma + lam) on the subdiagonal and -(gamma - lam) on the
     superdiagonal; conjugating by V(kappa) turns it into
     ``(omega - i a gamma) I - i sqrt(gamma^2 - lam^2) g``, which is normal;
-    PhysicsError unless that holds to 1e-10 of ``||H_nh||``.
+    PhysicsError unless that holds to ``_SIMILARITY_TOL ||H_nh||``.
     """
     n = p.n
-    sub, sup = np.diag(np.ones(n - 1), -1), np.diag(np.ones(n - 1), 1)
-    f, g = (sub + sup).astype(complex), 1j * sub - 1j * sup
-    k = (p.gamma + p.lam) * sub - (p.gamma - p.lam) * sup
+    f, g = _hopping_patterns(n)
+    ones = np.ones(n - 1)
+    k = (p.gamma + p.lam) * np.diag(ones, -1) - (p.gamma - p.lam) * np.diag(ones, 1)
     h_nh = (p.omega - 1j * p.a * p.gamma) * np.eye(n) + k
     v_kappa = np.diag(p.kappa ** np.arange(n)).astype(complex)
     v_inv = np.diag(p.kappa ** -np.arange(n))
     target = (p.omega - 1j * p.a * p.gamma) * np.eye(n) \
         - 1j * np.sqrt(p.gamma ** 2 - p.lam ** 2) * g
     residual = np.linalg.norm(v_kappa @ h_nh @ v_inv - target)
-    if residual > 1e-10 * np.linalg.norm(h_nh):
+    if residual > _SIMILARITY_TOL * np.linalg.norm(h_nh):
         raise PhysicsError(
             f"similarity check failed with residual {residual:.3e}; "
             "chain parameters are numerically degenerate"
@@ -144,7 +152,7 @@ def build_bath(p: HatanoNelsonParams) -> AffineGenerator:
     equals the convergent integral of ``e^{(2X-I)s} Q e^{(2X-I)s}``; with
     ``c = diag(2X - I)`` that is ``E_ij = -Q_ij / (c_i + c_j)``.
     Raises PhysicsError unless the pair is admissible (its ``gksl`` flag)
-    and ``A X + X A† + M = 0`` holds entrywise to 1e-12 of
+    and ``A X + X A† + M = 0`` holds entrywise to ``_FIXED_POINT_TOL`` of
     ``|A||X| + |X||A†| + |M|``, which scales with the graded X.
     """
     mats = build_matrices(p)
@@ -164,7 +172,7 @@ def build_bath(p: HatanoNelsonParams) -> AffineGenerator:
     res = np.abs(a @ x_mat + x_mat @ a.conj().T + m)
     scale = np.abs(a) @ np.abs(x_mat) + np.abs(x_mat) @ np.abs(a).T + np.abs(m)
     worst = float(np.max(res / np.where(scale > 0, scale, 1.0)))
-    if not worst <= 1e-12:
+    if not worst <= _FIXED_POINT_TOL:
         raise PhysicsError(
             f"target steady state violates the fixed-point equation "
             f"(entrywise residual {worst:.3e} of |A||X| + |X||A†| + |M|)"
@@ -175,12 +183,12 @@ def build_bath(p: HatanoNelsonParams) -> AffineGenerator:
 def steady_profile(p: HatanoNelsonParams) -> np.ndarray:
     """Steady occupations n_j = x kappa^(2-2j), the real diagonal of the
     Gaussian steady state's correlation matrix.  Raises PhysicsError unless
-    each is within 1e-10 relative: they span kappa^(2-2n), and this checks
-    the Lyapunov solve, where :func:`build_bath` checks its target."""
+    each is within ``_PROFILE_TOL`` relative: they span kappa^(2-2n), and
+    this checks the solve, where :func:`build_bath` checks its target."""
     occ = steady_state(build_bath(p)).occupations()
     target = p.x * p.kappa ** (-2.0 * np.arange(p.n))
     err = float(np.max(np.abs(occ / target - 1)))
-    if not err <= 1e-10:
+    if not err <= _PROFILE_TOL:
         raise PhysicsError(
             f"steady occupations miss x kappa^(2-2j) by {err:.3e} relative")
     return occ
@@ -202,7 +210,7 @@ def featureless_choice(p: HatanoNelsonParams, delta: float) -> np.ndarray:
     The same non-Hermitian Hamiltonian, with loss and gain now sharing one
     spatial profile, relaxes to ``X = delta/(1+delta) I``: no localization.
     Requires ``0 < delta < 1`` so both Gram matrices stay positive; raises
-    PhysicsError unless the solve meets X to 1e-9 of ``||X||``.
+    PhysicsError unless the solve meets X to ``_FLAT_SPLIT_TOL ||X||``.
     """
     delta = float(delta)
     if not 0 < delta < 1:
@@ -216,7 +224,7 @@ def featureless_choice(p: HatanoNelsonParams, delta: float) -> np.ndarray:
     x_out = lyapunov_solve(a_mat, 2 * e_mat)
     target = delta / (1 + delta) * np.eye(n)
     err = np.linalg.norm(x_out - target) / np.linalg.norm(target)
-    if not err <= 1e-9:
+    if not err <= _FLAT_SPLIT_TOL:
         raise PhysicsError("flat-split steady state deviates from "
                            f"delta/(1+delta) I by {err:.3e} relative")
     return x_out

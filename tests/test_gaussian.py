@@ -10,8 +10,8 @@ from quadferm.gaussian import (GaussianState, asymptotic_decomposition,
                                expectation_quadratic, params_from_model,
                                steady_state)
 from quadferm.linalg import hermitize, lyapunov_solve
-from quadferm.verify import (random_correlation_matrix, random_gksl_params,
-                             random_hermitian, random_psd)
+from quadferm.verify import (random_complex_matrix, random_correlation_matrix,
+                             random_gksl_params, random_hermitian, random_psd)
 
 from conftest import kron_lyapunov
 
@@ -196,6 +196,18 @@ class TestEvolveGrid:
                 direct = evolve_state(params, state, t).r
                 assert (np.linalg.norm(stepped.r - direct)
                         <= 1e-12 * np.linalg.norm(direct))
+
+    def test_small_state_in_a_fast_mode_stays_hermitian(self, rng):
+        # M = 0, all of R in the mode decaying faster by 2: at t = 10, R is
+        # e^{-20} below the roundoff scale ||u||^2 ||R|| of u R u†, which
+        # no longer rounds to Hermitian relative to its own norm
+        q = np.linalg.qr(random_complex_matrix(rng, 2))[0]
+        params = AffineGenerator(q @ np.diag([-0.5, -1.5]) @ q.conj().T,
+                                 np.zeros((2, 2)))
+        state = GaussianState(np.outer(q[:, 1], q[:, 1].conj()))
+        for out in evolve_grid(params, state, [10.0, 20.0, 30.0]):
+            assert np.array_equal(out.r, out.r.conj().T)
+            assert np.linalg.norm(out.r) < 1e-8
 
     def test_growing_steps_restart_from_the_initial_state(self, rng):
         # each step of a logarithmic grid is at least the elapsed time, so
@@ -444,6 +456,17 @@ class TestAsymptoticDecomposition:
         dec = asymptotic_decomposition(params, GaussianState.vacuum(3))
         assert dec.frequencies.size == undamped
         assert len(calls) == 1
+
+
+    def test_state_orthogonal_to_the_dark_mode_projects_to_zero(self, rng):
+        # P0 R P0 is zero in exact arithmetic, so all of it is roundoff
+        q = np.linalg.qr(random_complex_matrix(rng, 2))[0]
+        params = AffineGenerator(q @ np.diag([0.7j, -1.0]) @ q.conj().T,
+                                 np.zeros((2, 2)))
+        state = GaussianState(np.outer(q[:, 1], q[:, 1].conj()))
+        dec = asymptotic_decomposition(params, state)
+        assert np.array_equal(dec.projected.r, dec.projected.r.conj().T)
+        assert np.linalg.norm(dec.projected.r) < 1e-12
 
 
 class TestExpectationAndEntropy:
