@@ -49,6 +49,19 @@ its superoperators stay whole and the oracle loses no power.  The public
 ``dense_evolve`` compute in the form ``_assemble`` returns.  Below n = 3
 the blocks are too small to pay and every form is whole.
 
+Gathered blocks.  A basic map is linear in its coefficient matrix (left
+and right in the operator ``(c, B c)``), and each of its block entries
+is one signed coefficient or operator entry.  So ``_basic`` and
+``_liouvillian`` do not assemble: for each (n, kind) a `_Gather`, built
+once on first use from the n^2 unit coefficients through ``_assemble``
+and its charge test, lists where each entry lands, and a call gathers
+its operands into the blocks, bit for bit the entries ``_assemble``
+would take.  A map is rebuilt when ``_car`` or ``_MIN_SECTOR_DIM``
+changes, and a kind whose units break charge has none, so those calls
+go through ``_assemble`` whole.  ``dense_evolve`` exponentiates only the
+sector stacks that ``vec(rho)`` occupies; the rest of the result is
+exact zeros.
+
 Sizes.  Every function reads the mode count n from its operands: a
 coefficient matrix or generator is n x n, a smearing vector has n entries,
 a density matrix is 2^n x 2^n.  n is an argument only where it is the sole
@@ -216,9 +229,10 @@ class _Layout:
     have equal size, so the blocks form n+1 stacks, one per |q|, each
     ``(count, m, m)``: ``stacks`` holds the bounds and shape of each in the
     flat block data, ``vstacks`` those of its rows in a vector gathered by
-    ``order`` (the sector indices, stack by stack).  ``take`` picks the
-    block entries, in data order, out of `_assemble`'s product; ``place``
-    puts them into the flat whole matrix.  ``shifts`` maps each float of a
+    ``order`` (the sector indices, stack by stack); ``charge`` is the
+    charge of every vector index.  ``take`` picks the block entries, in
+    data order, out of `_assemble`'s product; ``place`` puts them into
+    the flat whole matrix.  ``shifts`` maps each float of a
     flattened complex dim x dim operator to the popcount shift
     ``popcount(a) - popcount(i)`` of its entry (a, i), one-hot over -n..n.
     """
@@ -229,7 +243,8 @@ class _Layout:
         shift = (pop[:, None] - pop[None, :]).reshape(-1)
         self.shifts = np.repeat(shift[:, None] == np.arange(-n, n + 1), 2,
                                 axis=0).astype(np.float32)
-        charge = -shift  # of vec index i + dim*j, at flat index j*dim + i
+        # of vec index i + dim*j, at flat index j*dim + i
+        charge = self.charge = -shift
         sectors, self.stacks, self.vstacks = [], [], []
         lo = vlo = 0
         for q in range(n + 1):
@@ -253,7 +268,8 @@ class _Layout:
         self.eye = np.concatenate(
             [np.broadcast_to(np.eye(shape[1], dtype=complex), shape).reshape(-1)
              for _, _, shape in self.stacks])
-        for arr in (self.shifts, self.order, self.take, self.place, self.eye):
+        for arr in (self.shifts, self.charge, self.order, self.take,
+                    self.place, self.eye):
             arr.setflags(write=False)
 
 
@@ -325,16 +341,23 @@ class _Blocks:
     def __rmatmul__(self, other):
         return self._vector(other, column=False)
 
-    def _vector(self, v, column: bool) -> np.ndarray:
+    def _vector(self, v, column: bool, exp: bool = False) -> np.ndarray:
         """``self @ v`` for a column, ``v @ self`` for a row: a whole
-        vector, from one batched matmul per stack."""
+        vector, from one batched matmul per stack.  ``exp`` applies
+        ``e^self`` to a column instead, exponentiating only the stacks in
+        which v has a nonzero entry (a NaN counts): the rows of any other
+        stack are exact zeros."""
         lay = self.layout
         if not (isinstance(v, np.ndarray) and v.shape == lay.order.shape):
             self._refuse(v)
         gathered = v[lay.order]
-        res = np.empty(len(gathered), dtype=np.result_type(v, self.data))
+        res = np.zeros(len(gathered), dtype=np.result_type(v, self.data))
         for block, (lo, hi, shape) in zip(self._stacks(), lay.vstacks):
             part = gathered[lo:hi].reshape(shape)
+            if exp:
+                if not part.any():
+                    continue
+                block = scipy.linalg.expm(block)
             prod = block @ part[..., None] if column else part[:, None] @ block
             res[lo:hi] = prod.reshape(-1)
         out = np.empty_like(res)
@@ -421,34 +444,146 @@ def _apply(terms, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _basic_terms(kind: str, a: np.ndarray) -> list:
-    """Sandwich terms of :func:`super_basic`, for a checked ``a``."""
-    c = _car(a.shape[0])
-    if kind == "loss":
-        return list(zip(c, _smear(a, _dagger(c))))
-    if kind == "gain":
-        return list(zip(_dagger(c), _smear(a.T, c)))
+_KINDS = ("loss", "gain", "left", "right")
+
+
+def _operand(kind: str, a: np.ndarray) -> np.ndarray:
+    """What ``kind(a)`` is linear in, entry by entry: ``a`` itself for
+    loss and gain, the operator ``(c, a c)`` for left and right."""
+    if kind in ("left", "right"):
+        c = _car(a.shape[0])
+        return _bilinear(a, _dagger(c), c)
+    return a
+
+
+def _operand_terms(kind: str, x: np.ndarray) -> list:
+    """Sandwich terms of a basic map given its `_operand` ``x``."""
     if kind == "left":
-        return [(_bilinear(a, _dagger(c), c), None)]
+        return [(x, None)]
     if kind == "right":
-        return [(None, _bilinear(a, _dagger(c), c))]
+        return [(None, x)]
+    c = _car(x.shape[0])
+    if kind == "loss":
+        return list(zip(c, _smear(x, _dagger(c))))
+    if kind == "gain":
+        return list(zip(_dagger(c), _smear(x.T, c)))
     raise ValidationError(f"unknown superoperator kind {kind!r}")
 
 
-def _generator_terms(a: np.ndarray, m: np.ndarray) -> list:
-    """Sandwich terms of L(A, M), operands checked; -tr(M) rides on left."""
+def _basic_terms(kind: str, a: np.ndarray) -> list:
+    """Sandwich terms of :func:`super_basic`, for a checked ``a``."""
+    return _operand_terms(kind, _operand(kind, a))
+
+
+def _generator_operands(a: np.ndarray, m: np.ndarray) -> tuple:
+    """The `_operand` of each basic map in L(A, M), in `_KINDS` order,
+    operands checked; -tr(M) rides on left."""
     n = a.shape[0]
     c = _car(n)
     ah = a.conj().T
     left = _bilinear(a + m, _dagger(c), c) - np.trace(m) * np.eye(2 ** n)
-    return [*_basic_terms("loss", -a - ah - m), *_basic_terms("gain", m),
-            (left, None), (None, _bilinear(ah + m, _dagger(c), c))]
+    return -a - ah - m, m, left, _bilinear(ah + m, _dagger(c), c)
+
+
+def _generator_terms(a: np.ndarray, m: np.ndarray) -> list:
+    """Sandwich terms of L(A, M), operands checked."""
+    return [term for kind, x in zip(_KINDS, _generator_operands(a, m))
+            for term in _operand_terms(kind, x)]
+
+
+class _Gather:
+    """A block-form superoperator that is linear in its operands, as the
+    block entry that each operand entry lands on.
+
+    Calling it with the operands (each flattened in C order, then joined
+    into ``flat``) forms the block data: entry ``pos[e]`` gets ``w[e] *
+    flat[src[e]]``, summed in the order of e by one ``np.bincount`` over
+    the real and imaginary parts.
+    """
+
+    __slots__ = ("layout", "pos", "src", "w", "_slots")
+
+    def __init__(self, layout: _Layout, pos, src, w):
+        self.layout, self.pos, self.src = layout, pos, src
+        self.w = np.asarray(w, dtype=complex)
+        self._slots = (2 * pos[:, None] + [0, 1]).reshape(-1)
+
+    def __call__(self, *operands) -> _Blocks:
+        flat = np.concatenate([x.reshape(-1) for x in operands])
+        parts = (self.w * flat[self.src]).view(np.float64)
+        data = np.bincount(self._slots, parts, 2 * len(self.layout.place))
+        return _Blocks(self.layout, data.view(complex))
+
+
+def _build_gather(kinds: tuple, n: int):
+    """The `_Gather` of the sum of the basic maps ``kinds``, each given
+    its `_operand` in that order; None unless `_assemble` returns every
+    one of them as blocks.
+
+    A single kind assembles its n^2 unit coefficients through `_assemble`,
+    with its exact charge test.  Loss and gain take their positions and
+    weights from those blocks (with the true annihilators each block
+    entry is one unit coefficient, weight +-1).  Left and right
+    are ``kron(I, X)`` and ``kron(X^T, I)`` in their operand X, so their
+    entries come from the layout; the units only prove that X keeps
+    charge.  A sum joins the maps of its kinds in order, so `np.bincount`
+    adds the kinds in the order of `_assemble`'s product.
+    """
+    dim = 2 ** n
+    if len(kinds) > 1:
+        maps = [_gather_map((kind,), n) for kind in kinds]
+        if None in maps:
+            return None
+        sizes = [n * n if k in ("loss", "gain") else dim * dim for k in kinds]
+        offsets = np.cumsum([0] + sizes[:-1])
+        return _Gather(maps[0].layout,
+                       np.concatenate([g.pos for g in maps]),
+                       np.concatenate([g.src + o for g, o in zip(maps, offsets)]),
+                       np.concatenate([g.w for g in maps]))
+    (kind,) = kinds
+    lay = _layout(dim)
+    hits = []
+    for k, unit in enumerate(np.eye(n * n, dtype=complex).reshape(-1, n, n)):
+        s = _assemble(_basic_terms(kind, unit), dim)
+        if not isinstance(s, _Blocks):
+            return None
+        if kind in ("loss", "gain"):
+            pos = np.flatnonzero(s.data)
+            hits.append((pos, np.full(len(pos), k), s.data[pos]))
+    if hits:
+        return _Gather(lay, *map(np.concatenate, zip(*hits)))
+    # block entry (a + dim*b, i + dim*j), at place (a + dim*b)*dim^2 +
+    # i + dim*j, is X[a, i] where b = j in kron(I, X), X[j, b] where a = i
+    # in kron(X^T, I)
+    (b, a), (j, i) = (np.divmod(rc, dim) for rc in np.divmod(lay.place, dim * dim))
+    pos = np.flatnonzero(b == j if kind == "left" else a == i)
+    src = a * dim + i if kind == "left" else j * dim + b
+    return _Gather(lay, pos, src[pos], np.ones(len(pos)))
+
+
+_GATHERS: dict = {}
+
+
+def _gather_map(kinds: tuple, n: int):
+    """The cached `_build_gather` of ``kinds`` at n modes.  Built on first
+    use, and again whenever ``_car(n)`` or ``_MIN_SECTOR_DIM`` has changed
+    (a planted bug or a test rebinds them), so a map never outlives what
+    it was built from."""
+    key, car = (kinds, n), _car(n)
+    hit = _GATHERS.get(key)
+    if hit is None or hit[0] is not car or hit[1] != _MIN_SECTOR_DIM:
+        hit = _GATHERS[key] = (car, _MIN_SECTOR_DIM, _build_gather(kinds, n))
+    return hit[2]
 
 
 def _basic(kind: str, a, whole: bool = False):
-    """:func:`super_basic` in the form `_assemble` decides."""
+    """:func:`super_basic` in the form `_assemble` decides, gathered from
+    the cached map when that form is blocks."""
     a, n = _check_coefficients(a)
-    return _assemble(_basic_terms(kind, a), 2 ** n, whole)
+    gather = None if whole else _gather_map((kind,), n)
+    if gather is None:
+        return _assemble(_basic_terms(kind, a), 2 ** n, whole)
+    return gather(_operand(kind, a))
 
 
 def super_basic(kind: str, a) -> np.ndarray:
@@ -463,9 +598,13 @@ def super_basic(kind: str, a) -> np.ndarray:
 
 
 def _liouvillian(params: AffineGenerator, whole: bool = False):
-    """:func:`super_liouvillian` in the form `_assemble` decides."""
+    """:func:`super_liouvillian` in the form `_assemble` decides, gathered
+    from the cached map when that form is blocks."""
     n = _check_modes(params.n)
-    return _assemble(_generator_terms(params.a, params.m), 2 ** n, whole)
+    gather = None if whole else _gather_map(_KINDS, n)
+    if gather is None:
+        return _assemble(_generator_terms(params.a, params.m), 2 ** n, whole)
+    return gather(*_generator_operands(params.a, params.m))
 
 
 def super_liouvillian(params: AffineGenerator) -> np.ndarray:
@@ -514,7 +653,13 @@ def apply_generator(params: AffineGenerator, rho: np.ndarray) -> np.ndarray:
 
 
 def dense_evolve(params: AffineGenerator, rho: np.ndarray, t: float) -> np.ndarray:
-    """Evolve a density matrix by exponentiating the dense generator L(A, M)."""
+    """Evolve a density matrix by exponentiating the dense generator L(A, M).
+
+    In sector blocks (n >= 3) only the stacks in which ``vec(rho)`` has a
+    nonzero entry are exponentiated, tested exactly: the generator keeps
+    charge, so the other stacks add exact zeros (a Gaussian state, of
+    charge 0, takes one ``expm`` of the q = 0 block).
+    """
     n = params.n
     if n > MAX_DENSE_EVOLVE_MODES:
         raise ValidationError(
@@ -528,8 +673,10 @@ def dense_evolve(params: AffineGenerator, rho: np.ndarray, t: float) -> np.ndarr
     t = float(t)
     if not 0 <= t < np.inf:
         raise ValidationError(f"time must be finite and >= 0, got {t}")
-    prop = _expm(t * _liouvillian(params))
-    return unvec(prop @ vec(rho))
+    gen, v = t * _liouvillian(params), vec(rho)
+    if isinstance(gen, _Blocks):
+        return unvec(gen._vector(v, column=True, exp=True))
+    return unvec(scipy.linalg.expm(gen) @ v)
 
 
 def gaussian_density(state: GaussianState) -> np.ndarray:

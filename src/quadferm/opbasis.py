@@ -72,19 +72,44 @@ def phi_element(xis, etas, n: int) -> np.ndarray:
     """The dressed basis element, built by the rank-one recursion."""
     xis = _as_vectors(xis, n, "creation list")
     etas = _as_vectors(etas, n, "annihilation list")
-    return _phi(xis, etas, n)
+    return _Elements(xis, etas, n, dressed=True)(tuple(range(len(xis))),
+                                                 tuple(range(len(etas))))
 
 
-def _phi(xis: list, etas: list, n: int, inner=None) -> np.ndarray:
-    """:func:`phi_element` of checked vectors; :func:`pi_element` checks n.
-    ``inner``, when given, is the element of ``xis[1:], etas[1:]``."""
-    if not xis or not etas:
-        return pi_element(xis, etas, n)
-    if inner is None:
-        inner = _phi(xis[1:], etas[1:], n)
-    zero = np.zeros((n, n), dtype=complex)
-    terms = _generator_terms(zero, np.outer(xis[0], etas[0].conj()))
-    return _apply(terms, inner)
+class _Elements:
+    """The phi (``dressed``) or pi elements over two lists of checked
+    vectors, as a table: ``table(S, T)`` is the element of the sub-lists
+    ``xis[S]``, ``etas[T]`` for index tuples S and T.
+
+    Each element is built once and kept until `forget`.  A phi element is
+    the rank-one recursion ``L(O, xis[S[0]] etas[T[0]]†)`` applied to
+    ``table(S[1:], T[1:])``, the pi element when S or T is empty; the
+    term list of each pair (j, k) is built once per table and never
+    forgotten.  :func:`pi_element` checks n.
+    """
+
+    def __init__(self, xis: list, etas: list, n: int, dressed: bool):
+        self.xis, self.etas, self.n, self.dressed = xis, etas, n, dressed
+        self._kept, self._rank_one = {}, {}
+
+    def __call__(self, s: tuple, t: tuple) -> np.ndarray:
+        if (s, t) not in self._kept:
+            self._kept[s, t] = self._build(s, t)
+        return self._kept[s, t]
+
+    def _build(self, s: tuple, t: tuple) -> np.ndarray:
+        if not (self.dressed and s and t):
+            return pi_element([self.xis[j] for j in s],
+                              [self.etas[k] for k in t], self.n)
+        jk = s[0], t[0]
+        if jk not in self._rank_one:
+            zero = np.zeros((self.n, self.n), dtype=complex)
+            self._rank_one[jk] = _generator_terms(
+                zero, np.outer(self.xis[jk[0]], self.etas[jk[1]].conj()))
+        return _apply(self._rank_one[jk], self(s[1:], t[1:]))
+
+    def forget(self) -> None:
+        self._kept.clear()
 
 
 def _perm_sign(perm) -> int:
@@ -104,12 +129,19 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def _pairing_expansion(xis, etas, n, inner_element, alternating: bool) -> np.ndarray:
-    """Shared permutation expansion behind the phi <-> pi conversions."""
+def _pairing_expansion(xis, etas, n, dressed: bool, alternating: bool) -> np.ndarray:
+    """Shared permutation expansion behind the phi <-> pi conversions, over
+    the phi (``dressed``) or pi elements of sub-lists.  Those are kept for
+    one sigma at a time: the expansion visits each (sigma[p:], tau[p:])
+    p!^2 times, but across sigmas only the short suffixes repeat, while
+    keeping every element would hold tens of thousands of 32 x 32 ones
+    at n = 5."""
     p_len, q_len = len(xis), len(etas)
     dim = 2 ** n
+    table = _Elements(xis, etas, n, dressed)
     total = np.zeros((dim, dim), dtype=complex)
     for sigma in permutations(range(p_len)):
+        table.forget()
         sign_s = _perm_sign(sigma)
         for tau in permutations(range(q_len)):
             sign_t = _perm_sign(tau)
@@ -123,12 +155,7 @@ def _pairing_expansion(xis, etas, n, inner_element, alternating: bool) -> np.nda
                     coeff *= np.vdot(etas[tau[j]], xis[sigma[j]])
                 if coeff == 0:
                     continue
-                rest = inner_element(
-                    [xis[i] for i in sigma[p:]],
-                    [etas[i] for i in tau[p:]],
-                    n,
-                )
-                total += coeff * rest
+                total += coeff * table(sigma[p:], tau[p:])
     return total
 
 
@@ -136,14 +163,14 @@ def phi_from_pi(xis, etas, n: int) -> np.ndarray:
     """Evaluate a dressed element through its expansion in plain elements."""
     xis = _as_vectors(xis, n, "creation list")
     etas = _as_vectors(etas, n, "annihilation list")
-    return _pairing_expansion(xis, etas, n, pi_element, alternating=True)
+    return _pairing_expansion(xis, etas, n, dressed=False, alternating=True)
 
 
 def pi_from_phi(xis, etas, n: int) -> np.ndarray:
     """Evaluate a plain element through its expansion in dressed elements."""
     xis = _as_vectors(xis, n, "creation list")
     etas = _as_vectors(etas, n, "annihilation list")
-    return _pairing_expansion(xis, etas, n, _phi, alternating=False)
+    return _pairing_expansion(xis, etas, n, dressed=True, alternating=False)
 
 
 def _subset_labels(n: int):
@@ -168,13 +195,9 @@ def phi_family_matrix(xi_basis, eta_basis) -> tuple[list, np.ndarray]:
     labels = _subset_labels(n)
     dim = 4 ** n
     b = np.empty((dim, len(labels)), dtype=complex)
-    # labels run by subset size, so the element of (S[1:], T[1:]) that the
-    # recursion wraps is built, and kept, before that of (S, T)
-    elems = {}
+    table = _Elements(xi_basis, eta_basis, n, dressed=True)
     for i, (s, t) in enumerate(labels):
-        elems[s, t] = _phi([xi_basis[j] for j in s], [eta_basis[j] for j in t],
-                           n, elems.get((s[1:], t[1:])))
-        b[:, i] = vec(elems[s, t])
+        b[:, i] = vec(table(s, t))
     return labels, b
 
 

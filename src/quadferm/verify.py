@@ -11,9 +11,10 @@ down.
 
 The rows build superoperators through `fock`'s private entry points
 (``_basic``, ``_liouvillian``), in the form ``fock._assemble`` decides:
-charge-sector blocks from n = 3 on, whole matrices below that and for
-any term list that breaks charge.  Products, sums, ``fock._expm`` and
-``fock._norm`` act on either form, and the two never mix silently.
+charge-sector blocks from n = 3 on (gathered through ``fock``'s cached
+maps), whole matrices below that and for any term list that breaks
+charge.  Products, sums, ``fock._expm`` and ``fock._norm`` act on either
+form, and the two never mix silently.
 """
 
 from __future__ import annotations
@@ -243,11 +244,24 @@ def _check_phi_pi_roundtrip(rng, n):
 
 
 def _check_phi_basis_rank(rng, n):
+    """Smallest singular value of the normalized family matrix.  A column
+    (S, T) has charge |S| - |T|, so the matrix is block diagonal over
+    charge and takes one SVD per sector; any entry off its column's
+    charge, tested exactly, takes the whole SVD instead, so a bug that
+    breaks charge is still measured."""
     xi_basis = _random_vectors(rng, n, n)
     eta_basis = _random_vectors(rng, n, n)
-    _, b = opbasis.phi_family_matrix(xi_basis, eta_basis)
+    labels, b = opbasis.phi_family_matrix(xi_basis, eta_basis)
     b = b / np.linalg.norm(b, axis=0, keepdims=True)
-    return float(np.linalg.svd(b, compute_uv=False)[-1])
+    rows = fock._layout(2 ** n).charge
+    cols = np.array([len(s) - len(t) for s, t in labels])
+    least = np.inf
+    for q in range(-n, n + 1):
+        sector = b[:, cols == q]
+        if np.any(sector[rows != q]):
+            return float(np.linalg.svd(b, compute_uv=False)[-1])
+        least = min(least, np.linalg.svd(sector[rows == q], compute_uv=False)[-1])
+    return float(least)
 
 
 def _check_phi_evolution(rng, n):

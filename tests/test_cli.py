@@ -569,6 +569,20 @@ def test_verify_byte_identical_across_runs(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_verify_bytes_do_not_depend_on_the_gather_maps(tmp_path, monkeypatch,
+                                                       n):
+    # with the cached coefficient maps turned off, every block is taken
+    # from _assemble's product; the gathered ones must be those bits
+    argv = ["verify", "--n", str(n), "--seed", "1", "--draws", "3", "--out"]
+    assert main(argv + [str(tmp_path / "maps.csv")]) == 0
+    monkeypatch.setattr(fock, "_gather_map", lambda kinds, n: None)
+    assert isinstance(verify._super_lam(np.eye(n), np.eye(n)), fock._Blocks)
+    assert main(argv + [str(tmp_path / "assembled.csv")]) == 0
+    assert (tmp_path / "maps.csv").read_bytes() \
+        == (tmp_path / "assembled.csv").read_bytes()
+
+
 def _per_entry_cells(mat):
     cells = []
     for val in mat.reshape(-1):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from quadferm import fock, verify
+from quadferm import fock, opbasis, verify
 from quadferm.affine import AffineGenerator, flow
 from quadferm.errors import ValidationError
 from quadferm.gaussian import GaussianState, steady_state
@@ -402,6 +402,156 @@ class TestSectorExponential:
         assert {"semigroup_factorization", "noise_conjugation",
                 "translation_conjugation", "gain_intertwining",
                 "phi_evolution_covariance"} <= failed
+
+
+def _assert_gathered_match_assembled(rng, n):
+    """_basic of every kind and _liouvillian come from the cached maps and
+    hold the blocks _assemble takes from its product, bit for bit."""
+    dim = 2 ** n
+    for kind in fock._KINDS:
+        a = random_complex_matrix(rng, n)
+        assert fock._gather_map((kind,), n) is not None
+        ref = fock._assemble(fock._basic_terms(kind, a), dim)
+        assert np.array_equal(fock._basic(kind, a).data, ref.data)
+    p = AffineGenerator(random_complex_matrix(rng, n),
+                        random_complex_matrix(rng, n))
+    assert fock._gather_map(fock._KINDS, n) is not None
+    ref = fock._assemble(fock._generator_terms(p.a, p.m), dim)
+    assert np.array_equal(fock._liouvillian(p).data, ref.data)
+
+
+class TestGatheredBlocks:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_equal_the_assembled_blocks_bit_for_bit(self, rng, n):
+        _assert_gathered_match_assembled(rng, n)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equal_them_below_the_usual_minimum(self, rng, n,
+                                                 blocks_at_every_n):
+        _assert_gathered_match_assembled(rng, n)
+
+    def test_a_rebound_annihilator_gets_maps_of_its_own(self, rng,
+                                                        monkeypatch):
+        n, a = 3, random_complex_matrix(rng, n=3)
+        true_map = fock._gather_map(("loss",), n)
+        # a perturbation that keeps charge: new maps, blocks that agree
+        # with the assembled ones to rounding (its weights are not +-1)
+        _perturbed_car(monkeypatch, at_zero=False)
+        assert fock._gather_map(("loss",), n) not in (None, true_map)
+        ref = fock._whole(fock._assemble(fock._basic_terms("loss", a), 8))
+        assert _close(fock._whole(fock._basic("loss", a)), ref)
+        monkeypatch.undo()
+        # one that breaks charge: no map, the whole matrix
+        _perturbed_car(monkeypatch, at_zero=True)
+        assert fock._gather_map(("loss",), n) is None
+        for kind in fock._KINDS:
+            ref = fock._assemble(fock._basic_terms(kind, a), 8)
+            assert isinstance(ref, np.ndarray)
+            assert np.array_equal(fock._basic(kind, a), ref)
+        monkeypatch.undo()
+        _assert_gathered_match_assembled(rng, n)
+
+    def test_a_changed_sector_minimum_gets_maps_of_its_own(self, rng,
+                                                           monkeypatch):
+        a2, a3 = random_complex_matrix(rng, 2), random_complex_matrix(rng, 3)
+        assert isinstance(fock._basic("gain", a2), np.ndarray)
+        assert isinstance(fock._basic("gain", a3), fock._Blocks)
+        monkeypatch.setattr(fock, "_MIN_SECTOR_DIM", 16)
+        assert np.array_equal(fock._basic("gain", a3),
+                              fock.super_basic("gain", a3))
+        monkeypatch.setattr(fock, "_MIN_SECTOR_DIM", 2)
+        _assert_gathered_match_assembled(rng, 2)
+        monkeypatch.undo()
+        assert isinstance(fock._basic("gain", a2), np.ndarray)
+        _assert_gathered_match_assembled(rng, 3)
+
+
+class TestDenseEvolveSectors:
+    @staticmethod
+    def _evolve_spied(monkeypatch, params, rho, t):
+        """(dense_evolve's result, the all-sector product e^{tL} vec(rho),
+        the shapes dense_evolve hands scipy.linalg.expm)."""
+        gen = t * fock._liouvillian(params)
+        full = fock.unvec(fock._expm(gen) @ fock.vec(rho))
+        shapes = _expm_shapes(monkeypatch)
+        return fock.dense_evolve(params, rho, t), full, shapes
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_gaussian_state_takes_only_the_charge_zero_stack(
+            self, rng, monkeypatch, n):
+        params = random_gksl_params(rng, n)
+        rho = fock.gaussian_density(
+            GaussianState(random_correlation_matrix(rng, n)))
+        out, full, shapes = self._evolve_spied(monkeypatch, params, rho, 0.7)
+        assert shapes == [fock._layout(2 ** n).stacks[0][2]]
+        assert np.array_equal(out, full)
+
+    @pytest.mark.parametrize("n, p, q", [(3, 2, 1), (3, 0, 2), (4, 1, 3),
+                                         (4, 2, 2)])
+    def test_phi_element_takes_only_its_own_stack(self, rng, monkeypatch,
+                                                  n, p, q):
+        phi = opbasis.phi_element(
+            [random_complex_matrix(rng, n)[0] for _ in range(p)],
+            [random_complex_matrix(rng, n)[0] for _ in range(q)], n)
+        params = AffineGenerator(random_complex_matrix(rng, n),
+                                 np.zeros((n, n)))
+        out, full, shapes = self._evolve_spied(monkeypatch, params, phi, 0.9)
+        assert shapes == [fock._layout(2 ** n).stacks[abs(p - q)][2]]
+        assert np.array_equal(out, full)
+
+    def test_zero_operator_takes_no_exponential(self, rng, monkeypatch):
+        params = random_gksl_params(rng, 3)
+        out, _, shapes = self._evolve_spied(monkeypatch, params,
+                                            np.zeros((8, 8)), 1.0)
+        assert shapes == [] and not out.any()
+
+
+class TestPhiBasisRankSectors:
+    def test_family_matrix_builds_each_rank_one_term_list_once(
+            self, rng, monkeypatch):
+        n, calls, true_terms = 3, [], opbasis._generator_terms
+
+        def spy(a, m):
+            calls.append(1)
+            return true_terms(a, m)
+
+        monkeypatch.setattr(opbasis, "_generator_terms", spy)
+        basis = [random_complex_matrix(rng, n)[0] for _ in range(n)]
+        opbasis.phi_family_matrix(basis, basis[::-1])
+        assert len(calls) == n * n
+
+    @staticmethod
+    def _svd_shapes(monkeypatch, n):
+        shapes, true_svd = [], np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return true_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        value = verify._worst("phi_basis_rank", np.random.default_rng(3), n, 1)
+        monkeypatch.setattr(np.linalg, "svd", true_svd)
+        return value, shapes
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_svd_per_sector(self, monkeypatch, n):
+        value, shapes = self._svd_shapes(monkeypatch, n)
+        sizes = [len(np.flatnonzero(fock._layout(2 ** n).charge == q))
+                 for q in range(-n, n + 1)]
+        assert shapes == [(m, m) for m in sizes]
+        rng = np.random.default_rng(3)
+        _, b = opbasis.phi_family_matrix(
+            verify._random_vectors(rng, n, n), verify._random_vectors(rng, n, n))
+        b = b / np.linalg.norm(b, axis=0, keepdims=True)
+        whole = np.linalg.svd(b, compute_uv=False)[-1]
+        assert abs(value - whole) <= 1e-12 * whole
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_charge_breaking_annihilator_takes_the_whole_svd(
+            self, monkeypatch, n):
+        _perturbed_car(monkeypatch, at_zero=True)
+        _, shapes = self._svd_shapes(monkeypatch, n)
+        assert shapes == [(4 ** n, 4 ** n)]
 
 
 class TestGaussianDensity:
