@@ -19,7 +19,10 @@ invertible.
 A generator (A, M) is admissible (generates a completely positive
 trace-preserving semigroup) iff ``O <= M <= -A - A†``, exactly when its
 flow keeps every R with ``O <= R <= I`` in that interval; the flag is
-:attr:`AffineGenerator.gksl`, computed when first read.
+:attr:`AffineGenerator.gksl`, computed when first read.  The spectrum that
+sets :func:`flow`'s chunk count is cached the same way, so every flow of
+one generator shares one ``eigvals``.  A generator keeps read-only copies
+of ``a`` and ``m``, so neither cache can go stale.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import (_GKSL_TOL, _van_loan_pair, as_square, hermitize,
-                     is_hermitian)
+from .linalg import (_GKSL_TOL, _real_abscissa, _van_loan_pair, as_square,
+                     hermitize, is_hermitian)
 
 __all__ = [
     "AffineElement",
@@ -85,8 +88,11 @@ class AffineGenerator:
             raise ValidationError(
                 f"drift and noise parts differ in size: {a.shape} vs {m.shape}"
             )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "m", m)
+        # own read-only copies, so the cached gksl and _abscissa stay true
+        for name, part in (("a", a), ("m", m)):
+            part = part.copy()
+            part.setflags(write=False)
+            object.__setattr__(self, name, part)
 
     @property
     def n(self) -> int:
@@ -106,6 +112,13 @@ class AffineGenerator:
         gap = -(a + a.conj().T) - m
         hi = float(np.min(np.linalg.eigvalsh(hermitize(gap)), initial=0.0))
         return lo >= -tol and hi >= -tol
+
+    @cached_property
+    def _abscissa(self) -> float:
+        """``max|Re λ(a)|``, which sets :func:`flow`'s chunk count: one
+        ``eigvals`` per generator, computed on the first flow with t > 0,
+        then cached."""
+        return _real_abscissa(self.a)
 
 
 def identity(n: int) -> AffineElement:
@@ -155,10 +168,13 @@ def flow(p: AffineGenerator, t: float) -> AffineElement:
     """One-parameter semigroup ``(e^{tA}, int_0^t e^{sA} M e^{sA†} ds)``.
 
     Satisfies ``flow(p, t) ∘ flow(p, s) = flow(p, t + s)`` and
-    ``flow(p, 0) = (I, O)``.  Both parts come from one block exponential.
+    ``flow(p, 0) = (I, O)`` exactly.  Both parts come from one block
+    exponential, cut into chunks by p's cached spectrum.
     """
     t = float(t)
     if not 0 <= t < np.inf:
         raise ValidationError(f"flow time must be finite and >= 0, got {t}")
-    return AffineElement(*_van_loan_pair(p.a, p.m, t))
+    if t == 0.0:
+        return identity(p.n)
+    return AffineElement(*_van_loan_pair(p.a, p.m, t, p._abscissa))
 

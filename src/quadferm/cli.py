@@ -13,9 +13,9 @@ admissible generator add `# persistent_modes=k` and `# frequency<j>=ω_j`.
 Output starts with `# key=value` provenance lines followed by a header row
 and data rows; every numeric cell uses 17 significant digits so doubles
 round-trip exactly and repeated runs are byte-identical.  A job prints each
-distinct bit pattern once and reuses its text for every cell that holds it:
-"%.17g" is a function of the bits, so the bytes are those of one conversion
-per cell.
+distinct magnitude once and reuses its text, with a "-" where the sign bit
+is set, for every cell that holds it: "%.17g" is a function of the bits, so
+the bytes are those of one conversion per cell.
 
 Exit codes: 0 success, 1 validation error, 2 physics/convergence error,
 3 verification failure.
@@ -56,14 +56,25 @@ def _csv_field(text: str) -> str:
     return text
 
 
+#: Every bit of a float64 but its sign
+_MAGNITUDE = np.uint64(0x7FFF_FFFF_FFFF_FFFF)
+
+
 def _format_numbers(x: np.ndarray) -> np.ndarray:
     """``"%.17g" % v`` for every v in float64 x, as an object array of x's
-    shape: one conversion per distinct bit pattern, gathered back by the
-    inverse index. Every NaN payload prints ``nan``."""
+    shape: one conversion per distinct magnitude (the bits with the sign
+    cleared), one string per distinct bit pattern, which is its
+    magnitude's text with ``"-"`` before it where the sign bit is set,
+    gathered back by the inverse index. Every NaN prints ``nan``, as
+    "%.17g" prints it whatever its sign and payload."""
     keys, inverse = np.unique(x.view(np.uint64).ravel(), return_inverse=True)
-    text = ("\n".join(["%.17g"] * len(keys))
-            % tuple(keys.view(np.float64).tolist())).split("\n")
-    return np.array(text, dtype=object)[inverse].reshape(x.shape)
+    mags, of_key = np.unique(keys & _MAGNITUDE, return_inverse=True)
+    text = np.array(("\n".join(["%.17g"] * len(mags))
+                     % tuple(mags.view(np.float64).tolist())).split("\n"),
+                    dtype=object)[of_key]
+    negative = (keys > _MAGNITUDE) & ~np.isnan(keys.view(np.float64))
+    text[negative] = "-" + text[negative]
+    return text[inverse].reshape(x.shape)
 
 
 def _render(comments: list[tuple[str, object]], header: list[str],
@@ -73,12 +84,13 @@ def _render(comments: list[tuple[str, object]], header: list[str],
     Every row has the first row's layout of string and numeric cells. The
     numeric cells of all rows go into one float64 array (column by column
     when a row also holds strings), and `_format_numbers` prints each
-    distinct bit pattern in it once with "%.17g", which gives the bytes of
+    distinct magnitude in it once with "%.17g", which gives the bytes of
     ``format(float(x), ".17g")``. The text depends on the bits alone, so
-    sharing it between equal patterns changes no byte; keying on bits, not
-    on float equality, keeps 0.0 and -0.0 apart. An `evolve` job repeats
-    most of its numbers (the real parts below R's diagonal, a relaxed
-    state), so it prints a fraction of its cells.
+    sharing it between equal magnitudes changes no byte; keying on bits,
+    not on float equality, keeps 0.0 and -0.0 apart by the sign. An
+    `evolve` job repeats most of its magnitudes (the parts below R's
+    diagonal, which is Hermitian, and a relaxed state), so it prints a
+    fraction of its cells.
     """
     lines = [f"# {key}={value}" for key, value in comments]
     table = [list(map(_csv_field, header))]

@@ -202,7 +202,8 @@ def asymptotic_decomposition(params: AffineGenerator,
     vanish on the persistent subspace, so the integral converges.  The
     returned m_inf solves ``A m_inf + m_inf A† + M = 0`` to
     ``1e-10 (1 + ||M||)``; noise that reaches an undamped mode (one in the
-    band but off the axis) is a PhysicsError naming the undamped modes.
+    band but off the axis), ``||P0 M P0|| > 1e-10 ||M||`` at any scale, is
+    a PhysicsError naming the undamped modes.
     """
     if params.n != state.n:
         raise ValidationError(

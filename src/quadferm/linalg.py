@@ -20,7 +20,10 @@ its reason where it stands, in ``_noise_limit`` and ``majorana_liouvillian``.
 rule                    error model
 ======================  ====================================================
 normwise relative       ``||r|| <= tol ||x||`` with no floor: forming x
-                        errs by about u ||x||, in any units
+                        errs by about u ||x||, in any units; so noise on
+                        the undamped modes of an admissible pair,
+                        ``P0 M P0``, zero in exact arithmetic, is about
+                        u ||M||
 componentwise relative  entry by entry, where a norm misses the small
                         entries of a graded result
 absolute                only where the quantity is, as R's spectrum in [0, 1]
@@ -52,7 +55,8 @@ _FIXED_POINT_TOL = 1e-12  # componentwise: skin.build_bath
 _PROFILE_TOL = 1e-10      # componentwise: skin.steady_profile
 _SPECTRUM_TOL = 1e-10     # absolute: gaussian.GaussianState
 _ENDPOINT_TOL = 1e-12     # absolute: fock.gaussian_density
-#: ``_noise_limit``'s residual; ``Re λ >= -_AXIS_BAND max|λ|`` is undamped
+#: ``_noise_limit``'s residual (floored) and, normwise, its noise on the
+#: undamped modes; ``Re λ >= -_AXIS_BAND max|λ|`` is undamped
 _RESIDUAL_TOL = 1e-10
 _AXIS_BAND = 1e-9
 
@@ -95,10 +99,17 @@ def mat_exp(a) -> np.ndarray:
 _VAN_LOAN_THETA = 8.0
 
 
-def _van_loan_pair(a: np.ndarray, m: np.ndarray,
-                   t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The pair ``(e^{tA}, int_0^t e^{sA} M e^{sA†} ds)``, exactly (I, O) at
-    t = 0, for operands that :func:`~quadferm.affine.flow` has checked.
+def _real_abscissa(a: np.ndarray) -> float:
+    """``max|Re λ(A)|``, the growth rate :func:`_van_loan_pair` counts its
+    chunks by (0 for an empty matrix)."""
+    return float(np.max(np.abs(np.linalg.eigvals(a).real), initial=0.0))
+
+
+def _van_loan_pair(a: np.ndarray, m: np.ndarray, t: float, abscissa: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The pair ``(e^{tA}, int_0^t e^{sA} M e^{sA†} ds)`` for t > 0 and
+    operands that :func:`~quadferm.affine.flow` has checked, given A's
+    :func:`_real_abscissa`.
 
     Computed from the exponential of the 2n x 2n block matrix
     ``[[A, M], [0, -A†]]``: with W = expm(s * block), the top-left block is
@@ -113,9 +124,6 @@ def _van_loan_pair(a: np.ndarray, m: np.ndarray,
     """
     n = a.shape[0]
     prop, out = np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
-    if t == 0.0:
-        return prop, out
-    abscissa = float(np.max(np.abs(np.linalg.eigvals(a).real))) if n else 0.0
     chunks = max(1, int(np.ceil(t * abscissa / _VAN_LOAN_THETA)))
     step = t / chunks
     block = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -160,9 +168,10 @@ def _ordered_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return r, q, int(j)
 
 
-# Floored, unlike the table's checks: which rule replaces the floors of the
-# residual and P0 tests below decides which long-time answers are refused,
-# an open choice (ROADMAP.md, "No silent long-time answers").
+# Floored, unlike the table's checks: the residual test keeps ``1 + ||M||``
+# and the P0 commutation test an absolute 1e-6; which scale-free forms
+# replace them is open (ROADMAP.md, items 7 and 10).  Noise that reaches an
+# undamped mode is refused by the table's normwise rule, against ||M||.
 def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
                  ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """``(T, λ, j, P0)`` for checked operands: ``T = int_0^inf e^{sA} M
@@ -181,9 +190,13 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
     T must solve the full equation ``A T + T A† + M = 0`` to
     ``1e-10 (1 + ||M||)``, else PhysicsError; with an undamped mode that
     means noise reaches it (a mode in the band but off the axis has no
-    limit here).  PhysicsError names each undamped ``lambda_i`` then, and
-    of a pair not ``admissible``, and flags a P0 that fails to commute
-    with A.
+    limit here).  Before solving, the noise on the undamped modes must
+    pass ``||P0 M P0|| <= 1e-10 ||M||``: an admissible pair has
+    ``P0 M P0 = 0`` up to roundoff, so this holds or fails alike at every
+    scale, also where the floored residual test cannot see the noise (a
+    slowly damped mode in the band).  PhysicsError names each undamped
+    ``lambda_i`` when either test fails, and of a pair not
+    ``admissible``, and flags a P0 that fails to commute with A.
     """
     n = a.shape[0]
     d = np.sqrt(np.where(m.diagonal() == 0, 1.0, np.abs(m.diagonal())))
@@ -208,6 +221,16 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
             f"imaginary-axis band Re lambda >= -{_AXIS_BAND:g} max|lambda| "
             f"[{named}]"
         )
+    w = np.linalg.qr(q[:, j:] / d[:, None])[0]
+    p0 = hermitize(w @ w.conj().T)
+    if j < n:
+        noise = np.linalg.norm(p0 @ m @ p0)
+        if noise > _RESIDUAL_TOL * np.linalg.norm(m):
+            raise PhysicsError(
+                f"noise on the undamped modes ||P0 M P0|| = {noise:.3e} "
+                f"exceeds {_RESIDUAL_TOL:g} ||M||; noise reaches the "
+                f"undamped modes [{named}]"
+            )
     t_mat = np.zeros((n, n), dtype=complex)
     if j:
         qd = q[:, :j]
@@ -224,8 +247,6 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
         )
     if is_hermitian(m):
         t_mat = hermitize(t_mat)
-    w = np.linalg.qr(q[:, j:] / d[:, None])[0]
-    p0 = hermitize(w @ w.conj().T)
     comm = np.linalg.norm(a @ p0 - p0 @ a) if w.size else 0.0
     if comm > 1e-6 and comm > 1e-6 * np.linalg.norm(a, 2):
         raise PhysicsError(

@@ -223,11 +223,13 @@ def _random_vectors(rng, n, count):
 
 
 def _check_phi_antisymmetry(rng, n):
-    xis = _random_vectors(rng, n, 2)
-    etas = _random_vectors(rng, n, 2)
-    plain = opbasis.phi_element(xis, etas, n)
-    xi_swapped = opbasis.phi_element(xis[::-1], etas, n)
-    eta_swapped = opbasis.phi_element(xis, etas[::-1], n)
+    """The plain and swapped elements come from one table over the draw's
+    vectors, so each rank-one term list is built once."""
+    table = opbasis._Elements(_random_vectors(rng, n, 2),
+                              _random_vectors(rng, n, 2), n, dressed=True)
+    plain = table((0, 1), (0, 1))
+    xi_swapped = table((1, 0), (0, 1))
+    eta_swapped = table((0, 1), (1, 0))
     return [float(np.linalg.norm(plain + xi_swapped)),
             float(np.linalg.norm(plain + eta_swapped))]
 

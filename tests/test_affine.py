@@ -4,7 +4,9 @@ import pytest
 from quadferm.affine import (AffineElement, AffineGenerator, act, bracket,
                              compose, flow, identity, inverse)
 from quadferm.errors import ValidationError
-from quadferm.linalg import hermitize, lyapunov_solve, mat_exp
+from quadferm.gaussian import GaussianState, evolve_grid
+from quadferm.linalg import (_real_abscissa, _van_loan_pair, hermitize,
+                             lyapunov_solve, mat_exp)
 from quadferm.verify import (random_complex_matrix, random_gksl_params,
                              random_psd)
 
@@ -191,6 +193,40 @@ class TestFlow:
             u, expected = flow(p, t).u, mat_exp(t * p.a)
             assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
         assert np.array_equal(flow(p, 1e4).u, mat_exp(1e4 * p.a))
+
+    def test_one_spectrum_per_generator(self, rng, monkeypatch):
+        # the log grid of a long-time evolve job: 13 flows, each from t = 0
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: calls.append(a) or eigvals(a))
+        p = random_gksl_params(rng, 6, min_damping=0.5)
+        times = [0.0] + [10.0 ** k for k in range(-8, 5)]
+        evolve_grid(p, GaussianState.vacuum(6), times)
+        assert len(calls) == 1
+
+    def test_cached_spectrum_changes_no_bit(self, rng):
+        # each flow of one generator against a pair whose abscissa is
+        # computed afresh
+        p = random_gksl_params(rng, 8, min_damping=0.5)
+        for t in (0.0, 1e-8, 3.7, 1e4):
+            u, m = _van_loan_pair(p.a, p.m, t, _real_abscissa(p.a))
+            g = flow(p, t)
+            assert np.array_equal(g.u, u) and np.array_equal(g.m, m)
+
+    def test_caller_arrays_do_not_reach_the_caches(self, rng):
+        # the generator copies its operands, so a caller that rescales its
+        # own drift after a flow leaves the cached spectrum true
+        q = random_gksl_params(rng, 4, min_damping=0.5)
+        a, m = q.a.copy(), q.m.copy()
+        p = AffineGenerator(a, m)
+        before = flow(p, 50.0)
+        a *= 10.0
+        after = flow(p, 50.0)
+        assert np.array_equal(before.u, after.u)
+        assert np.array_equal(before.m, after.m)
+        with pytest.raises(ValueError):
+            p.a[0, 0] = 0.0
 
     def test_long_horizon_of_damped_generator(self, rng):
         # e^{tA} of a damped drift is numerically singular at t = 100 and

@@ -95,6 +95,13 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match=r"model.m"):
             parse_config_text(bad)
 
+    def test_bad_token_mid_row_is_named(self):
+        bad = EXPLICIT.replace("row1 = 0.4 0.0   0.0 0.0",
+                               "row1 = 0.4 0.0   0.0x 0.0")
+        with pytest.raises(ValidationError,
+                           match=r"\[model\.m\] row1: cannot parse '0\.0x'"):
+            parse_config_text(bad)
+
     def test_unsorted_times_rejected(self):
         with pytest.raises(ValidationError, match="ascending"):
             parse_config_text(EXPLICIT + "\n[times]\nvalues = 1.0 0.5\n")
@@ -214,6 +221,25 @@ class TestCommands:
         out = tmp_path / "steady.csv"
         assert main(["steady", "--config", str(cfg), "--out", str(out)]) == 2
         assert "lambda_0 = -2.6e-10" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", [0, -40, -20, 20, 40])
+    def test_steady_slow_mode_fed_below_the_residual_floor_exits_2(
+            self, tmp_path, capsys, k):
+        # Re lambda = -2e-12 lies in the undamped band, and M = 2e-12 feeds
+        # the mode: its true limit is M / (2 |Re lambda|) = 0.5, not the
+        # vacuum.  The noise is judged against ||M||, so every scale 2^k
+        # gives the same named error.
+        s = 2.0 ** k
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(_explicit_ini(np.array([[s * (-2e-12 - 1j)]]),
+                                     np.array([[s * 2e-12]])),
+                       encoding="utf-8")
+        out = tmp_path / "steady.csv"
+        assert main(["steady", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("quadferm: physics error: ")
+        assert "noise reaches the undamped modes [lambda_0 = " in err
         assert not out.exists()
 
     @pytest.mark.parametrize("body", [None, "[model]\nkind = hatano-nelson\n"

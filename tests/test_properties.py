@@ -164,17 +164,21 @@ def _bits(pattern: int) -> float:
 
 
 # Doubles that equal each other as floats but not as bits (the zeros), NaNs
-# that differ in sign and payload, and the ends of the range.
+# that differ in sign and payload, subnormals of both signs, and the ends
+# of the range.
 _EDGE_DOUBLES = [0.0, -0.0, math.inf, -math.inf, math.nan,
                  _bits(0xFFF8000000000000), _bits(0x7FF8000000000001),
-                 5e-324, 1e308]
+                 _bits(0xFFF0000000000001), _bits(0x7FF4000000000123),
+                 5e-324, -5e-324, _bits(0x000FFFFFFFFFFFFF), 1e308]
 
 
 @st.composite
 def _tables(draw):
     """A header and rows with one layout of string and numeric cells. The
-    numbers come from a small pool, so rows repeat values exactly."""
-    pool = draw(st.lists(st.floats(), min_size=1, max_size=6))
+    numbers come from a small pool of floats and raw 64-bit patterns, each
+    beside its negation, so rows repeat values and magnitudes exactly."""
+    patterns = st.integers(min_value=0, max_value=2 ** 64 - 1).map(_bits)
+    pool = draw(st.lists(st.floats() | patterns, min_size=1, max_size=6))
     numbers = st.sampled_from(pool + [-v for v in pool] + _EDGE_DOUBLES)
     layout = draw(st.lists(st.booleans(), min_size=1, max_size=5))
     text = st.text(alphabet='ab ,"\n', max_size=4)

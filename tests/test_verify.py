@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from quadferm import affine, fock, verify
+from quadferm import affine, fock, opbasis, verify
 from quadferm.cli import main
 
 # (name, identity, comparison) of every row, in CSV order.
@@ -93,6 +93,28 @@ def test_check_below_its_mode_count_is_skipped_without_drawing(monkeypatch):
     row = {r.name: r for r in verify.run_suite(n=2, draws=2)}
     phi = row["phi_antisymmetry"]
     assert not phi.skipped and phi.status == "pass" and phi.value < 1e-12
+
+
+def _phi_antisymmetry_by_three_builds(rng, n):
+    """The row's draw as three `phi_element` calls, one table each."""
+    xis = verify._random_vectors(rng, n, 2)
+    etas = verify._random_vectors(rng, n, 2)
+    plain = opbasis.phi_element(xis, etas, n)
+    xi_swapped = opbasis.phi_element(xis[::-1], etas, n)
+    eta_swapped = opbasis.phi_element(xis, etas[::-1], n)
+    return [float(np.linalg.norm(plain + xi_swapped)),
+            float(np.linalg.norm(plain + eta_swapped))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_phi_antisymmetry_from_one_table_is_bit_identical(n, seed):
+    # the suite's stream for the row, and its draw count at n >= 4
+    idx = verify.check_names().index("phi_antisymmetry")
+    one, three = (np.random.default_rng([seed, idx]) for _ in range(2))
+    for _ in range(3):
+        assert verify._check_phi_antisymmetry(one, n) \
+            == _phi_antisymmetry_by_three_builds(three, n)
 
 
 def _plant_nan_on_second_draw(monkeypatch, names):
