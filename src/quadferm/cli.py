@@ -31,7 +31,7 @@ import numpy as np
 from . import fock
 from .config import JobConfig, load_config
 from .errors import PhysicsError, ValidationError
-from .gaussian import (GaussianState, asymptotic_decomposition, entropy,
+from .gaussian import (GaussianState, _entropies, asymptotic_decomposition,
                        evolve_grid)
 from .skin import (build_bath, featureless_choice, localization_slope,
                    steady_profile)
@@ -78,8 +78,9 @@ def _format_numbers(x: np.ndarray) -> np.ndarray:
 
 
 def _render(comments: list[tuple[str, object]], header: list[str],
-            rows: list) -> str:
-    """Provenance lines, header and rows as CSV text.
+            rows) -> str:
+    """Provenance lines, header and rows (a list, or a 2-D float64 array
+    used without a copy) as CSV text.
 
     Every row has the first row's layout of string and numeric cells. The
     numeric cells of all rows go into one float64 array (column by column
@@ -94,7 +95,7 @@ def _render(comments: list[tuple[str, object]], header: list[str],
     """
     lines = [f"# {key}={value}" for key, value in comments]
     table = [list(map(_csv_field, header))]
-    if rows:
+    if len(rows):
         text = [j for j, cell in enumerate(rows[0]) if isinstance(cell, str)]
         if text:
             num = [j for j in range(len(rows[0])) if j not in text]
@@ -104,7 +105,7 @@ def _render(comments: list[tuple[str, object]], header: list[str],
             for j in text:
                 cells[:, j] = [_csv_field(row[j]) for row in rows]
         else:
-            cells = _format_numbers(np.array(rows, dtype=float))
+            cells = _format_numbers(np.asarray(rows, dtype=float))
         table += cells.tolist()
     # csv.writer writes a lone empty field as "", so that no line is blank
     lines += ['""' if row == [""] else ",".join(row) for row in table]
@@ -134,6 +135,20 @@ def _matrix_cells(mat: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(mat, dtype=complex).view(float).ravel()
 
 
+def _state_table(states: list[GaussianState], *lead) -> np.ndarray:
+    """One float64 row per state: the ``lead`` columns, R's cells, the
+    occupations (R's real diagonal, sliced from the cells), the entropy."""
+    n, first = states[0].n, len(lead)
+    end = first + 2 * n * n
+    table = np.empty((len(states), end + n + 1))
+    table[:, :first] = np.transpose(lead)
+    for row, s in zip(table, states):
+        row[first:end] = _matrix_cells(s.r)
+    table[:, end:-1] = table[:, first:end:2 * n + 2]
+    table[:, -1] = _entropies(np.stack([s.spectrum for s in states]))
+    return table
+
+
 def _require_params(cfg: JobConfig):
     if cfg.params is not None:
         return cfg.params
@@ -150,10 +165,7 @@ def _cmd_evolve(cfg: JobConfig, out: str | None) -> int:
     n = params.n
     header = ["t"] + _matrix_columns("r", n) \
         + [f"occ{j}" for j in range(1, n + 1)] + ["entropy"]
-    rows = []
-    for t, s in zip(cfg.times, evolve_grid(params, state, cfg.times)):
-        rows.append(np.concatenate(
-            ([t], _matrix_cells(s.r), s.occupations(), [entropy(s)])))
+    rows = _state_table(evolve_grid(params, state, cfg.times), cfg.times)
     comments = [("command", "evolve"), ("n", n),
                 ("gksl", str(params.gksl).lower())]
     _emit(_render(comments, header, rows), out)
@@ -163,12 +175,10 @@ def _cmd_evolve(cfg: JobConfig, out: str | None) -> int:
 def _cmd_steady(cfg: JobConfig, out: str | None) -> int:
     params = _require_params(cfg)
     dec = asymptotic_decomposition(params, GaussianState.vacuum(params.n))
-    state = GaussianState(dec.m_inf)
     n = params.n
     header = _matrix_columns("minf", n) \
         + [f"occ{j}" for j in range(1, n + 1)] + ["entropy"]
-    rows = [np.concatenate((_matrix_cells(state.r), state.occupations(),
-                            [entropy(state)]))]
+    rows = _state_table([GaussianState(dec.m_inf)])
     comments = [("command", "steady"), ("n", n),
                 ("gksl", str(params.gksl).lower())]
     if dec.frequencies.size:

@@ -133,7 +133,8 @@ def _get(cp, section: str, key: str, convert, default=None):
 
 
 def parse_config_text(text: str) -> JobConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                   interpolation=None)
     cp.optionxform = str.lower
     try:
         cp.read_string(text)

@@ -52,17 +52,17 @@ class GaussianState:
 
     def __post_init__(self):
         r = as_square(self.r, "correlation matrix")
-        if not is_hermitian(r):
-            raise ValidationError("correlation matrix must be Hermitian")
-        r = hermitize(r)
-        occ = np.linalg.eigvalsh(r)
-        if occ.size and (occ[0] < -_SPECTRUM_TOL or occ[-1] > 1 + _SPECTRUM_TOL):
-            raise PhysicsError(
-                "correlation spectrum escapes [0, 1]: "
-                f"[{occ[0]:.3e}, {occ[-1]:.6f}]"
-            )
-        object.__setattr__(self, "r", r)
+        h = hermitize(r)
+        (occ,) = _check_states(r[None], h[None])
+        object.__setattr__(self, "r", h)
         object.__setattr__(self, "spectrum", occ)
+
+    @classmethod
+    def _checked(cls, r, spectrum) -> "GaussianState":
+        """A state whose r and spectrum :func:`_check_states` has passed."""
+        state = object.__new__(cls)
+        state.__dict__.update(r=r, spectrum=spectrum)
+        return state
 
     @property
     def n(self) -> int:
@@ -119,8 +119,8 @@ def evolve_grid(params: AffineGenerator, state: GaussianState,
     the step).  Where the step changes to one at least the time already
     elapsed, as on logarithmic grids, the state is instead
     ``act(flow(params, t_k), r)`` from the initial r: the same cost, and
-    no rounding compounded over the steps.  Every state is a validated
-    :class:`GaussianState`.
+    no rounding compounded over the steps.  The states are checked once,
+    as one stack, by :func:`_check_states`.
 
     Raises ValidationError for a size mismatch or a negative step (a
     negative or unsorted time), and PhysicsError if a spectrum escapes
@@ -131,23 +131,54 @@ def evolve_grid(params: AffineGenerator, state: GaussianState,
         raise ValidationError(
             f"size mismatch: params {params.n}, state {state.n}"
         )
+    times = [float(t) for t in times]
+    hs = np.zeros((len(times), state.n, state.n), dtype=complex)
     last_step, g = None, None
-    # u r u† + m is Hermitian when m is; rounding can break that in a small r
+    # u r u† + m is Hermitian when m is; rounding can break that in a small
+    # r, so it is hermitized first, and the check may then read hs itself
     hermitian = is_hermitian(params.m)
-    states = []
-    prev = 0.0
-    for t in times:
-        t = float(t)
-        step = t - prev
-        base = states[-1] if states else state
-        if step != last_step and step >= prev:
-            base, step = state, t
-        if step != last_step:
-            g, last_step = flow(params, step), step
-        r = act(g, base.r)
-        states.append(GaussianState(hermitize(r) if hermitian else r))
-        prev = t
-    return states
+    rs = hs if hermitian else np.zeros_like(hs)   # what the check reads
+    r, prev = state.r, 0.0
+    try:
+        for k, t in enumerate(times):
+            step = t - prev
+            base = r
+            if step != last_step and step >= prev:
+                base, step = state.r, t
+            if step != last_step:
+                g, last_step = flow(params, step), step
+            r = act(g, base)
+            rs[k] = r = hermitize(r) if hermitian else r
+            hs[k] = r = hermitize(r)   # this state's r
+            prev = t
+    except Exception:
+        # whatever a step raises, an earlier state's own error comes first;
+        # rows not reached are zero, which pass
+        _check_states(rs[:k + 1], hs[:k + 1])
+        raise
+    return [GaussianState._checked(*pair)
+            for pair in zip(hs, _check_states(rs, hs))]
+
+
+def _check_states(rs: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Check T correlation matrices, a (T, n, n) stack rs, as states: each
+    finite and Hermitian (:func:`~quadferm.linalg.is_hermitian`), and its
+    hermitized hs with spectrum in [0, 1] to ``_SPECTRUM_TOL``.  Returns
+    hs's (T, n) spectra from one batched ``eigvalsh``, ascending, or raises
+    the error of the first state that fails."""
+    ok = [np.isfinite(r).all() and is_hermitian(r) for r in rs] + [False]
+    k = ok.index(False)
+    occ = np.linalg.eigvalsh(hs[:k])
+    escaped = (occ < -_SPECTRUM_TOL) | (occ > 1 + _SPECTRUM_TOL)
+    if escaped.any():
+        lo, hi = occ[escaped.any(axis=1).argmax()][[0, -1]]
+        raise PhysicsError(
+            f"correlation spectrum escapes [0, 1]: [{lo:.3e}, {hi:.6f}]"
+        )
+    if k < len(rs):
+        as_square(rs[k], "correlation matrix")   # names non-finite entries
+        raise ValidationError("correlation matrix must be Hermitian")
+    return occ
 
 
 def evolve_state(params: AffineGenerator, state: GaussianState,
@@ -239,12 +270,18 @@ def entropy(state: GaussianState) -> float:
     """Von Neumann entropy ``-tr(R log R) - tr((I-R) log(I-R))``.
 
     Evaluated on the occupation spectrum with the endpoint convention
-    ``0 log 0 = 0``.
+    ``0 log 0 = 0``: the one-row case of :func:`_entropies`.
     """
-    occ = np.clip(state.spectrum, 0.0, 1.0)
-    total = 0.0
-    for p in occ:
-        for q in (p, 1.0 - p):
-            if q > 0.0:
-                total -= q * np.log(q)
-    return float(total)
+    return float(_entropies(state.spectrum[None])[0])
+
+
+def _entropies(spectra: np.ndarray) -> np.ndarray:
+    """The entropy of each row of a (T, n) stack of spectra: ``-q log q``
+    for q = p and 1 - p, p clipped to [0, 1], summed left to right from
+    0.0; the terms are <= 0, so ``0.0 - cumsum`` has the bits of
+    subtracting them one by one, +0.0 for a pure state."""
+    p = np.clip(spectra, 0.0, 1.0)
+    q = np.stack((p, 1.0 - p), axis=-1).reshape(len(p), -1)
+    terms = np.zeros((len(p), q.shape[1] + 1))
+    terms[:, 1:] = q * np.log(np.where(q > 0.0, q, 1.0))
+    return 0.0 - np.cumsum(terms, axis=1)[:, -1]

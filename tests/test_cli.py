@@ -530,6 +530,16 @@ class TestVerifyCommand:
         assert err.startswith("quadferm: validation error")
         assert "rank_one_nilpotency" in err
 
+    def test_percent_sign_is_read_literally(self, tmp_path, capsys):
+        # no interpolation: the token reaches the number parser, which names it
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(EXPLICIT.replace("-0.5 0.0", "-1% 0"), encoding="utf-8")
+        assert main(["steady", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("quadferm: validation error: ")
+        assert "'-1%'" in err[0]
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_tolerance_flag_exits_with_validation_error(self, capsys,
                                                              tol):

@@ -88,9 +88,9 @@ class TestParamsFromModel:
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eigvalsh(*args, **kwargs)
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
 
         state = GaussianState.vacuum(2)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
@@ -101,8 +101,8 @@ class TestParamsFromModel:
         assert len(calls) == 0
         times = [0.0, 0.5, 1.0]
         evolve_grid(params, state, times)
-        # one spectrum check per returned state, none for the generator
-        assert len(calls) == len(times)
+        # one spectrum check for the grid's stack, none for the generator
+        assert calls == [(len(times), 2, 2)]
         calls.clear()
         assert params.gksl and params.gksl
         assert len(calls) == 2
@@ -244,6 +244,37 @@ class TestEvolveGrid:
         steps.clear()
         evolve_grid(params, state, np.arange(101.0))
         assert steps == [0.0, 1.0]
+
+    def test_escape_names_the_first_escaping_state(self):
+        # mode 1 relaxes towards occupation 2 and leaves [0, 1] at
+        # t = ln(2)/2: the third state, with later states further out
+        params = AffineGenerator(np.diag([-1.0, -0.5]), np.diag([4.0, 0.3]))
+        times = [0.125 * k for k in range(1, 9)]
+        step, states = flow(params, 0.125), [GaussianState.vacuum(2)]
+        with pytest.raises(PhysicsError) as one_by_one:
+            for _ in times:
+                r = hermitize(act(step, states[-1].r))
+                states.append(GaussianState(r))
+        assert len(states) == 3   # the vacuum and the two states that pass
+        with pytest.raises(PhysicsError) as grid:
+            evolve_grid(params, GaussianState.vacuum(2), times)
+        assert str(grid.value) == str(one_by_one.value)
+
+    def test_escape_before_a_failing_step_is_the_error(self):
+        # growth: the first state escapes, and a later step overflows
+        params = AffineGenerator([[50.0]], [[0.0]])
+        state = GaussianState([[0.5]])
+        with pytest.raises(PhysicsError) as first:
+            GaussianState(act(flow(params, 0.1), state.r))
+        with pytest.raises(PhysicsError) as grid:
+            evolve_grid(params, state, [0.1, 10.0, 20.0])
+        assert str(grid.value) == str(first.value)
+
+    def test_non_hermitian_noise_rejected(self):
+        params = AffineGenerator(-np.eye(2), [[0.2, 0.1], [0.0, 0.2]])
+        with pytest.raises(ValidationError,
+                           match="correlation matrix must be Hermitian"):
+            evolve_grid(params, GaussianState.vacuum(2), [0.5, 1.0])
 
     def test_unitary_stepping_error_matches_per_time_error(self, rng):
         # closed system: r(t) = V e^{-i L t} V† r V e^{i L t} V†

@@ -1,7 +1,8 @@
 """Property tests for the invariants grid stepping relies on, for the
 steady state it converges to, for the one rule that decides whether
 that steady state exists, for the scale-free tolerances of the fast path,
-and for the CSV renderer's number dedupe."""
+for the stacked state check and entropy, and for the CSV renderer's number
+dedupe."""
 
 import math
 
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 from quadferm import cli
 from quadferm.affine import AffineGenerator, compose, flow
 from quadferm.errors import PhysicsError, ValidationError
-from quadferm.gaussian import (GaussianState, asymptotic_decomposition,
-                               evolve_grid, steady_state)
-from quadferm.linalg import lyapunov_solve
+from quadferm.gaussian import (GaussianState, _check_states, _entropies,
+                               asymptotic_decomposition, evolve_grid,
+                               steady_state)
+from quadferm.linalg import hermitize, lyapunov_solve
 from quadferm.skin import HatanoNelsonParams, build_bath
 from quadferm.verify import (random_complex_matrix, random_correlation_matrix,
                              random_gksl_params)
@@ -186,14 +188,23 @@ def _tables(draw):
         st.tuples(*[text if is_text else numbers for is_text in layout]),
         max_size=8))
     rows = [list(row) for row in rows]
-    if not any(layout) and draw(st.booleans()):
-        rows = [np.array(row) for row in rows]   # as `evolve` builds them
+    if not any(layout):
+        form = draw(st.sampled_from(("lists", "arrays", "table", "no rows")))
+        if form == "arrays":
+            rows = [np.array(row) for row in rows]
+        elif form != "lists":
+            # one float64 array, as `evolve` and `steady` build it
+            rows = np.array(rows, dtype=float).reshape(-1, len(layout))
+            if form == "no rows":
+                rows = rows[:0]
     return [f"c{j}" for j in range(len(layout))], rows
 
 
 @settings(max_examples=300, deadline=None)
 @given(table=_tables())
 @example(table=(["x", "y"], []))
+@example(table=(["x", "y"], np.empty((0, 2))))
+@example(table=(["x", "y"], np.array([[0.5, -0.0], [0.5, 1e308]])))
 @example(table=(["name", "note"], [["a", "b,c"], ["a", 'say "hi"']]))
 @example(table=(["x", "y"], [[0.0, -0.0], [-0.0, 0.0]]))
 @example(table=([""], [[""], ["a"], [""]]))  # a lone empty field is ""
@@ -202,3 +213,53 @@ def test_render_matches_csv_writer(table):
     comments = [("command", "test")]
     assert cli._render(comments, header, rows) \
         == csv_writer_render(comments, header, rows)
+
+
+def _entropy_loop(spectrum) -> float:
+    """The entropy as one subtraction per term, left to right."""
+    total = 0.0
+    for p in np.clip(spectrum, 0.0, 1.0):
+        for q in (p, 1.0 - p):
+            if q > 0.0:
+                total -= q * np.log(q)
+    return float(total)
+
+
+# The ends of [0, 1], the smallest subnormal and a small normal-range
+# neighbour, the unit roundoff and 1 - it, and values just outside
+_EDGE_OCCUPATIONS = [0.0, -0.0, 1.0, 5e-324, 1e-310, 2.0 ** -53,
+                     1.0 - 2.0 ** -53, -1e-11, -5e-324, 1.0 + 1e-11,
+                     float(np.nextafter(1.0, 2.0))]
+
+
+_OCCUPATIONS = st.floats(min_value=0.0, max_value=1.0) \
+    | st.sampled_from(_EDGE_OCCUPATIONS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectra=st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.lists(st.lists(_OCCUPATIONS, min_size=n, max_size=n),
+                       min_size=1, max_size=4)))
+@example(spectra=[[]])   # no modes
+def test_entropy_kernel_matches_the_loop_bit_for_bit(spectra):
+    spectra = np.array(spectra, dtype=float)
+    expected = np.array([_entropy_loop(row) for row in spectra])
+    assert _entropies(spectra).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=0, max_value=6),
+       count=st.integers(min_value=0, max_value=5))
+def test_stacked_check_matches_one_eigvalsh_per_state(seed, n, count):
+    rng = np.random.default_rng(seed)
+    rs = np.zeros((count, n, n), dtype=complex)
+    hs = np.zeros_like(rs)
+    for r, h in zip(rs, hs):
+        # Hermitian to the check's tolerance only
+        r[...] = random_correlation_matrix(rng, n) \
+            + 1e-15 * random_complex_matrix(rng, n)
+        h[...] = hermitize(r)
+    spectra = _check_states(rs, hs)
+    assert spectra.shape == (count, n)
+    for h, spectrum in zip(hs, spectra):
+        assert spectrum.tobytes() == np.linalg.eigvalsh(h).tobytes()
