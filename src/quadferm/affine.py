@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 #: :func:`inverse` rejects linear parts with condition number above this.
-CONDITION_CAP = 1e12
+_CONDITION_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -143,10 +143,10 @@ def compose(g: AffineElement, h: AffineElement) -> AffineElement:
 
 def inverse(g: AffineElement) -> AffineElement:
     """Group inverse ``(u⁻¹, -u⁻¹ m u⁻¹†)``; rejects a singular u."""
-    if np.linalg.cond(g.u) > CONDITION_CAP:
+    if np.linalg.cond(g.u) > _CONDITION_CAP:
         raise ValidationError(
             "linear part is singular or too ill-conditioned "
-            f"(cond > {CONDITION_CAP:.0e})"
+            f"(cond > {_CONDITION_CAP:.0e})"
         )
     u_inv = np.linalg.inv(g.u)
     return AffineElement(u_inv, -u_inv @ g.m @ u_inv.conj().T)

@@ -82,9 +82,10 @@ def _render(comments: list[tuple[str, object]], header: list[str],
     """Provenance lines, header and rows (a list, or a 2-D float64 array
     used without a copy) as CSV text.
 
-    Every row has the first row's layout of string and numeric cells. The
-    numeric cells of all rows go into one float64 array (column by column
-    when a row also holds strings), and `_format_numbers` prints each
+    An array goes to `_format_numbers` as it is. Every list row has the
+    first row's layout of string and numeric cells, and the numeric cells
+    of all rows go into one float64 array (column by column when a row
+    also holds strings). `_format_numbers` prints each
     distinct magnitude in it once with "%.17g", which gives the bytes of
     ``format(float(x), ".17g")``. The text depends on the bits alone, so
     sharing it between equal magnitudes changes no byte; keying on bits,
@@ -95,7 +96,9 @@ def _render(comments: list[tuple[str, object]], header: list[str],
     """
     lines = [f"# {key}={value}" for key, value in comments]
     table = [list(map(_csv_field, header))]
-    if len(rows):
+    if isinstance(rows, np.ndarray):
+        table += _format_numbers(rows).tolist()
+    elif rows:
         text = [j for j, cell in enumerate(rows[0]) if isinstance(cell, str)]
         if text:
             num = [j for j in range(len(rows[0])) if j not in text]

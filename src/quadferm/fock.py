@@ -28,39 +28,31 @@ Sandwich terms.  Every superoperator here is a short list of pairs
 (x_k, y_k), the map ``rho -> sum_k x_k rho y_k`` with None for an identity
 factor; loss(B), for one, is the n pairs ``(c_k, sum_j B_jk c_j†)``.
 ``_generator_terms`` is the one place the L(A, M) coefficients appear.
-``_assemble`` turns a list into its superoperator (no other code forms
-one from operator pairs) and ``_apply`` applies it to one operator.
+``_assemble`` turns a list into its whole 4^n x 4^n matrix (no other code
+forms one from operator pairs) and ``_apply`` applies it to one operator.
 
-Charge sectors.  Every superoperator here but the Majorana family keeps
-the charge ``q = N_ket - N_bra`` of an operator ``|a><b|``: in each
-sandwich term ``x rho y``, x moves the particle number of the ket as far
-as y moves that of the bra (loss lowers both by one, gain raises both,
-left and right keep both).  So the 4^n x 4^n matrix is block diagonal
-over 2n+1 sectors (at n = 4, blocks of 70, 56, 28, 8 and 1 rows instead
-of one of 256).  ``_assemble`` decides the form of each term list: it
-tests every nonzero entry of every term for one common popcount shift,
-exactly, with no tolerance, and returns `_Blocks` (the sector blocks,
-taken bit for bit from the one product that builds the whole matrix) when
-all terms pass, else the whole matrix.  The entries the block form drops
-are then exact zeros, not roundoff: each is a sum of products with an
-exact zero factor.  A bug that breaks gauge invariance fails the test, so
-its superoperators stay whole and the oracle loses no power.  The public
-``super_*`` functions always return the whole matrix; `verify` and
-``dense_evolve`` compute in the form ``_assemble`` returns.  Below n = 3
-the blocks are too small to pay and every form is whole.
-
-Gathered blocks.  A basic map is linear in its coefficient matrix (left
-and right in the operator ``(c, B c)``), and each of its block entries
-is one signed coefficient or operator entry.  So ``_basic`` and
-``_liouvillian`` do not assemble: for each (n, kind) a `_Gather`, built
-once on first use from the n^2 unit coefficients through ``_assemble``
-and its charge test, lists where each entry lands, and a call gathers
-its operands into the blocks, bit for bit the entries ``_assemble``
-would take.  A map is rebuilt when ``_car`` or ``_MIN_SECTOR_DIM``
-changes, and a kind whose units break charge has none, so those calls
-go through ``_assemble`` whole.  ``dense_evolve`` exponentiates only the
-sector stacks that ``vec(rho)`` occupies; the rest of the result is
-exact zeros.
+Forms: sector blocks or the whole matrix, by one rule.  Every
+superoperator here but the Majorana family keeps the charge
+``q = N_ket - N_bra`` of an operator ``|a><b|``: in each sandwich term
+``x rho y``, x moves the particle number of the ket as far as y moves
+that of the bra (loss lowers both by one, gain raises both, left and
+right keep both).  So its matrix is block diagonal over 2n+1 sectors (at
+n = 4, blocks of 70, 56, 28, 8 and 1 rows instead of one of 256), held
+as `_Blocks`.  A basic map is linear in its coefficient matrix (left and
+right in the operator ``(c, B c)``), so ``_basic`` and ``_liouvillian``
+do not assemble: for each (n, kind) a `_Gather`, built once on first use,
+lists where each operand entry lands, and a call gathers its operands
+into the blocks.  The map reads the block entries of the whole matrices
+of the n^2 unit coefficients, and refuses a kind whose units have any
+nonzero (or NaN) entry off the sectors, exactly, with no tolerance; the
+entries the blocks drop are then exact zeros, and the gathered blocks are
+bit for bit the whole matrix's.  That is the rule, at every n: the basic
+maps and L(A, M) are blocks when their units keep charge, and everything
+else is whole: the public ``super_*`` functions, ``majorana_liouvillian``,
+``super_master_equation``, and any kind whose units a bug makes break
+charge, so the oracle loses no power.  A map is rebuilt when ``_car``
+changes.  ``dense_evolve`` exponentiates only the sector stacks that
+``vec(rho)`` occupies; the rest of the result is exact zeros.
 
 Sizes.  Every function reads the mode count n from its operands: a
 coefficient matrix or generator is n x n, a smearing vector has n entries,
@@ -214,15 +206,9 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-#: Sector blocks start at n = 3 (dim 8).  At n <= 2 they hold 1-6 rows,
-#: and the per-stack numpy and scipy calls cost more than the 16 x 16
-#: whole matrix they would replace.
-_MIN_SECTOR_DIM = 8
-
-
 class _Layout:
     """Where the charge-sector blocks of the 4^n x 4^n superoperators on
-    dim x dim operators sit; one per dim, from `_layout`.
+    dim x dim operators sit, at every n; one per dim, from `_layout`.
 
     Sector q holds the column-stacked indices ``i + dim*j`` of the entries
     (i, j) of charge ``popcount(i) - popcount(j) = q``.  Sectors q and -q
@@ -230,21 +216,16 @@ class _Layout:
     ``(count, m, m)``: ``stacks`` holds the bounds and shape of each in the
     flat block data, ``vstacks`` those of its rows in a vector gathered by
     ``order`` (the sector indices, stack by stack); ``charge`` is the
-    charge of every vector index.  ``take`` picks the block entries, in
-    data order, out of `_assemble`'s product; ``place`` puts them into
-    the flat whole matrix.  ``shifts`` maps each float of a
-    flattened complex dim x dim operator to the popcount shift
-    ``popcount(a) - popcount(i)`` of its entry (a, i), one-hot over -n..n.
+    charge of every vector index.  ``place`` is where each block entry, in
+    data order, sits in the flat whole matrix: the blocks of a whole
+    matrix S that keeps charge are ``S.reshape(-1)[place]``.
     """
 
     def __init__(self, dim: int):
         n = dim.bit_length() - 1
         pop = np.array([bin(i).count("1") for i in range(dim)])
-        shift = (pop[:, None] - pop[None, :]).reshape(-1)
-        self.shifts = np.repeat(shift[:, None] == np.arange(-n, n + 1), 2,
-                                axis=0).astype(np.float32)
         # of vec index i + dim*j, at flat index j*dim + i
-        charge = self.charge = -shift
+        charge = self.charge = (pop[None, :] - pop[:, None]).reshape(-1)
         sectors, self.stacks, self.vstacks = [], [], []
         lo = vlo = 0
         for q in range(n + 1):
@@ -254,22 +235,14 @@ class _Layout:
             self.vstacks.append((vlo, vlo + count * m, (count, m)))
             lo, vlo = lo + count * m * m, vlo + count * m
             sectors += group
-        # S[r, c], r = a + dim*b, c = i + dim*j, is entry
-        # (b*dim + j)*dim^2 + a*dim + i of the flat product
-        idx = np.arange(dim * dim)
-        row_part = idx // dim * dim ** 3 + idx % dim * dim
-        col_part = idx // dim * dim ** 2 + idx % dim
         self.dim = dim
         self.order = np.concatenate(sectors)
-        self.take = np.concatenate(
-            [(row_part[s][:, None] + col_part[s]).reshape(-1) for s in sectors])
         self.place = np.concatenate(
             [(s[:, None] * dim * dim + s).reshape(-1) for s in sectors])
         self.eye = np.concatenate(
             [np.broadcast_to(np.eye(shape[1], dtype=complex), shape).reshape(-1)
              for _, _, shape in self.stacks])
-        for arr in (self.shifts, self.charge, self.order, self.take,
-                    self.place, self.eye):
+        for arr in (self.charge, self.order, self.place, self.eye):
             arr.setflags(write=False)
 
 
@@ -277,7 +250,8 @@ _layout = lru_cache(maxsize=None)(_Layout)
 
 
 class _Blocks:
-    """A superoperator that keeps charge, held as its sector blocks.
+    """A superoperator that keeps charge, held as its sector blocks at any
+    n; `_Gather` builds them.
 
     ``data`` is one flat complex array, cut by ``layout.stacks`` into
     ``(count, m, m)`` stacks.  Sum, difference, scaling and `_norm` are one
@@ -365,37 +339,21 @@ class _Blocks:
         return out
 
 
-def _assemble(terms, dim: int, whole: bool = False):
-    """The superoperator ``rho -> sum_k x_k rho y_k`` in the form it keeps:
-    `_Blocks` when every term keeps charge, else the 4^n x 4^n matrix.
+def _assemble(terms, dim: int) -> np.ndarray:
+    """The 4^n x 4^n matrix of the superoperator ``rho -> sum_k x_k rho
+    y_k``, None standing for the identity.
 
     On column-stacked operators each term is ``kron(y_k^T, x_k)``, whose
     entry [(b, a), (j, i)] is ``y_k[j, b] x_k[a, i]``.  The sum over k is
     one product of the K x dim^2 stacks of the y_k^T and the x_k, which
-    yields the entries in (b, j, a, i) order.  The whole matrix is that
-    product with one transpose; the block form takes its block entries
-    with ``_Layout.take``, bit for bit.  None stands for the identity.
-
-    The form is decided exactly, with no tolerance: a term keeps charge
-    when every nonzero entry (a, i) of x_k and (b, j) of y_k^T moves the
-    popcount by one common shift d, ``popcount(a) - popcount(i) = d``
-    (a NaN counts as nonzero).  Then every entry between two sectors is a
-    sum of products with an exact zero factor.  ``whole`` (the public
-    ``super_*`` functions), a term that breaks charge, or dim below
-    ``_MIN_SECTOR_DIM`` gives the whole matrix.
+    yields the entries in (b, j, a, i) order; one transpose makes it the
+    matrix.
     """
     eye = np.eye(dim, dtype=complex)
     k = len(terms)
     ops = np.array([eye if x is None else x for x, _ in terms]
                    + [eye if y is None else y.T for _, y in terms], dtype=complex)
-    xs, ys = ops[:k], ops[k:]
-    prod = ys.reshape(k, -1).T @ xs.reshape(k, -1)
-    if not (whole or dim < _MIN_SECTOR_DIM):
-        lay = _layout(dim)
-        nonzero = ops.reshape(2 * k, -1).view(np.float64) != 0
-        hits = nonzero.astype(np.float32) @ lay.shifts
-        if np.count_nonzero(hits[:k] + hits[k:], axis=1).max() <= 1:
-            return _Blocks(lay, prod.reshape(-1)[lay.take])
+    prod = ops[k:].reshape(k, -1).T @ ops[:k].reshape(k, -1)
     return prod.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3) \
         .reshape(dim * dim, dim * dim)
 
@@ -517,17 +475,20 @@ class _Gather:
 
 def _build_gather(kinds: tuple, n: int):
     """The `_Gather` of the sum of the basic maps ``kinds``, each given
-    its `_operand` in that order; None unless `_assemble` returns every
-    one of them as blocks.
+    its `_operand` in that order; None if the units of any kind break
+    charge.
 
-    A single kind assembles its n^2 unit coefficients through `_assemble`,
-    with its exact charge test.  Loss and gain take their positions and
-    weights from those blocks (with the true annihilators each block
-    entry is one unit coefficient, weight +-1).  Left and right
-    are ``kron(I, X)`` and ``kron(X^T, I)`` in their operand X, so their
-    entries come from the layout; the units only prove that X keeps
-    charge.  A sum joins the maps of its kinds in order, so `np.bincount`
-    adds the kinds in the order of `_assemble`'s product.
+    A single kind assembles the whole matrix of each of its n^2 unit
+    coefficients and reads its block entries as ``whole.reshape(-1)
+    [layout.place]``; a unit whose whole matrix has any nonzero entry off
+    the sectors (a NaN counts) gives None, exactly, with no tolerance.
+    Loss and gain take their positions and weights from those entries
+    (with the true annihilators each block entry is one unit coefficient,
+    weight +-1).  Left and right are ``kron(I, X)`` and ``kron(X^T, I)``
+    in their operand X, so their entries come from the layout; the units
+    only prove that X keeps charge.  A sum joins the maps of its kinds in
+    order, so `np.bincount` adds the kinds in the order of `_assemble`'s
+    product.
     """
     dim = 2 ** n
     if len(kinds) > 1:
@@ -544,12 +505,13 @@ def _build_gather(kinds: tuple, n: int):
     lay = _layout(dim)
     hits = []
     for k, unit in enumerate(np.eye(n * n, dtype=complex).reshape(-1, n, n)):
-        s = _assemble(_basic_terms(kind, unit), dim)
-        if not isinstance(s, _Blocks):
+        whole = _assemble(_basic_terms(kind, unit), dim).reshape(-1)
+        data = whole[lay.place]
+        if np.count_nonzero(whole) != np.count_nonzero(data):
             return None
         if kind in ("loss", "gain"):
-            pos = np.flatnonzero(s.data)
-            hits.append((pos, np.full(len(pos), k), s.data[pos]))
+            pos = np.flatnonzero(data)
+            hits.append((pos, np.full(len(pos), k), data[pos]))
     if hits:
         return _Gather(lay, *map(np.concatenate, zip(*hits)))
     # block entry (a + dim*b, i + dim*j), at place (a + dim*b)*dim^2 +
@@ -566,24 +528,22 @@ _GATHERS: dict = {}
 
 def _gather_map(kinds: tuple, n: int):
     """The cached `_build_gather` of ``kinds`` at n modes.  Built on first
-    use, and again whenever ``_car(n)`` or ``_MIN_SECTOR_DIM`` has changed
-    (a planted bug or a test rebinds them), so a map never outlives what
-    it was built from."""
+    use, and again whenever ``_car(n)`` has changed (a planted bug or a
+    test rebinds it), so a map never outlives the annihilators it was
+    built from."""
     key, car = (kinds, n), _car(n)
     hit = _GATHERS.get(key)
-    if hit is None or hit[0] is not car or hit[1] != _MIN_SECTOR_DIM:
-        hit = _GATHERS[key] = (car, _MIN_SECTOR_DIM, _build_gather(kinds, n))
-    return hit[2]
+    if hit is None or hit[0] is not car:
+        hit = _GATHERS[key] = (car, _build_gather(kinds, n))
+    return hit[1]
 
 
-def _basic(kind: str, a, whole: bool = False):
-    """:func:`super_basic` in the form `_assemble` decides, gathered from
-    the cached map when that form is blocks."""
+def _basic(kind: str, a):
+    """:func:`super_basic` as sector blocks gathered from the cached map,
+    or whole where the units of ``kind`` break charge."""
     a, n = _check_coefficients(a)
-    gather = None if whole else _gather_map((kind,), n)
-    if gather is None:
-        return _assemble(_basic_terms(kind, a), 2 ** n, whole)
-    return gather(_operand(kind, a))
+    gather = _gather_map((kind,), n)
+    return super_basic(kind, a) if gather is None else gather(_operand(kind, a))
 
 
 def super_basic(kind: str, a) -> np.ndarray:
@@ -594,16 +554,17 @@ def super_basic(kind: str, a) -> np.ndarray:
           'left'  -> (c, a c) rho
           'right' -> rho (c, a c)
     """
-    return _basic(kind, a, whole=True)
+    a, n = _check_coefficients(a)
+    return _assemble(_basic_terms(kind, a), 2 ** n)
 
 
-def _liouvillian(params: AffineGenerator, whole: bool = False):
-    """:func:`super_liouvillian` in the form `_assemble` decides, gathered
-    from the cached map when that form is blocks."""
+def _liouvillian(params: AffineGenerator):
+    """:func:`super_liouvillian` as sector blocks gathered from the cached
+    map, or whole where the units of a basic map break charge."""
     n = _check_modes(params.n)
-    gather = None if whole else _gather_map(_KINDS, n)
+    gather = _gather_map(_KINDS, n)
     if gather is None:
-        return _assemble(_generator_terms(params.a, params.m), 2 ** n, whole)
+        return super_liouvillian(params)
     return gather(*_generator_operands(params.a, params.m))
 
 
@@ -613,7 +574,8 @@ def super_liouvillian(params: AffineGenerator) -> np.ndarray:
     Trace preserving for every (A, M): the vectorized trace functional
     annihilates it.
     """
-    return _liouvillian(params, whole=True)
+    n = _check_modes(params.n)
+    return _assemble(_generator_terms(params.a, params.m), 2 ** n)
 
 
 def super_master_equation(h, loss_vectors=(), gain_vectors=()) -> np.ndarray:
@@ -641,7 +603,7 @@ def super_master_equation(h, loss_vectors=(), gain_vectors=()) -> np.ndarray:
         d_op = smeared_annihilation(v)
         dd = d_op @ d_op.conj().T
         terms += [(2 * d_op.conj().T, d_op), (-dd, None), (None, -dd)]
-    return _assemble(terms, 2 ** n, whole=True)
+    return _assemble(terms, 2 ** n)
 
 
 def apply_generator(params: AffineGenerator, rho: np.ndarray) -> np.ndarray:
@@ -655,10 +617,11 @@ def apply_generator(params: AffineGenerator, rho: np.ndarray) -> np.ndarray:
 def dense_evolve(params: AffineGenerator, rho: np.ndarray, t: float) -> np.ndarray:
     """Evolve a density matrix by exponentiating the dense generator L(A, M).
 
-    In sector blocks (n >= 3) only the stacks in which ``vec(rho)`` has a
-    nonzero entry are exponentiated, tested exactly: the generator keeps
-    charge, so the other stacks add exact zeros (a Gaussian state, of
-    charge 0, takes one ``expm`` of the q = 0 block).
+    The generator is in sector blocks at every n unless a bug breaks its
+    charge, and then only the stacks in which ``vec(rho)`` has a nonzero
+    entry are exponentiated, tested exactly: the other stacks add exact
+    zeros (a Gaussian state, of charge 0, takes one ``expm`` of the q = 0
+    block).
     """
     n = params.n
     if n > MAX_DENSE_EVOLVE_MODES:
@@ -757,5 +720,5 @@ def majorana_liouvillian(a, n_mat) -> np.ndarray:
     terms = [(_bilinear(antisym + 1j * n_mat / 4, w, w), None),
              (None, _bilinear(-antisym + 1j * n_mat / 4, w, w)),
              *zip(_smear((-a - a.T + 2j * n_mat) / 4, w), w)]
-    return _assemble(terms, 2 ** n, whole=True)
+    return _assemble(terms, 2 ** n)
 

@@ -148,7 +148,8 @@ def evolve_grid(params: AffineGenerator, state: GaussianState,
             if step != last_step:
                 g, last_step = flow(params, step), step
             r = act(g, base)
-            rs[k] = r = hermitize(r) if hermitian else r
+            if not hermitian:
+                rs[k] = r
             hs[k] = r = hermitize(r)   # this state's r
             prev = t
     except Exception:

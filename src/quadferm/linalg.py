@@ -14,7 +14,8 @@ Every fast-path postcondition follows one of three rules, which read alike
 when (A, M) are rescaled, as the claims they check do (Higham, *Accuracy
 and Stability of Numerical Algorithms*, 2nd ed., ch. 1 and 7); each check's
 tolerance is a constant below, with its rule.  Two floors stay, each with
-its reason where it stands, in ``_noise_limit`` and ``majorana_liouvillian``.
+its reason where it stands: ``_noise_limit``'s residual test and
+``majorana_liouvillian``'s antisymmetry check.
 
 ======================  ====================================================
 rule                    error model
@@ -168,10 +169,10 @@ def _ordered_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return r, q, int(j)
 
 
-# Floored, unlike the table's checks: the residual test keeps ``1 + ||M||``
-# and the P0 commutation test an absolute 1e-6; which scale-free forms
-# replace them is open (ROADMAP.md, items 7 and 10).  Noise that reaches an
-# undamped mode is refused by the table's normwise rule, against ||M||.
+# Floored, unlike the table's checks: the residual test keeps ``1 + ||M||``;
+# which scale-free form replaces it is open (ROADMAP.md, item 7).  The P0
+# commutation test and the noise that reaches an undamped mode follow the
+# table's normwise rule, against ||A||_2 and ||M||.
 def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
                  ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """``(T, λ, j, P0)`` for checked operands: ``T = int_0^inf e^{sA} M
@@ -196,7 +197,8 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
     scale, also where the floored residual test cannot see the noise (a
     slowly damped mode in the band).  PhysicsError names each undamped
     ``lambda_i`` when either test fails, and of a pair not
-    ``admissible``, and flags a P0 that fails to commute with A.
+    ``admissible``, and flags a P0 that fails to commute with A,
+    ``||A P0 - P0 A|| > 1e-6 ||A||_2``.
     """
     n = a.shape[0]
     d = np.sqrt(np.where(m.diagonal() == 0, 1.0, np.abs(m.diagonal())))
@@ -248,7 +250,7 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
     if is_hermitian(m):
         t_mat = hermitize(t_mat)
     comm = np.linalg.norm(a @ p0 - p0 @ a) if w.size else 0.0
-    if comm > 1e-6 and comm > 1e-6 * np.linalg.norm(a, 2):
+    if comm > 1e-6 * np.linalg.norm(a, 2):
         raise PhysicsError(
             f"persistent projector fails to commute with the drift "
             f"(residual {comm:.3e}); spectrum too close to the band edge"

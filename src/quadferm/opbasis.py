@@ -129,13 +129,14 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def _pairing_expansion(xis, etas, n, dressed: bool, alternating: bool) -> np.ndarray:
+def _pairing_expansion(xis, etas, n, dressed: bool) -> np.ndarray:
     """Shared permutation expansion behind the phi <-> pi conversions, over
-    the phi (``dressed``) or pi elements of sub-lists.  Those are kept for
-    one sigma at a time: the expansion visits each (sigma[p:], tau[p:])
-    p!^2 times, but across sigmas only the short suffixes repeat, while
-    keeping every element would hold tens of thousands of 32 x 32 ones
-    at n = 5."""
+    the phi (``dressed``) or pi elements of sub-lists; over pi elements
+    the sign alternates with the number p of pairings.  The elements are
+    kept for one sigma at a time: the expansion visits each (sigma[p:],
+    tau[p:]) p!^2 times, but across sigmas only the short suffixes repeat,
+    while keeping every element would hold tens of thousands of 32 x 32
+    ones at n = 5."""
     p_len, q_len = len(xis), len(etas)
     dim = 2 ** n
     table = _Elements(xis, etas, n, dressed)
@@ -149,7 +150,7 @@ def _pairing_expansion(xis, etas, n, dressed: bool, alternating: bool) -> np.nda
                 coeff = sign_s * sign_t / (
                     factorial(p) * factorial(p_len - p) * factorial(q_len - p)
                 )
-                if alternating:
+                if not dressed:
                     coeff *= (-1) ** p
                 for j in range(p):
                     coeff *= np.vdot(etas[tau[j]], xis[sigma[j]])
@@ -163,14 +164,14 @@ def phi_from_pi(xis, etas, n: int) -> np.ndarray:
     """Evaluate a dressed element through its expansion in plain elements."""
     xis = _as_vectors(xis, n, "creation list")
     etas = _as_vectors(etas, n, "annihilation list")
-    return _pairing_expansion(xis, etas, n, dressed=False, alternating=True)
+    return _pairing_expansion(xis, etas, n, dressed=False)
 
 
 def pi_from_phi(xis, etas, n: int) -> np.ndarray:
     """Evaluate a plain element through its expansion in dressed elements."""
     xis = _as_vectors(xis, n, "creation list")
     etas = _as_vectors(etas, n, "annihilation list")
-    return _pairing_expansion(xis, etas, n, dressed=True, alternating=False)
+    return _pairing_expansion(xis, etas, n, dressed=True)
 
 
 def _subset_labels(n: int):

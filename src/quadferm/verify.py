@@ -10,11 +10,11 @@ suite is what `quadferm verify` runs and what the acceptance tests pin
 down.
 
 The rows build superoperators through `fock`'s private entry points
-(``_basic``, ``_liouvillian``), in the form ``fock._assemble`` decides:
-charge-sector blocks from n = 3 on (gathered through ``fock``'s cached
-maps), whole matrices below that and for any term list that breaks
-charge.  Products, sums, ``fock._expm`` and ``fock._norm`` act on either
-form, and the two never mix silently.
+(``_basic``, ``_liouvillian``), by `fock`'s one form rule: charge-sector
+blocks at every n, gathered through ``fock``'s cached maps, and whole
+matrices for the Majorana rows and for any map whose units a bug makes
+break charge.  Products, sums, ``fock._expm`` and ``fock._norm`` act on
+either form, and the two never mix silently.
 """
 
 from __future__ import annotations
@@ -297,9 +297,9 @@ def _check_majorana_commutator(rng, n):
 # -- commutator identities [X(C), Y(D)] = Z(C, D) ---------------------------
 
 def _basic_map(kind):
-    """C -> kind(C) in the form `fock._assemble` decides; looks
-    `fock._basic` up at call time, so that a rebound one (a planted bug, a
-    tracer) is the one checked."""
+    """C -> kind(C) in the form `fock._basic` builds; looks `fock._basic`
+    up at call time, so that a rebound one (a planted bug, a tracer) is
+    the one checked."""
     return lambda c: fock._basic(kind, c)
 
 

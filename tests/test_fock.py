@@ -259,8 +259,8 @@ def _expm_shapes(monkeypatch):
     return shapes
 
 
-def _perturbed_car(monkeypatch, at_zero: bool):
-    """Rebind fock._car to one whose c_1 carries 1e-6 more at the
+def _perturbed_car(monkeypatch, at_zero: bool, kick: float = 1e-6):
+    """Rebind fock._car to one whose c_1 carries ``kick`` more at the
     structurally zero (0, 0), or at its nonzero entry (0, 2^n / 2); the
     real cache needs no clearing."""
     true_car = fock._car
@@ -268,47 +268,39 @@ def _perturbed_car(monkeypatch, at_zero: bool):
     @functools.lru_cache(maxsize=None)
     def perturbed_car(m):
         ops = true_car(m).copy()
-        ops[0][(0, 0) if at_zero else (0, 2 ** m // 2)] += 1e-6
+        ops[0][(0, 0) if at_zero else (0, 2 ** m // 2)] += kick
         ops.setflags(write=False)
         return ops
 
     monkeypatch.setattr(fock, "_car", perturbed_car)
 
 
-def _sample_terms(rng, n):
-    """Sandwich term lists of L(A, M), of a drift L(A, O) (its gain terms
-    are zero maps) and of gain(T)."""
+def _sample_maps(rng, n):
+    """(oracle form, whole matrix) of L(A, M), of a drift L(A, O) (its
+    gain part is the zero map) and of gain(T)."""
     zero = np.zeros((n, n), dtype=complex)
     p = random_gksl_params(rng, n)
-    return [fock._generator_terms(p.a, p.m),
-            fock._generator_terms(random_complex_matrix(rng, n), zero),
-            fock._basic_terms("gain", random_complex_matrix(rng, n))]
-
-
-@pytest.fixture
-def blocks_at_every_n(monkeypatch):
-    """Let _assemble return sector blocks below its usual minimum n = 3."""
-    monkeypatch.setattr(fock, "_MIN_SECTOR_DIM", 2)
+    drift = AffineGenerator(random_complex_matrix(rng, n), zero)
+    t = random_complex_matrix(rng, n)
+    return [(fock._liouvillian(p), fock.super_liouvillian(p)),
+            (fock._liouvillian(drift), fock.super_liouvillian(drift)),
+            (fock._basic("gain", t), fock.super_basic("gain", t))]
 
 
 def _close(x, ref):
     return np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-@pytest.mark.usefixtures("blocks_at_every_n")
 class TestSectorBlocks:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_entries_are_the_whole_product_bit_for_bit(self, rng, n):
-        for terms in _sample_terms(rng, n):
-            blocks = fock._assemble(terms, 2 ** n)
+        for blocks, whole in _sample_maps(rng, n):
             assert isinstance(blocks, fock._Blocks)
-            assert np.array_equal(fock._whole(blocks),
-                                  fock._assemble(terms, 2 ** n, whole=True))
+            assert np.array_equal(fock._whole(blocks), whole)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_arithmetic_matches_the_whole_matrices(self, rng, n):
-        x, y, z = (fock._assemble(t, 2 ** n) for t in _sample_terms(rng, n))
-        wx, wy, wz = map(fock._whole, (x, y, z))
+        (x, wx), (y, wy), (z, wz) = _sample_maps(rng, n)
         v = rng.standard_normal(4 ** n) + 1j * rng.standard_normal(4 ** n)
         assert _close(fock._whole(x @ y - 0.5j * z), wx @ wy - 0.5j * wz)
         assert _close(fock._whole(-x + y), -wx + wy)
@@ -322,18 +314,14 @@ class TestSectorBlocks:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_charge_breaking_terms_stay_whole(self, monkeypatch, rng, n):
-        w = fock.majorana_operators(n)
-        majorana = [(w[0], w[1]), (w[1] @ w[0], None)]
-        assert isinstance(fock._assemble(majorana, 2 ** n), np.ndarray)
         _perturbed_car(monkeypatch, at_zero=True)
-        for terms in _sample_terms(rng, n):
-            whole = fock._assemble(terms, 2 ** n)
-            assert isinstance(whole, np.ndarray)
-            assert np.array_equal(whole, fock._assemble(terms, 2 ** n, True))
+        for form, whole in _sample_maps(rng, n):
+            assert isinstance(form, np.ndarray)
+            assert np.array_equal(form, whole)
 
     def test_mixing_with_an_array_raises(self, rng):
-        x = fock._assemble(_sample_terms(rng, 2)[0], 4)
-        other = fock._assemble(_sample_terms(rng, 3)[0], 8)
+        x = fock._liouvillian(random_gksl_params(rng, 2))
+        other = fock._liouvillian(random_gksl_params(rng, 3))
         whole = fock._whole(x)
         for mix in (lambda: x + whole, lambda: whole + x, lambda: x - whole,
                     lambda: whole - x, lambda: x @ whole, lambda: whole @ x,
@@ -346,7 +334,7 @@ class TestSectorBlocks:
 
 class TestSectorExponential:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_matches_the_whole_exponential(self, rng, n, blocks_at_every_n):
+    def test_matches_the_whole_exponential(self, rng, n):
         zero = np.zeros((n, n))
         for s in (fock._liouvillian(random_gksl_params(rng, n)),
                   fock._liouvillian(
@@ -363,107 +351,92 @@ class TestSectorExponential:
         fock._expm(s)
         assert shapes == [(1, 20, 20), (2, 15, 15), (2, 6, 6), (2, 1, 1)]
 
-    def test_any_off_sector_entry_takes_the_whole_exponential(self, rng):
-        # entry (1, 0) moves the popcount by one, the identity None by
-        # none, so either term breaks charge at n = 3 and the list is whole
-        p = random_gksl_params(rng, 3)
-        kick = np.zeros((8, 8), dtype=complex)
-        kick[1, 0] = 1e-300
-        for term in ((kick, None), (None, kick)):
-            terms = [*fock._generator_terms(p.a, p.m), term]
-            s = fock._assemble(terms, 8)
+    def test_any_off_sector_entry_takes_the_whole_exponential(
+            self, rng, monkeypatch):
+        # c_1 + kick at its structurally zero (0, 0) puts entries of 1e-300
+        # (or NaN) off the sectors into the whole matrix of a unit of every
+        # kind: no kind gets a map, and every map is whole
+        a, p = random_complex_matrix(rng, 3), random_gksl_params(rng, 3)
+        for kick in (1e-300, np.nan):
+            _perturbed_car(monkeypatch, at_zero=True, kick=kick)
+            for kind in fock._KINDS:
+                assert fock._gather_map((kind,), 3) is None
+                assert np.array_equal(fock._basic(kind, a),
+                                      fock.super_basic(kind, a),
+                                      equal_nan=True)
+            s = fock._liouvillian(p)
             assert isinstance(s, np.ndarray)
-            assert np.array_equal(s, fock._assemble(terms, 8, whole=True))
-            assert np.array_equal(fock._expm(s), scipy.linalg.expm(s))
+            if kick == 1e-300:
+                assert np.array_equal(fock._expm(s), scipy.linalg.expm(s))
+            monkeypatch.undo()
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("breaks_sectors", [True, False],
                              ids=["zero-entry", "nonzero-entry"])
     def test_perturbed_annihilator_fails_the_suite(self, monkeypatch, n,
                                                    breaks_sectors):
         # c_1 + 1e-6 at a structurally zero diagonal entry mixes charge
-        # sectors, so _assemble returns every superoperator whole; at its
-        # nonzero entry (0, 2^n / 2) the sectors hold and, from n = 3 on,
-        # it returns blocks.  The exponentiating rows fail either way.
+        # sectors, so every basic map and generator is whole; at its
+        # nonzero entry (0, 2^n / 2) the sectors hold and every one is
+        # gathered into blocks.  The exponentiating rows fail either way.
         _perturbed_car(monkeypatch, at_zero=breaks_sectors)
-        true_assemble, forms = fock._assemble, set()
+        forms = set()
+        for name in ("_basic", "_liouvillian"):
+            def spy(*args, _true=getattr(fock, name)):
+                out = _true(*args)
+                forms.add(type(out))
+                return out
 
-        def spy(terms, dim, whole=False):
-            out = true_assemble(terms, dim, whole)
-            forms.add(type(out))
-            return out
-
-        monkeypatch.setattr(fock, "_assemble", spy)
+            monkeypatch.setattr(fock, name, spy)
         failed = {r.name for r in verify.run_suite(n=n, draws=3)
                   if not r.passed}
-        blocks = not breaks_sectors and n >= 3
-        assert forms == ({fock._Blocks, np.ndarray} if blocks
-                         else {np.ndarray})
+        assert forms == {np.ndarray if breaks_sectors else fock._Blocks}
         assert {"semigroup_factorization", "noise_conjugation",
                 "translation_conjugation", "gain_intertwining",
                 "phi_evolution_covariance"} <= failed
 
 
-def _assert_gathered_match_assembled(rng, n):
+def _assert_gathered_match_whole(rng, n):
     """_basic of every kind and _liouvillian come from the cached maps and
-    hold the blocks _assemble takes from its product, bit for bit."""
-    dim = 2 ** n
+    hold the sector entries of the whole matrix, bit for bit."""
+    place = fock._layout(2 ** n).place
     for kind in fock._KINDS:
         a = random_complex_matrix(rng, n)
         assert fock._gather_map((kind,), n) is not None
-        ref = fock._assemble(fock._basic_terms(kind, a), dim)
-        assert np.array_equal(fock._basic(kind, a).data, ref.data)
+        whole = fock.super_basic(kind, a).reshape(-1)
+        assert np.array_equal(fock._basic(kind, a).data, whole[place])
     p = AffineGenerator(random_complex_matrix(rng, n),
                         random_complex_matrix(rng, n))
     assert fock._gather_map(fock._KINDS, n) is not None
-    ref = fock._assemble(fock._generator_terms(p.a, p.m), dim)
-    assert np.array_equal(fock._liouvillian(p).data, ref.data)
+    whole = fock.super_liouvillian(p).reshape(-1)
+    assert np.array_equal(fock._liouvillian(p).data, whole[place])
 
 
 class TestGatheredBlocks:
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equal_the_assembled_blocks_bit_for_bit(self, rng, n):
-        _assert_gathered_match_assembled(rng, n)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_equal_them_below_the_usual_minimum(self, rng, n,
-                                                 blocks_at_every_n):
-        _assert_gathered_match_assembled(rng, n)
+        _assert_gathered_match_whole(rng, n)
 
     def test_a_rebound_annihilator_gets_maps_of_its_own(self, rng,
                                                         monkeypatch):
         n, a = 3, random_complex_matrix(rng, n=3)
         true_map = fock._gather_map(("loss",), n)
         # a perturbation that keeps charge: new maps, blocks that agree
-        # with the assembled ones to rounding (its weights are not +-1)
+        # with the whole matrix to rounding (its weights are not +-1)
         _perturbed_car(monkeypatch, at_zero=False)
         assert fock._gather_map(("loss",), n) not in (None, true_map)
-        ref = fock._whole(fock._assemble(fock._basic_terms("loss", a), 8))
-        assert _close(fock._whole(fock._basic("loss", a)), ref)
+        assert _close(fock._whole(fock._basic("loss", a)),
+                      fock.super_basic("loss", a))
         monkeypatch.undo()
         # one that breaks charge: no map, the whole matrix
         _perturbed_car(monkeypatch, at_zero=True)
         assert fock._gather_map(("loss",), n) is None
         for kind in fock._KINDS:
-            ref = fock._assemble(fock._basic_terms(kind, a), 8)
-            assert isinstance(ref, np.ndarray)
-            assert np.array_equal(fock._basic(kind, a), ref)
+            form = fock._basic(kind, a)
+            assert isinstance(form, np.ndarray)
+            assert np.array_equal(form, fock.super_basic(kind, a))
         monkeypatch.undo()
-        _assert_gathered_match_assembled(rng, n)
-
-    def test_a_changed_sector_minimum_gets_maps_of_its_own(self, rng,
-                                                           monkeypatch):
-        a2, a3 = random_complex_matrix(rng, 2), random_complex_matrix(rng, 3)
-        assert isinstance(fock._basic("gain", a2), np.ndarray)
-        assert isinstance(fock._basic("gain", a3), fock._Blocks)
-        monkeypatch.setattr(fock, "_MIN_SECTOR_DIM", 16)
-        assert np.array_equal(fock._basic("gain", a3),
-                              fock.super_basic("gain", a3))
-        monkeypatch.setattr(fock, "_MIN_SECTOR_DIM", 2)
-        _assert_gathered_match_assembled(rng, 2)
-        monkeypatch.undo()
-        assert isinstance(fock._basic("gain", a2), np.ndarray)
-        _assert_gathered_match_assembled(rng, 3)
+        _assert_gathered_match_whole(rng, n)
 
 
 class TestDenseEvolveSectors:

@@ -7,6 +7,7 @@ dedupe."""
 import math
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -159,6 +160,13 @@ def test_decisions_and_results_are_scale_free(seed, n, k, margin, skew, t):
     bath, bath_s = (build_bath(q) for q in chain)
     assert (np.linalg.norm(bath_s.m - s * bath.m)
             <= 1e-12 * np.linalg.norm(s * bath.m))
+
+    # an admissible drift whose slow mode, Re lambda = -1e-10, lies in the
+    # undamped band: its P0 misses commuting with A by 1.9e-5 ||A||_2
+    edge = s * np.array([[-1e-10, 1.9e-5], [0.0, -1.0]], dtype=complex)
+    with pytest.raises(PhysicsError, match="fails to commute"):
+        asymptotic_decomposition(AffineGenerator(edge, 0 * edge),
+                                 GaussianState.vacuum(2))
 
 
 def _bits(pattern: int) -> float:

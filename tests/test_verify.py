@@ -182,7 +182,7 @@ def test_planted_bracket_sign_bug_fails_generator_commutator(monkeypatch):
 
 
 def test_planted_bracket_sign_bug_fails_on_sector_blocks(monkeypatch):
-    # at n = 4 the generators are assembled as charge-sector blocks
+    # the generators are gathered as charge-sector blocks
     _flip_bracket_drift(monkeypatch)
     rng = np.random.default_rng(7)
     tol = {c.name: c.tolerance for c in verify._REGISTRY}["generator_commutator"]
@@ -211,11 +211,11 @@ def _suite_without_parity_strings(monkeypatch, n):
 
 
 def test_dropped_parity_string_fails(monkeypatch):
-    _, results = _suite_without_parity_strings(monkeypatch, 2)
-    assert any(not r.passed for r in results)
+    # every term still keeps charge, so the suite runs on blocks
+    blocks, results = _suite_without_parity_strings(monkeypatch, 2)
+    assert blocks and any(not r.passed for r in results)
 
 
 def test_dropped_parity_string_fails_on_sector_blocks(monkeypatch):
-    # every term still keeps charge, so at n = 4 the suite runs on blocks
     blocks, results = _suite_without_parity_strings(monkeypatch, 4)
     assert blocks and any(not r.passed for r in results)
