@@ -84,8 +84,7 @@ def _render(comments: list[tuple[str, object]], header: list[str],
 
     An array goes to `_format_numbers` as it is. Every list row has the
     first row's layout of string and numeric cells, and the numeric cells
-    of all rows go into one float64 array (column by column when a row
-    also holds strings). `_format_numbers` prints each
+    of all rows go into one float64 array. `_format_numbers` prints each
     distinct magnitude in it once with "%.17g", which gives the bytes of
     ``format(float(x), ".17g")``. The text depends on the bits alone, so
     sharing it between equal magnitudes changes no byte; keying on bits,
@@ -100,15 +99,12 @@ def _render(comments: list[tuple[str, object]], header: list[str],
         table += _format_numbers(rows).tolist()
     elif rows:
         text = [j for j, cell in enumerate(rows[0]) if isinstance(cell, str)]
-        if text:
-            num = [j for j in range(len(rows[0])) if j not in text]
-            cells = np.empty((len(rows), len(rows[0])), dtype=object)
-            cells[:, num] = _format_numbers(np.array(
-                [[row[j] for j in num] for row in rows], dtype=float))
-            for j in text:
-                cells[:, j] = [_csv_field(row[j]) for row in rows]
-        else:
-            cells = _format_numbers(np.asarray(rows, dtype=float))
+        num = [j for j in range(len(rows[0])) if j not in text]
+        cells = np.empty((len(rows), len(rows[0])), dtype=object)
+        cells[:, num] = _format_numbers(np.array(
+            [[row[j] for j in num] for row in rows], dtype=float))
+        for j in text:
+            cells[:, j] = [_csv_field(row[j]) for row in rows]
         table += cells.tolist()
     # csv.writer writes a lone empty field as "", so that no line is blank
     lines += ['""' if row == [""] else ",".join(row) for row in table]
@@ -210,7 +206,8 @@ def _cmd_skin(cfg: JobConfig, out: str | None) -> int:
         ("log_slope_target", _fmt(-2 * np.log(p.kappa))),
     ]
     header = ["site", "occupation", "featureless_occupation"]
-    rows = [[str(j + 1), profile[j], flat_profile[j]] for j in range(p.n)]
+    # "%.17g" prints the sites 1..n as str(j + 1) does
+    rows = np.column_stack([np.arange(1.0, p.n + 1), profile, flat_profile])
     _emit(_render(comments, header, rows), out)
     return EXIT_OK
 

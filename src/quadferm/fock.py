@@ -30,29 +30,28 @@ factor; loss(B), for one, is the n pairs ``(c_k, sum_j B_jk c_j†)``.
 ``_generator_terms`` is the one place the L(A, M) coefficients appear.
 ``_assemble`` turns a list into its whole 4^n x 4^n matrix (no other code
 forms one from operator pairs) and ``_apply`` applies it to one operator.
+Only the public ``super_*`` functions, ``majorana_liouvillian`` and
+``super_master_equation`` are whole: the references the blocks are
+tested against.
 
-Forms: sector blocks or the whole matrix, by one rule.  Every
-superoperator here but the Majorana family keeps the charge
-``q = N_ket - N_bra`` of an operator ``|a><b|``: in each sandwich term
-``x rho y``, x moves the particle number of the ket as far as y moves
-that of the bra (loss lowers both by one, gain raises both, left and
-right keep both).  So its matrix is block diagonal over 2n+1 sectors (at
-n = 4, blocks of 70, 56, 28, 8 and 1 rows instead of one of 256), held
-as `_Blocks`.  A basic map is linear in its coefficient matrix (left and
-right in the operator ``(c, B c)``), so ``_basic`` and ``_liouvillian``
-do not assemble: for each (n, kind) a `_Gather`, built once on first use,
-lists where each operand entry lands, and a call gathers its operands
-into the blocks.  The map reads the block entries of the whole matrices
-of the n^2 unit coefficients, and refuses a kind whose units have any
-nonzero (or NaN) entry off the sectors, exactly, with no tolerance; the
-entries the blocks drop are then exact zeros, and the gathered blocks are
-bit for bit the whole matrix's.  That is the rule, at every n: the basic
-maps and L(A, M) are blocks when their units keep charge, and everything
-else is whole: the public ``super_*`` functions, ``majorana_liouvillian``,
-``super_master_equation``, and any kind whose units a bug makes break
-charge, so the oracle loses no power.  A map is rebuilt when ``_car``
-changes.  ``dense_evolve`` exponentiates only the sector stacks that
-``vec(rho)`` occupies; the rest of the result is exact zeros.
+Sector blocks.  Every superoperator here but the Majorana family keeps the
+charge ``q = N_ket - N_bra`` of an operator ``|a><b|``: in each sandwich
+term ``x rho y``, x moves the particle number of the ket as far as y moves
+that of the bra (loss lowers both by one, gain raises both, left and right
+keep both).  So its matrix is block diagonal over 2n+1 sectors (at n = 4,
+blocks of 70, 56, 28, 8 and 1 rows instead of one of 256), and `_Blocks`
+is the one form ``_basic`` and ``_liouvillian`` return, at every n.
+`_car_layout` proves the charge on the annihilators when the maps are
+built, exactly: every nonzero (or NaN) entry (a, i) of every annihilator
+has ``popcount(a) = popcount(i) - 1``.  Where a bug breaks that, the
+layout is one sector, the whole matrix as a single stack, so the oracle
+loses no power.  A basic map is linear in its coefficient matrix (left and
+right in the operator ``(c, B c)``), so for each (n, kind) a `_Gather`,
+built from the nonzero annihilator entries on first use and whenever
+``_car`` changes, lists where each operand entry lands; a call gathers its
+operands into the blocks, with the true annihilators bit for bit the whole
+matrix's block entries.  ``dense_evolve`` exponentiates only the stacks
+that ``vec(rho)`` occupies; the rest of the result is exact zeros.
 
 Sizes.  Every function reads the mode count n from its operands: a
 coefficient matrix or generator is n x n, a smearing vector has n entries,
@@ -207,29 +206,33 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 
 class _Layout:
-    """Where the charge-sector blocks of the 4^n x 4^n superoperators on
-    dim x dim operators sit, at every n; one per dim, from `_layout`.
+    """Where the blocks of the 4^n x 4^n superoperators on dim x dim
+    operators sit; one per (dim, charged), from `_layout`.
 
-    Sector q holds the column-stacked indices ``i + dim*j`` of the entries
-    (i, j) of charge ``popcount(i) - popcount(j) = q``.  Sectors q and -q
-    have equal size, so the blocks form n+1 stacks, one per |q|, each
-    ``(count, m, m)``: ``stacks`` holds the bounds and shape of each in the
-    flat block data, ``vstacks`` those of its rows in a vector gathered by
-    ``order`` (the sector indices, stack by stack); ``charge`` is the
-    charge of every vector index.  ``place`` is where each block entry, in
-    data order, sits in the flat whole matrix: the blocks of a whole
-    matrix S that keeps charge are ``S.reshape(-1)[place]``.
+    ``charged``: sector q holds the column-stacked indices ``i + dim*j`` of
+    the entries (i, j) of charge ``popcount(i) - popcount(j) = q``.
+    Sectors q and -q have equal size, so the blocks form n+1 stacks, one
+    per |q|, each ``(count, m, m)``.  Otherwise one sector holds every
+    index, and its one stack ``(1, 4^n, 4^n)`` is the whole matrix.
+    ``stacks`` holds the bounds and shape of each stack in the flat block
+    data, ``vstacks`` those of its rows in a vector gathered by ``order``
+    (the sector indices, stack by stack); ``charge`` is the charge of every
+    vector index.  ``place`` is where each block entry, in data order, sits
+    in the flat whole matrix: the blocks of a whole matrix S that keeps
+    the layout's sectors are ``S.reshape(-1)[place]``.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, charged: bool):
         n = dim.bit_length() - 1
         pop = np.array([bin(i).count("1") for i in range(dim)])
         # of vec index i + dim*j, at flat index j*dim + i
         charge = self.charge = (pop[None, :] - pop[:, None]).reshape(-1)
+        groups = ([[np.flatnonzero(charge == p) for p in sorted({-q, q})]
+                   for q in range(n + 1)] if charged
+                  else [[np.arange(dim * dim)]])
         sectors, self.stacks, self.vstacks = [], [], []
         lo = vlo = 0
-        for q in range(n + 1):
-            group = [np.flatnonzero(charge == p) for p in sorted({-q, q})]
+        for group in groups:
             count, m = len(group), len(group[0])
             self.stacks.append((lo, lo + count * m * m, (count, m, m)))
             self.vstacks.append((vlo, vlo + count * m, (count, m)))
@@ -249,9 +252,20 @@ class _Layout:
 _layout = lru_cache(maxsize=None)(_Layout)
 
 
+def _car_layout(n: int) -> _Layout:
+    """The layout of the superoperators built from ``_car(n)``: the charge
+    sectors if every nonzero (or NaN) entry (a, i) of every annihilator has
+    ``popcount(a) = popcount(i) - 1``, tested exactly, and one sector
+    otherwise."""
+    _, a, i = np.nonzero(_car(n))
+    charged = _layout(2 ** n, True)
+    keeps = np.all(charged.charge[a + 2 ** n * i] == -1)
+    return charged if keeps else _layout(2 ** n, False)
+
+
 class _Blocks:
-    """A superoperator that keeps charge, held as its sector blocks at any
-    n; `_Gather` builds them.
+    """A superoperator held as its blocks in a `_Layout`, at any n;
+    `_Gather` builds them.
 
     ``data`` is one flat complex array, cut by ``layout.stacks`` into
     ``(count, m, m)`` stacks.  Sum, difference, scaling and `_norm` are one
@@ -358,34 +372,27 @@ def _assemble(terms, dim: int) -> np.ndarray:
         .reshape(dim * dim, dim * dim)
 
 
-def _whole(s) -> np.ndarray:
-    """The 4^n x 4^n matrix of a superoperator in either form (the explicit
-    conversion from `_Blocks`; zeros between sectors)."""
-    if not isinstance(s, _Blocks):
-        return s
+def _whole(s: _Blocks) -> np.ndarray:
+    """The 4^n x 4^n matrix of blocks (the explicit conversion; zeros
+    between sectors)."""
     dim2 = s.layout.dim ** 2
     out = np.zeros(dim2 * dim2, dtype=s.data.dtype)
     out[s.layout.place] = s.data
     return out.reshape(dim2, dim2)
 
 
-def _norm(s) -> float:
-    """Frobenius norm of a superoperator in either form."""
-    return float(np.linalg.norm(s.data if isinstance(s, _Blocks) else s))
+def _norm(s: _Blocks) -> float:
+    """Frobenius norm of blocks."""
+    return float(np.linalg.norm(s.data))
 
 
-def _identity(like):
-    """The identity superoperator in the form of ``like``."""
-    if isinstance(like, _Blocks):
-        return _Blocks(like.layout, like.layout.eye)
-    return np.eye(len(like), dtype=complex)
+def _identity(like: _Blocks) -> _Blocks:
+    """The identity superoperator in the layout of ``like``."""
+    return _Blocks(like.layout, like.layout.eye)
 
 
-def _expm(s):
-    """``e^s`` of a superoperator in either form: one ``scipy.linalg.expm``
-    call per stack of sector blocks, or one on the whole matrix."""
-    if not isinstance(s, _Blocks):
-        return scipy.linalg.expm(s)
+def _expm(s: _Blocks) -> _Blocks:
+    """``e^s`` of blocks: one ``scipy.linalg.expm`` call per stack."""
     out = np.empty_like(s.data)
     for block, (lo, hi, _) in zip(s._stacks(), s.layout.stacks):
         out[lo:hi] = scipy.linalg.expm(block).reshape(-1)
@@ -407,15 +414,19 @@ _KINDS = ("loss", "gain", "left", "right")
 
 def _operand(kind: str, a: np.ndarray) -> np.ndarray:
     """What ``kind(a)`` is linear in, entry by entry: ``a`` itself for
-    loss and gain, the operator ``(c, a c)`` for left and right."""
+    loss and gain, the operator ``(c, a c)`` for left and right.  The one
+    check of ``kind``: any other raises ValidationError."""
     if kind in ("left", "right"):
         c = _car(a.shape[0])
         return _bilinear(a, _dagger(c), c)
-    return a
+    if kind in ("loss", "gain"):
+        return a
+    raise ValidationError(f"unknown superoperator kind {kind!r}")
 
 
 def _operand_terms(kind: str, x: np.ndarray) -> list:
-    """Sandwich terms of a basic map given its `_operand` ``x``."""
+    """Sandwich terms of a basic map of a checked kind given its `_operand`
+    ``x``."""
     if kind == "left":
         return [(x, None)]
     if kind == "right":
@@ -423,14 +434,7 @@ def _operand_terms(kind: str, x: np.ndarray) -> list:
     c = _car(x.shape[0])
     if kind == "loss":
         return list(zip(c, _smear(x, _dagger(c))))
-    if kind == "gain":
-        return list(zip(_dagger(c), _smear(x.T, c)))
-    raise ValidationError(f"unknown superoperator kind {kind!r}")
-
-
-def _basic_terms(kind: str, a: np.ndarray) -> list:
-    """Sandwich terms of :func:`super_basic`, for a checked ``a``."""
-    return _operand_terms(kind, _operand(kind, a))
+    return list(zip(_dagger(c), _smear(x.T, c)))
 
 
 def _generator_operands(a: np.ndarray, m: np.ndarray) -> tuple:
@@ -473,28 +477,24 @@ class _Gather:
         return _Blocks(self.layout, data.view(complex))
 
 
-def _build_gather(kinds: tuple, n: int):
-    """The `_Gather` of the sum of the basic maps ``kinds``, each given
-    its `_operand` in that order; None if the units of any kind break
-    charge.
+def _build_gather(kinds: tuple, n: int) -> _Gather:
+    """The `_Gather`, in `_car_layout(n)`, of the sum of the basic maps
+    ``kinds`` (checked by `_operand`), each given its `_operand` in order.
 
-    A single kind assembles the whole matrix of each of its n^2 unit
-    coefficients and reads its block entries as ``whole.reshape(-1)
-    [layout.place]``; a unit whose whole matrix has any nonzero entry off
-    the sectors (a NaN counts) gives None, exactly, with no tolerance.
-    Loss and gain take their positions and weights from those entries
-    (with the true annihilators each block entry is one unit coefficient,
-    weight +-1).  Left and right are ``kron(I, X)`` and ``kron(X^T, I)``
-    in their operand X, so their entries come from the layout; the units
-    only prove that X keeps charge.  A sum joins the maps of its kinds in
-    order, so `np.bincount` adds the kinds in the order of `_assemble`'s
-    product.
+    The unit coefficient (j, k) of loss is the term ``x rho y`` with
+    ``(x, y) = (c_k, c_j†)``, of gain ``(c_j†, c_k)``, and entry [(a, b),
+    (i, l)] of ``x rho y`` is ``x[a, i] y[l, b]``: each nonzero (or NaN)
+    entry of an x, paired with each of a y, lands there (a sorted lookup
+    in ``layout.place``) with weight ``y[l, b] x[a, i]``.  No product with
+    a zero entry is formed; with the true annihilators each block entry is
+    one unit coefficient, weight +-1.  Left and right are ``kron(I, X)``
+    and ``kron(X^T, I)`` in their operand X, so their entries come from
+    the layout.  A sum joins the maps of its kinds in order, so
+    `np.bincount` adds the kinds in the order of `_assemble`'s product.
     """
     dim = 2 ** n
     if len(kinds) > 1:
         maps = [_gather_map((kind,), n) for kind in kinds]
-        if None in maps:
-            return None
         sizes = [n * n if k in ("loss", "gain") else dim * dim for k in kinds]
         offsets = np.cumsum([0] + sizes[:-1])
         return _Gather(maps[0].layout,
@@ -502,18 +502,18 @@ def _build_gather(kinds: tuple, n: int):
                        np.concatenate([g.src + o for g, o in zip(maps, offsets)]),
                        np.concatenate([g.w for g in maps]))
     (kind,) = kinds
-    lay = _layout(dim)
-    hits = []
-    for k, unit in enumerate(np.eye(n * n, dtype=complex).reshape(-1, n, n)):
-        whole = _assemble(_basic_terms(kind, unit), dim).reshape(-1)
-        data = whole[lay.place]
-        if np.count_nonzero(whole) != np.count_nonzero(data):
-            return None
-        if kind in ("loss", "gain"):
-            pos = np.flatnonzero(data)
-            hits.append((pos, np.full(len(pos), k), data[pos]))
-    if hits:
-        return _Gather(lay, *map(np.concatenate, zip(*hits)))
+    lay = _car_layout(n)
+    if kind in ("loss", "gain"):
+        c = _car(n)
+        xs, ys = (c, _dagger(c)) if kind == "loss" else (_dagger(c), c)
+        kx, a, i = (v[:, None] for v in np.nonzero(xs))
+        ky, l, b = np.nonzero(ys)
+        src = ky * n + kx if kind == "loss" else kx * n + ky
+        flat = (a + dim * b) * dim * dim + i + dim * l
+        order = np.argsort(lay.place)
+        pos = order[np.searchsorted(lay.place, flat, sorter=order)]
+        return _Gather(lay, pos.reshape(-1), src.reshape(-1),
+                       (ys[ky, l, b] * xs[kx, a, i]).reshape(-1))
     # block entry (a + dim*b, i + dim*j), at place (a + dim*b)*dim^2 +
     # i + dim*j, is X[a, i] where b = j in kron(I, X), X[j, b] where a = i
     # in kron(X^T, I)
@@ -538,12 +538,12 @@ def _gather_map(kinds: tuple, n: int):
     return hit[1]
 
 
-def _basic(kind: str, a):
-    """:func:`super_basic` as sector blocks gathered from the cached map,
-    or whole where the units of ``kind`` break charge."""
+def _basic(kind: str, a) -> _Blocks:
+    """:func:`super_basic` as blocks gathered from the cached map;
+    `_operand` checks ``kind`` before any map is built."""
     a, n = _check_coefficients(a)
-    gather = _gather_map((kind,), n)
-    return super_basic(kind, a) if gather is None else gather(_operand(kind, a))
+    x = _operand(kind, a)
+    return _gather_map((kind,), n)(x)
 
 
 def super_basic(kind: str, a) -> np.ndarray:
@@ -555,17 +555,13 @@ def super_basic(kind: str, a) -> np.ndarray:
           'right' -> rho (c, a c)
     """
     a, n = _check_coefficients(a)
-    return _assemble(_basic_terms(kind, a), 2 ** n)
+    return _assemble(_operand_terms(kind, _operand(kind, a)), 2 ** n)
 
 
-def _liouvillian(params: AffineGenerator):
-    """:func:`super_liouvillian` as sector blocks gathered from the cached
-    map, or whole where the units of a basic map break charge."""
+def _liouvillian(params: AffineGenerator) -> _Blocks:
+    """:func:`super_liouvillian` as blocks gathered from the cached map."""
     n = _check_modes(params.n)
-    gather = _gather_map(_KINDS, n)
-    if gather is None:
-        return super_liouvillian(params)
-    return gather(*_generator_operands(params.a, params.m))
+    return _gather_map(_KINDS, n)(*_generator_operands(params.a, params.m))
 
 
 def super_liouvillian(params: AffineGenerator) -> np.ndarray:
@@ -617,11 +613,10 @@ def apply_generator(params: AffineGenerator, rho: np.ndarray) -> np.ndarray:
 def dense_evolve(params: AffineGenerator, rho: np.ndarray, t: float) -> np.ndarray:
     """Evolve a density matrix by exponentiating the dense generator L(A, M).
 
-    The generator is in sector blocks at every n unless a bug breaks its
-    charge, and then only the stacks in which ``vec(rho)`` has a nonzero
-    entry are exponentiated, tested exactly: the other stacks add exact
-    zeros (a Gaussian state, of charge 0, takes one ``expm`` of the q = 0
-    block).
+    Only the stacks of the generator's blocks in which ``vec(rho)`` has a
+    nonzero entry are exponentiated, tested exactly: the other stacks add
+    exact zeros (a Gaussian state, of charge 0, takes one ``expm`` of the
+    q = 0 block).
     """
     n = params.n
     if n > MAX_DENSE_EVOLVE_MODES:
@@ -636,10 +631,8 @@ def dense_evolve(params: AffineGenerator, rho: np.ndarray, t: float) -> np.ndarr
     t = float(t)
     if not 0 <= t < np.inf:
         raise ValidationError(f"time must be finite and >= 0, got {t}")
-    gen, v = t * _liouvillian(params), vec(rho)
-    if isinstance(gen, _Blocks):
-        return unvec(gen._vector(v, column=True, exp=True))
-    return unvec(scipy.linalg.expm(gen) @ v)
+    gen = t * _liouvillian(params)
+    return unvec(gen._vector(vec(rho), column=True, exp=True))
 
 
 def gaussian_density(state: GaussianState) -> np.ndarray:

@@ -10,11 +10,12 @@ suite is what `quadferm verify` runs and what the acceptance tests pin
 down.
 
 The rows build superoperators through `fock`'s private entry points
-(``_basic``, ``_liouvillian``), by `fock`'s one form rule: charge-sector
-blocks at every n, gathered through ``fock``'s cached maps, and whole
-matrices for the Majorana rows and for any map whose units a bug makes
-break charge.  Products, sums, ``fock._expm`` and ``fock._norm`` act on
-either form, and the two never mix silently.
+(``_basic``, ``_liouvillian``), which return `fock._Blocks` at every n:
+charge-sector blocks gathered through ``fock``'s cached maps, or one block
+holding the whole matrix where a bug makes the annihilators break charge.
+Products, sums, ``fock._expm`` and ``fock._norm`` act on the blocks.  The
+Majorana row alone works on whole matrices, which break charge, and
+takes their norm itself.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def _comm(x, y):
 
 def _residual(lhs, rhs) -> float:
     """Frobenius norm of ``lhs - rhs``, of ``lhs`` when rhs is None (the
-    zero map); superoperators may be in either `fock` form."""
+    zero map), for superoperators as `fock._Blocks`."""
     return fock._norm(lhs if rhs is None else lhs - rhs)
 
 
@@ -255,7 +256,7 @@ def _check_phi_basis_rank(rng, n):
     eta_basis = _random_vectors(rng, n, n)
     labels, b = opbasis.phi_family_matrix(xi_basis, eta_basis)
     b = b / np.linalg.norm(b, axis=0, keepdims=True)
-    rows = fock._layout(2 ** n).charge
+    rows = fock._layout(2 ** n, True).charge
     cols = np.array([len(s) - len(t) for s, t in labels])
     least = np.inf
     for q in range(-n, n + 1):
@@ -290,8 +291,8 @@ def _check_majorana_commutator(rng, n):
     r_mat = (r_mat - r_mat.T) / 2
     lhs = _comm(fock.majorana_liouvillian(a, n_mat),
                 fock.majorana_liouvillian(b, r_mat))
-    return _residual(lhs, fock.majorana_liouvillian(
-        _comm(a, b), a @ r_mat + r_mat @ a.T - b @ n_mat - n_mat @ b.T))
+    return float(np.linalg.norm(lhs - fock.majorana_liouvillian(
+        _comm(a, b), a @ r_mat + r_mat @ a.T - b @ n_mat - n_mat @ b.T)))
 
 
 # -- commutator identities [X(C), Y(D)] = Z(C, D) ---------------------------
@@ -320,7 +321,7 @@ def _s(c):
 
 def _minus_trace(x, c, d):
     """``x - tr(CD)``, the scalar taken as tr(CD) times the identity
-    superoperator in the form of x."""
+    superoperator in the layout of x."""
     return x - np.trace(c @ d) * fock._identity(x)
 
 

@@ -1,5 +1,5 @@
 """Each public entry rejects a bad raw operand itself, so the private
-kernels behind it (`fock._basic_terms`, `fock._generator_terms`,
+kernels behind it (`fock._operand_terms`, `fock._generator_terms`,
 `linalg._van_loan_pair`) can trust what they are given."""
 
 import numpy as np

@@ -608,18 +608,20 @@ def test_verify_byte_identical_across_runs(tmp_path):
 @pytest.mark.parametrize("n", [3, 4])
 def test_verify_bytes_do_not_depend_on_the_gather_maps(tmp_path, monkeypatch,
                                                        n):
-    # maps built afresh on every call give the cached maps' bytes; with the
-    # maps turned off verify runs on whole matrices, whose values move at
-    # roundoff but whose statuses do not
+    # maps built afresh on every call give the cached maps' bytes; with
+    # every map forced onto one sector verify runs on whole matrices, whose
+    # values move at roundoff but whose statuses do not
     argv = ["verify", "--n", str(n), "--seed", "1", "--draws", "3", "--out"]
     assert main(argv + [str(tmp_path / "cached.csv")]) == 0
     monkeypatch.setattr(fock, "_gather_map", fock._build_gather)
-    assert isinstance(verify._super_lam(np.eye(n), np.eye(n)), fock._Blocks)
+    assert verify._super_lam(np.eye(n), np.eye(n)).layout \
+        is fock._layout(2 ** n, True)
     assert main(argv + [str(tmp_path / "fresh.csv")]) == 0
     assert (tmp_path / "cached.csv").read_bytes() \
         == (tmp_path / "fresh.csv").read_bytes()
-    monkeypatch.setattr(fock, "_gather_map", lambda kinds, n: None)
-    assert isinstance(verify._super_lam(np.eye(n), np.eye(n)), np.ndarray)
+    one = fock._layout(2 ** n, False)
+    monkeypatch.setattr(fock, "_car_layout", lambda n: one)
+    assert verify._super_lam(np.eye(n), np.eye(n)).layout is one
     assert main(argv + [str(tmp_path / "whole.csv")]) == 0
     _, header, gathered = read_csv(tmp_path / "cached.csv")
     _, _, whole = read_csv(tmp_path / "whole.csv")

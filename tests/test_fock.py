@@ -60,6 +60,8 @@ class TestBasicSuperoperators:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
             fock.super_basic("twist", np.eye(2))
+        with pytest.raises(ValidationError):
+            fock._basic("drift", np.eye(2))
 
     def test_sizes_come_from_the_operand(self):
         assert fock.quadratic_form(np.eye(3)).shape == (8, 8)
@@ -295,7 +297,7 @@ class TestSectorBlocks:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_entries_are_the_whole_product_bit_for_bit(self, rng, n):
         for blocks, whole in _sample_maps(rng, n):
-            assert isinstance(blocks, fock._Blocks)
+            assert blocks.layout is fock._layout(2 ** n, True)
             assert np.array_equal(fock._whole(blocks), whole)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -314,10 +316,16 @@ class TestSectorBlocks:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_charge_breaking_terms_stay_whole(self, monkeypatch, rng, n):
+        # c_1 + 1e-6 at its structurally zero (0, 0): every kind's map has
+        # one sector, the whole matrix, equal to the assembled one to
+        # rounding (the kicked weights are not +-1)
         _perturbed_car(monkeypatch, at_zero=True)
+        one = fock._layout(2 ** n, False)
+        assert [fock._gather_map((kind,), n).layout for kind in fock._KINDS] \
+            == [one] * 4
         for form, whole in _sample_maps(rng, n):
-            assert isinstance(form, np.ndarray)
-            assert np.array_equal(form, whole)
+            assert form.layout is one
+            assert _close(fock._whole(form), whole)
 
     def test_mixing_with_an_array_raises(self, rng):
         x = fock._liouvillian(random_gksl_params(rng, 2))
@@ -341,7 +349,7 @@ class TestSectorExponential:
                       AffineGenerator(zero, random_complex_matrix(rng, n))),
                   fock._basic("gain", random_complex_matrix(rng, n))):
             ref = scipy.linalg.expm(fock._whole(s))
-            assert isinstance(s, fock._Blocks)
+            assert s.layout is fock._layout(2 ** n, True)
             assert _close(fock._whole(fock._expm(s)), ref)
 
     def test_exponentiates_one_sector_at_a_time(self, rng, monkeypatch):
@@ -353,21 +361,29 @@ class TestSectorExponential:
 
     def test_any_off_sector_entry_takes_the_whole_exponential(
             self, rng, monkeypatch):
-        # c_1 + kick at its structurally zero (0, 0) puts entries of 1e-300
-        # (or NaN) off the sectors into the whole matrix of a unit of every
-        # kind: no kind gets a map, and every map is whole
+        # c_1 + kick at its structurally zero (0, 0) breaks charge: every
+        # map has one sector, the whole matrix.  A NaN kick reaches fewer
+        # cells gathered than assembled, which also forms NaN * 0, and
+        # every other cell is the assembled one bit for bit
         a, p = random_complex_matrix(rng, 3), random_gksl_params(rng, 3)
+        one = fock._layout(8, False)
         for kick in (1e-300, np.nan):
             _perturbed_car(monkeypatch, at_zero=True, kick=kick)
             for kind in fock._KINDS:
-                assert fock._gather_map((kind,), 3) is None
-                assert np.array_equal(fock._basic(kind, a),
-                                      fock.super_basic(kind, a),
-                                      equal_nan=True)
+                form = fock._basic(kind, a)
+                got, whole = fock._whole(form), fock.super_basic(kind, a)
+                assert form.layout is one
+                assert np.isnan(got).any() == np.isnan(kick)
+                assert not (np.isnan(got) & ~np.isnan(whole)).any()
+                finite = ~np.isnan(whole)
+                assert np.array_equal(got[finite], whole[finite])
             s = fock._liouvillian(p)
-            assert isinstance(s, np.ndarray)
+            assert s.layout is one
             if kick == 1e-300:
-                assert np.array_equal(fock._expm(s), scipy.linalg.expm(s))
+                shapes = _expm_shapes(monkeypatch)
+                out = fock._whole(fock._expm(s))
+                assert shapes == [(1, 64, 64)]
+                assert np.array_equal(out, scipy.linalg.expm(fock._whole(s)))
             monkeypatch.undo()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -376,21 +392,21 @@ class TestSectorExponential:
     def test_perturbed_annihilator_fails_the_suite(self, monkeypatch, n,
                                                    breaks_sectors):
         # c_1 + 1e-6 at a structurally zero diagonal entry mixes charge
-        # sectors, so every basic map and generator is whole; at its
-        # nonzero entry (0, 2^n / 2) the sectors hold and every one is
-        # gathered into blocks.  The exponentiating rows fail either way.
+        # sectors, so every basic map and generator has one sector, the
+        # whole matrix; at its nonzero entry (0, 2^n / 2) the charge
+        # sectors hold.  The exponentiating rows fail either way.
         _perturbed_car(monkeypatch, at_zero=breaks_sectors)
-        forms = set()
+        layouts = set()
         for name in ("_basic", "_liouvillian"):
             def spy(*args, _true=getattr(fock, name)):
                 out = _true(*args)
-                forms.add(type(out))
+                layouts.add(out.layout)
                 return out
 
             monkeypatch.setattr(fock, name, spy)
         failed = {r.name for r in verify.run_suite(n=n, draws=3)
                   if not r.passed}
-        assert forms == {np.ndarray if breaks_sectors else fock._Blocks}
+        assert layouts == {fock._layout(2 ** n, not breaks_sectors)}
         assert {"semigroup_factorization", "noise_conjugation",
                 "translation_conjugation", "gain_intertwining",
                 "phi_evolution_covariance"} <= failed
@@ -399,23 +415,37 @@ class TestSectorExponential:
 def _assert_gathered_match_whole(rng, n):
     """_basic of every kind and _liouvillian come from the cached maps and
     hold the sector entries of the whole matrix, bit for bit."""
-    place = fock._layout(2 ** n).place
+    layout = fock._layout(2 ** n, True)
     for kind in fock._KINDS:
         a = random_complex_matrix(rng, n)
-        assert fock._gather_map((kind,), n) is not None
+        assert fock._gather_map((kind,), n).layout is layout
         whole = fock.super_basic(kind, a).reshape(-1)
-        assert np.array_equal(fock._basic(kind, a).data, whole[place])
+        assert np.array_equal(fock._basic(kind, a).data, whole[layout.place])
     p = AffineGenerator(random_complex_matrix(rng, n),
                         random_complex_matrix(rng, n))
-    assert fock._gather_map(fock._KINDS, n) is not None
+    assert fock._gather_map(fock._KINDS, n).layout is layout
     whole = fock.super_liouvillian(p).reshape(-1)
-    assert np.array_equal(fock._liouvillian(p).data, whole[place])
+    assert np.array_equal(fock._liouvillian(p).data, whole[layout.place])
 
 
 class TestGatheredBlocks:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_equal_the_assembled_blocks_bit_for_bit(self, rng, n):
         _assert_gathered_match_whole(rng, n)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_a_fresh_map_assembles_no_whole_matrix(self, monkeypatch, n):
+        calls, true_assemble = [], fock._assemble
+
+        def spy(terms, dim):
+            calls.append(dim)
+            return true_assemble(terms, dim)
+
+        monkeypatch.setattr(fock, "_GATHERS", {})
+        monkeypatch.setattr(fock, "_assemble", spy)
+        assert fock._gather_map(fock._KINDS, n).layout \
+            is fock._layout(2 ** n, True)
+        assert len(fock._GATHERS) == 5 and calls == []
 
     def test_a_rebound_annihilator_gets_maps_of_its_own(self, rng,
                                                         monkeypatch):
@@ -428,13 +458,13 @@ class TestGatheredBlocks:
         assert _close(fock._whole(fock._basic("loss", a)),
                       fock.super_basic("loss", a))
         monkeypatch.undo()
-        # one that breaks charge: no map, the whole matrix
+        # one that breaks charge: maps of one sector, the whole matrix
         _perturbed_car(monkeypatch, at_zero=True)
-        assert fock._gather_map(("loss",), n) is None
+        one = fock._layout(2 ** n, False)
         for kind in fock._KINDS:
             form = fock._basic(kind, a)
-            assert isinstance(form, np.ndarray)
-            assert np.array_equal(form, fock.super_basic(kind, a))
+            assert form.layout is one
+            assert _close(fock._whole(form), fock.super_basic(kind, a))
         monkeypatch.undo()
         _assert_gathered_match_whole(rng, n)
 
@@ -456,7 +486,7 @@ class TestDenseEvolveSectors:
         rho = fock.gaussian_density(
             GaussianState(random_correlation_matrix(rng, n)))
         out, full, shapes = self._evolve_spied(monkeypatch, params, rho, 0.7)
-        assert shapes == [fock._layout(2 ** n).stacks[0][2]]
+        assert shapes == [fock._layout(2 ** n, True).stacks[0][2]]
         assert np.array_equal(out, full)
 
     @pytest.mark.parametrize("n, p, q", [(3, 2, 1), (3, 0, 2), (4, 1, 3),
@@ -469,7 +499,7 @@ class TestDenseEvolveSectors:
         params = AffineGenerator(random_complex_matrix(rng, n),
                                  np.zeros((n, n)))
         out, full, shapes = self._evolve_spied(monkeypatch, params, phi, 0.9)
-        assert shapes == [fock._layout(2 ** n).stacks[abs(p - q)][2]]
+        assert shapes == [fock._layout(2 ** n, True).stacks[abs(p - q)][2]]
         assert np.array_equal(out, full)
 
     def test_zero_operator_takes_no_exponential(self, rng, monkeypatch):
@@ -509,7 +539,7 @@ class TestPhiBasisRankSectors:
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_svd_per_sector(self, monkeypatch, n):
         value, shapes = self._svd_shapes(monkeypatch, n)
-        sizes = [len(np.flatnonzero(fock._layout(2 ** n).charge == q))
+        sizes = [len(np.flatnonzero(fock._layout(2 ** n, True).charge == q))
                  for q in range(-n, n + 1)]
         assert shapes == [(m, m) for m in sizes]
         rng = np.random.default_rng(3)

@@ -186,7 +186,8 @@ def test_planted_bracket_sign_bug_fails_on_sector_blocks(monkeypatch):
     _flip_bracket_drift(monkeypatch)
     rng = np.random.default_rng(7)
     tol = {c.name: c.tolerance for c in verify._REGISTRY}["generator_commutator"]
-    assert isinstance(verify._super_lam(np.eye(4), np.eye(4)), fock._Blocks)
+    assert verify._super_lam(np.eye(4), np.eye(4)).layout \
+        is fock._layout(16, True)
     assert verify._worst("generator_commutator", rng, 4, 3) > tol
 
 
@@ -198,12 +199,13 @@ def test_fast_path_evolution_holds_at_five_modes():
 
 
 def _suite_without_parity_strings(monkeypatch, n):
-    """(whether loss(I) is assembled as sector blocks, run_suite rows) with
-    the parity strings of the annihilators dropped."""
+    """(whether loss(I) is gathered as charge-sector blocks, run_suite
+    rows) with the parity strings of the annihilators dropped."""
     monkeypatch.setattr(fock, "_PARITY", np.eye(2, dtype=complex))
     fock._car.cache_clear()
     try:
-        blocks = isinstance(verify._basic_map("loss")(np.eye(n)), fock._Blocks)
+        blocks = verify._basic_map("loss")(np.eye(n)).layout \
+            is fock._layout(2 ** n, True)
         return blocks, verify.run_suite(n=n, draws=3)
     finally:
         monkeypatch.undo()
