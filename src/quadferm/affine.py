@@ -115,9 +115,9 @@ class AffineGenerator:
 
     @cached_property
     def _abscissa(self) -> float:
-        """``max|Re λ(a)|``, which sets :func:`flow`'s chunk count: one
-        ``eigvals`` per generator, computed on the first flow with t > 0,
-        then cached."""
+        """``max|Re λ(a)|``, which sets :func:`flow`'s chunk count and
+        ``gaussian.evolve_grid``'s growth gate: one ``eigvals`` per
+        generator, computed on the first flow with t > 0, then cached."""
         return _real_abscissa(self.a)
 
 

@@ -24,6 +24,7 @@ Exit codes: 0 success, 1 validation error, 2 physics/convergence error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -234,7 +235,10 @@ def _cmd_verify(cfg: JobConfig, out: str | None, n: int, seed: int,
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser(cap: int) -> argparse.ArgumentParser:
+    """The command-line parser, built once per mode cap ``cap``
+    (``fock.MAX_DENSE_EVOLVE_MODES``), which ``verify --n``'s help states."""
     parser = argparse.ArgumentParser(
         prog="quadferm",
         description="Open quadratic fermion systems: evolution, steady "
@@ -253,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--config", default=None, help="job file (INI)")
     ver.add_argument("--out", default=None, help="output CSV path")
     ver.add_argument("--n", type=int, default=None,
-                     help=f"mode count (<= {fock.MAX_DENSE_EVOLVE_MODES})")
+                     help=f"mode count (<= {cap})")
     ver.add_argument("--seed", type=int, default=None, help="RNG seed")
     ver.add_argument("--draws", type=int, default=None,
                      help="random instances per identity (at most 3 "
@@ -264,8 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(fock.MAX_DENSE_EVOLVE_MODES).parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else JobConfig()
         if cfg.command is not None and cfg.command != args.command:

@@ -61,7 +61,7 @@ input (``annihilators``, ``vacuum_projector``, ``majorana_operators``).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Number
 
 import numpy as np
@@ -247,6 +247,14 @@ class _Layout:
              for _, _, shape in self.stacks])
         for arr in (self.charge, self.order, self.place, self.eye):
             arr.setflags(write=False)
+
+    @cached_property
+    def sorter(self) -> np.ndarray:
+        """``argsort(place)``, read-only, for sorted lookups in ``place``;
+        sorted once per layout, on first read."""
+        order = np.argsort(self.place)
+        order.setflags(write=False)
+        return order
 
 
 _layout = lru_cache(maxsize=None)(_Layout)
@@ -510,8 +518,7 @@ def _build_gather(kinds: tuple, n: int) -> _Gather:
         ky, l, b = np.nonzero(ys)
         src = ky * n + kx if kind == "loss" else kx * n + ky
         flat = (a + dim * b) * dim * dim + i + dim * l
-        order = np.argsort(lay.place)
-        pos = order[np.searchsorted(lay.place, flat, sorter=order)]
+        pos = lay.sorter[np.searchsorted(lay.place, flat, sorter=lay.sorter)]
         return _Gather(lay, pos.reshape(-1), src.reshape(-1),
                        (ys[ky, l, b] * xs[kx, a, i]).reshape(-1))
     # block entry (a + dim*b, i + dim*j), at place (a + dim*b)*dim^2 +

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affine import AffineGenerator, act, flow
+from .affine import AffineElement, AffineGenerator, act, flow
 from .errors import PhysicsError, ValidationError
-from .linalg import (_SPECTRUM_TOL, _noise_limit, as_square, hermitize,
+from .linalg import (_POWER_GROWTH, _REUSE_ULPS, _SPECTRUM_TOL,
+                     _affine_power, _noise_limit, as_square, hermitize,
                      is_hermitian, lyapunov_solve)
 
 __all__ = [
@@ -112,15 +113,20 @@ def evolve_grid(params: AffineGenerator, state: GaussianState,
     """Evolve a Gaussian state over sorted times, one state per time.
 
     Each state comes from the one before it by the semigroup law,
-    ``r_k = act(flow(params, t_k - t_{k-1}), r_{k-1})`` with ``t_{-1} = 0``.
-    The last flow built is reused while the step length stays the same
-    (exact float equality), so a grid costs one :func:`flow` call each
-    time its step length changes: at most two for a uniform grid (t_0 and
-    the step).  Where the step changes to one at least the time already
-    elapsed, as on logarithmic grids, the state is instead
-    ``act(flow(params, t_k), r)`` from the initial r: the same cost, and
-    no rounding compounded over the steps.  The states are checked once,
-    as one stack, by :func:`_check_states`.
+    ``r_k = act(flow(params, s), r_{k-1})`` with the step
+    ``s = t_k - t_{k-1}`` and ``t_{-1} = 0``.  Where a step that is not
+    reused is at least the time already elapsed, as on logarithmic grids,
+    the state is instead ``act(flow(params, s), r)`` from the initial r with
+    ``s = t_k``: no rounding compounded over the steps.  One rule says
+    when a new flow is needed.  With τ the time of the last flow,
+    ``|s - τ| <= c ulp(t_k)`` (c = 8) reuses it, so a uniform grid, decimal
+    or not, builds at most two (t_0 and the step).  Past the growth gate
+    ``τ max|Re λ(A)| >= 1``, ``|s - jτ| <= c ulp(t_k)`` with j >= 2 raises
+    it to the j-th power (:func:`~quadferm.linalg._affine_power`): O(log j)
+    products and no block exponential, so a decade or doubling grid builds
+    fresh flows only below the gate.  Any other s builds a fresh
+    :func:`flow`.  The states are checked once, as one stack, by
+    :func:`_check_states`.
 
     Raises ValidationError for a size mismatch or a negative step (a
     negative or unsorted time), and PhysicsError if a spectrum escapes
@@ -133,7 +139,7 @@ def evolve_grid(params: AffineGenerator, state: GaussianState,
         )
     times = [float(t) for t in times]
     hs = np.zeros((len(times), state.n, state.n), dtype=complex)
-    last_step, g = None, None
+    tau, g = np.nan, None   # g = flow(params, tau), the last flow
     # u r u† + m is Hermitian when m is; rounding can break that in a small
     # r, so it is hermitized first, and the check may then read hs itself
     hermitian = is_hermitian(params.m)
@@ -141,12 +147,13 @@ def evolve_grid(params: AffineGenerator, state: GaussianState,
     r, prev = state.r, 0.0
     try:
         for k, t in enumerate(times):
-            step = t - prev
-            base = r
-            if step != last_step and step >= prev:
+            step, base = t - prev, r
+            tol = _REUSE_ULPS * np.spacing(t)   # NaN where t is not finite
+            if not abs(step - tau) <= tol and step >= prev:
                 base, step = state.r, t
-            if step != last_step:
-                g, last_step = flow(params, step), step
+            # a negative step is never reused: flow rejects it
+            if not (abs(step - tau) <= tol and step >= 0):
+                g, tau = _next_flow(params, g, tau, step, tol, hermitian), step
             r = act(g, base)
             if not hermitian:
                 rs[k] = r
@@ -159,6 +166,21 @@ def evolve_grid(params: AffineGenerator, state: GaussianState,
         raise
     return [GaussianState._checked(*pair)
             for pair in zip(hs, _check_states(rs, hs))]
+
+
+def _next_flow(params: AffineGenerator, g: AffineElement, tau: float,
+               s: float, tol: float, hermitian: bool) -> AffineElement:
+    """``flow(params, s)`` given ``g = flow(params, tau)``: g to the j-th
+    power where ``|s - j tau| <= tol`` with j >= 2 and tau is past the
+    growth gate, which reads the cached abscissa (tau > 0 has built it)
+    before dividing by tau; a fresh flow otherwise, also where s / tau
+    overflows or s is not a valid time."""
+    if tau > 0 and tau * params._abscissa >= _POWER_GROWTH:
+        ratio = s / tau
+        if 1.5 <= ratio < np.inf and abs(s - round(ratio) * tau) <= tol:
+            return AffineElement(*_affine_power(g.u, g.m, round(ratio),
+                                                hermitian))
+    return flow(params, s)
 
 
 def _check_states(rs: np.ndarray, hs: np.ndarray) -> np.ndarray:

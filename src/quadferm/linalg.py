@@ -28,6 +28,13 @@ normwise relative       ``||r|| <= tol ||x||`` with no floor: forming x
 componentwise relative  entry by entry, where a norm misses the small
                         entries of a graded result
 absolute                only where the quantity is, as R's spectrum in [0, 1]
+ulps of the time        a time grid's flow time s within ``c ulp(t_k)`` of
+                        the last flow's time τ (or of jτ) reuses (or
+                        powers) that flow: t_k's own rounding already
+                        moves the steps of a decimal grid that far
+growth gate             a flow is powered only past ``τ max|Re λ(A)| >= 1``:
+                        a near-identity e^{τA} keeps only about
+                        u / (τ ||A||) of A, and its j-th power keeps no more
 ======================  ====================================================
 """
 
@@ -60,6 +67,9 @@ _ENDPOINT_TOL = 1e-12     # absolute: fock.gaussian_density
 #: undamped modes; ``Re λ >= -_AXIS_BAND max|λ|`` is undamped
 _RESIDUAL_TOL = 1e-10
 _AXIS_BAND = 1e-9
+#: ``gaussian.evolve_grid``'s c, and its growth gate on ``τ max|Re λ(A)|``
+_REUSE_ULPS = 8
+_POWER_GROWTH = 1.0
 
 
 def as_square(a, name: str = "matrix") -> np.ndarray:
@@ -117,34 +127,42 @@ def _van_loan_pair(a: np.ndarray, m: np.ndarray, t: float, abscissa: float
     e^{sA} and the top-right block times e^{sA†} gives the integral over
     [0, s].  The -A† block grows like e^{s |Re lambda|}, which destroys the
     extraction once ``s * max|Re lambda|`` passes a few dozen, so long
-    horizons are split into k equal chunks of bounded growth.  The chunk
-    element (U_s, G_s) is raised to the k-th power by binary powering with
-    the cocycle identity ``G(t+s) = G(s) + e^{sA} G(t) e^{sA†}``: one block
-    exponential and O(log k) matrix products in total, so the cost grows
-    as log t.  The integral is Hermitian whenever ``m`` is.
+    horizons are split into k equal chunks of bounded growth, and the
+    chunk element is raised to the k-th power by :func:`_affine_power`:
+    one block exponential and O(log k) matrix products in total, so the
+    cost grows as log t.  The integral is Hermitian whenever ``m`` is.
     """
     n = a.shape[0]
-    prop, out = np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
     chunks = max(1, int(np.ceil(t * abscissa / _VAN_LOAN_THETA)))
-    step = t / chunks
     block = np.zeros((2 * n, 2 * n), dtype=complex)
     block[:n, :n] = a
     block[:n, n:] = m
     block[n:, n:] = -a.conj().T
-    w = mat_exp(step * block)
+    w = mat_exp(t / chunks * block)
     prop_step = w[:n, :n]
-    g_step = w[:n, n:] @ prop_step.conj().T
-    # Invariant: (prop_step, g_step) is the chunk element raised to the
-    # current bit's power; (prop, out) accumulates the bits already set.
-    while chunks:
-        if chunks & 1:
+    return _affine_power(prop_step, w[:n, n:] @ prop_step.conj().T, chunks,
+                         is_hermitian(m))
+
+
+def _affine_power(prop_step: np.ndarray, g_step: np.ndarray, k: int,
+                  hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The k-th power, k >= 1, of the flow element ``(e^{sA}, G(s))``: the
+    pair ``(e^{ksA}, G(ks))``, by binary powering with the cocycle identity
+    ``G(t+s) = G(s) + e^{sA} G(t) e^{sA†}`` in O(log k) matrix products.
+    G(ks) is hermitized when ``hermitian`` (M Hermitian), as G(s) is."""
+    n = prop_step.shape[0]
+    prop, out = np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
+    # Invariant: (prop_step, g_step) is the element raised to the current
+    # bit's power; (prop, out) accumulates the bits already set.
+    while k:
+        if k & 1:
             prop = prop_step @ prop
             out = prop_step @ out @ prop_step.conj().T + g_step
-        chunks >>= 1
-        if chunks:
+        k >>= 1
+        if k:
             g_step = g_step + prop_step @ g_step @ prop_step.conj().T
             prop_step = prop_step @ prop_step
-    if is_hermitian(m):
+    if hermitian:
         out = hermitize(out)
     return prop, out
 

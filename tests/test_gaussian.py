@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +11,7 @@ from quadferm.gaussian import (GaussianState, asymptotic_decomposition,
                                expectation_quadratic, params_from_model,
                                steady_state)
 from quadferm.linalg import hermitize, lyapunov_solve
+from quadferm.skin import HatanoNelsonParams, build_bath
 from quadferm.verify import (random_complex_matrix, random_correlation_matrix,
                              random_gksl_params, random_hermitian, random_psd)
 
@@ -174,6 +176,39 @@ class TestEvolveState:
         assert np.max(np.abs(late - steady_state(params).r)) <= 1e-10
 
 
+DECADES = [0.0] + [10.0 ** k for k in range(-8, 5)]
+DOUBLING = [0.0] + [2.0 ** k for k in range(11)]
+
+
+def _normal_params(rng, scale: float) -> AffineGenerator:
+    """An admissible normal pair, scaled: A has eigenvalues
+    ``scale * (-0.5 - i, -2 + 0.5i, -1)``, so max|Re λ| = 2 scale."""
+    q = np.linalg.qr(random_complex_matrix(rng, 3))[0]
+    a = q @ np.diag([-0.5 - 1j, -2 + 0.5j, -1.0]) @ q.conj().T
+    m = hermitize(q @ np.diag([0.5, 1.0, 0.2]) @ q.conj().T)
+    return AffineGenerator(scale * a, scale * m)
+
+
+def _noise_integral_mp(a, m, t: float) -> np.ndarray:
+    """``int_0^t e^{sA} M e^{sA†} ds`` in 60-digit mpmath, from the
+    eigenvectors V of A: with ``C = V⁻¹ M V⁻†``, entry (i, j) of
+    ``V⁻¹ R V⁻†`` is ``C_ij (e^{t(λ_i + conj λ_j)} - 1) / (λ_i + conj λ_j)``.
+    No block exponential and no Padé approximant."""
+    with mpmath.workdps(60):
+        lam, v = mpmath.eig(mpmath.matrix(a.tolist()))
+        v_inv = mpmath.inverse(v)
+        c = v_inv * mpmath.matrix(m.tolist()) * v_inv.H
+        n = len(lam)
+        x = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                z = lam[i] + mpmath.conj(lam[j])
+                x[i, j] = c[i, j] * mpmath.expm1(t * z) / z
+        r = v * x * v.H
+        return np.array([[complex(r[i, j]) for j in range(n)]
+                         for i in range(n)])
+
+
 class TestEvolveGrid:
     def test_first_state_is_evolve_state(self, rng):
         params = random_gksl_params(rng, 4)
@@ -209,14 +244,15 @@ class TestEvolveGrid:
             assert np.array_equal(out.r, out.r.conj().T)
             assert np.linalg.norm(out.r) < 1e-8
 
-    def test_growing_steps_restart_from_the_initial_state(self, rng):
-        # each step of a logarithmic grid is at least the elapsed time, so
-        # every state is the one-time evolution, bit for bit
-        params = random_gksl_params(rng, 4, min_damping=0.5)
-        state = GaussianState(random_correlation_matrix(rng, 4))
-        times = [0.0] + [10.0 ** k for k in range(-8, 5)]
-        for t, stepped in zip(times, evolve_grid(params, state, times)):
-            assert np.array_equal(stepped.r, evolve_state(params, state, t).r)
+    @pytest.mark.parametrize("times", [[1.0, 1.0 + 2 * 2.0 ** -52, 1.0],
+                                       [0.0, 1.0, np.inf],
+                                       [0.0, 1.0, np.nan]])
+    def test_invalid_time_is_never_a_reused_flow(self, rng, times):
+        # the last step is within 8 ulps of the last flow's time, or t_k
+        # has no ulp; each must still reach flow, which rejects it
+        params = random_gksl_params(rng, 2)
+        with pytest.raises(ValidationError):
+            evolve_grid(params, GaussianState.vacuum(2), times)
 
     def test_repeated_times_give_equal_states(self, rng):
         params = random_gksl_params(rng, 3)
@@ -226,24 +262,87 @@ class TestEvolveGrid:
         assert np.array_equal(grid[2].r, grid[3].r)
         assert np.array_equal(grid[3].r, grid[4].r)
 
-    def test_one_flow_per_distinct_step(self, rng, monkeypatch):
+    @pytest.mark.parametrize("scale, times, flows", [
+        (1.0, np.arange(101.0), [0.0, 1.0]),
+        # a decimal grid: steps differ from 0.1 by a few ulps of t_k
+        (1.0, [k / 10 for k in range(101)], [0.0, 0.1]),
+        # decades: fresh up to t = 1, where t max|Re λ| = 2 passes the
+        # gate; 10, 100, 1e3 and 1e4 are tenth powers of the flow before
+        (1.0, DECADES, DECADES[:10]),
+        # doubling: 2^k restarts from 2^(k-2) (a fourth power) or steps by
+        # the last flow
+        (1.0, DOUBLING, [0.0, 1.0]),
+        # the same grid with max|Re λ| = 0.02: below the gate each restart
+        # builds afresh, until t = 256 is a fourth power of t = 64
+        (0.01, DOUBLING, [0.0, 1.0, 4.0, 16.0, 64.0]),
+    ])
+    def test_flows_built_per_grid(self, rng, monkeypatch, scale, times,
+                                  flows):
         import quadferm.gaussian
-        steps = []
+        import quadferm.linalg
+        built, exps = [], []
 
-        def counting(p, t):
-            steps.append(t)
+        def counting_flow(p, t):
+            built.append(t)
             return flow(p, t)
 
-        monkeypatch.setattr(quadferm.gaussian, "flow", counting)
-        params = random_gksl_params(rng, 3)
+        def counting_exp(a):
+            exps.append(a)
+            return scipy.linalg.expm(a)
+
+        monkeypatch.setattr(quadferm.gaussian, "flow", counting_flow)
+        monkeypatch.setattr(quadferm.linalg, "mat_exp", counting_exp)
+        params = _normal_params(rng, scale)
+        assert params._abscissa == pytest.approx(2.0 * scale)
         state = GaussianState(random_correlation_matrix(rng, 3))
-        # steps: 0, 1, 1, 1, 2, 2, 2, 3, 3; each length is built once
-        evolve_grid(params, state, [0.0, 1.0, 2.0, 3.0, 5.0, 7.0, 9.0,
-                                    12.0, 15.0])
-        assert steps == [0.0, 1.0, 2.0, 3.0]
-        steps.clear()
-        evolve_grid(params, state, np.arange(101.0))
-        assert steps == [0.0, 1.0]
+        evolve_grid(params, state, times)
+        assert built == flows
+        assert len(exps) == sum(t > 0 for t in flows)
+
+    @pytest.mark.parametrize("n, min_damping", [(2, 0.0), (5, 0.01),
+                                                (9, 0.5), (16, 0.0)])
+    @pytest.mark.parametrize("times", [DECADES, DOUBLING])
+    def test_powered_flows_match_evolve_state(self, rng, n, min_damping,
+                                              times):
+        params = random_gksl_params(rng, n, min_damping=min_damping)
+        state = GaussianState(random_correlation_matrix(rng, n))
+        for t, out in zip(times, evolve_grid(params, state, times)):
+            direct = evolve_state(params, state, t).r
+            assert (np.linalg.norm(out.r - direct)
+                    <= 1e-12 * np.linalg.norm(direct))
+
+    def test_powered_flows_match_evolve_state_on_a_skin_bath(self):
+        params = build_bath(HatanoNelsonParams(n=8, omega=1.0, lam=0.3,
+                                               gamma=0.5, a=2.5))
+        state = GaussianState.vacuum(8)
+        for t, out in zip(DECADES, evolve_grid(params, state, DECADES)):
+            direct = evolve_state(params, state, t).r
+            assert (np.linalg.norm(out.r - direct)
+                    <= 1e-12 * np.linalg.norm(direct))
+
+    def test_decimal_grid_matches_per_step_flows(self, rng):
+        # each reused step is within 8 ulps of t_k of the exact step
+        params = random_gksl_params(rng, 6)
+        state = GaussianState(random_correlation_matrix(rng, 6))
+        times = [k / 10 for k in range(101)]
+        r, prev = state.r, 0.0
+        for t, out in zip(times, evolve_grid(params, state, times)):
+            r, prev = hermitize(act(flow(params, t - prev), r)), t
+            assert np.linalg.norm(out.r - r) <= 1e-13 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("n, min_damping", [(2, 0.0), (3, 0.0),
+                                                (3, 0.01)])
+    def test_decade_grid_matches_a_60_digit_closed_form(self, rng, n,
+                                                        min_damping):
+        # fresh flows at growth up to 8 per chunk lose up to 1e-13 here;
+        # powers of a flow of growth about 1 keep about 1e-15
+        for _ in range(3):
+            params = random_gksl_params(rng, n, min_damping=min_damping)
+            grid = evolve_grid(params, GaussianState.vacuum(n), DECADES)
+            for t, out in zip(DECADES[1:], grid[1:]):
+                exact = _noise_integral_mp(params.a, params.m, t)
+                assert (np.linalg.norm(out.r - exact)
+                        <= 1e-14 * np.linalg.norm(exact))
 
     def test_escape_names_the_first_escaping_state(self):
         # mode 1 relaxes towards occupation 2 and leaves [0, 1] at
