@@ -20,14 +20,15 @@ and E the loss/gain Gram matrices, an admissible pair by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .affine import AffineElement, AffineGenerator, act, flow
 from .errors import PhysicsError, ValidationError
-from .linalg import (_POWER_GROWTH, _REUSE_ULPS, _SPECTRUM_TOL,
-                     _affine_power, _noise_limit, as_square, hermitize,
-                     is_hermitian, lyapunov_solve)
+from .linalg import (_POWER_GROWTH, _SPECTRUM_TOL, _affine_power,
+                     _noise_limit, as_square, hermitize, is_hermitian,
+                     lyapunov_solve)
 
 __all__ = [
     "GaussianState",
@@ -118,15 +119,16 @@ def evolve_grid(params: AffineGenerator, state: GaussianState,
     reused is at least the time already elapsed, as on logarithmic grids,
     the state is instead ``act(flow(params, s), r)`` from the initial r with
     ``s = t_k``: no rounding compounded over the steps.  One rule says
-    when a new flow is needed.  With τ the time of the last flow,
-    ``|s - τ| <= c ulp(t_k)`` (c = 8) reuses it, so a uniform grid, decimal
-    or not, builds at most two (t_0 and the step).  Past the growth gate
-    ``τ max|Re λ(A)| >= 1``, ``|s - jτ| <= c ulp(t_k)`` with j >= 2 raises
-    it to the j-th power (:func:`~quadferm.linalg._affine_power`): O(log j)
-    products and no block exponential, so a decade or doubling grid builds
-    fresh flows only below the gate.  Any other s builds a fresh
-    :func:`flow`.  The states are checked once, as one stack, by
-    :func:`_check_states`.
+    when a new flow is needed.  With τ the time of the last flow, ``s = τ``
+    (exact float equality) reuses it, so a uniform grid builds at most two
+    (t_0 and the step).  Past the growth gate ``τ max|Re λ(A)| >= 1``,
+    ``s = jτ`` exactly, as real numbers, with j >= 2 raises it to the j-th
+    power (:func:`~quadferm.linalg._affine_power`): O(log j) products and
+    no block exponential, so a decade or doubling grid builds fresh flows
+    only below the gate.  Any other s builds a fresh :func:`flow`.  Since
+    every flow is of exactly its step, the steps add up to each t_k as
+    they do with a fresh flow per step.  The states are checked once, as
+    one stack, by :func:`_check_states`.
 
     Raises ValidationError for a size mismatch or a negative step (a
     negative or unsorted time), and PhysicsError if a spectrum escapes
@@ -147,13 +149,12 @@ def evolve_grid(params: AffineGenerator, state: GaussianState,
     r, prev = state.r, 0.0
     try:
         for k, t in enumerate(times):
-            step, base = t - prev, r
-            tol = _REUSE_ULPS * np.spacing(t)   # NaN where t is not finite
-            if not abs(step - tau) <= tol and step >= prev:
+            step = t - prev
+            base = r
+            if step != tau and step >= prev:
                 base, step = state.r, t
-            # a negative step is never reused: flow rejects it
-            if not (abs(step - tau) <= tol and step >= 0):
-                g, tau = _next_flow(params, g, tau, step, tol, hermitian), step
+            if step != tau:
+                g, tau = _next_flow(params, g, tau, step, hermitian), step
             r = act(g, base)
             if not hermitian:
                 rs[k] = r
@@ -169,15 +170,16 @@ def evolve_grid(params: AffineGenerator, state: GaussianState,
 
 
 def _next_flow(params: AffineGenerator, g: AffineElement, tau: float,
-               s: float, tol: float, hermitian: bool) -> AffineElement:
+               s: float, hermitian: bool) -> AffineElement:
     """``flow(params, s)`` given ``g = flow(params, tau)``: g to the j-th
-    power where ``|s - j tau| <= tol`` with j >= 2 and tau is past the
+    power where ``s = j tau`` exactly with j >= 2 and tau is past the
     growth gate, which reads the cached abscissa (tau > 0 has built it)
     before dividing by tau; a fresh flow otherwise, also where s / tau
     overflows or s is not a valid time."""
     if tau > 0 and tau * params._abscissa >= _POWER_GROWTH:
         ratio = s / tau
-        if 1.5 <= ratio < np.inf and abs(s - round(ratio) * tau) <= tol:
+        # Fraction compares the product exactly, not its rounding
+        if 1.5 <= ratio < np.inf and round(ratio) * Fraction(tau) == s:
             return AffineElement(*_affine_power(g.u, g.m, round(ratio),
                                                 hermitian))
     return flow(params, s)

@@ -28,10 +28,6 @@ normwise relative       ``||r|| <= tol ||x||`` with no floor: forming x
 componentwise relative  entry by entry, where a norm misses the small
                         entries of a graded result
 absolute                only where the quantity is, as R's spectrum in [0, 1]
-ulps of the time        a time grid's flow time s within ``c ulp(t_k)`` of
-                        the last flow's time τ (or of jτ) reuses (or
-                        powers) that flow: t_k's own rounding already
-                        moves the steps of a decimal grid that far
 growth gate             a flow is powered only past ``τ max|Re λ(A)| >= 1``:
                         a near-identity e^{τA} keeps only about
                         u / (τ ||A||) of A, and its j-th power keeps no more
@@ -67,8 +63,7 @@ _ENDPOINT_TOL = 1e-12     # absolute: fock.gaussian_density
 #: undamped modes; ``Re λ >= -_AXIS_BAND max|λ|`` is undamped
 _RESIDUAL_TOL = 1e-10
 _AXIS_BAND = 1e-9
-#: ``gaussian.evolve_grid``'s c, and its growth gate on ``τ max|Re λ(A)|``
-_REUSE_ULPS = 8
+#: ``gaussian.evolve_grid``'s growth gate on ``τ max|Re λ(A)|``
 _POWER_GROWTH = 1.0
 
 

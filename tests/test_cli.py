@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import hashlib
 import inspect
 import re
 import subprocess
@@ -679,20 +678,6 @@ class TestRenderer:
         monkeypatch.setattr(cli, "_matrix_cells", _per_entry_cells)
         assert main(argv + ["--out", str(old)]) == code
         assert new.read_bytes() == old.read_bytes()
-
-    def test_integer_grid_evolve_keeps_its_bytes(self, tmp_path):
-        # every step of an integer grid equals the last flow's time exactly,
-        # so the flow-reuse rule reuses that flow and no state moves a bit;
-        # the digest is of the bytes written when only an exactly equal
-        # step reused a flow
-        cfg = tmp_path / "job.ini"
-        times = " ".join(str(k) for k in range(21))
-        cfg.write_text(EXPLICIT + f"\n[times]\nvalues = {times}\n",
-                       encoding="utf-8")
-        out = tmp_path / "out.csv"
-        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "123cabfdcfdc452e45ec571bc4d9afb58a23e4774c5a071778e295cbc92d2de6")
 
     def test_evolve_output_unchanged(self, tmp_path, monkeypatch):
         # time 0 twice, then a tail of equal steps of 50 long past the
