@@ -237,4 +237,8 @@ def load_config(path: str) -> JobConfig:
             text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config {path!r} is not UTF-8: byte "
+                              f"{exc.object[exc.start]:#04x} at offset "
+                              f"{exc.start}") from exc
     return parse_config_text(text)

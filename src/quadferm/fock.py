@@ -53,6 +53,15 @@ operands into the blocks, with the true annihilators bit for bit the whole
 matrix's block entries.  ``dense_evolve`` exponentiates only the stacks
 that ``vec(rho)`` occupies; the rest of the result is exact zeros.
 
+Batches.  ``_basic`` and ``_liouvillian`` also take stacks of coefficient
+matrices (any leading axes, one matrix per draw) and return blocks with
+the same leading axes; sums, products, norms, exponentials and vector
+products broadcast over them.  Every draw of a batch gets the bits it
+would get alone: the gather offsets each draw's slots in one
+``np.bincount``, numpy and scipy run each matrix of a stack through the
+same routine (``scipy.linalg.expm`` loops over them), and `_norm` takes
+one ``np.linalg.norm`` per draw.  `verify` draws its instances this way.
+
 Sizes.  Every function reads the mode count n from its operands: a
 coefficient matrix or generator is n x n, a smearing vector has n entries,
 a density matrix is 2^n x 2^n.  n is an argument only where it is the sole
@@ -109,9 +118,15 @@ def _check_modes(n: int) -> int:
 
 
 def _check_coefficients(a) -> tuple[np.ndarray, int]:
-    """``a`` as a finite n x n complex array and n as a checked mode count."""
-    a = as_square(a, "coefficient matrix")
-    return a, _check_modes(a.shape[0])
+    """``a`` as a finite complex array of n x n matrices, with any leading
+    batch axes (one matrix per draw), and n as a checked mode count."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValidationError(
+            f"coefficient matrix must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError("coefficient matrix contains non-finite entries")
+    return a, _check_modes(a.shape[-1])
 
 
 def _check_vector(v) -> tuple[np.ndarray, int]:
@@ -139,8 +154,8 @@ def _car(n: int) -> np.ndarray:
 
 
 def _dagger(ops: np.ndarray) -> np.ndarray:
-    """Adjoint of every operator in a stack."""
-    return ops.conj().transpose(0, 2, 1)
+    """Adjoint of every matrix in a stack (of one matrix)."""
+    return ops.conj().swapaxes(-1, -2)
 
 
 def _smear(coeffs: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -153,8 +168,11 @@ def _smear(coeffs: np.ndarray, ops: np.ndarray) -> np.ndarray:
 
 
 def _bilinear(coeffs: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """``sum_jk coeffs_jk xs_j ys_k``."""
-    return np.sum(xs @ _smear(coeffs.T, ys), axis=0)
+    """``sum_jk coeffs_jk xs_j ys_k``, for each matrix of a stack of
+    coefficients (any leading batch axes)."""
+    inner = (coeffs @ ys.reshape(len(ys), -1)).reshape(
+        coeffs.shape[:-1] + ys.shape[1:])
+    return np.sum(xs @ inner, axis=-3)
 
 
 def annihilators(n: int) -> list[np.ndarray]:
@@ -185,7 +203,7 @@ def smeared_annihilation(eta) -> np.ndarray:
 
 def quadratic_form(a) -> np.ndarray:
     """(c, A c) = sum_jk A_jk c_j† c_k on the Fock space of n x n A."""
-    a, n = _check_coefficients(a)
+    a, n = _check_coefficients(as_square(a, "coefficient matrix"))
     c = _car(n)
     return _bilinear(a, _dagger(c), c)
 
@@ -275,13 +293,17 @@ class _Blocks:
     """A superoperator held as its blocks in a `_Layout`, at any n;
     `_Gather` builds them.
 
-    ``data`` is one flat complex array, cut by ``layout.stacks`` into
-    ``(count, m, m)`` stacks.  Sum, difference, scaling and `_norm` are one
-    numpy op on ``data``; a product and `_expm` one batched call per stack;
-    a vector (``vec(rho)``, the trace functional) is applied sector by
-    sector from either side and gives a whole vector.  A whole matrix never
-    meets a block form silently: any other array operand raises TypeError,
-    and `_whole` is the explicit conversion.
+    ``data`` is one complex array whose last axis is the flat block data,
+    cut by ``layout.stacks`` into ``(count, m, m)`` stacks; any leading
+    axes are a batch, one superoperator per draw, and every operation
+    broadcasts over them.  Sum, difference, scaling and `_norm` are one
+    numpy op on ``data``; a product and `_expm` one batched call per stack
+    for every draw; a vector (``vec(rho)``, the trace functional) is
+    applied sector by sector from either side and gives a whole vector
+    per draw.  A batch gives each draw the bits it has alone: numpy and
+    scipy take the same per-matrix path for every slice of a stack.  A
+    whole matrix never meets a block form silently: any other array
+    operand raises TypeError, and `_whole` is the explicit conversion.
     """
 
     __slots__ = ("layout", "data")
@@ -293,7 +315,8 @@ class _Blocks:
 
     def _stacks(self, data=None) -> list[np.ndarray]:
         data = self.data if data is None else data
-        return [data[lo:hi].reshape(shape) for lo, hi, shape in self.layout.stacks]
+        return [data[..., lo:hi].reshape(data.shape[:-1] + shape)
+                for lo, hi, shape in self.layout.stacks]
 
     def _refuse(self, other):
         raise TypeError(f"sector blocks of a {self.layout.dim}-dim operator "
@@ -319,7 +342,11 @@ class _Blocks:
         return _Blocks(self.layout, -self.data)
 
     def __mul__(self, z):
-        if not isinstance(z, Number):
+        """Scaling by a number, or by one number per draw (an array of the
+        batch shape)."""
+        if isinstance(z, np.ndarray) and z.shape == self.data.shape[:-1]:
+            z = z[..., None]
+        elif not isinstance(z, Number):
             self._refuse(z)
         return _Blocks(self.layout, z * self.data)
 
@@ -328,8 +355,10 @@ class _Blocks:
     def __matmul__(self, other):
         if not isinstance(other, _Blocks):
             return self._vector(other, column=True)
-        out = np.empty_like(self.data)
-        for a, b, o in zip(self._stacks(), self._stacks(self._same(other)),
+        data = self._same(other)
+        out = np.empty(np.broadcast_shapes(self.data.shape, data.shape),
+                       dtype=complex)
+        for a, b, o in zip(self._stacks(), self._stacks(data),
                            self._stacks(out)):
             np.matmul(a, b, out=o)
         return _Blocks(self.layout, out)
@@ -339,15 +368,17 @@ class _Blocks:
 
     def _vector(self, v, column: bool, exp: bool = False) -> np.ndarray:
         """``self @ v`` for a column, ``v @ self`` for a row: a whole
-        vector, from one batched matmul per stack.  ``exp`` applies
-        ``e^self`` to a column instead, exponentiating only the stacks in
-        which v has a nonzero entry (a NaN counts): the rows of any other
-        stack are exact zeros."""
+        vector per draw, from one batched matmul per stack.  ``exp``
+        applies ``e^self`` to a column instead, exponentiating only the
+        stacks in which v has a nonzero entry (a NaN counts): the rows of
+        any other stack are exact zeros."""
         lay = self.layout
         if not (isinstance(v, np.ndarray) and v.shape == lay.order.shape):
             self._refuse(v)
         gathered = v[lay.order]
-        res = np.zeros(len(gathered), dtype=np.result_type(v, self.data))
+        batch = self.data.shape[:-1]
+        res = np.zeros(batch + gathered.shape,
+                       dtype=np.result_type(v, self.data))
         for block, (lo, hi, shape) in zip(self._stacks(), lay.vstacks):
             part = gathered[lo:hi].reshape(shape)
             if exp:
@@ -355,9 +386,9 @@ class _Blocks:
                     continue
                 block = scipy.linalg.expm(block)
             prod = block @ part[..., None] if column else part[:, None] @ block
-            res[lo:hi] = prod.reshape(-1)
+            res[..., lo:hi] = prod.reshape(batch + (-1,))
         out = np.empty_like(res)
-        out[lay.order] = res
+        out[..., lay.order] = res
         return out
 
 
@@ -381,29 +412,35 @@ def _assemble(terms, dim: int) -> np.ndarray:
 
 
 def _whole(s: _Blocks) -> np.ndarray:
-    """The 4^n x 4^n matrix of blocks (the explicit conversion; zeros
-    between sectors)."""
+    """The 4^n x 4^n matrix of blocks, per draw (the explicit conversion;
+    zeros between sectors)."""
     dim2 = s.layout.dim ** 2
-    out = np.zeros(dim2 * dim2, dtype=s.data.dtype)
-    out[s.layout.place] = s.data
-    return out.reshape(dim2, dim2)
+    batch = s.data.shape[:-1]
+    out = np.zeros(batch + (dim2 * dim2,), dtype=s.data.dtype)
+    out[..., s.layout.place] = s.data
+    return out.reshape(batch + (dim2, dim2))
 
 
-def _norm(s: _Blocks) -> float:
-    """Frobenius norm of blocks."""
-    return float(np.linalg.norm(s.data))
+def _norm(s: _Blocks) -> np.ndarray:
+    """Frobenius norm of blocks, per draw: one ``np.linalg.norm`` per
+    draw, so each draw's norm has the bits it has alone."""
+    flat = s.data.reshape(-1, s.data.shape[-1])
+    return np.reshape([np.linalg.norm(d) for d in flat], s.data.shape[:-1])
 
 
 def _identity(like: _Blocks) -> _Blocks:
-    """The identity superoperator in the layout of ``like``."""
-    return _Blocks(like.layout, like.layout.eye)
+    """The identity superoperator in the layout and batch of ``like``."""
+    eye = np.broadcast_to(like.layout.eye, like.data.shape)
+    return _Blocks(like.layout, eye)
 
 
 def _expm(s: _Blocks) -> _Blocks:
-    """``e^s`` of blocks: one ``scipy.linalg.expm`` call per stack."""
+    """``e^s`` of blocks: one ``scipy.linalg.expm`` call per stack for
+    every draw (scipy exponentiates the slices one by one)."""
     out = np.empty_like(s.data)
     for block, (lo, hi, _) in zip(s._stacks(), s.layout.stacks):
-        out[lo:hi] = scipy.linalg.expm(block).reshape(-1)
+        exp = scipy.linalg.expm(block)
+        out[..., lo:hi] = exp.reshape(s.data.shape[:-1] + (-1,))
     return _Blocks(s.layout, out)
 
 
@@ -425,7 +462,7 @@ def _operand(kind: str, a: np.ndarray) -> np.ndarray:
     loss and gain, the operator ``(c, a c)`` for left and right.  The one
     check of ``kind``: any other raises ValidationError."""
     if kind in ("left", "right"):
-        c = _car(a.shape[0])
+        c = _car(a.shape[-1])
         return _bilinear(a, _dagger(c), c)
     if kind in ("loss", "gain"):
         return a
@@ -447,11 +484,13 @@ def _operand_terms(kind: str, x: np.ndarray) -> list:
 
 def _generator_operands(a: np.ndarray, m: np.ndarray) -> tuple:
     """The `_operand` of each basic map in L(A, M), in `_KINDS` order,
-    operands checked; -tr(M) rides on left."""
-    n = a.shape[0]
+    operands checked, for one pair or a stack of them; -tr(M) rides on
+    left."""
+    n = a.shape[-1]
     c = _car(n)
-    ah = a.conj().T
-    left = _bilinear(a + m, _dagger(c), c) - np.trace(m) * np.eye(2 ** n)
+    ah = _dagger(a)
+    trace = np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+    left = _bilinear(a + m, _dagger(c), c) - trace * np.eye(2 ** n)
     return -a - ah - m, m, left, _bilinear(ah + m, _dagger(c), c)
 
 
@@ -468,7 +507,10 @@ class _Gather:
     Calling it with the operands (each flattened in C order, then joined
     into ``flat``) forms the block data: entry ``pos[e]`` gets ``w[e] *
     flat[src[e]]``, summed in the order of e by one ``np.bincount`` over
-    the real and imaginary parts.
+    the real and imaginary parts.  Operands with leading batch axes (a
+    stack of matrices each) give blocks with those axes: each draw's
+    slots are offset past the last draw's, so the one ``np.bincount``
+    sums every draw in its own order, to the bits it has alone.
     """
 
     __slots__ = ("layout", "pos", "src", "w", "_slots")
@@ -479,10 +521,16 @@ class _Gather:
         self._slots = (2 * pos[:, None] + [0, 1]).reshape(-1)
 
     def __call__(self, *operands) -> _Blocks:
-        flat = np.concatenate([x.reshape(-1) for x in operands])
-        parts = (self.w * flat[self.src]).view(np.float64)
-        data = np.bincount(self._slots, parts, 2 * len(self.layout.place))
-        return _Blocks(self.layout, data.view(complex))
+        batch = operands[0].shape[:-2]
+        flat = np.concatenate([x.reshape(batch + (-1,)) for x in operands],
+                              axis=-1)
+        flat = flat.reshape(-1, flat.shape[-1])
+        size = 2 * len(self.layout.place)
+        parts = (self.w * np.take(flat, self.src, axis=-1)).view(np.float64)
+        slots = self._slots + size * np.arange(len(flat))[:, None]
+        data = np.bincount(slots.reshape(-1), parts.reshape(-1),
+                           size * len(flat))
+        return _Blocks(self.layout, data.view(complex).reshape(batch + (-1,)))
 
 
 def _build_gather(kinds: tuple, n: int) -> _Gather:
@@ -561,14 +609,20 @@ def super_basic(kind: str, a) -> np.ndarray:
           'left'  -> (c, a c) rho
           'right' -> rho (c, a c)
     """
-    a, n = _check_coefficients(a)
+    a, n = _check_coefficients(as_square(a, "coefficient matrix"))
     return _assemble(_operand_terms(kind, _operand(kind, a)), 2 ** n)
 
 
-def _liouvillian(params: AffineGenerator) -> _Blocks:
-    """:func:`super_liouvillian` as blocks gathered from the cached map."""
-    n = _check_modes(params.n)
-    return _gather_map(_KINDS, n)(*_generator_operands(params.a, params.m))
+def _liouvillian(params) -> _Blocks:
+    """:func:`super_liouvillian` as blocks gathered from the cached map, of
+    an `AffineGenerator` or of a pair ``(a, m)`` of drift and noise stacks
+    whose leading batch axes broadcast together (one generator per
+    draw)."""
+    a, m = (params.a, params.m) if isinstance(params, AffineGenerator) \
+        else params
+    a, n = _check_coefficients(a)
+    a, m = np.broadcast_arrays(a, _check_coefficients(m)[0])
+    return _gather_map(_KINDS, n)(*_generator_operands(a, m))
 
 
 def super_liouvillian(params: AffineGenerator) -> np.ndarray:

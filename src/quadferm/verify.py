@@ -1,21 +1,28 @@
 """Identity suite: every algebraic and dynamical claim as a residual.
 
-Each check is a per-draw function ``(rng, n) -> residual``: it draws one
-seeded random instance, evaluates one identity through the dense
-Fock-space oracle and returns the residual (a short list of them when one
-draw evaluates several times or sides).  `_worst` runs a check by name for
-a number of draws and reduces the residuals to the worst one, propagating
-NaN, and `run_suite` sets it against the tolerance it must meet.  The
-suite is what `quadferm verify` runs and what the acceptance tests pin
-down.
+Each check is a row function ``(rng, n, draws) -> residuals``: it draws
+``draws`` seeded random instances, evaluates one identity on each through
+the dense Fock-space oracle and returns an array of residuals whose
+leading axis is the draw (a second axis when one draw evaluates several
+times or sides).  `_worst` runs a row by name and reduces its residuals to
+the worst one, propagating NaN, and `run_suite` sets it against the
+tolerance it must meet.  The suite is what `quadferm verify` runs and what
+the acceptance tests pin down.
 
-The rows build superoperators through `fock`'s private entry points
-(``_basic``, ``_liouvillian``), which return `fock._Blocks` at every n:
-charge-sector blocks gathered through ``fock``'s cached maps, or one block
-holding the whole matrix where a bug makes the annihilators break charge.
-Products, sums, ``fock._expm`` and ``fock._norm`` act on the blocks.  The
-Majorana row alone works on whole matrices, which break charge, and
-takes their norm itself.
+Draws are batched.  A row draws its random inputs one draw at a time, in
+the order a draw-by-draw loop reads them, with any n x n fast-path side
+(a flow, a bracket, a rotation) computed per draw beside them
+(`_stacked`); everything after that runs once on the stacks.  The rows
+build superoperators through `fock`'s private entry points (``_basic``,
+``_liouvillian``), which take stacked operands and return `fock._Blocks`
+with a leading batch axis: charge-sector blocks gathered through
+``fock``'s cached maps, or one block holding the whole matrix where a bug
+makes the annihilators break charge.  Products, sums, ``fock._expm`` and
+``fock._norm`` act on every draw at once and give each draw the bits it
+has alone, so a batch of k draws equals k single draws bit for bit.  The
+rows on whole arrays (the Gaussian, phi, vacuum, fast-path and Majorana
+rows) keep a one-draw function ``(rng, n)`` that `_per_draw` runs once
+per draw; the Majorana row works on whole matrices, which break charge.
 """
 
 from __future__ import annotations
@@ -83,20 +90,28 @@ def _random_vector(rng, n: int) -> np.ndarray:
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
 
 
-# -- per-draw checks (each returns the residual of one random instance) -----
+# -- rows on superoperator blocks (each returns the residuals of its draws) -
 
 def _comm(x, y):
     return x @ y - y @ x
 
 
-def _residual(lhs, rhs) -> float:
-    """Frobenius norm of ``lhs - rhs``, of ``lhs`` when rhs is None (the
-    zero map), for superoperators as `fock._Blocks`."""
+def _stacked(draws: int, draw) -> list[np.ndarray]:
+    """Each array ``draw()`` returns, stacked over ``draws`` calls made in
+    order: the leading axis is the draw.  A row draws its random inputs,
+    and evaluates any n x n fast-path side, here one draw at a time, so
+    the stream is the one a draw-by-draw loop reads."""
+    return [np.array(part) for part in zip(*(draw() for _ in range(draws)))]
+
+
+def _residual(lhs, rhs) -> np.ndarray:
+    """Frobenius norm of ``lhs - rhs`` per draw, of ``lhs`` when rhs is
+    None (the zero map), for superoperators as `fock._Blocks`."""
     return fock._norm(lhs if rhs is None else lhs - rhs)
 
 
 def _super_lam(a, m):
-    return fock._liouvillian(AffineGenerator(a, m))
+    return fock._liouvillian((a, m))
 
 
 def _random_generator(rng, n):
@@ -104,17 +119,114 @@ def _random_generator(rng, n):
                            random_complex_matrix(rng, n))
 
 
-def _check_generator_commutator(rng, n):
-    p = _random_generator(rng, n)
-    q = _random_generator(rng, n)
-    lhs = _comm(fock._liouvillian(p), fock._liouvillian(q))
-    return _residual(lhs, fock._liouvillian(affine.bracket(p, q)))
+def _check_generator_commutator(rng, n, draws):
+    def draw():
+        p = _random_generator(rng, n)
+        q = _random_generator(rng, n)
+        g = affine.bracket(p, q)
+        return p.a, p.m, q.a, q.m, g.a, g.m
+    pa, pm, qa, qm, ga, gm = _stacked(draws, draw)
+    lhs = _comm(_super_lam(pa, pm), _super_lam(qa, qm))
+    return _residual(lhs, _super_lam(ga, gm))
 
 
-def _check_trace_preservation(rng, n):
+def _check_trace_preservation(rng, n, draws):
     trace_functional = fock.vec(np.eye(2 ** n, dtype=complex)).conj()
-    lam = fock._liouvillian(_random_generator(rng, n))
-    return float(np.linalg.norm(trace_functional @ lam))
+    a, m = _stacked(draws, lambda: (random_complex_matrix(rng, n),
+                                    random_complex_matrix(rng, n)))
+    return np.array([np.linalg.norm(row)
+                     for row in trace_functional @ _super_lam(a, m)])
+
+
+def _check_factorization(rng, n, draws):
+    times = (0.3, 1.0, 3.0)
+
+    def draw():
+        params = random_gksl_params(rng, n)
+        return (params.a, params.m,
+                *(affine.flow(params, t).m for t in times))
+    a, m, *noises = _stacked(draws, draw)
+    zero = np.zeros((n, n), dtype=complex)
+    full = _super_lam(a, m)
+    drift_only = _super_lam(a, zero)
+    values = []
+    for t, noise in zip(times, noises):
+        lhs = fock._expm(t * full)
+        rhs = fock._expm(_super_lam(zero, noise)) @ fock._expm(t * drift_only)
+        values.append(_residual(lhs, rhs))
+    return np.stack(values, axis=-1)
+
+
+def _check_noise_conjugation(rng, n, draws):
+    zero = np.zeros((n, n), dtype=complex)
+    t = 0.7
+
+    def draw():
+        a = random_complex_matrix(rng, n)
+        m = random_complex_matrix(rng, n)
+        rot = mat_exp(t * a)
+        return a, m, rot @ m @ rot.conj().T
+    a, m, rotated = _stacked(draws, draw)
+    prop = fock._expm(t * _super_lam(a, zero))
+    lhs = prop @ _super_lam(zero, m)
+    return _residual(lhs, _super_lam(zero, rotated) @ prop)
+
+
+def _check_translation_conjugation(rng, n, draws):
+    zero = np.zeros((n, n), dtype=complex)
+
+    def draw():
+        a = random_complex_matrix(rng, n)
+        m = random_complex_matrix(rng, n)
+        t_mat = random_complex_matrix(rng, n)
+        return a, m, t_mat, m - a @ t_mat - t_mat @ a.conj().T
+    a, m, t_mat, shifted = _stacked(draws, draw)
+    gen = _super_lam(zero, t_mat)
+    shift, unshift = fock._expm(gen), fock._expm(-gen)
+    lhs = shift @ _super_lam(a, m) @ unshift
+    return _residual(lhs, _super_lam(a, shifted))
+
+
+def _check_gain_intertwining(rng, n, draws):
+    t = 0.8
+
+    def draw():
+        m = random_hermitian(rng, n)
+        t_mat = random_hermitian(rng, n)
+        half = mat_exp(t * m / 2)
+        return m, t_mat, half @ t_mat @ half
+    m, t_mat, conjugated = _stacked(draws, draw)
+    prop = fock._expm(t * _super_lam(-m / 2, m))
+    lhs = prop @ _gain(t_mat)
+    return _residual(lhs, _gain(conjugated) @ prop)
+
+
+def _check_rank_one_nilpotency(rng, n, draws):
+    zero = np.zeros((n, n), dtype=complex)
+
+    def draw():
+        xi = _random_vector(rng, n)
+        eta = _random_vector(rng, n)
+        return (np.outer(xi, eta.conj()),)
+    (noise,) = _stacked(draws, draw)
+    gen = _super_lam(zero, noise)
+    return fock._norm(gen @ gen)
+
+
+# -- rows on whole arrays (each returns the residual of one draw) ----------
+
+def _per_draw(check):
+    """A row from ``check(rng, n)``, which draws one instance and returns
+    its residual (or a short list of them): its draws one after another,
+    stacked."""
+    def row(rng, n, draws):
+        return np.array([check(rng, n) for _ in range(draws)])
+    return row
+
+
+def _distance(lhs, rhs) -> float:
+    """Frobenius norm of ``lhs - rhs`` for whole arrays."""
+    return float(np.linalg.norm(lhs - rhs))
 
 
 def _check_vacuum_invariance(rng, n):
@@ -122,60 +234,6 @@ def _check_vacuum_invariance(rng, n):
     gen = AffineGenerator(random_complex_matrix(rng, n), zero)
     return float(np.linalg.norm(
         fock.apply_generator(gen, fock.vacuum_projector(n))))
-
-
-def _check_factorization(rng, n):
-    zero = np.zeros((n, n), dtype=complex)
-    params = random_gksl_params(rng, n)
-    full = _super_lam(params.a, params.m)
-    drift_only = _super_lam(params.a, zero)
-    values = []
-    for t in (0.3, 1.0, 3.0):
-        noise = affine.flow(params, t).m
-        lhs = fock._expm(t * full)
-        rhs = fock._expm(_super_lam(zero, noise)) @ fock._expm(t * drift_only)
-        values.append(_residual(lhs, rhs))
-    return values
-
-
-def _check_noise_conjugation(rng, n):
-    zero = np.zeros((n, n), dtype=complex)
-    t = 0.7
-    a = random_complex_matrix(rng, n)
-    m = random_complex_matrix(rng, n)
-    prop = fock._expm(t * _super_lam(a, zero))
-    rot = mat_exp(t * a)
-    lhs = prop @ _super_lam(zero, m)
-    return _residual(lhs, _super_lam(zero, rot @ m @ rot.conj().T) @ prop)
-
-
-def _check_translation_conjugation(rng, n):
-    zero = np.zeros((n, n), dtype=complex)
-    a = random_complex_matrix(rng, n)
-    m = random_complex_matrix(rng, n)
-    t_mat = random_complex_matrix(rng, n)
-    gen = _super_lam(zero, t_mat)
-    shift, unshift = fock._expm(gen), fock._expm(-gen)
-    lhs = shift @ _super_lam(a, m) @ unshift
-    return _residual(lhs, _super_lam(a, m - a @ t_mat - t_mat @ a.conj().T))
-
-
-def _check_gain_intertwining(rng, n):
-    t = 0.8
-    m = random_hermitian(rng, n)
-    t_mat = random_hermitian(rng, n)
-    prop = fock._expm(t * _super_lam(-m / 2, m))
-    half = mat_exp(t * m / 2)
-    lhs = prop @ _gain(t_mat)
-    return _residual(lhs, _gain(half @ t_mat @ half) @ prop)
-
-
-def _check_rank_one_nilpotency(rng, n):
-    zero = np.zeros((n, n), dtype=complex)
-    xi = _random_vector(rng, n)
-    eta = _random_vector(rng, n)
-    gen = _super_lam(zero, np.outer(xi, eta.conj()))
-    return fock._norm(gen @ gen)
 
 
 def _random_gaussian(rng, n):
@@ -240,9 +298,9 @@ def _check_phi_pi_roundtrip(rng, n):
     q_len = int(rng.integers(0, n + 1))
     xis = _random_vectors(rng, n, p_len)
     etas = _random_vectors(rng, n, q_len)
-    return [_residual(opbasis.phi_element(xis, etas, n),
+    return [_distance(opbasis.phi_element(xis, etas, n),
                       opbasis.phi_from_pi(xis, etas, n)),
-            _residual(opbasis.pi_element(xis, etas, n),
+            _distance(opbasis.pi_element(xis, etas, n),
                       opbasis.pi_from_phi(xis, etas, n))]
 
 
@@ -277,7 +335,7 @@ def _check_phi_evolution(rng, n):
     lhs = fock.dense_evolve(AffineGenerator(a, np.zeros((n, n), dtype=complex)),
                             opbasis.phi_element(xis, etas, n), t)
     rot = mat_exp(t * a)
-    return _residual(lhs, opbasis.phi_element([rot @ v for v in xis],
+    return _distance(lhs, opbasis.phi_element([rot @ v for v in xis],
                                               [rot @ v for v in etas], n))
 
 
@@ -322,7 +380,7 @@ def _s(c):
 def _minus_trace(x, c, d):
     """``x - tr(CD)``, the scalar taken as tr(CD) times the identity
     superoperator in the layout of x."""
-    return x - np.trace(c @ d) * fock._identity(x)
+    return x - np.trace(c @ d, axis1=-2, axis2=-1) * fock._identity(x)
 
 
 def _zero(c, d):
@@ -352,18 +410,18 @@ class _Check:
     identity: str
     tolerance: float
     comparison: str
-    fn: Callable  # (rng, n) -> residual of one draw, or a list of them
+    fn: Callable  # (rng, n, draws) -> residuals, leading axis the draw
     draw_cap: int
     min_n: int = 1  # below it the check cannot run and is skipped
 
 
 def _commutator(name, identity, x, y, z):
     """Row for ``[X(C), Y(D)] = Z(C, D)`` on random complex C, D."""
-    def draw(rng, n):
-        c = random_complex_matrix(rng, n)
-        d = random_complex_matrix(rng, n)
+    def row(rng, n, draws):
+        c, d = _stacked(draws, lambda: (random_complex_matrix(rng, n),
+                                        random_complex_matrix(rng, n)))
         return _residual(_comm(x(c), y(d)), z(c, d))
-    return _Check(name, identity, 1e-11, "<=", draw, 50)
+    return _Check(name, identity, 1e-11, "<=", row, 50)
 
 
 _REGISTRY: tuple[_Check, ...] = (
@@ -409,7 +467,7 @@ _REGISTRY: tuple[_Check, ...] = (
     _Check("trace_preservation", "Tr(L(A,M) rho) = 0",
            1e-11, "<=", _check_trace_preservation, 50),
     _Check("vacuum_invariance", "L(A,O) vacuum = 0",
-           1e-12, "<=", _check_vacuum_invariance, 50),
+           1e-12, "<=", _per_draw(_check_vacuum_invariance), 50),
     _Check("semigroup_factorization",
            "exp(tL(A,M)) = exp(L(O, int_0^t e^{sA}M e^{sA'} ds)) exp(tL(A,O))",
            1e-9, "<=", _check_factorization, 20),
@@ -426,34 +484,34 @@ _REGISTRY: tuple[_Check, ...] = (
            1e-13, "<=", _check_rank_one_nilpotency, 50),
     _Check("quadratic_expectation",
            "Tr[(c,Tc) rho_R] = tr(TR)",
-           1e-10, "<=", _check_quadratic_expectation, 20),
+           1e-10, "<=", _per_draw(_check_quadratic_expectation), 20),
     _Check("density_unit_trace",
            "Tr[det(I-R) exp((c, log(R(I-R)^-1) c))] = 1",
-           1e-12, "<=", _check_density_unit_trace, 20),
+           1e-12, "<=", _per_draw(_check_density_unit_trace), 20),
     _Check("correlation_roundtrip",
            "read_correlations(density(R)) = R",
-           1e-11, "<=", _check_correlation_roundtrip, 20),
+           1e-11, "<=", _per_draw(_check_correlation_roundtrip), 20),
     _Check("gaussian_entropy",
            "-tr(R log R) - tr((I-R) log(I-R)) = -Tr[rho log rho]",
-           1e-9, "<=", _check_gaussian_entropy, 20),
+           1e-9, "<=", _per_draw(_check_gaussian_entropy), 20),
     _Check("fast_path_evolution",
            "corr(exp(tL(A,M)) rho_R) = e^{tA} R e^{tA'} + noise integral",
-           1e-9, "<=", _check_fast_path_evolution, 20),
+           1e-9, "<=", _per_draw(_check_fast_path_evolution), 20),
     _Check("phi_antisymmetry",
            "phi is antisymmetric in each argument list",
-           1e-12, "<=", _check_phi_antisymmetry, 20, min_n=2),
+           1e-12, "<=", _per_draw(_check_phi_antisymmetry), 20, min_n=2),
     _Check("phi_pi_roundtrip",
            "phi <-> pi permutation expansions agree with direct builds",
-           1e-11, "<=", _check_phi_pi_roundtrip, 10),
+           1e-11, "<=", _per_draw(_check_phi_pi_roundtrip), 10),
     _Check("phi_basis_rank",
            "the 4^n dressed elements over two bases span the operator space",
-           1e-8, ">=", _check_phi_basis_rank, 2),
+           1e-8, ">=", _per_draw(_check_phi_basis_rank), 2),
     _Check("phi_evolution_covariance",
            "exp(tL(A,O)) phi(xi; eta) = phi(e^{tA} xi; e^{tA} eta)",
-           1e-10, "<=", _check_phi_evolution, 10),
+           1e-10, "<=", _per_draw(_check_phi_evolution), 10),
     _Check("majorana_commutator",
            "[L(A,N), L(B,R)] = L([A,B], AR + RA^T - BN - NB^T)  (Majorana form)",
-           1e-10, "<=", _check_majorana_commutator, 20),
+           1e-10, "<=", _per_draw(_check_majorana_commutator), 20),
 )
 
 
@@ -468,7 +526,7 @@ def _worst(name: str, rng, n: int, draws: int) -> float:
     of a ``>=`` check; a NaN from any draw makes the result NaN.
     """
     check = {c.name: c for c in _REGISTRY}[name]
-    values = np.hstack([check.fn(rng, n) for _ in range(draws)])
+    values = check.fn(rng, n, draws)
     return float(np.max(values) if check.comparison == "<=" else np.min(values))
 
 

@@ -429,6 +429,16 @@ class TestCommands:
     def test_missing_config_file(self):
         assert main(["steady", "--config", "/nonexistent/job.ini"]) == 1
 
+    def test_config_that_is_not_utf8_exits_with_validation_error(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "job.ini"
+        cfg.write_bytes(b"[job]\ncommand = steady\n\xff\xfe\n")
+        assert main(["steady", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("quadferm: validation error: ")
+        assert str(cfg) in err[0] and "offset 23" in err[0]
+
 
 class TestVerifyCommand:
     def test_all_rows_pass_and_exit_zero(self, tmp_path):
@@ -501,7 +511,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("draws", [0, -5])
     def test_suite_rejects_draws_below_one_before_any_check(self, monkeypatch,
                                                             draws):
-        def sentinel(rng, n):
+        def sentinel(rng, n, draws):
             raise AssertionError("a check ran")
 
         monkeypatch.setattr(verify, "_REGISTRY", tuple(
@@ -574,7 +584,7 @@ class TestVerifyCommand:
     ])
     def test_suite_rejects_bad_seed_or_tolerance_before_any_check(
             self, monkeypatch, kwargs):
-        def sentinel(rng, n):
+        def sentinel(rng, n, draws):
             raise AssertionError("a check ran")
 
         monkeypatch.setattr(verify, "_REGISTRY", tuple(

@@ -469,6 +469,34 @@ class TestGatheredBlocks:
         _assert_gathered_match_whole(rng, n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_each_draw_of_a_batch_keeps_the_bits_it_has_alone(rng, n):
+    # blocks built from stacks of three draws, through every operation,
+    # against the same operation on each draw's unbatched blocks
+    a, m, c = (np.array([random_complex_matrix(rng, n) for _ in range(3)])
+               for _ in range(3))
+    scale = np.trace(c, axis1=-2, axis2=-1)
+    lam, left = fock._liouvillian((a, m)), fock._basic("left", c)
+    v = rng.standard_normal(4 ** n) + 1j * rng.standard_normal(4 ** n)
+    prod = lam @ left - left @ lam
+    exp = fock._expm(0.5 * lam)
+    shifted = lam - scale * fock._identity(lam)
+    for i in range(3):
+        lam_i = fock._liouvillian(AffineGenerator(a[i], m[i]))
+        left_i = fock._basic("left", c[i])
+        prod_i = lam_i @ left_i - left_i @ lam_i
+        assert np.array_equal(lam.data[i], lam_i.data)
+        assert np.array_equal(left.data[i], left_i.data)
+        assert np.array_equal(prod.data[i], prod_i.data)
+        assert np.array_equal(exp.data[i], fock._expm(0.5 * lam_i).data)
+        assert np.array_equal(shifted.data[i],
+                              (lam_i - scale[i] * fock._identity(lam_i)).data)
+        assert fock._norm(prod)[i] == np.linalg.norm(prod_i.data)
+        assert np.array_equal((v @ lam)[i], v @ lam_i)
+        assert np.array_equal((lam @ v)[i], lam_i @ v)
+        assert np.array_equal(fock._whole(lam)[i], fock._whole(lam_i))
+
+
 class TestDenseEvolveSectors:
     @staticmethod
     def _evolve_spied(monkeypatch, params, rho, t):

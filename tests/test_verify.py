@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -78,7 +77,7 @@ def test_check_list_is_pinned():
 
 
 def test_check_below_its_mode_count_is_skipped_without_drawing(monkeypatch):
-    def sentinel(rng, n):
+    def sentinel(rng, n, draws):
         raise AssertionError("a skipped check drew")
 
     monkeypatch.setattr(verify, "_REGISTRY", tuple(
@@ -119,12 +118,11 @@ def test_phi_antisymmetry_from_one_table_is_bit_identical(n, seed):
 
 def _plant_nan_on_second_draw(monkeypatch, names):
     def plant(fn):
-        calls = itertools.count(1)
-
-        def draw(rng, n):
-            value = fn(rng, n)
-            return math.nan if next(calls) == 2 else value
-        return draw
+        def row(rng, n, draws):
+            values = np.array(fn(rng, n, draws), dtype=float)
+            values[1] = math.nan
+            return values
+        return row
 
     monkeypatch.setattr(verify, "_REGISTRY", tuple(
         dataclasses.replace(c, fn=plant(c.fn)) if c.name in names else c
@@ -158,11 +156,37 @@ class TestNanResidual:
 @pytest.mark.parametrize("comparison, expected", [("<=", 3.0), (">=", 0.125)])
 def test_worst_reduces_every_value_of_every_draw(monkeypatch, comparison,
                                                  expected):
-    values = iter([[0.25, 3.0], 1.0, [0.5, 0.125]])
-    probe = verify._Check("probe", "", 1.0, comparison,
-                          lambda rng, n: next(values), 50)
+    calls = []
+
+    def row(rng, n, draws):
+        calls.append(draws)
+        return np.array([[0.25, 3.0], [1.0, 1.0], [0.5, 0.125]])
+    probe = verify._Check("probe", "", 1.0, comparison, row, 50)
     monkeypatch.setattr(verify, "_REGISTRY", (probe,))
     assert verify._worst("probe", None, 1, 3) == expected
+    assert calls == [3]
+
+
+def _bits(values) -> tuple:
+    """Shape and bytes of residuals, every NaN read as the one NaN."""
+    values = np.asarray(values, dtype=float)
+    return values.shape, np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+@pytest.mark.parametrize("name, n", [
+    (c.name, n) for c in verify._REGISTRY for n in (1, 2, 3) if n >= c.min_n])
+def test_a_batch_of_draws_equals_its_draws_one_by_one(name, n):
+    # the invariant behind bit-identical suites: k draws at once read the
+    # stream as k single draws do, and each draw keeps its bits
+    check = {c.name: c for c in verify._REGISTRY}[name]
+    idx = verify.check_names().index(name)
+    for k in range(1, 5):
+        batched, single = (np.random.default_rng([5, idx, k]) for _ in range(2))
+        values = check.fn(batched, n, k)
+        assert len(values) == k
+        assert _bits(values) == _bits(
+            np.concatenate([check.fn(single, n, 1) for _ in range(k)]))
+        assert batched.random() == single.random()
 
 
 def _flip_bracket_drift(monkeypatch):
