@@ -296,9 +296,9 @@ class _Blocks:
     ``data`` is one complex array whose last axis is the flat block data,
     cut by ``layout.stacks`` into ``(count, m, m)`` stacks; any leading
     axes are a batch, one superoperator per draw, and every operation
-    broadcasts over them.  Sum, difference, scaling and `_norm` are one
-    numpy op on ``data``; a product and `_expm` one batched call per stack
-    for every draw; a vector (``vec(rho)``, the trace functional) is
+    broadcasts over them.  Sum, difference and scaling are one numpy op
+    on ``data``, `_norm` one ``np.linalg.norm`` per draw; a product and
+    `_expm` one batched call per stack for every draw; a vector (``vec(rho)``, the trace functional) is
     applied sector by sector from either side and gives a whole vector
     per draw.  A batch gives each draw the bits it has alone: numpy and
     scipy take the same per-matrix path for every slice of a stack.  A
