@@ -116,9 +116,12 @@ def _render(comments: list[tuple[str, object]], header: list[str],
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output {path!r}: {exc}") from exc
 
 
 def _matrix_columns(prefix: str, n: int) -> list[str]:

@@ -55,9 +55,9 @@ that ``vec(rho)`` occupies; the rest of the result is exact zeros.
 
 Batches.  ``_basic`` and ``_liouvillian`` also take stacks of coefficient
 matrices (any leading axes, one matrix per draw) and return blocks with
-the same leading axes; sums, products, norms, exponentials and vector
-products broadcast over them.  Every draw of a batch gets the bits it
-would get alone: the gather offsets each draw's slots in one
+the same leading axes; sums, products, norms, exponentials and products
+with one vector per draw broadcast over them.  Every draw of a batch gets
+the bits it would get alone: the gather offsets each draw's slots in one
 ``np.bincount``, numpy and scipy run each matrix of a stack through the
 same routine (``scipy.linalg.expm`` loops over them), and `_norm` takes
 one ``np.linalg.norm`` per draw.  `verify` draws its instances this way.
@@ -298,12 +298,11 @@ class _Blocks:
     axes are a batch, one superoperator per draw, and every operation
     broadcasts over them.  Sum, difference and scaling are one numpy op
     on ``data``, `_norm` one ``np.linalg.norm`` per draw; a product and
-    `_expm` one batched call per stack for every draw; a vector (``vec(rho)``, the trace functional) is
-    applied sector by sector from either side and gives a whole vector
-    per draw.  A batch gives each draw the bits it has alone: numpy and
-    scipy take the same per-matrix path for every slice of a stack.  A
-    whole matrix never meets a block form silently: any other array
-    operand raises TypeError, and `_whole` is the explicit conversion.
+    `_expm` one batched call per stack for every draw (each slice takes
+    numpy's and scipy's per-matrix path, with the bits it has alone); a
+    vector, or one per draw, is applied sector by sector from either
+    side.  A whole matrix never meets a block form silently: any other
+    array operand raises TypeError, and `_whole` is the explicit one.
     """
 
     __slots__ = ("layout", "data")
@@ -367,25 +366,26 @@ class _Blocks:
         return self._vector(other, column=False)
 
     def _vector(self, v, column: bool, exp: bool = False) -> np.ndarray:
-        """``self @ v`` for a column, ``v @ self`` for a row: a whole
-        vector per draw, from one batched matmul per stack.  ``exp``
-        applies ``e^self`` to a column instead, exponentiating only the
-        stacks in which v has a nonzero entry (a NaN counts): the rows of
-        any other stack are exact zeros."""
-        lay = self.layout
-        if not (isinstance(v, np.ndarray) and v.shape == lay.order.shape):
+        """``self @ v`` for a column, ``v @ self`` for a row, v one vector
+        or one per draw: a whole vector per draw, from one batched matmul
+        per stack.  ``exp`` applies ``e^self`` to a column instead,
+        exponentiating only the stacks in which some draw's v has a nonzero
+        entry (a NaN counts): the rows of any other stack are exact zeros."""
+        lay, batch = self.layout, self.data.shape[:-1]
+        if not (isinstance(v, np.ndarray) and v.shape[-1:] == lay.order.shape
+                and v.shape[:-1] in ((), batch)):
             self._refuse(v)
-        gathered = v[lay.order]
-        batch = self.data.shape[:-1]
-        res = np.zeros(batch + gathered.shape,
+        gathered = v[..., lay.order]
+        res = np.zeros(batch + lay.order.shape,
                        dtype=np.result_type(v, self.data))
         for block, (lo, hi, shape) in zip(self._stacks(), lay.vstacks):
-            part = gathered[lo:hi].reshape(shape)
+            part = gathered[..., lo:hi].reshape(v.shape[:-1] + shape)
             if exp:
                 if not part.any():
                     continue
                 block = scipy.linalg.expm(block)
-            prod = block @ part[..., None] if column else part[:, None] @ block
+            prod = block @ part[..., None] if column \
+                else part[..., None, :] @ block
             res[..., lo:hi] = prod.reshape(batch + (-1,))
         out = np.empty_like(res)
         out[..., lay.order] = res

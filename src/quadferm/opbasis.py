@@ -41,7 +41,6 @@ __all__ = [
     "phi_from_pi",
     "pi_from_phi",
     "phi_family_matrix",
-    "expand_in_phi",
     "project_persistent",
 ]
 
@@ -113,20 +112,8 @@ class _Elements:
 
 
 def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """(-1) to the number of inversions of ``perm``."""
+    return (-1) ** sum(a > b for a, b in combinations(perm, 2))
 
 
 def _pairing_expansion(xis, etas, n, dressed: bool) -> np.ndarray:
@@ -202,7 +189,7 @@ def phi_family_matrix(xi_basis, eta_basis) -> tuple[list, np.ndarray]:
     return labels, b
 
 
-def expand_in_phi(rho: np.ndarray, xi_basis, eta_basis):
+def _expand_in_phi(rho: np.ndarray, xi_basis, eta_basis):
     """Coefficients of an operator in the dressed family over given bases."""
     if density_modes(rho) != len(xi_basis):
         raise ValidationError(f"rho is {density_modes(rho)}-mode, "
@@ -231,7 +218,7 @@ def project_persistent(rho: np.ndarray, p0: np.ndarray) -> np.ndarray:
     order = np.argsort(-occ)
     basis = [vecs_p[:, i] for i in order]
     dim0 = int(np.sum(occ > 0.5))
-    labels, coeffs, b = expand_in_phi(rho, basis, basis)
+    labels, coeffs, b = _expand_in_phi(rho, basis, basis)
     for i, (s, t) in enumerate(labels):
         if any(j >= dim0 for j in s) or any(j >= dim0 for j in t):
             coeffs[i] = 0.0

@@ -9,20 +9,17 @@ the worst one, propagating NaN, and `run_suite` sets it against the
 tolerance it must meet.  The suite is what `quadferm verify` runs and what
 the acceptance tests pin down.
 
-Draws are batched.  A row draws its random inputs one draw at a time, in
-the order a draw-by-draw loop reads them, with any n x n fast-path side
-(a flow, a bracket, a rotation) computed per draw beside them
-(`_stacked`); everything after that runs once on the stacks.  The rows
-build superoperators through `fock`'s private entry points (``_basic``,
-``_liouvillian``), which take stacked operands and return `fock._Blocks`
-with a leading batch axis: charge-sector blocks gathered through
-``fock``'s cached maps, or one block holding the whole matrix where a bug
-makes the annihilators break charge.  Products, sums, ``fock._expm`` and
-``fock._norm`` act on every draw at once and give each draw the bits it
-has alone, so a batch of k draws equals k single draws bit for bit.  The
-rows on whole arrays (the Gaussian, phi, vacuum, fast-path and Majorana
-rows) keep a one-draw function ``(rng, n)`` that `_per_draw` runs once
-per draw; the Majorana row works on whole matrices, which break charge.
+Every row has one form: it draws its random inputs one draw at a time
+through `_stacked`, in the order a draw-by-draw loop reads them, with any
+per-draw side (an n x n flow or rotation, a Gaussian density) computed
+beside them, and evaluates the rest once on the stacks.  Superoperators
+come from `fock`'s private ``_basic`` and ``_liouvillian`` as `fock._Blocks`
+with a leading batch axis (charge-sector blocks, or one whole-matrix block
+where a bug breaks charge); their products, sums, ``fock._expm`` and
+``fock._norm``, like `_norms`, give each draw the bits it has alone, so k
+draws at once equal k single draws bit for bit.  ``vacuum_invariance``,
+``phi_evolution_covariance``, ``phi_basis_rank`` and ``majorana_commutator``
+evaluate within each draw, for the reason each docstring gives.
 """
 
 from __future__ import annotations
@@ -99,7 +96,7 @@ def _comm(x, y):
 def _stacked(draws: int, draw) -> list[np.ndarray]:
     """Each array ``draw()`` returns, stacked over ``draws`` calls made in
     order: the leading axis is the draw.  A row draws its random inputs,
-    and evaluates any n x n fast-path side, here one draw at a time, so
+    and computes whatever it keeps per draw, here one draw at a time, so
     the stream is the one a draw-by-draw loop reads."""
     return [np.array(part) for part in zip(*(draw() for _ in range(draws)))]
 
@@ -110,19 +107,20 @@ def _residual(lhs, rhs) -> np.ndarray:
     return fock._norm(lhs if rhs is None else lhs - rhs)
 
 
+def _norms(x) -> np.ndarray:
+    """Frobenius norm per draw of whole arrays, one ``np.linalg.norm`` each."""
+    return np.array([np.linalg.norm(d) for d in x])
+
+
 def _super_lam(a, m):
     return fock._liouvillian((a, m))
 
 
-def _random_generator(rng, n):
-    return AffineGenerator(random_complex_matrix(rng, n),
-                           random_complex_matrix(rng, n))
-
-
 def _check_generator_commutator(rng, n, draws):
     def draw():
-        p = _random_generator(rng, n)
-        q = _random_generator(rng, n)
+        p, q = (AffineGenerator(random_complex_matrix(rng, n),
+                                random_complex_matrix(rng, n))
+                for _ in range(2))
         g = affine.bracket(p, q)
         return p.a, p.m, q.a, q.m, g.a, g.m
     pa, pm, qa, qm, ga, gm = _stacked(draws, draw)
@@ -134,8 +132,7 @@ def _check_trace_preservation(rng, n, draws):
     trace_functional = fock.vec(np.eye(2 ** n, dtype=complex)).conj()
     a, m = _stacked(draws, lambda: (random_complex_matrix(rng, n),
                                     random_complex_matrix(rng, n)))
-    return np.array([np.linalg.norm(row)
-                     for row in trace_functional @ _super_lam(a, m)])
+    return _norms(trace_functional @ _super_lam(a, m))
 
 
 def _check_factorization(rng, n, draws):
@@ -213,27 +210,19 @@ def _check_rank_one_nilpotency(rng, n, draws):
     return fock._norm(gen @ gen)
 
 
-# -- rows on whole arrays (each returns the residual of one draw) ----------
+# -- rows on whole arrays ----------------------------------------------------
 
-def _per_draw(check):
-    """A row from ``check(rng, n)``, which draws one instance and returns
-    its residual (or a short list of them): its draws one after another,
-    stacked."""
-    def row(rng, n, draws):
-        return np.array([check(rng, n) for _ in range(draws)])
-    return row
+def _modulus(z) -> np.ndarray:
+    """``|z|`` entrywise, with the bits of Python's ``abs`` (not np.abs)."""
+    return np.hypot(z.real, z.imag)
 
 
-def _distance(lhs, rhs) -> float:
-    """Frobenius norm of ``lhs - rhs`` for whole arrays."""
-    return float(np.linalg.norm(lhs - rhs))
-
-
-def _check_vacuum_invariance(rng, n):
-    zero = np.zeros((n, n), dtype=complex)
-    gen = AffineGenerator(random_complex_matrix(rng, n), zero)
-    return float(np.linalg.norm(
-        fock.apply_generator(gen, fock.vacuum_projector(n))))
+def _check_vacuum_invariance(rng, n, draws):
+    """Per draw on `fock.apply_generator`, the suite's only row on the
+    matrix-free path with A != 0."""
+    zero, vacuum = np.zeros((n, n), dtype=complex), fock.vacuum_projector(n)
+    return _norms(*_stacked(draws, lambda: (fock.apply_generator(
+        AffineGenerator(random_complex_matrix(rng, n), zero), vacuum),)))
 
 
 def _random_gaussian(rng, n):
@@ -242,115 +231,135 @@ def _random_gaussian(rng, n):
     return r, fock.gaussian_density(GaussianState(r))
 
 
-def _check_quadratic_expectation(rng, n):
-    r, rho = _random_gaussian(rng, n)
-    t_mat = random_hermitian(rng, n)
-    lhs = np.trace(fock.quadratic_form(t_mat) @ rho)
-    return abs(lhs - np.trace(t_mat @ r))
+def _check_quadratic_expectation(rng, n, draws):
+    def draw():
+        r, rho = _random_gaussian(rng, n)
+        t_mat = random_hermitian(rng, n)
+        return r, rho, t_mat, fock.quadratic_form(t_mat)
+    r, rho, t_mat, form = _stacked(draws, draw)
+    return _modulus(np.trace(form @ rho, axis1=-2, axis2=-1)
+                    - np.trace(t_mat @ r, axis1=-2, axis2=-1))
 
 
-def _check_density_unit_trace(rng, n):
-    _, rho = _random_gaussian(rng, n)
-    return abs(np.trace(rho) - 1.0)
+def _check_density_unit_trace(rng, n, draws):
+    _, rho = _stacked(draws, lambda: _random_gaussian(rng, n))
+    return _modulus(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
 
 
-def _check_correlation_roundtrip(rng, n):
-    r, rho = _random_gaussian(rng, n)
-    return float(np.max(np.abs(fock.read_correlations(rho) - r)))
+def _check_correlation_roundtrip(rng, n, draws):
+    def draw():
+        r, rho = _random_gaussian(rng, n)
+        return (fock.read_correlations(rho) - r,)
+    return np.max(np.abs(_stacked(draws, draw)[0]), axis=(-2, -1))
 
 
-def _check_gaussian_entropy(rng, n):
-    r, rho = _random_gaussian(rng, n)
+def _check_gaussian_entropy(rng, n, draws):
+    def draw():
+        r, rho = _random_gaussian(rng, n)
+        return rho, entropy(GaussianState(r))
+    rho, fast = _stacked(draws, draw)
     eigs = np.linalg.eigvalsh(rho)
-    dense = -float(np.sum(eigs * np.log(np.clip(eigs, 1e-300, None))))
-    return abs(dense - entropy(GaussianState(r)))
+    dense = -np.sum(eigs * np.log(np.clip(eigs, 1e-300, None)), axis=-1)
+    return np.abs(dense - fast)
 
 
-def _check_fast_path_evolution(rng, n):
-    params = random_gksl_params(rng, n)
-    r0, rho0 = _random_gaussian(rng, n)
-    values = []
-    for t in (0.5, 2.0):
-        dense_r = fock.read_correlations(fock.dense_evolve(params, rho0, t))
-        fast_r = evolve_state(params, GaussianState(r0), t).r
-        values.append(float(np.max(np.abs(dense_r - fast_r))))
-    return values
+def _check_fast_path_evolution(rng, n, draws):
+    """Gaussian states have charge 0, so one sector stack is exponentiated."""
+    times = (0.5, 2.0)
+
+    def draw():
+        params = random_gksl_params(rng, n)
+        r0, rho0 = _random_gaussian(rng, n)
+        return (params.a, params.m, fock.vec(rho0),
+                *(evolve_state(params, GaussianState(r0), t).r for t in times))
+    a, m, rho0, *fast = _stacked(draws, draw)
+    gen, values = _super_lam(a, m), []
+    for t, fast_r in zip(times, fast):
+        dense = (t * gen)._vector(rho0, column=True, exp=True)
+        dense_r = [fock.read_correlations(fock.unvec(v)) for v in dense]
+        values.append(np.max(np.abs(dense_r - fast_r), axis=(-2, -1)))
+    return np.stack(values, axis=-1)
 
 
 def _random_vectors(rng, n, count):
     return [_random_vector(rng, n) for _ in range(count)]
 
 
-def _check_phi_antisymmetry(rng, n):
-    """The plain and swapped elements come from one table over the draw's
+def _random_lists(rng, n, p_min):
+    """Lists of random lengths in [p_min, n] and [0, n], lengths first."""
+    p_len = int(rng.integers(p_min, n + 1))
+    q_len = int(rng.integers(0, n + 1))
+    return _random_vectors(rng, n, p_len), _random_vectors(rng, n, q_len)
+
+
+def _check_phi_antisymmetry(rng, n, draws):
+    """The plain and swapped elements come from one table over each draw's
     vectors, so each rank-one term list is built once."""
-    table = opbasis._Elements(_random_vectors(rng, n, 2),
-                              _random_vectors(rng, n, 2), n, dressed=True)
-    plain = table((0, 1), (0, 1))
-    xi_swapped = table((1, 0), (0, 1))
-    eta_swapped = table((0, 1), (1, 0))
-    return [float(np.linalg.norm(plain + xi_swapped)),
-            float(np.linalg.norm(plain + eta_swapped))]
+    def draw():
+        table = opbasis._Elements(_random_vectors(rng, n, 2),
+                                  _random_vectors(rng, n, 2), n, dressed=True)
+        plain = table((0, 1), (0, 1))
+        return plain + table((1, 0), (0, 1)), plain + table((0, 1), (1, 0))
+    return np.stack([_norms(x) for x in _stacked(draws, draw)], axis=-1)
 
 
-def _check_phi_pi_roundtrip(rng, n):
-    p_len = int(rng.integers(0, n + 1))
-    q_len = int(rng.integers(0, n + 1))
-    xis = _random_vectors(rng, n, p_len)
-    etas = _random_vectors(rng, n, q_len)
-    return [_distance(opbasis.phi_element(xis, etas, n),
-                      opbasis.phi_from_pi(xis, etas, n)),
-            _distance(opbasis.pi_element(xis, etas, n),
-                      opbasis.pi_from_phi(xis, etas, n))]
+def _check_phi_pi_roundtrip(rng, n, draws):
+    def draw():
+        xis, etas = _random_lists(rng, n, 0)
+        return (opbasis.phi_element(xis, etas, n)
+                - opbasis.phi_from_pi(xis, etas, n),
+                opbasis.pi_element(xis, etas, n)
+                - opbasis.pi_from_phi(xis, etas, n))
+    return np.stack([_norms(x) for x in _stacked(draws, draw)], axis=-1)
 
 
-def _check_phi_basis_rank(rng, n):
-    """Smallest singular value of the normalized family matrix.  A column
-    (S, T) has charge |S| - |T|, so the matrix is block diagonal over
-    charge and takes one SVD per sector; any entry off its column's
-    charge, tested exactly, takes the whole SVD instead, so a bug that
-    breaks charge is still measured."""
-    xi_basis = _random_vectors(rng, n, n)
-    eta_basis = _random_vectors(rng, n, n)
-    labels, b = opbasis.phi_family_matrix(xi_basis, eta_basis)
-    b = b / np.linalg.norm(b, axis=0, keepdims=True)
+def _check_phi_basis_rank(rng, n, draws):
+    """Smallest singular value of each draw's normalized 4^n x 4^n family
+    matrix, within the draw.  Column (S, T) has charge |S| - |T|, so it
+    takes one SVD per charge block; any entry off its column's charge,
+    tested exactly, takes the whole SVD, so broken charge is measured."""
     rows = fock._layout(2 ** n, True).charge
-    cols = np.array([len(s) - len(t) for s, t in labels])
-    least = np.inf
-    for q in range(-n, n + 1):
-        sector = b[:, cols == q]
-        if np.any(sector[rows != q]):
-            return float(np.linalg.svd(b, compute_uv=False)[-1])
-        least = min(least, np.linalg.svd(sector[rows == q], compute_uv=False)[-1])
-    return float(least)
+
+    def draw():
+        labels, b = opbasis.phi_family_matrix(_random_vectors(rng, n, n),
+                                              _random_vectors(rng, n, n))
+        b = b / np.linalg.norm(b, axis=0, keepdims=True)
+        cols = np.array([len(s) - len(t) for s, t in labels])
+        if np.any((b != 0) & (rows[:, None] != cols)):
+            return (np.linalg.svd(b, compute_uv=False)[-1],)
+        sectors = (b[rows == q][:, cols == q] for q in range(-n, n + 1))
+        return (min(np.linalg.svd(x, compute_uv=False)[-1] for x in sectors),)
+    return _stacked(draws, draw)[0]
 
 
-def _check_phi_evolution(rng, n):
-    a = random_complex_matrix(rng, n)
-    p_len = int(rng.integers(1, n + 1))
-    q_len = int(rng.integers(0, n + 1))
-    xis = _random_vectors(rng, n, p_len)
-    etas = _random_vectors(rng, n, q_len)
-    t = 0.9
-    lhs = fock.dense_evolve(AffineGenerator(a, np.zeros((n, n), dtype=complex)),
-                            opbasis.phi_element(xis, etas, n), t)
-    rot = mat_exp(t * a)
-    return _distance(lhs, opbasis.phi_element([rot @ v for v in xis],
-                                              [rot @ v for v in etas], n))
+def _check_phi_evolution(rng, n, draws):
+    """`fock.dense_evolve` per draw: the elements sit in different charge
+    sectors, and a batch would exponentiate their union for every draw."""
+    t, zero = 0.9, np.zeros((n, n), dtype=complex)
+
+    def draw():
+        a = random_complex_matrix(rng, n)
+        xis, etas = _random_lists(rng, n, 1)
+        lhs = fock.dense_evolve(AffineGenerator(a, zero),
+                                opbasis.phi_element(xis, etas, n), t)
+        rot = mat_exp(t * a)
+        return (lhs - opbasis.phi_element([rot @ v for v in xis],
+                                          [rot @ v for v in etas], n),)
+    return _norms(*_stacked(draws, draw))
 
 
-def _check_majorana_commutator(rng, n):
-    two_n = 2 * n
-    a = rng.standard_normal((two_n, two_n))
-    b = rng.standard_normal((two_n, two_n))
-    n_mat = rng.standard_normal((two_n, two_n))
-    r_mat = rng.standard_normal((two_n, two_n))
-    n_mat = (n_mat - n_mat.T) / 2
-    r_mat = (r_mat - r_mat.T) / 2
-    lhs = _comm(fock.majorana_liouvillian(a, n_mat),
-                fock.majorana_liouvillian(b, r_mat))
-    return float(np.linalg.norm(lhs - fock.majorana_liouvillian(
-        _comm(a, b), a @ r_mat + r_mat @ a.T - b @ n_mat - n_mat @ b.T)))
+def _check_majorana_commutator(rng, n, draws):
+    """Reduced within each draw: the Majorana family keeps parity but not
+    charge, so its superoperators are whole 4^n matrices, not blocks."""
+    def draw():
+        a, b, n_mat, r_mat = (rng.standard_normal((2 * n, 2 * n))
+                              for _ in range(4))
+        n_mat, r_mat = (n_mat - n_mat.T) / 2, (r_mat - r_mat.T) / 2
+        lhs = _comm(fock.majorana_liouvillian(a, n_mat),
+                    fock.majorana_liouvillian(b, r_mat))
+        return (np.linalg.norm(lhs - fock.majorana_liouvillian(
+            _comm(a, b), a @ r_mat + r_mat @ a.T - b @ n_mat - n_mat @ b.T)),)
+    return _stacked(draws, draw)[0]
 
 
 # -- commutator identities [X(C), Y(D)] = Z(C, D) ---------------------------
@@ -467,7 +476,7 @@ _REGISTRY: tuple[_Check, ...] = (
     _Check("trace_preservation", "Tr(L(A,M) rho) = 0",
            1e-11, "<=", _check_trace_preservation, 50),
     _Check("vacuum_invariance", "L(A,O) vacuum = 0",
-           1e-12, "<=", _per_draw(_check_vacuum_invariance), 50),
+           1e-12, "<=", _check_vacuum_invariance, 50),
     _Check("semigroup_factorization",
            "exp(tL(A,M)) = exp(L(O, int_0^t e^{sA}M e^{sA'} ds)) exp(tL(A,O))",
            1e-9, "<=", _check_factorization, 20),
@@ -484,34 +493,34 @@ _REGISTRY: tuple[_Check, ...] = (
            1e-13, "<=", _check_rank_one_nilpotency, 50),
     _Check("quadratic_expectation",
            "Tr[(c,Tc) rho_R] = tr(TR)",
-           1e-10, "<=", _per_draw(_check_quadratic_expectation), 20),
+           1e-10, "<=", _check_quadratic_expectation, 20),
     _Check("density_unit_trace",
            "Tr[det(I-R) exp((c, log(R(I-R)^-1) c))] = 1",
-           1e-12, "<=", _per_draw(_check_density_unit_trace), 20),
+           1e-12, "<=", _check_density_unit_trace, 20),
     _Check("correlation_roundtrip",
            "read_correlations(density(R)) = R",
-           1e-11, "<=", _per_draw(_check_correlation_roundtrip), 20),
+           1e-11, "<=", _check_correlation_roundtrip, 20),
     _Check("gaussian_entropy",
            "-tr(R log R) - tr((I-R) log(I-R)) = -Tr[rho log rho]",
-           1e-9, "<=", _per_draw(_check_gaussian_entropy), 20),
+           1e-9, "<=", _check_gaussian_entropy, 20),
     _Check("fast_path_evolution",
            "corr(exp(tL(A,M)) rho_R) = e^{tA} R e^{tA'} + noise integral",
-           1e-9, "<=", _per_draw(_check_fast_path_evolution), 20),
+           1e-9, "<=", _check_fast_path_evolution, 20),
     _Check("phi_antisymmetry",
            "phi is antisymmetric in each argument list",
-           1e-12, "<=", _per_draw(_check_phi_antisymmetry), 20, min_n=2),
+           1e-12, "<=", _check_phi_antisymmetry, 20, min_n=2),
     _Check("phi_pi_roundtrip",
            "phi <-> pi permutation expansions agree with direct builds",
-           1e-11, "<=", _per_draw(_check_phi_pi_roundtrip), 10),
+           1e-11, "<=", _check_phi_pi_roundtrip, 10),
     _Check("phi_basis_rank",
            "the 4^n dressed elements over two bases span the operator space",
-           1e-8, ">=", _per_draw(_check_phi_basis_rank), 2),
+           1e-8, ">=", _check_phi_basis_rank, 2),
     _Check("phi_evolution_covariance",
            "exp(tL(A,O)) phi(xi; eta) = phi(e^{tA} xi; e^{tA} eta)",
-           1e-10, "<=", _per_draw(_check_phi_evolution), 10),
+           1e-10, "<=", _check_phi_evolution, 10),
     _Check("majorana_commutator",
            "[L(A,N), L(B,R)] = L([A,B], AR + RA^T - BN - NB^T)  (Majorana form)",
-           1e-10, "<=", _per_draw(_check_majorana_commutator), 20),
+           1e-10, "<=", _check_majorana_commutator, 20),
 )
 
 

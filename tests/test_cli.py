@@ -439,6 +439,29 @@ class TestCommands:
         assert err[0].startswith("quadferm: validation error: ")
         assert str(cfg) in err[0] and "offset 23" in err[0]
 
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_out_exits_with_validation_error(
+            self, tmp_path, capsys, where):
+        out = tmp_path if where == "directory" else tmp_path / "no" / "v.csv"
+        assert main(["verify", "--n", "1", "--draws", "1",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "quadferm: validation error: cannot write output ")
+        assert str(out) in err[0]
+
+    def test_unwritable_output_path_of_a_job_file_exits_1(self, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text("[job]\ncommand = steady\n" + SINGLE_MODE
+                       + f"\n[output]\npath = {tmp_path}\n", encoding="utf-8")
+        assert main(["steady", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "quadferm: validation error: cannot write output ")
+
 
 class TestVerifyCommand:
     def test_all_rows_pass_and_exit_zero(self, tmp_path):

@@ -9,6 +9,7 @@ import pytest
 
 from quadferm import affine, fock, opbasis, verify
 from quadferm.cli import main
+from quadferm.linalg import mat_exp
 
 # (name, identity, comparison) of every row, in CSV order.
 ROWS = [
@@ -111,9 +112,8 @@ def test_phi_antisymmetry_from_one_table_is_bit_identical(n, seed):
     # the suite's stream for the row, and its draw count at n >= 4
     idx = verify.check_names().index("phi_antisymmetry")
     one, three = (np.random.default_rng([seed, idx]) for _ in range(2))
-    for _ in range(3):
-        assert verify._check_phi_antisymmetry(one, n) \
-            == _phi_antisymmetry_by_three_builds(three, n)
+    assert verify._check_phi_antisymmetry(one, n, 3).tolist() \
+        == [_phi_antisymmetry_by_three_builds(three, n) for _ in range(3)]
 
 
 def _plant_nan_on_second_draw(monkeypatch, names):
@@ -187,6 +187,75 @@ def test_a_batch_of_draws_equals_its_draws_one_by_one(name, n):
         assert _bits(values) == _bits(
             np.concatenate([check.fn(single, n, 1) for _ in range(k)]))
         assert batched.random() == single.random()
+
+
+def _quadratic_expectation_gap(rng, n):
+    r, rho = verify._random_gaussian(rng, n)
+    t_mat = verify.random_hermitian(rng, n)
+    return np.trace(fock.quadratic_form(t_mat) @ rho) - np.trace(t_mat @ r)
+
+
+def _density_unit_trace_gap(rng, n):
+    return np.trace(verify._random_gaussian(rng, n)[1]) - 1.0
+
+
+@pytest.mark.parametrize("name, gap", [
+    ("quadratic_expectation", _quadratic_expectation_gap),
+    ("density_unit_trace", _density_unit_trace_gap)])
+def test_complex_gap_rows_give_the_bits_of_python_abs(name, gap):
+    # numpy's vectorized np.abs of a complex array is not Python's abs bit
+    # for bit; each draw's residual is abs of that draw's own complex gap
+    idx = verify.check_names().index(name)
+    row, one = (np.random.default_rng([7, idx]) for _ in range(2))
+    check = {c.name: c for c in verify._REGISTRY}[name]
+    assert _bits(check.fn(row, 3, 20)) \
+        == _bits([abs(gap(one, 3)) for _ in range(20)])
+
+
+def _phi_pi_roundtrip_one_draw(rng, n):
+    """The row's draw read as one draw: both list lengths, then vectors."""
+    p_len = int(rng.integers(0, n + 1))
+    q_len = int(rng.integers(0, n + 1))
+    xis = verify._random_vectors(rng, n, p_len)
+    etas = verify._random_vectors(rng, n, q_len)
+    return [float(np.linalg.norm(opbasis.phi_element(xis, etas, n)
+                                 - opbasis.phi_from_pi(xis, etas, n))),
+            float(np.linalg.norm(opbasis.pi_element(xis, etas, n)
+                                 - opbasis.pi_from_phi(xis, etas, n)))]
+
+
+def _phi_evolution_one_draw(rng, n):
+    """The row's draw read as one draw: the drift, both list lengths, then
+    vectors."""
+    a = verify.random_complex_matrix(rng, n)
+    p_len = int(rng.integers(1, n + 1))
+    q_len = int(rng.integers(0, n + 1))
+    xis = verify._random_vectors(rng, n, p_len)
+    etas = verify._random_vectors(rng, n, q_len)
+    t = 0.9
+    lhs = fock.dense_evolve(
+        affine.AffineGenerator(a, np.zeros((n, n), dtype=complex)),
+        opbasis.phi_element(xis, etas, n), t)
+    rot = mat_exp(t * a)
+    return float(np.linalg.norm(lhs - opbasis.phi_element(
+        [rot @ v for v in xis], [rot @ v for v in etas], n)))
+
+
+@pytest.mark.parametrize("name, one_draw", [
+    ("phi_pi_roundtrip", _phi_pi_roundtrip_one_draw),
+    ("phi_evolution_covariance", _phi_evolution_one_draw)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_phi_rows_read_their_draws_in_one_draw_order(name, one_draw, n,
+                                                     seed):
+    # Generator.integers serves small ints from buffered 32-bit halves, so
+    # reading a vector before the second length changes the stream
+    idx = verify.check_names().index(name)
+    row, one = (np.random.default_rng([seed, idx]) for _ in range(2))
+    check = {c.name: c for c in verify._REGISTRY}[name]
+    assert _bits(check.fn(row, n, check.draw_cap)) \
+        == _bits([one_draw(one, n) for _ in range(check.draw_cap)])
+    assert row.random() == one.random()
 
 
 def _flip_bracket_drift(monkeypatch):
