@@ -24,7 +24,9 @@ Exit codes: 0 success, 1 validation error, 2 physics/convergence error,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import sys
 
 import numpy as np
@@ -78,7 +80,7 @@ def _format_numbers(x: np.ndarray) -> np.ndarray:
     return text[inverse].reshape(x.shape)
 
 
-def _render(comments: list[tuple[str, object]], header: list[str],
+def _render(comments: list[tuple[str, object]], header: list[str] | tuple,
             rows) -> str:
     """Provenance lines, header and rows (a list, or a 2-D float64 array
     used without a copy) as CSV text.
@@ -95,9 +97,10 @@ def _render(comments: list[tuple[str, object]], header: list[str],
     fraction of its cells.
     """
     lines = [f"# {key}={value}" for key, value in comments]
-    table = [list(map(_csv_field, header))]
+    lines.append(_header_line(tuple(header)))
+    table = []
     if isinstance(rows, np.ndarray):
-        table += _format_numbers(rows).tolist()
+        table = _format_numbers(rows).tolist()
     elif rows:
         text = [j for j, cell in enumerate(rows[0]) if isinstance(cell, str)]
         num = [j for j in range(len(rows[0])) if j not in text]
@@ -106,11 +109,42 @@ def _render(comments: list[tuple[str, object]], header: list[str],
             [[row[j] for j in num] for row in rows], dtype=float))
         for j in text:
             cells[:, j] = [_csv_field(row[j]) for row in rows]
-        table += cells.tolist()
-    # csv.writer writes a lone empty field as "", so that no line is blank
-    lines += ['""' if row == [""] else ",".join(row) for row in table]
+        table = cells.tolist()
+    lines += map(_line, table)
     lines.append("")
     return "\n".join(lines)
+
+
+def _line(cells: list[str]) -> str:
+    # csv.writer writes a lone empty field as "", so that no line is blank
+    return '""' if cells == [""] else ",".join(cells)
+
+
+@functools.lru_cache(maxsize=16)
+def _header_line(names: tuple[str, ...]) -> str:
+    """The CSV header row of ``names``, rendered once per distinct header."""
+    return _line(list(map(_csv_field, names)))
+
+
+def _unwritable(path: str, exc: OSError) -> ValidationError:
+    return ValidationError(f"cannot write output {path!r}: {exc}")
+
+
+def _check_output(path: str | None) -> None:
+    """Refuse, before any work, an output path that is a directory or
+    whose directory is missing, with the error `_emit` would raise.  It
+    creates nothing: `_emit` opens the file only once the job has run, so
+    a failed job never truncates an existing one."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise _unwritable(path, OSError(code, os.strerror(code), path))
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -121,16 +155,18 @@ def _emit(text: str, path: str | None) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ValidationError(f"cannot write output {path!r}: {exc}") from exc
+        raise _unwritable(path, exc) from exc
 
 
-def _matrix_columns(prefix: str, n: int) -> list[str]:
-    names = []
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            names.append(f"{prefix}{j}{k}_re")
-            names.append(f"{prefix}{j}{k}_im")
-    return names
+@functools.cache
+def _state_header(command: str, n: int) -> tuple[str, ...]:
+    """The columns of an ``evolve`` or ``steady`` table at n modes (3,241
+    at n = 40), built once per (command, n): the lead, R's cells as
+    `_state_table` orders them, the occupations, the entropy."""
+    lead, prefix = (("t",), "r") if command == "evolve" else ((), "minf")
+    cells = (f"{prefix}{j}{k}_{part}" for j in range(1, n + 1)
+             for k in range(1, n + 1) for part in ("re", "im"))
+    return (*lead, *cells, *(f"occ{j}" for j in range(1, n + 1)), "entropy")
 
 
 def _matrix_cells(mat: np.ndarray) -> np.ndarray:
@@ -166,8 +202,7 @@ def _cmd_evolve(cfg: JobConfig, out: str | None) -> int:
         raise ValidationError("[times] values are required for evolve")
     state = cfg.initial or GaussianState.vacuum(params.n)
     n = params.n
-    header = ["t"] + _matrix_columns("r", n) \
-        + [f"occ{j}" for j in range(1, n + 1)] + ["entropy"]
+    header = _state_header("evolve", n)
     rows = _state_table(evolve_grid(params, state, cfg.times), cfg.times)
     comments = [("command", "evolve"), ("n", n),
                 ("gksl", str(params.gksl).lower())]
@@ -179,8 +214,7 @@ def _cmd_steady(cfg: JobConfig, out: str | None) -> int:
     params = _require_params(cfg)
     dec = asymptotic_decomposition(params, GaussianState.vacuum(params.n))
     n = params.n
-    header = _matrix_columns("minf", n) \
-        + [f"occ{j}" for j in range(1, n + 1)] + ["entropy"]
+    header = _state_header("steady", n)
     rows = _state_table([GaussianState(dec.m_inf)])
     comments = [("command", "steady"), ("n", n),
                 ("gksl", str(params.gksl).lower())]
@@ -280,6 +314,7 @@ def main(argv=None) -> int:
                 f"{args.command!r} was invoked"
             )
         out = args.out if args.out is not None else cfg.output
+        _check_output(out)
         if args.command == "evolve":
             return _cmd_evolve(cfg, out)
         if args.command == "steady":

@@ -50,8 +50,9 @@ right in the operator ``(c, B c)``), so for each (n, kind) a `_Gather`,
 built from the nonzero annihilator entries on first use and whenever
 ``_car`` changes, lists where each operand entry lands; a call gathers its
 operands into the blocks, with the true annihilators bit for bit the whole
-matrix's block entries.  ``dense_evolve`` exponentiates only the stacks
-that ``vec(rho)`` occupies; the rest of the result is exact zeros.
+matrix's block entries.  ``_expm``, given the vector it will act on,
+exponentiates only the stacks that vector occupies and leaves the others
+exact zeros; ``dense_evolve`` exponentiates that way for ``vec(rho)``.
 
 Batches.  ``_basic`` and ``_liouvillian`` also take stacks of coefficient
 matrices (any leading axes, one matrix per draw) and return blocks with
@@ -365,31 +366,32 @@ class _Blocks:
     def __rmatmul__(self, other):
         return self._vector(other, column=False)
 
-    def _vector(self, v, column: bool, exp: bool = False) -> np.ndarray:
+    def _vector(self, v, column: bool) -> np.ndarray:
         """``self @ v`` for a column, ``v @ self`` for a row, v one vector
         or one per draw: a whole vector per draw, from one batched matmul
-        per stack.  ``exp`` applies ``e^self`` to a column instead,
-        exponentiating only the stacks in which some draw's v has a nonzero
-        entry (a NaN counts): the rows of any other stack are exact zeros."""
+        per stack."""
         lay, batch = self.layout, self.data.shape[:-1]
-        if not (isinstance(v, np.ndarray) and v.shape[-1:] == lay.order.shape
-                and v.shape[:-1] in ((), batch)):
-            self._refuse(v)
-        gathered = v[..., lay.order]
-        res = np.zeros(batch + lay.order.shape,
+        res = np.empty(batch + lay.order.shape,
                        dtype=np.result_type(v, self.data))
-        for block, (lo, hi, shape) in zip(self._stacks(), lay.vstacks):
-            part = gathered[..., lo:hi].reshape(v.shape[:-1] + shape)
-            if exp:
-                if not part.any():
-                    continue
-                block = scipy.linalg.expm(block)
+        for block, part, (lo, hi, _) in zip(self._stacks(), self._parts(v),
+                                            lay.vstacks):
             prod = block @ part[..., None] if column \
                 else part[..., None, :] @ block
             res[..., lo:hi] = prod.reshape(batch + (-1,))
         out = np.empty_like(res)
         out[..., lay.order] = res
         return out
+
+    def _parts(self, v) -> list[np.ndarray]:
+        """v, one vector or one per draw, cut into the rows of each stack
+        (``layout.vstacks``); any other operand raises TypeError."""
+        lay = self.layout
+        if not (isinstance(v, np.ndarray) and v.shape[-1:] == lay.order.shape
+                and v.shape[:-1] in ((), self.data.shape[:-1])):
+            self._refuse(v)
+        gathered = v[..., lay.order]
+        return [gathered[..., lo:hi].reshape(v.shape[:-1] + shape)
+                for lo, hi, shape in lay.vstacks]
 
 
 def _assemble(terms, dim: int) -> np.ndarray:
@@ -434,13 +436,20 @@ def _identity(like: _Blocks) -> _Blocks:
     return _Blocks(like.layout, eye)
 
 
-def _expm(s: _Blocks) -> _Blocks:
+def _expm(s: _Blocks, v=None) -> _Blocks:
     """``e^s`` of blocks: one ``scipy.linalg.expm`` call per stack for
-    every draw (scipy exponentiates the slices one by one)."""
-    out = np.empty_like(s.data)
-    for block, (lo, hi, _) in zip(s._stacks(), s.layout.stacks):
-        exp = scipy.linalg.expm(block)
-        out[..., lo:hi] = exp.reshape(s.data.shape[:-1] + (-1,))
+    every draw (scipy exponentiates the slices one by one).  Given a vector
+    v, or one per draw, only the stacks in which some draw's v has a
+    nonzero entry (a NaN counts) are exponentiated, and the others are
+    exact zeros: the product with v is still ``e^s v``."""
+    out = np.zeros_like(s.data)
+    occupied = ([True] * len(s.layout.stacks) if v is None
+                else [part.any() for part in s._parts(v)])
+    for block, (lo, hi, _), keep in zip(s._stacks(), s.layout.stacks,
+                                        occupied):
+        if keep:
+            exp = scipy.linalg.expm(block)
+            out[..., lo:hi] = exp.reshape(s.data.shape[:-1] + (-1,))
     return _Blocks(s.layout, out)
 
 
@@ -692,8 +701,8 @@ def dense_evolve(params: AffineGenerator, rho: np.ndarray, t: float) -> np.ndarr
     t = float(t)
     if not 0 <= t < np.inf:
         raise ValidationError(f"time must be finite and >= 0, got {t}")
-    gen = t * _liouvillian(params)
-    return unvec(gen._vector(vec(rho), column=True, exp=True))
+    gen, v = t * _liouvillian(params), vec(rho)
+    return unvec(_expm(gen, v) @ v)
 
 
 def gaussian_density(state: GaussianState) -> np.ndarray:

@@ -184,9 +184,11 @@ def steady_profile(p: HatanoNelsonParams) -> np.ndarray:
     """Steady occupations n_j = x kappa^(2-2j), the real diagonal of the
     Gaussian steady state's correlation matrix.  Raises PhysicsError unless
     each is within ``_PROFILE_TOL`` relative: they span kappa^(2-2n), and
-    this checks the solve, where :func:`build_bath` checks its target."""
+    this checks the solve, where :func:`build_bath` checks its target.
+    The target is formed in log space: where x is subnormal, kappa^(-2j)
+    alone overflows although x kappa^(-2j) does not."""
     occ = steady_state(build_bath(p)).occupations()
-    target = p.x * p.kappa ** (-2.0 * np.arange(p.n))
+    target = np.exp(np.log(p.x) - 2.0 * np.log(p.kappa) * np.arange(p.n))
     err = float(np.max(np.abs(occ / target - 1)))
     if not err <= _PROFILE_TOL:
         raise PhysicsError(

@@ -136,7 +136,10 @@ def _check_trace_preservation(rng, n, draws):
 
 
 def _check_factorization(rng, n, draws):
-    times = (0.3, 1.0, 3.0)
+    """Both propagators are exponentiated once, at the first time, and
+    squared to each later one: scaling and squaring forms e^{2X} as
+    (e^X)^2 anyway.  The noise side takes one exponential per time."""
+    times = (0.375, 0.75, 1.5, 3.0)
 
     def draw():
         params = random_gksl_params(rng, n)
@@ -144,13 +147,14 @@ def _check_factorization(rng, n, draws):
                 *(affine.flow(params, t).m for t in times))
     a, m, *noises = _stacked(draws, draw)
     zero = np.zeros((n, n), dtype=complex)
-    full = _super_lam(a, m)
-    drift_only = _super_lam(a, zero)
+    full = fock._expm(times[0] * _super_lam(a, m))
+    drift = fock._expm(times[0] * _super_lam(a, zero))
     values = []
-    for t, noise in zip(times, noises):
-        lhs = fock._expm(t * full)
-        rhs = fock._expm(_super_lam(zero, noise)) @ fock._expm(t * drift_only)
-        values.append(_residual(lhs, rhs))
+    for k, noise in enumerate(noises):
+        if k:
+            full, drift = full @ full, drift @ drift
+        rhs = fock._expm(_super_lam(zero, noise)) @ drift
+        values.append(_residual(full, rhs))
     return np.stack(values, axis=-1)
 
 
@@ -170,18 +174,21 @@ def _check_noise_conjugation(rng, n, draws):
 
 
 def _check_translation_conjugation(rng, n, draws):
+    """One-sided, as ``noise_conjugation``: e^G L = L' e^G for G = L(O,T)
+    takes one exponential where e^G L e^{-G} = L' takes two.  L' is L(p +
+    [(O,T), p]) for p = (A, M), from `affine.bracket`."""
     zero = np.zeros((n, n), dtype=complex)
 
     def draw():
         a = random_complex_matrix(rng, n)
         m = random_complex_matrix(rng, n)
         t_mat = random_complex_matrix(rng, n)
-        return a, m, t_mat, m - a @ t_mat - t_mat @ a.conj().T
-    a, m, t_mat, shifted = _stacked(draws, draw)
-    gen = _super_lam(zero, t_mat)
-    shift, unshift = fock._expm(gen), fock._expm(-gen)
-    lhs = shift @ _super_lam(a, m) @ unshift
-    return _residual(lhs, _super_lam(a, shifted))
+        g = affine.bracket(AffineGenerator(zero, t_mat), AffineGenerator(a, m))
+        return a, m, t_mat, a + g.a, m + g.m
+    a, m, t_mat, shifted_a, shifted_m = _stacked(draws, draw)
+    shift = fock._expm(_super_lam(zero, t_mat))
+    return _residual(shift @ _super_lam(a, m),
+                     _super_lam(shifted_a, shifted_m) @ shift)
 
 
 def _check_gain_intertwining(rng, n, draws):
@@ -264,19 +271,25 @@ def _check_gaussian_entropy(rng, n, draws):
 
 
 def _check_fast_path_evolution(rng, n, draws):
-    """Gaussian states have charge 0, so one sector stack is exponentiated."""
-    times = (0.5, 2.0)
+    """Gaussian states have charge 0, so one sector stack is exponentiated,
+    once, at the first time; each later time is reached by products of
+    that step with each draw's vector."""
+    step, steps = 0.5, (1, 4)  # t = 0.5 and 2
 
     def draw():
         params = random_gksl_params(rng, n)
         r0, rho0 = _random_gaussian(rng, n)
         return (params.a, params.m, fock.vec(rho0),
-                *(evolve_state(params, GaussianState(r0), t).r for t in times))
-    a, m, rho0, *fast = _stacked(draws, draw)
-    gen, values = _super_lam(a, m), []
-    for t, fast_r in zip(times, fast):
-        dense = (t * gen)._vector(rho0, column=True, exp=True)
-        dense_r = [fock.read_correlations(fock.unvec(v)) for v in dense]
+                *(evolve_state(params, GaussianState(r0), k * step).r
+                  for k in steps))
+    a, m, rho, *fast = _stacked(draws, draw)
+    prop = fock._expm(step * _super_lam(a, m), rho)
+    values, done = [], 0
+    for k, fast_r in zip(steps, fast):
+        for _ in range(k - done):
+            rho = prop @ rho
+        done = k
+        dense_r = [fock.read_correlations(fock.unvec(v)) for v in rho]
         values.append(np.max(np.abs(dense_r - fast_r), axis=(-2, -1)))
     return np.stack(values, axis=-1)
 
@@ -484,7 +497,7 @@ _REGISTRY: tuple[_Check, ...] = (
            "exp(tL(A,O)) L(O,M) = L(O, e^{tA}M e^{tA'}) exp(tL(A,O))",
            1e-10, "<=", _check_noise_conjugation, 20),
     _Check("translation_conjugation",
-           "exp(L(O,T)) L(A,M) exp(-L(O,T)) = L(A, M - AT - TA')",
+           "exp(L(O,T)) L(A,M) = L(A, M - AT - TA') exp(L(O,T))",
            1e-10, "<=", _check_translation_conjugation, 20),
     _Check("gain_intertwining",
            "exp(tL(-M/2,M)) gain(T) = gain(e^{tM/2} T e^{tM/2}) exp(tL(-M/2,M))",

@@ -349,7 +349,9 @@ class TestCommands:
     def test_skin_with_subnormal_amplitude_exits_2_without_warnings(
             self, tmp_path, capsys, n):
         # the default amplitude kappa^(2n-2)/4 is subnormal at these n, and
-        # so is the noise it grades: the solve's frame overflows on it
+        # so is the noise it grades: the solve's frame overflows on it, the
+        # unit frame it falls back to cannot grade the solution, and the
+        # profile check names the miss
         cfg = tmp_path / "job.ini"
         cfg.write_text("[model]\nkind = hatano-nelson\n"
                        f"[model.hatano-nelson]\nn = {n}\nomega = 1.0\n"
@@ -360,8 +362,9 @@ class TestCommands:
             warnings.simplefilter("error")
             assert main(["skin", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("quadferm: physics error: noise frame")
-        assert "(i, k) = (0, 0)" in err and err.count("\n") == 1
+        assert err.startswith("quadferm: physics error: steady occupations "
+                              "miss x kappa^(2-2j)")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_skin_runs_two_lyapunov_solves(self, tmp_path, monkeypatch):
@@ -450,6 +453,32 @@ class TestCommands:
         assert err[0].startswith(
             "quadferm: validation error: cannot write output ")
         assert str(out) in err[0]
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_out_fails_before_the_job_runs(
+            self, tmp_path, capsys, monkeypatch, where):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("the suite ran")
+
+        out = tmp_path if where == "directory" else tmp_path / "no" / "v.csv"
+        try:  # the error a write after the job would meet
+            open(out, "w")
+        except OSError as exc:
+            late = f"cannot write output {str(out)!r}: {exc}"
+        monkeypatch.setattr(cli, "run_suite", no_suite)
+        assert main(["verify", "--n", "4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err \
+            == f"quadferm: validation error: {late}\n"
+        assert not (tmp_path / "no").exists()
+
+    def test_failed_job_leaves_an_existing_output_untouched(self, tmp_path):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text("[model]\nkind = hatano-nelson\n"
+                       "[model.hatano-nelson]\nn = 1\n", encoding="utf-8")
+        out = tmp_path / "skin.csv"
+        out.write_text("kept\n", encoding="utf-8")
+        assert main(["skin", "--config", str(cfg), "--out", str(out)]) == 1
+        assert out.read_text(encoding="utf-8") == "kept\n"
 
     def test_unwritable_output_path_of_a_job_file_exits_1(self, tmp_path,
                                                           capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -220,12 +222,16 @@ class TestLyapunovSolve:
         with pytest.raises(PhysicsError, match="lambda_0"):
             lyapunov_solve(np.diag([0.5, -1.0]), np.eye(2))
 
-    def test_subnormal_noise_entry_is_named(self):
-        # with |M_11| subnormal, M_11 / (d_1 d_1) overflows in the frame
-        m = np.diag([1.0, 1e-310]).astype(complex)
-        with pytest.raises(PhysicsError,
-                           match=r"noise frame .* \(i, k\) = \(1, 1\)"):
-            lyapunov_solve(-np.eye(2), m)
+    @pytest.mark.parametrize("m", [
+        # M_11 / (d_1 d_1) overflows, and M_01 / (d_0 d_1) with both tiny
+        [[1.0, 0.0], [0.0, 1e-310]],
+        [[1e-300, 1e10], [1e10, 1e-300]]], ids=["subnormal", "off-diagonal"])
+    def test_overflowing_noise_frame_falls_back_to_the_unit_frame(self, m):
+        m = np.array(m, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lyapunov_solve(-np.eye(2), m)
+        assert np.linalg.norm(out - m / 2) <= 1e-15 * np.linalg.norm(m / 2)
 
     def test_slow_drift_solves_like_the_unscaled_one(self, rng):
         # the stability margin is relative to max|lambda|, so scaling the

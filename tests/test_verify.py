@@ -42,7 +42,7 @@ ROWS = [
     ("noise_conjugation",
      "exp(tL(A,O)) L(O,M) = L(O, e^{tA}M e^{tA'}) exp(tL(A,O))", "<="),
     ("translation_conjugation",
-     "exp(L(O,T)) L(A,M) exp(-L(O,T)) = L(A, M - AT - TA')", "<="),
+     "exp(L(O,T)) L(A,M) = L(A, M - AT - TA') exp(L(O,T))", "<="),
     ("gain_intertwining",
      "exp(tL(-M/2,M)) gain(T) = gain(e^{tM/2} T e^{tM/2}) exp(tL(-M/2,M))",
      "<="),
@@ -314,3 +314,47 @@ def test_dropped_parity_string_fails(monkeypatch):
 def test_dropped_parity_string_fails_on_sector_blocks(monkeypatch):
     blocks, results = _suite_without_parity_strings(monkeypatch, 4)
     assert blocks and any(not r.passed for r in results)
+
+
+@pytest.mark.parametrize("name, exponentials, on_vector", [
+    # both propagators once, then one noise exponential per time (0.375,
+    # 0.75, 1.5, 3): the later propagators are squares
+    ("semigroup_factorization", 2 + 4, False),
+    ("translation_conjugation", 1, False),
+    # the charge-0 stack once, at t = 0.5; t = 2 is three more products
+    ("fast_path_evolution", 1, True)])
+def test_exponentiating_rows_take_each_exponential_once(
+        monkeypatch, name, exponentials, on_vector):
+    calls = []
+    true_expm = fock._expm
+
+    def counting(s, v=None):
+        calls.append(v is not None)
+        return true_expm(s, v)
+
+    monkeypatch.setattr(fock, "_expm", counting)
+    verify._worst(name, np.random.default_rng(7), 2, 3)
+    assert calls == [on_vector] * exponentials
+
+
+def _plant_bracket(monkeypatch, broken):
+    true_bracket = affine.bracket
+    monkeypatch.setattr(affine, "bracket",
+                        lambda p, q: broken(p, q, true_bracket(p, q)))
+
+
+@pytest.mark.parametrize("broken", [
+    # a sign error in one term of the translated noise: M - AT + TA'
+    lambda p, q, g: affine.AffineGenerator(g.a, g.m + 2 * p.m @ q.a.conj().T),
+    # the bracket's sign: M + AT + TA'.  The drift-only flip above cannot
+    # reach this row: the bracket of (O, T) with (A, M) has drift [O, A] = 0
+    lambda p, q, g: affine.AffineGenerator(-g.a, -g.m)],
+    ids=["translated-noise-sign", "bracket-sign"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_planted_translation_bugs_fail_translation_conjugation(
+        monkeypatch, broken, n):
+    _plant_bracket(monkeypatch, broken)
+    name = "translation_conjugation"
+    tol = {c.name: c.tolerance for c in verify._REGISTRY}[name]
+    rng = np.random.default_rng([7, verify.check_names().index(name)])
+    assert verify._worst(name, rng, n, 3) > tol
