@@ -219,7 +219,7 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
         m_scaled = m / np.outer(d, d)
         inflated = np.linalg.norm(a / d[:, None] * d) > 2 * np.linalg.norm(a)
     if inflated or not np.all(np.isfinite(m_scaled)):
-        # error grows as the square of that inflation
+        # an inflating frame's error grows as the square of the inflation
         d, m_scaled = np.ones_like(d), m
     r, q, j = _ordered_schur(a / d[:, None] * d)
     named = ", ".join(f"lambda_{i} = {z:.6g}"
