@@ -80,10 +80,11 @@ def _format_numbers(x: np.ndarray) -> np.ndarray:
     return text[inverse].reshape(x.shape)
 
 
-def _render(comments: list[tuple[str, object]], header: list[str] | tuple,
+def _render(comments: list[tuple[str, object]], header: list[str] | str,
             rows) -> str:
-    """Provenance lines, header and rows (a list, or a 2-D float64 array
-    used without a copy) as CSV text.
+    """Provenance lines, header (its names, or the row `_state_header`
+    rendered) and rows (a list, or a 2-D float64 array used without a
+    copy) as CSV text.
 
     An array goes to `_format_numbers` as it is. Every list row has the
     first row's layout of string and numeric cells, and the numeric cells
@@ -97,7 +98,7 @@ def _render(comments: list[tuple[str, object]], header: list[str] | tuple,
     fraction of its cells.
     """
     lines = [f"# {key}={value}" for key, value in comments]
-    lines.append(_header_line(tuple(header)))
+    lines.append(header if isinstance(header, str) else _header_line(header))
     table = []
     if isinstance(rows, np.ndarray):
         table = _format_numbers(rows).tolist()
@@ -120,9 +121,8 @@ def _line(cells: list[str]) -> str:
     return '""' if cells == [""] else ",".join(cells)
 
 
-@functools.lru_cache(maxsize=16)
-def _header_line(names: tuple[str, ...]) -> str:
-    """The CSV header row of ``names``, rendered once per distinct header."""
+def _header_line(names) -> str:
+    """The CSV header row of ``names``."""
     return _line(list(map(_csv_field, names)))
 
 
@@ -159,14 +159,16 @@ def _emit(text: str, path: str | None) -> None:
 
 
 @functools.cache
-def _state_header(command: str, n: int) -> tuple[str, ...]:
-    """The columns of an ``evolve`` or ``steady`` table at n modes (3,241
-    at n = 40), built once per (command, n): the lead, R's cells as
-    `_state_table` orders them, the occupations, the entropy."""
+def _state_header(command: str, n: int) -> str:
+    """The rendered header row of an ``evolve`` or ``steady`` table at n
+    modes (3,241 names at n = 40), built once per (command, n): the lead,
+    R's cells as `_state_table` orders them, the occupations, the
+    entropy."""
     lead, prefix = (("t",), "r") if command == "evolve" else ((), "minf")
     cells = (f"{prefix}{j}{k}_{part}" for j in range(1, n + 1)
              for k in range(1, n + 1) for part in ("re", "im"))
-    return (*lead, *cells, *(f"occ{j}" for j in range(1, n + 1)), "entropy")
+    return _header_line(
+        (*lead, *cells, *(f"occ{j}" for j in range(1, n + 1)), "entropy"))
 
 
 def _matrix_cells(mat: np.ndarray) -> np.ndarray:

@@ -57,6 +57,7 @@ _FLAT_SPLIT_TOL = 1e-9    # normwise: skin.featureless_choice
 _IDEMPOTENT_TOL = 1e-10   # normwise: opbasis.project_persistent
 _FIXED_POINT_TOL = 1e-12  # componentwise: skin.build_bath
 _PROFILE_TOL = 1e-10      # componentwise: skin.steady_profile
+_UNIT_FRAME_TOL = 1e-10   # componentwise: _noise_limit, its frame overflowed
 _SPECTRUM_TOL = 1e-10     # absolute: gaussian.GaussianState
 _ENDPOINT_TOL = 1e-12     # absolute: fock.gaussian_density
 #: ``_noise_limit``'s residual (floored) and, normwise, its noise on the
@@ -201,6 +202,14 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
     overflow).  For an ``admissible`` pair, M vanishes on the undamped
     modes, which span the complement of the damped ones, D⁻¹ q_u.
 
+    The unit frame taken for an overflowing one cannot grade T, so there T
+    must also solve the equation entry by entry, ``|A T + T A† + M| <=
+    1e-10 (|A||T| + |T||A†| + |M|)`` (the check of
+    :func:`~quadferm.skin.build_bath`), else PhysicsError: a graded T whose
+    small entries are roundoff misses it.  The test is strict where T
+    holds entries that are zero in exact arithmetic, so it is kept to
+    that frame, where no other check sees the small entries.
+
     T must solve the full equation ``A T + T A† + M = 0`` to
     ``1e-10 (1 + ||M||)``, else PhysicsError; with an undamped mode that
     means noise reaches it (a mode in the band but off the axis has no
@@ -218,7 +227,8 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
     with np.errstate(all="ignore"):  # a frame that overflows is not used
         m_scaled = m / np.outer(d, d)
         inflated = np.linalg.norm(a / d[:, None] * d) > 2 * np.linalg.norm(a)
-    if inflated or not np.all(np.isfinite(m_scaled)):
+    overflowed = not inflated and not np.all(np.isfinite(m_scaled))
+    if inflated or overflowed:
         # an inflating frame's error grows as the square of the inflation
         d, m_scaled = np.ones_like(d), m
     r, q, j = _ordered_schur(a / d[:, None] * d)
@@ -254,6 +264,19 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
                 f"noise reaches the undamped modes [{named}]" if j < n
                 else "the equation is too ill-conditioned for a direct solve")
         )
+    if overflowed:
+        res = np.abs(a @ t_mat + t_mat @ a.conj().T + m)
+        scale = (np.abs(a) @ np.abs(t_mat) + np.abs(t_mat) @ np.abs(a).T
+                 + np.abs(m))
+        ratio = res / np.where(scale > 0, scale, 1.0)
+        i, k = np.unravel_index(np.argmax(ratio), ratio.shape)
+        if not ratio[i, k] <= _UNIT_FRAME_TOL:
+            raise PhysicsError(
+                f"noise frame diag(sqrt|M_jj|) overflows, and the unit frame "
+                f"misses A T + T A† + M = 0 entrywise by {ratio[i, k]:.3e} of "
+                f"|A||T| + |T||A†| + |M| at (i, k) = ({i}, {k}); the solution "
+                f"is too graded for it"
+            )
     if is_hermitian(m):
         t_mat = hermitize(t_mat)
     comm = np.linalg.norm(a @ p0 - p0 @ a) if w.size else 0.0
@@ -273,8 +296,9 @@ def lyapunov_solve(a, m) -> np.ndarray:
     Raises PhysicsError, naming each undamped ``lambda_i``, unless every
     eigenvalue has ``Re λ < -1e-9 max|λ|`` (the one rule, which
     :func:`~quadferm.gaussian.asymptotic_decomposition` applies too; so
-    ``|λ_i + conj λ_j| > 2e-9 max|λ|``), or if the final residual exceeds
-    ``1e-10 (1 + ||M||)``.
+    ``|λ_i + conj λ_j| > 2e-9 max|λ|``), if the final residual exceeds
+    ``1e-10 (1 + ||M||)``, or, where the noise frame overflows, if T
+    misses the equation entry by entry (:func:`_noise_limit`).
     """
     a = as_square(a, "drift")
     m = as_square(m, "right-hand side")

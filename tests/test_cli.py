@@ -349,9 +349,9 @@ class TestCommands:
     def test_skin_with_subnormal_amplitude_exits_2_without_warnings(
             self, tmp_path, capsys, n):
         # the default amplitude kappa^(2n-2)/4 is subnormal at these n, and
-        # so is the noise it grades: the solve's frame overflows on it, the
-        # unit frame it falls back to cannot grade the solution, and the
-        # profile check names the miss
+        # so is the noise it grades: the solve's frame overflows on it, and
+        # the unit frame it falls back to cannot grade the solution, which
+        # the solve's entrywise test names
         cfg = tmp_path / "job.ini"
         cfg.write_text("[model]\nkind = hatano-nelson\n"
                        f"[model.hatano-nelson]\nn = {n}\nomega = 1.0\n"
@@ -362,8 +362,31 @@ class TestCommands:
             warnings.simplefilter("error")
             assert main(["skin", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("quadferm: physics error: steady occupations "
-                              "miss x kappa^(2-2j)")
+        assert err.startswith("quadferm: physics error: noise frame "
+                              "diag(sqrt|M_jj|) overflows, and the unit frame "
+                              "misses A T + T A† + M = 0 entrywise")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_steady_on_a_chain_too_graded_for_the_unit_frame_exits_2(
+            self, tmp_path, capsys):
+        # the skin chain above at n = 242 through asymptotic_decomposition,
+        # whose output no profile check reads: the unit frame's solution
+        # has noise for its small occupations, and the solve refuses it
+        cfg = tmp_path / "job.ini"
+        cfg.write_text("[model]\nkind = hatano-nelson\n"
+                       "[model.hatano-nelson]\nn = 242\nomega = 1.0\n"
+                       "lambda = 0.45\ngamma = 0.5\na = 2.1\n",
+                       encoding="utf-8")
+        out = tmp_path / "steady.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["steady", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("quadferm: physics error: noise frame "
+                              "diag(sqrt|M_jj|) overflows, and the unit frame "
+                              "misses A T + T A† + M = 0 entrywise")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -700,6 +723,15 @@ def _per_entry_cells(mat):
     return cells
 
 
+def _state_names(command, n):
+    """The column names of an evolve or steady table, for the reference
+    renderer: `cli._state_header` hands `_render` its header pre-rendered."""
+    lead, prefix = (["t"], "r") if command == "evolve" else ([], "minf")
+    return lead + [f"{prefix}{j}{k}_{part}" for j in range(1, n + 1)
+                   for k in range(1, n + 1) for part in ("re", "im")] \
+        + [f"occ{j}" for j in range(1, n + 1)] + ["entropy"]
+
+
 class TestRenderer:
     def test_matches_csv_writer_byte_for_byte(self):
         comments = [("command", "test"), ("n", 3)]
@@ -737,6 +769,7 @@ class TestRenderer:
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         code = main(argv + ["--out", str(new)])
         monkeypatch.setattr(cli, "_render", _csv_writer_render)
+        monkeypatch.setattr(cli, "_state_header", _state_names)
         monkeypatch.setattr(cli, "_matrix_cells", _per_entry_cells)
         assert main(argv + ["--out", str(old)]) == code
         assert new.read_bytes() == old.read_bytes()
@@ -756,6 +789,7 @@ class TestRenderer:
         assert rows[-3][1:] == rows[-2][1:] == rows[-1][1:]
         assert rows[2][1:] != rows[3][1:] != rows[4][1:]
         monkeypatch.setattr(cli, "_render", _csv_writer_render)
+        monkeypatch.setattr(cli, "_state_header", _state_names)
         monkeypatch.setattr(cli, "_matrix_cells", _per_entry_cells)
         assert main(argv + ["--out", str(old)]) == 0
         assert new.read_bytes() == old.read_bytes()

@@ -233,6 +233,23 @@ class TestLyapunovSolve:
             out = lyapunov_solve(-np.eye(2), m)
         assert np.linalg.norm(out - m / 2) <= 1e-15 * np.linalg.norm(m / 2)
 
+    @pytest.mark.parametrize("solve", ["lyapunov_solve",
+                                       "asymptotic_decomposition"])
+    def test_unit_frame_refuses_a_solution_it_cannot_grade(self, solve):
+        # an 8-site skin bath with its noise scaled until the smallest
+        # M_jj is subnormal: the frame overflows, and the unit frame's
+        # solution misses the equation entry by entry
+        params = build_bath(HatanoNelsonParams(n=8, omega=1.0, lam=0.45,
+                                               gamma=0.5, a=2.1))
+        m = params.m * (1e-310 / np.abs(params.m.diagonal()).min())
+        with pytest.raises(PhysicsError,
+                           match=r"unit frame misses .* entrywise"):
+            if solve == "lyapunov_solve":
+                lyapunov_solve(params.a, m)
+            else:
+                asymptotic_decomposition(AffineGenerator(params.a, m),
+                                         GaussianState.vacuum(8))
+
     def test_slow_drift_solves_like_the_unscaled_one(self, rng):
         # the stability margin is relative to max|lambda|, so scaling the
         # whole equation leaves it, and the solution, unchanged
