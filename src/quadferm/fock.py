@@ -27,7 +27,9 @@ Hamiltonian H, loss Gram matrix D and gain Gram matrix E corresponds to
 Sandwich terms.  Every superoperator here is a short list of pairs
 (x_k, y_k), the map ``rho -> sum_k x_k rho y_k`` with None for an identity
 factor; loss(B), for one, is the n pairs ``(c_k, sum_j B_jk c_j†)``.
-``_generator_terms`` is the one place the L(A, M) coefficients appear.
+``_generator_terms`` is the one place the coefficients of a general
+L(A, M) appear; ``_rank_one_terms`` writes the one special case the
+dressed basis steps by, L(O, xi eta†), as four sandwiches.
 ``_assemble`` turns a list into its whole 4^n x 4^n matrix (no other code
 forms one from operator pairs) and ``_apply`` applies it to one operator.
 Only the public ``super_*`` functions, ``majorana_liouvillian`` and
@@ -507,6 +509,19 @@ def _generator_terms(a: np.ndarray, m: np.ndarray) -> list:
     """Sandwich terms of L(A, M), operands checked."""
     return [term for kind, x in zip(_KINDS, _generator_operands(a, m))
             for term in _operand_terms(kind, x)]
+
+
+def _rank_one_terms(xi: np.ndarray, eta: np.ndarray) -> list:
+    """Sandwich terms of L(O, xi eta†), vectors checked: with ``a = (c,
+    xi)`` and ``b = (eta, c)`` its left, right, gain and loss maps are one
+    sandwich each, ``(ab - (eta†xi) I) rho + rho ab + a rho b - b rho a``,
+    the map of ``_generator_terms(O, xi eta†)`` in 4 terms instead of
+    2n + 2."""
+    c = _car(len(xi))
+    a, b = _smear(xi, _dagger(c)), _smear(eta.conj(), c)
+    ab = a @ b
+    return [(ab - np.vdot(eta, xi) * np.eye(len(ab)), None), (None, ab),
+            (a, b), (-b, a)]
 
 
 class _Gather:

@@ -9,9 +9,10 @@ right.  The dressed family ``phi`` applies the rank-one generators
     phi(xi_1.., eta_1..) = L(O, xi_1 eta_1†) phi(xi_2.., eta_2..),
 
 with pi and phi coinciding when either argument list is empty.  Both are
-antisymmetric in each argument list, convert into each other through an
-explicit permutation expansion, and phi transforms covariantly under the
-noiseless semigroup: ``e^{tL(A,O)} phi(xi; eta) = phi(e^{tA} xi; e^{tA} eta)``.
+antisymmetric in each argument list, convert into each other through a
+pairing expansion over index subsets (Wick's theorem), and phi transforms
+covariantly under the noiseless semigroup:
+``e^{tL(A,O)} phi(xi; eta) = phi(e^{tA} xi; e^{tA} eta)``.
 
 The phi family diagonalizes long-time behavior: mapping every argument
 through the persistent projector implements the projection onto the
@@ -24,13 +25,12 @@ bases, which hold n vectors of length n.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
-from math import factorial
+from itertools import combinations
 
 import numpy as np
 
 from .errors import ValidationError
-from .fock import (_apply, _check_modes, _generator_terms, density_modes,
+from .fock import (_apply, _check_modes, _rank_one_terms, density_modes,
                    smeared_annihilation, smeared_creation, unvec,
                    vacuum_projector, vec)
 from .linalg import _IDEMPOTENT_TOL, as_square, is_hermitian
@@ -80,11 +80,11 @@ class _Elements:
     vectors, as a table: ``table(S, T)`` is the element of the sub-lists
     ``xis[S]``, ``etas[T]`` for index tuples S and T.
 
-    Each element is built once and kept until `forget`.  A phi element is
-    the rank-one recursion ``L(O, xis[S[0]] etas[T[0]]†)`` applied to
-    ``table(S[1:], T[1:])``, the pi element when S or T is empty; the
-    term list of each pair (j, k) is built once per table and never
-    forgotten.  :func:`pi_element` checks n.
+    Each element is built once and kept.  A phi element is the rank-one
+    step ``L(O, xis[S[0]] etas[T[0]]†)`` applied to ``table(S[1:],
+    T[1:])``, the pi element when S or T is empty; the step's terms
+    (`fock._rank_one_terms`) are built once per pair (j, k).
+    :func:`pi_element` checks n.
     """
 
     def __init__(self, xis: list, etas: list, n: int, dressed: bool):
@@ -102,48 +102,47 @@ class _Elements:
                               [self.etas[k] for k in t], self.n)
         jk = s[0], t[0]
         if jk not in self._rank_one:
-            zero = np.zeros((self.n, self.n), dtype=complex)
-            self._rank_one[jk] = _generator_terms(
-                zero, np.outer(self.xis[jk[0]], self.etas[jk[1]].conj()))
+            self._rank_one[jk] = _rank_one_terms(self.xis[jk[0]],
+                                                 self.etas[jk[1]])
         return _apply(self._rank_one[jk], self(s[1:], t[1:]))
 
-    def forget(self) -> None:
-        self._kept.clear()
 
-
-def _perm_sign(perm) -> int:
-    """(-1) to the number of inversions of ``perm``."""
-    return (-1) ** sum(a > b for a, b in combinations(perm, 2))
+def _shuffle_sign(sub: tuple, size: int) -> int:
+    """Sign of the permutation of range(size) that lists the complement of
+    the increasing tuple ``sub`` first, then ``sub``: each entry y of sub
+    is passed by the size - len(sub) + i - y complement entries above it."""
+    return (-1) ** sum(size - len(sub) + i - y for i, y in enumerate(sub))
 
 
 def _pairing_expansion(xis, etas, n, dressed: bool) -> np.ndarray:
-    """Shared permutation expansion behind the phi <-> pi conversions, over
-    the phi (``dressed``) or pi elements of sub-lists; over pi elements
-    the sign alternates with the number p of pairings.  The elements are
-    kept for one sigma at a time: the expansion visits each (sigma[p:],
-    tau[p:]) p!^2 times, but across sigmas only the short suffixes repeat,
-    while keeping every element would hold tens of thousands of 32 x 32
-    ones at n = 5."""
+    """Shared expansion behind the phi <-> pi conversions, over the phi
+    (``dressed``) or pi elements of sub-lists: with ``G_kj = <eta_k, xi_j>``,
+
+        sum_p (±1)^p sum_{|S| = P-p, |T| = Q-p} e_S e_T det G[T', S'] el(S; T),
+
+    S and T increasing index tuples, S' and T' their complements, e the
+    `_shuffle_sign` that lists the complement first; the sign alternates
+    over pi elements only.  This is the paper's sum over permutations
+    sigma, tau and pairings p with the permutations grouped by their
+    unpaired suffixes: antisymmetry turns each suffix into ±el(S; T), and
+    the p! pairings of the complements sum to p! det, which cancels the
+    normalisation (Wick's theorem in subset form).  It reads C(P+Q, P)
+    elements, each built once, where the permutation sum visits
+    P! Q! (min(P, Q) + 1) terms."""
     p_len, q_len = len(xis), len(etas)
-    dim = 2 ** n
+    gram = np.array([[np.vdot(eta, xi) for xi in xis] for eta in etas],
+                    dtype=complex).reshape(q_len, p_len)
     table = _Elements(xis, etas, n, dressed)
-    total = np.zeros((dim, dim), dtype=complex)
-    for sigma in permutations(range(p_len)):
-        table.forget()
-        sign_s = _perm_sign(sigma)
-        for tau in permutations(range(q_len)):
-            sign_t = _perm_sign(tau)
-            for p in range(min(p_len, q_len) + 1):
-                coeff = sign_s * sign_t / (
-                    factorial(p) * factorial(p_len - p) * factorial(q_len - p)
-                )
-                if not dressed:
-                    coeff *= (-1) ** p
-                for j in range(p):
-                    coeff *= np.vdot(etas[tau[j]], xis[sigma[j]])
-                if coeff == 0:
-                    continue
-                total += coeff * table(sigma[p:], tau[p:])
+    total = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for p in range(min(p_len, q_len) + 1):
+        sign = 1 if dressed else (-1) ** p
+        for s_pair in combinations(range(p_len), p):
+            s = tuple(j for j in range(p_len) if j not in s_pair)
+            for t_pair in combinations(range(q_len), p):
+                t = tuple(k for k in range(q_len) if k not in t_pair)
+                coeff = (sign * _shuffle_sign(s, p_len) * _shuffle_sign(t, q_len)
+                         * np.linalg.det(gram[np.ix_(t_pair, s_pair)]))
+                total += coeff * table(s, t)
     return total
 
 

@@ -148,6 +148,33 @@ class TestLiouvillianFamily:
         assert np.linalg.norm(direct - fock.unvec(mat @ fock.vec(rho))) <= 1e-12
 
 
+class TestRankOneTerms:
+    """`_rank_one_terms(xi, eta)` is the map of `_generator_terms(O, xi
+    eta†)` in four sandwiches."""
+
+    @staticmethod
+    def _pair(rng, n, case):
+        xi, eta = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        if case == "orthogonal":
+            eta = eta - np.vdot(xi, eta) / np.vdot(xi, xi) * xi
+            assert abs(np.vdot(eta, xi)) <= 1e-14 * np.linalg.norm(xi) ** 2
+        elif case == "zero":
+            xi = np.zeros(n, dtype=complex)
+        return xi, eta
+
+    @pytest.mark.parametrize("case", ["random", "orthogonal", "zero"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_generic_generator_terms(self, rng, n, case):
+        xi, eta = self._pair(rng, n, case)
+        dim = 2 ** n
+        ref = fock._assemble(fock._generator_terms(
+            np.zeros((n, n), dtype=complex), np.outer(xi, eta.conj())), dim)
+        terms = fock._rank_one_terms(xi, eta)
+        assert len(terms) == 4
+        got = fock._assemble(terms, dim)
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
 class TestDensityMatrixShape:
     @pytest.mark.parametrize("shape", [(6, 6), (4, 2), (1, 1), (4,), (128, 128)])
     def test_rejected_with_validation_error(self, shape):
@@ -540,13 +567,13 @@ class TestDenseEvolveSectors:
 class TestPhiBasisRankSectors:
     def test_family_matrix_builds_each_rank_one_term_list_once(
             self, rng, monkeypatch):
-        n, calls, true_terms = 3, [], opbasis._generator_terms
+        n, calls, true_terms = 3, [], opbasis._rank_one_terms
 
-        def spy(a, m):
+        def spy(xi, eta):
             calls.append(1)
-            return true_terms(a, m)
+            return true_terms(xi, eta)
 
-        monkeypatch.setattr(opbasis, "_generator_terms", spy)
+        monkeypatch.setattr(opbasis, "_rank_one_terms", spy)
         basis = [random_complex_matrix(rng, n)[0] for _ in range(n)]
         opbasis.phi_family_matrix(basis, basis[::-1])
         assert len(calls) == n * n

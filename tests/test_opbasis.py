@@ -1,4 +1,6 @@
 import copy
+from itertools import combinations, permutations
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -94,6 +96,87 @@ class TestConversions:
             assert np.linalg.norm(
                 opbasis.pi_element(xis, etas, n)
                 - opbasis.pi_from_phi(xis, etas, n)) <= 1e-11
+
+
+def _perm_sign(perm) -> int:
+    return (-1) ** sum(a > b for a, b in combinations(perm, 2))
+
+
+def permutation_expansion(xis, etas, n, dressed):
+    """The paper's conversion as written: a sum over permutations sigma,
+    tau of the two lists and pairing counts p, each term an element built
+    directly.  Over phi elements (``dressed``) it gives pi; over pi
+    elements, with the sign alternating in p, it gives phi.  The slow
+    reference for `opbasis._pairing_expansion`."""
+    element = opbasis.phi_element if dressed else opbasis.pi_element
+    p_len, q_len = len(xis), len(etas)
+    total = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for sigma in permutations(range(p_len)):
+        for tau in permutations(range(q_len)):
+            for p in range(min(p_len, q_len) + 1):
+                coeff = _perm_sign(sigma) * _perm_sign(tau) / (
+                    factorial(p) * factorial(p_len - p) * factorial(q_len - p))
+                if not dressed:
+                    coeff *= (-1) ** p
+                for j in range(p):
+                    coeff *= np.vdot(etas[tau[j]], xis[sigma[j]])
+                total += coeff * element([xis[j] for j in sigma[p:]],
+                                         [etas[k] for k in tau[p:]], n)
+    return total
+
+
+def _lists(rng, n):
+    for p_len in range(n + 1):
+        for q_len in range(n + 1):
+            yield ([rand_vec(rng, n) for _ in range(p_len)],
+                   [rand_vec(rng, n) for _ in range(q_len)])
+
+
+class TestSubsetExpansion:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_permutation_sum(self, rng, n):
+        for xis, etas in _lists(rng, n):
+            for convert, dressed in ((opbasis.phi_from_pi, False),
+                                     (opbasis.pi_from_phi, True)):
+                ref = permutation_expansion(xis, etas, n, dressed)
+                got = convert(xis, etas, n)
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reads_each_element_once(self, rng, monkeypatch, n):
+        """C(P+Q, P) elements, each built once; the permutation walk reads
+        P! Q! (min(P, Q) + 1)."""
+        reads, builds = [], []
+        true_call, true_build = opbasis._Elements.__call__, opbasis._Elements._build
+
+        def call(table, s, t):
+            reads.append((s, t))
+            return true_call(table, s, t)
+
+        def build(table, s, t):
+            builds.append((s, t))
+            return true_build(table, s, t)
+
+        monkeypatch.setattr(opbasis._Elements, "__call__", call)
+        monkeypatch.setattr(opbasis._Elements, "_build", build)
+        for xis, etas in _lists(rng, n):
+            expected = comb(len(xis) + len(etas), len(xis))
+            for convert in (opbasis.phi_from_pi, opbasis.pi_from_phi):
+                reads.clear()
+                builds.clear()
+                convert(xis, etas, n)
+                assert len(builds) == len(set(builds)) == expected
+                if convert is opbasis.phi_from_pi:
+                    # a pi element reads no other, so each read is one term
+                    assert len(reads) == expected
+
+    def test_shuffle_sign(self):
+        for size in range(5):
+            for r in range(size + 1):
+                for sub in combinations(range(size), r):
+                    rest = tuple(j for j in range(size) if j not in sub)
+                    assert opbasis._shuffle_sign(sub, size) \
+                        == _perm_sign(rest + sub)
 
 
 class TestFamily:
