@@ -82,7 +82,7 @@ import scipy.linalg
 from .affine import AffineGenerator
 from .errors import ValidationError
 from .gaussian import GaussianState
-from .linalg import _ENDPOINT_TOL, as_square, hermitize
+from .linalg import _ANTISYM_TOL, _ENDPOINT_TOL, as_square, hermitize
 
 __all__ = [
     "MAX_MODES",
@@ -791,7 +791,7 @@ def majorana_liouvillian(a, n_mat) -> np.ndarray:
     n = _check_modes(a.shape[0] // 2)
     # floored, not relative: N may be an exact zero computed from a
     # bracket, which is then all roundoff and gives no scale of its own
-    if np.linalg.norm(n_mat + n_mat.T) > 1e-12 * max(1.0, np.linalg.norm(n_mat)):
+    if np.linalg.norm(n_mat + n_mat.T) > _ANTISYM_TOL * max(1.0, np.linalg.norm(n_mat)):
         raise ValidationError("noise coefficient matrix must be antisymmetric")
     w = np.array(majorana_operators(n))
     antisym = (a - a.T) / 8

@@ -256,10 +256,11 @@ def asymptotic_decomposition(params: AffineGenerator,
     :func:`steady_state`'s, bit for bit.  An undamped mode needs an
     admissible pair, else PhysicsError: dissipativity then makes the noise
     vanish on the persistent subspace, so the integral converges.  The
-    returned m_inf solves ``A m_inf + m_inf A† + M = 0`` to
-    ``1e-10 (1 + ||M||)``; noise that reaches an undamped mode (one in the
-    band but off the axis), ``||P0 M P0|| > 1e-10 ||M||`` at any scale, is
-    a PhysicsError naming the undamped modes.
+    returned m_inf solves ``A m_inf + m_inf A† + M = 0`` entry by entry,
+    to 1e-10 of its scale at any scale of (A, M) (the backward error of
+    :func:`~quadferm.linalg._noise_limit`); noise that reaches an undamped
+    mode (one in the band but off the axis), ``||P0 M P0|| > 1e-10 ||M||``
+    at any scale, is a PhysicsError naming the undamped modes.
     """
     if params.n != state.n:
         raise ValidationError(

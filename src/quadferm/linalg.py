@@ -13,9 +13,9 @@ limit of an admissible drift.
 Every fast-path postcondition follows one of three rules, which read alike
 when (A, M) are rescaled, as the claims they check do (Higham, *Accuracy
 and Stability of Numerical Algorithms*, 2nd ed., ch. 1 and 7); each check's
-tolerance is a constant below, with its rule.  Two floors stay, each with
-its reason where it stands: ``_noise_limit``'s residual test and
-``majorana_liouvillian``'s antisymmetry check.
+tolerance is a constant below, with its rule.  One floor stays, with its
+reason where it stands: the dense oracle's input check of antisymmetry in
+``fock.majorana_liouvillian``.
 
 ======================  ====================================================
 rule                    error model
@@ -26,11 +26,17 @@ normwise relative       ``||r|| <= tol ||x||`` with no floor: forming x
                         ``P0 M P0``, zero in exact arithmetic, is about
                         u ||M||
 componentwise relative  entry by entry, where a norm misses the small
-                        entries of a graded result
+                        entries of a graded result; a solution T of
+                        ``A T + T A† + M = 0`` by its backward error
+                        ``|A T + T A† + M| / (|A| B + B |A|ᵀ + |M|)``, B a
+                        scale of |T| (:func:`_backward_error`; ch. 16),
+                        which also reads alike in every frame ``D⁻¹ T D⁻¹``
 absolute                only where the quantity is, as R's spectrum in [0, 1]
 growth gate             a flow is powered only past ``τ max|Re λ(A)| >= 1``:
                         a near-identity e^{τA} keeps only about
                         u / (τ ||A||) of A, and its j-th power keeps no more
+floored                 ``||r|| <= tol max(1, ||x||)``, only where x may be
+                        an exact zero computed as all roundoff
 ======================  ====================================================
 """
 
@@ -50,18 +56,19 @@ __all__ = [
 ]
 
 #: The table's tolerances, one per check, with its rule
-_HERMITIAN_TOL = 1e-12    # normwise: is_hermitian
-_GKSL_TOL = 1e-10         # normwise: affine.AffineGenerator.gksl
-_SIMILARITY_TOL = 1e-10   # normwise: skin.build_matrices
-_FLAT_SPLIT_TOL = 1e-9    # normwise: skin.featureless_choice
-_IDEMPOTENT_TOL = 1e-10   # normwise: opbasis.project_persistent
-_FIXED_POINT_TOL = 1e-12  # componentwise: skin.build_bath
-_PROFILE_TOL = 1e-10      # componentwise: skin.steady_profile
-_UNIT_FRAME_TOL = 1e-10   # componentwise: _noise_limit, its frame overflowed
-_SPECTRUM_TOL = 1e-10     # absolute: gaussian.GaussianState
-_ENDPOINT_TOL = 1e-12     # absolute: fock.gaussian_density
-#: ``_noise_limit``'s residual (floored) and, normwise, its noise on the
-#: undamped modes; ``Re λ >= -_AXIS_BAND max|λ|`` is undamped
+_HERMITIAN_TOL = 1e-12      # normwise: is_hermitian
+_GKSL_TOL = 1e-10           # normwise: affine.AffineGenerator.gksl
+_SIMILARITY_TOL = 1e-10     # normwise: skin.build_matrices
+_FLAT_SPLIT_TOL = 1e-9      # normwise: skin.featureless_choice
+_IDEMPOTENT_TOL = 1e-10     # normwise: opbasis.project_persistent
+_COMMUTE_TOL = 1e-6         # normwise: _noise_limit's P0, against ||A||_2
+_FIXED_POINT_TOL = 1e-12    # componentwise: skin.build_bath
+_PROFILE_TOL = 1e-10        # componentwise: skin.steady_profile
+_SPECTRUM_TOL = 1e-10       # absolute: gaussian.GaussianState
+_ENDPOINT_TOL = 1e-12       # absolute: fock.gaussian_density
+_ANTISYM_TOL = 1e-12        # floored: fock.majorana_liouvillian
+#: ``_noise_limit``'s residual (componentwise) and, normwise, its noise on
+#: the undamped modes; ``Re λ >= -_AXIS_BAND max|λ|`` is undamped
 _RESIDUAL_TOL = 1e-10
 _AXIS_BAND = 1e-9
 #: ``gaussian.evolve_grid``'s growth gate on ``τ max|Re λ(A)|``
@@ -183,10 +190,19 @@ def _ordered_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return r, q, int(j)
 
 
-# Floored, unlike the table's checks: the residual test keeps ``1 + ||M||``;
-# which scale-free form replaces it is open (ROADMAP.md, item 7).  The P0
-# commutation test and the noise that reaches an undamped mode follow the
-# table's normwise rule, against ||A||_2 and ||M||.
+def _backward_error(a: np.ndarray, t: np.ndarray, m: np.ndarray,
+                    b: np.ndarray) -> np.ndarray:
+    """Entrywise backward error of T as a solution of ``A T + T A† + M =
+    0``: ``|A T + T A† + M| / (|A| B + B |A|ᵀ + |M|)``, given a scale
+    ``B >= |T|`` of T, and the bare residual where that scale is 0 (Higham,
+    BIT 33 (1993) 124).  Multiplying (A, M) by one number, or taking (A,
+    T, M) to a diagonal frame ``(D⁻¹ A D, D⁻¹ T D⁻¹, D⁻¹ M D⁻¹)`` with B,
+    leaves it; a NaN stays NaN."""
+    res = np.abs(a @ t + t @ a.conj().T + m)
+    scale = np.abs(a) @ b + b @ np.abs(a).T + np.abs(m)
+    return res / np.where(scale > 0, scale, 1.0)
+
+
 def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
                  ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """``(T, λ, j, P0)`` for checked operands: ``T = int_0^inf e^{sA} M
@@ -202,25 +218,25 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
     overflow).  For an ``admissible`` pair, M vanishes on the undamped
     modes, which span the complement of the damped ones, D⁻¹ q_u.
 
-    The unit frame taken for an overflowing one cannot grade T, so there T
-    must also solve the equation entry by entry, ``|A T + T A† + M| <=
-    1e-10 (|A||T| + |T||A†| + |M|)`` (the check of
-    :func:`~quadferm.skin.build_bath`), else PhysicsError: a graded T whose
-    small entries are roundoff misses it.  The test is strict where T
-    holds entries that are zero in exact arithmetic, so it is kept to
-    that frame, where no other check sees the small entries.
+    T must solve the full equation ``A T + T A† + M = 0`` entry by entry:
+    its :func:`_backward_error` with ``B = max(|T|, s sᵀ)``, ``s =
+    sqrt|diag T|`` (``|T_ik| <= s_i s_k`` for T >= 0, so its small entries,
+    zero in exact arithmetic, are judged against the occupations they sit
+    between), must be at most 1e-10 at every entry, else PhysicsError.  The
+    test reads alike at every scale of (A, M) and in every frame, so it
+    holds one T to one standard whichever frame solved it; a graded T
+    whose small entries are roundoff fails it.  The error names its cause:
+    the unit frame taken for an overflowing one, which cannot grade T;
+    else noise that reaches an undamped mode (one in the band but off the
+    axis has no limit here), naming each undamped ``lambda_i``; else an
+    equation too ill-conditioned for a direct solve.
 
-    T must solve the full equation ``A T + T A† + M = 0`` to
-    ``1e-10 (1 + ||M||)``, else PhysicsError; with an undamped mode that
-    means noise reaches it (a mode in the band but off the axis has no
-    limit here).  Before solving, the noise on the undamped modes must
-    pass ``||P0 M P0|| <= 1e-10 ||M||``: an admissible pair has
-    ``P0 M P0 = 0`` up to roundoff, so this holds or fails alike at every
-    scale, also where the floored residual test cannot see the noise (a
-    slowly damped mode in the band).  PhysicsError names each undamped
-    ``lambda_i`` when either test fails, and of a pair not
-    ``admissible``, and flags a P0 that fails to commute with A,
-    ``||A P0 - P0 A|| > 1e-6 ||A||_2``.
+    Before solving, with an undamped mode, the noise on the undamped modes
+    must pass ``||P0 M P0|| <= 1e-10 ||M||``: an admissible pair has ``P0 M
+    P0 = 0`` up to roundoff, so this holds or fails alike at every scale
+    (a slowly damped mode in the band that receives noise); and P0 must
+    commute with A, ``||A P0 - P0 A|| <= 1e-6 ||A||_2``.  PhysicsError
+    names each undamped ``lambda_i`` of a pair not ``admissible``.
     """
     n = a.shape[0]
     d = np.sqrt(np.where(m.diagonal() == 0, 1.0, np.abs(m.diagonal())))
@@ -250,6 +266,12 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
                 f"exceeds {_RESIDUAL_TOL:g} ||M||; noise reaches the "
                 f"undamped modes [{named}]"
             )
+        comm = np.linalg.norm(a @ p0 - p0 @ a)
+        if comm > _COMMUTE_TOL * np.linalg.norm(a, 2):
+            raise PhysicsError(
+                f"persistent projector fails to commute with the drift "
+                f"(residual {comm:.3e}); spectrum too close to the band edge"
+            )
     t_mat = np.zeros((n, n), dtype=complex)
     if j:
         qd = q[:, :j]
@@ -257,34 +279,23 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
         y, y_scale, _ = scipy.linalg.lapack.ztrsyl(r[:j, :j], r[:j, :j],
                                                    -rhs, tranb="C")
         t_mat = qd @ (y / y_scale) @ qd.conj().T * np.outer(d, d)
-    residual = np.linalg.norm(a @ t_mat + t_mat @ a.conj().T + m)
-    if not residual <= _RESIDUAL_TOL * (1.0 + np.linalg.norm(m)):
+    s = np.sqrt(np.abs(t_mat.diagonal()))
+    b = np.maximum(np.abs(t_mat), np.outer(s, s))
+    ratio = _backward_error(a, t_mat, m, b)
+    worst = np.max(ratio, initial=0.0)
+    if not worst <= _RESIDUAL_TOL:
+        where = (f"{worst:.3e} of |A|B + B|A†| + |M|, B = max(|T|, "
+                 f"sqrt|T_ii T_kk|), at (i, k) = {divmod(int(np.argmax(ratio)), n)}")
         raise PhysicsError(
-            f"Lyapunov residual {residual:.3e} exceeds tolerance; " + (
+            "noise frame diag(sqrt|M_jj|) overflows, and the unit frame "
+            f"misses A T + T A† + M = 0 entrywise by {where}; the solution "
+            "is too graded for it" if overflowed
+            else f"Lyapunov residual {where} exceeds {_RESIDUAL_TOL:g}; " + (
                 f"noise reaches the undamped modes [{named}]" if j < n
                 else "the equation is too ill-conditioned for a direct solve")
         )
-    if overflowed:
-        res = np.abs(a @ t_mat + t_mat @ a.conj().T + m)
-        scale = (np.abs(a) @ np.abs(t_mat) + np.abs(t_mat) @ np.abs(a).T
-                 + np.abs(m))
-        ratio = res / np.where(scale > 0, scale, 1.0)
-        i, k = np.unravel_index(np.argmax(ratio), ratio.shape)
-        if not ratio[i, k] <= _UNIT_FRAME_TOL:
-            raise PhysicsError(
-                f"noise frame diag(sqrt|M_jj|) overflows, and the unit frame "
-                f"misses A T + T A† + M = 0 entrywise by {ratio[i, k]:.3e} of "
-                f"|A||T| + |T||A†| + |M| at (i, k) = ({i}, {k}); the solution "
-                f"is too graded for it"
-            )
     if is_hermitian(m):
         t_mat = hermitize(t_mat)
-    comm = np.linalg.norm(a @ p0 - p0 @ a) if w.size else 0.0
-    if comm > 1e-6 * np.linalg.norm(a, 2):
-        raise PhysicsError(
-            f"persistent projector fails to commute with the drift "
-            f"(residual {comm:.3e}); spectrum too close to the band edge"
-        )
     return t_mat, r.diagonal(), j, p0
 
 
@@ -296,9 +307,9 @@ def lyapunov_solve(a, m) -> np.ndarray:
     Raises PhysicsError, naming each undamped ``lambda_i``, unless every
     eigenvalue has ``Re λ < -1e-9 max|λ|`` (the one rule, which
     :func:`~quadferm.gaussian.asymptotic_decomposition` applies too; so
-    ``|λ_i + conj λ_j| > 2e-9 max|λ|``), if the final residual exceeds
-    ``1e-10 (1 + ||M||)``, or, where the noise frame overflows, if T
-    misses the equation entry by entry (:func:`_noise_limit`).
+    ``|λ_i + conj λ_j| > 2e-9 max|λ|``), and if T misses the equation
+    entry by entry by more than 1e-10 of its scale, at any scale of (A, M)
+    (:func:`_noise_limit`).
     """
     a = as_square(a, "drift")
     m = as_square(m, "right-hand side")

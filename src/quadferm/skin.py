@@ -25,7 +25,8 @@ from .affine import AffineGenerator
 from .errors import PhysicsError, ValidationError
 from .gaussian import steady_state
 from .linalg import (_FIXED_POINT_TOL, _FLAT_SPLIT_TOL, _PROFILE_TOL,
-                     _SIMILARITY_TOL, hermitize, lyapunov_solve)
+                     _SIMILARITY_TOL, _backward_error, hermitize,
+                     lyapunov_solve)
 
 __all__ = [
     "HatanoNelsonParams",
@@ -152,8 +153,10 @@ def build_bath(p: HatanoNelsonParams) -> AffineGenerator:
     equals the convergent integral of ``e^{(2X-I)s} Q e^{(2X-I)s}``; with
     ``c = diag(2X - I)`` that is ``E_ij = -Q_ij / (c_i + c_j)``.
     Raises PhysicsError unless the pair is admissible (its ``gksl`` flag)
-    and ``A X + X A† + M = 0`` holds entrywise to ``_FIXED_POINT_TOL`` of
-    ``|A||X| + |X||A†| + |M|``, which scales with the graded X.
+    and X solves ``A X + X A† + M = 0`` entry by entry: its
+    :func:`~quadferm.linalg._backward_error` with the scale ``B = |X|``,
+    the target being exact and diagonal, must be at most
+    ``_FIXED_POINT_TOL``, which scales with the graded X.
     """
     mats = build_matrices(p)
     n = p.n
@@ -168,10 +171,7 @@ def build_bath(p: HatanoNelsonParams) -> AffineGenerator:
     params = AffineGenerator(-1j * mats.h_nh - m, m)
     if not params.gksl:
         raise PhysicsError("bath pair fails O <= M <= -A - A†")
-    a = params.a
-    res = np.abs(a @ x_mat + x_mat @ a.conj().T + m)
-    scale = np.abs(a) @ np.abs(x_mat) + np.abs(x_mat) @ np.abs(a).T + np.abs(m)
-    worst = float(np.max(res / np.where(scale > 0, scale, 1.0)))
+    worst = np.max(_backward_error(params.a, x_mat, params.m, np.abs(x_mat)))
     if not worst <= _FIXED_POINT_TOL:
         raise PhysicsError(
             f"target steady state violates the fixed-point equation "

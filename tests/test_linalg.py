@@ -250,6 +250,35 @@ class TestLyapunovSolve:
                 asymptotic_decomposition(AffineGenerator(params.a, m),
                                          GaussianState.vacuum(8))
 
+    @pytest.mark.parametrize("solve", ["lyapunov_solve",
+                                       "asymptotic_decomposition"])
+    @pytest.mark.parametrize("k", [-60, -40, -20, 0, 20, 40])
+    def test_planted_solver_error_is_refused_at_every_scale(
+            self, monkeypatch, solve, k):
+        # trsyl's result off by 1e-6 relative: the entrywise backward error
+        # reads that alike at every scale 2^k of (A, M), where a residual
+        # floored at 1e-10 (1 + ||M||) hides it once ||M|| is small
+        params = random_gksl_params(np.random.default_rng(3), 4,
+                                    min_damping=0.2)
+        a, m = 2.0 ** k * params.a, 2.0 ** k * params.m
+
+        def run():
+            if solve == "lyapunov_solve":
+                return lyapunov_solve(a, m)
+            return asymptotic_decomposition(AffineGenerator(a, m),
+                                            GaussianState.vacuum(4)).m_inf
+
+        run()  # the unplanted solve is accepted
+        true_trsyl = scipy.linalg.lapack.ztrsyl
+
+        def planted(*args, **kwargs):
+            y, y_scale, info = true_trsyl(*args, **kwargs)
+            return y * (1 + 1e-6), y_scale, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", planted)
+        with pytest.raises(PhysicsError, match="^Lyapunov residual "):
+            run()
+
     def test_slow_drift_solves_like_the_unscaled_one(self, rng):
         # the stability margin is relative to max|lambda|, so scaling the
         # whole equation leaves it, and the solution, unchanged
