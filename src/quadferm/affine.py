@@ -169,12 +169,17 @@ def flow(p: AffineGenerator, t: float) -> AffineElement:
 
     Satisfies ``flow(p, t) ∘ flow(p, s) = flow(p, t + s)`` and
     ``flow(p, 0) = (I, O)`` exactly.  Both parts come from one block
-    exponential, cut into chunks by p's cached spectrum.
+    exponential, cut into chunks by p's cached spectrum; a t whose
+    ``t max|Re λ|`` is not finite is refused (ValidationError).
     """
     t = float(t)
     if not 0 <= t < np.inf:
         raise ValidationError(f"flow time must be finite and >= 0, got {t}")
     if t == 0.0:
         return identity(p.n)
+    if not np.isfinite(t * p._abscissa):
+        raise ValidationError(
+            f"flow time t = {t} at max|Re λ| = {p._abscissa}: "
+            "t max|Re λ| overflows a double")
     return AffineElement(*_van_loan_pair(p.a, p.m, t, p._abscissa))
 

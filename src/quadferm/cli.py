@@ -17,8 +17,11 @@ distinct magnitude once and reuses its text, with a "-" where the sign bit
 is set, for every cell that holds it: "%.17g" is a function of the bits, so
 the bytes are those of one conversion per cell.
 
-Exit codes: 0 success, 1 validation error, 2 physics/convergence error,
-3 verification failure.
+Each command is a function of the job that returns its table (comments,
+header, rows) and exit status; `main` looks it up in `_COMMANDS`, writes
+the table (to ``--out``, the job's ``[output] path``, or stdout) and maps
+errors to exit codes: 0 success, 1 validation error, 2 physics/convergence
+error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -80,8 +83,8 @@ def _format_numbers(x: np.ndarray) -> np.ndarray:
     return text[inverse].reshape(x.shape)
 
 
-def _render(comments: list[tuple[str, object]], header: list[str] | str,
-            rows) -> str:
+def _render(comments: list[tuple[str, object]],
+            header: tuple[str, ...] | str, rows) -> str:
     """Provenance lines, header (its names, or the row `_state_header`
     rendered) and rows (a list, or a 2-D float64 array used without a
     copy) as CSV text.
@@ -131,13 +134,14 @@ def _unwritable(path: str, exc: OSError) -> ValidationError:
 
 
 def _check_output(path: str | None) -> None:
-    """Refuse, before any work, an output path that is a directory or
-    whose directory is missing, with the error `_emit` would raise.  It
+    """Refuse, before any work, an output path that is empty, a directory
+    or in a missing directory, with the error `_emit` would raise.  It
     creates nothing: `_emit` opens the file only once the job has run, so
     a failed job never truncates an existing one."""
     if path is None:
         return
-    parent = os.path.dirname(path) or "."
+    # neither the path "" nor a parent "" exists: ENOENT, as open("") gives
+    parent = (os.path.dirname(path) or ".") if path else ""
     if os.path.isdir(path):
         code = errno.EISDIR
     elif not os.path.isdir(parent):
@@ -198,43 +202,40 @@ def _require_params(cfg: JobConfig):
     raise ValidationError("config does not define a model")
 
 
-def _cmd_evolve(cfg: JobConfig, out: str | None) -> int:
+def _state_comments(command: str, params) -> list[tuple[str, object]]:
+    """The provenance lines an ``evolve`` or ``steady`` table opens with."""
+    return [("command", command), ("n", params.n),
+            ("gksl", str(params.gksl).lower())]
+
+
+def _cmd_evolve(cfg: JobConfig, args) -> tuple:
     params = _require_params(cfg)
     if not cfg.times:
         raise ValidationError("[times] values are required for evolve")
     state = cfg.initial or GaussianState.vacuum(params.n)
-    n = params.n
-    header = _state_header("evolve", n)
     rows = _state_table(evolve_grid(params, state, cfg.times), cfg.times)
-    comments = [("command", "evolve"), ("n", n),
-                ("gksl", str(params.gksl).lower())]
-    _emit(_render(comments, header, rows), out)
-    return EXIT_OK
+    return (_state_comments("evolve", params),
+            _state_header("evolve", params.n), rows, EXIT_OK)
 
 
-def _cmd_steady(cfg: JobConfig, out: str | None) -> int:
+def _cmd_steady(cfg: JobConfig, args) -> tuple:
     params = _require_params(cfg)
     dec = asymptotic_decomposition(params, GaussianState.vacuum(params.n))
-    n = params.n
-    header = _state_header("steady", n)
     rows = _state_table([GaussianState(dec.m_inf)])
-    comments = [("command", "steady"), ("n", n),
-                ("gksl", str(params.gksl).lower())]
+    comments = _state_comments("steady", params)
     if dec.frequencies.size:
         comments.append(("persistent_modes", dec.frequencies.size))
         comments += [(f"frequency{j}", _fmt(w))
                      for j, w in enumerate(dec.frequencies, start=1)]
-    _emit(_render(comments, header, rows), out)
-    return EXIT_OK
+    return comments, _state_header("steady", params.n), rows, EXIT_OK
 
 
-def _cmd_skin(cfg: JobConfig, out: str | None) -> int:
+def _cmd_skin(cfg: JobConfig, args) -> tuple:
     p = cfg.hatano_nelson
     if p is None:
         raise ValidationError("skin requires a hatano-nelson model section")
     profile = steady_profile(p)
-    flat = featureless_choice(p, cfg.delta)
-    flat_profile = flat.diagonal().real
+    flat_profile = featureless_choice(p, cfg.delta).diagonal().real
     slope, _ = localization_slope(profile)
     comments = [
         ("command", "skin"),
@@ -245,18 +246,23 @@ def _cmd_skin(cfg: JobConfig, out: str | None) -> int:
         ("log_slope", _fmt(slope)),
         ("log_slope_target", _fmt(-2 * np.log(p.kappa))),
     ]
-    header = ["site", "occupation", "featureless_occupation"]
+    header = ("site", "occupation", "featureless_occupation")
     # "%.17g" prints the sites 1..n as str(j + 1) does
     rows = np.column_stack([np.arange(1.0, p.n + 1), profile, flat_profile])
-    _emit(_render(comments, header, rows), out)
-    return EXIT_OK
+    return comments, header, rows, EXIT_OK
 
 
-def _cmd_verify(cfg: JobConfig, out: str | None, n: int, seed: int,
-                draws: int, tol: float | None) -> int:
-    overrides = dict(cfg.tolerances)
-    if tol is not None:
-        overrides = {name: tol for name in check_names()}
+#: The verify table's columns, each the `CheckResult` attribute it shows
+_VERIFY_COLUMNS = ("name", "identity", "value", "tolerance", "comparison",
+                   "status")
+
+
+def _cmd_verify(cfg: JobConfig, args) -> tuple:
+    # each setting is its flag if given, else the job file's (or its default)
+    n, seed, draws = (getattr(cfg, key) if getattr(args, key) is None
+                      else getattr(args, key) for key in ("n", "seed", "draws"))
+    overrides = (dict(cfg.tolerances) if args.tol is None
+                 else dict.fromkeys(check_names(), args.tol))
     results = run_suite(n=n, seed=seed, draws=draws, tol_overrides=overrides)
     comments = [
         ("command", "verify"),
@@ -265,13 +271,19 @@ def _cmd_verify(cfg: JobConfig, out: str | None, n: int, seed: int,
         ("draws", draws),
         ("generator", "numpy.random.default_rng(PCG64), streams (seed, check_index)"),
     ]
-    header = ["name", "identity", "value", "tolerance", "comparison", "status"]
-    rows = []
-    for res in results:
-        rows.append([res.name, res.identity, res.value, res.tolerance,
-                     res.comparison, res.status])
-    _emit(_render(comments, header, rows), out)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
+    rows = [[getattr(res, col) for col in _VERIFY_COLUMNS] for res in results]
+    status = EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
+    return comments, _VERIFY_COLUMNS, rows, status
+
+
+#: Each command's help line and job, (config, parsed flags) -> (comments,
+#: header, rows, exit status), whose table `main` renders and writes
+_COMMANDS = {
+    "evolve": ("evolve a Gaussian state over the requested times", _cmd_evolve),
+    "steady": ("compute the long-time limit and any persistent modes", _cmd_steady),
+    "skin": ("build the localized bath and its occupation profile", _cmd_skin),
+    "verify": ("run the dense identity suite", _cmd_verify),
+}
 
 
 @functools.cache
@@ -284,24 +296,19 @@ def _parser(cap: int) -> argparse.ArgumentParser:
                     "states, skin-effect baths, and the dense identity suite.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-        ("evolve", "evolve a Gaussian state over the requested times"),
-        ("steady", "compute the long-time limit and any persistent modes"),
-        ("skin", "build the localized bath and its occupation profile"),
-    ):
+    for name, (desc, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=desc)
-        cmd.add_argument("--config", required=True, help="job file (INI)")
-        cmd.add_argument("--out", default=None, help="output CSV path")
-    ver = sub.add_parser("verify", help="run the dense identity suite")
-    ver.add_argument("--config", default=None, help="job file (INI)")
-    ver.add_argument("--out", default=None, help="output CSV path")
-    ver.add_argument("--n", type=int, default=None,
-                     help=f"mode count (<= {cap})")
-    ver.add_argument("--seed", type=int, default=None, help="RNG seed")
-    ver.add_argument("--draws", type=int, default=None,
+        # verify alone runs without a job file
+        cmd.add_argument("--config", required=name != "verify",
+                         help="job file (INI)")
+        cmd.add_argument("--out", help="output CSV path")
+    ver = sub.choices["verify"]
+    ver.add_argument("--n", type=int, help=f"mode count (<= {cap})")
+    ver.add_argument("--seed", type=int, help="RNG seed")
+    ver.add_argument("--draws", type=int,
                      help="random instances per identity (at most 3 "
                           "when n >= 4)")
-    ver.add_argument("--tol", type=float, default=None,
+    ver.add_argument("--tol", type=float,
                      help="override every tolerance with this value")
     return parser
 
@@ -317,16 +324,9 @@ def main(argv=None) -> int:
             )
         out = args.out if args.out is not None else cfg.output
         _check_output(out)
-        if args.command == "evolve":
-            return _cmd_evolve(cfg, out)
-        if args.command == "steady":
-            return _cmd_steady(cfg, out)
-        if args.command == "skin":
-            return _cmd_skin(cfg, out)
-        n = args.n if args.n is not None else cfg.n if cfg.n is not None else 2
-        seed = args.seed if args.seed is not None else cfg.seed
-        draws = args.draws if args.draws is not None else cfg.draws
-        return _cmd_verify(cfg, out, n=n, seed=seed, draws=draws, tol=args.tol)
+        *table, status = _COMMANDS[args.command][1](cfg, args)
+        _emit(_render(*table), out)
+        return status
     except ValidationError as exc:
         print(f"quadferm: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -48,7 +48,12 @@ from .skin import HatanoNelsonParams
 
 __all__ = ["JobConfig", "load_config", "parse_config_text"]
 
-_MODEL_KINDS = ("explicit", "physical", "hatano-nelson")
+#: Each model kind and the ``model.*`` sections that may come with it
+_MODEL_SECTIONS = {
+    "explicit": {"model.a", "model.m"},
+    "physical": {"model.h", "model.loss", "model.gain"},
+    "hatano-nelson": {"model.hatano-nelson"},
+}
 
 
 @dataclass
@@ -61,7 +66,7 @@ class JobConfig:
     times: list[float] = field(default_factory=list)
     output: str | None = None
     tolerances: dict = field(default_factory=dict)
-    n: int | None = None
+    n: int = 2
     seed: int = 7
     draws: int = 20
 
@@ -144,26 +149,19 @@ def parse_config_text(text: str) -> JobConfig:
     cfg = JobConfig()
     if cp.has_section("job"):
         cfg.command = cp["job"].get("command", "").strip().lower() or None
-        cfg.n = _get(cp, "job", "n", int)
-        cfg.seed = _get(cp, "job", "seed", int, 7)
-        cfg.draws = _get(cp, "job", "draws", int, 20)
+        for key in ("n", "seed", "draws"):
+            setattr(cfg, key, _get(cp, "job", key, int, getattr(cfg, key)))
 
     kind = None
     if cp.has_section("model"):
         kind = cp["model"].get("kind", "").strip().lower() or None
-        if kind not in _MODEL_KINDS:
-            raise ValidationError(
-                f"[model] kind must be one of {_MODEL_KINDS}, got {kind!r}"
-            )
+        if kind not in _MODEL_SECTIONS:
+            raise ValidationError(f"[model] kind must be one of "
+                                  f"{tuple(_MODEL_SECTIONS)}, got {kind!r}")
 
-    model_sections = {
-        "explicit": {"model.a", "model.m"},
-        "physical": {"model.h", "model.loss", "model.gain"},
-        "hatano-nelson": {"model.hatano-nelson"},
-    }
     present = {s for s in cp.sections() if s.startswith("model.")}
     if kind is not None:
-        stray = present - model_sections[kind]
+        stray = present - _MODEL_SECTIONS[kind]
         if stray:
             raise ValidationError(
                 f"sections {sorted(stray)} do not belong to model kind {kind!r}; "
@@ -212,6 +210,9 @@ def parse_config_text(text: str) -> JobConfig:
 
     if cp.has_section("times"):
         cfg.times = _floats(cp["times"].get("values", ""), "[times] values")
+        for t in cfg.times:
+            if not np.isfinite(t):
+                raise ValidationError(f"[times] values must be finite, got {t}")
         if any(t < 0 for t in cfg.times):
             raise ValidationError("[times] values must be nonnegative")
         if sorted(cfg.times) != cfg.times:

@@ -184,6 +184,17 @@ class TestFlow:
         with pytest.raises(ValidationError, match="finite"):
             flow(random_generator(rng, 2), t)
 
+    def test_time_whose_growth_overflows_rejected(self):
+        # t max|Re λ| = 1.5e308 still forms a chunk count; 3e308 and 1e309
+        # do not, and the refusal names both factors
+        p = AffineGenerator([[-10.0]], [[5.0]])
+        assert flow(p, 1.5e307).m[0, 0] == pytest.approx(0.25)
+        for t in (3e307, 1e308):
+            with pytest.raises(ValidationError) as info:
+                flow(p, t)
+            assert f"t = {t}" in str(info.value)
+            assert "max|Re λ| = 10.0" in str(info.value)
+
     @pytest.mark.parametrize("n", [4, 32])
     def test_linear_part_matches_mat_exp(self, rng, n):
         # the linear part comes from the Van Loan block exponential and its

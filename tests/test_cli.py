@@ -110,6 +110,12 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match="nonnegative"):
             parse_config_text(EXPLICIT + "\n[times]\nvalues = -1.0 0.5\n")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_times_rejected_where_they_are_read(self, bad):
+        with pytest.raises(ValidationError,
+                           match=rf"^\[times\] .*finite, got {bad}$"):
+            parse_config_text(EXPLICIT + f"\n[times]\nvalues = 0 {bad} 1\n")
+
     def test_stray_model_section_rejected(self):
         with pytest.raises(ValidationError, match="exactly one model source"):
             parse_config_text(EXPLICIT + "\n[model.h]\nrow1 = 1.0 0.0\n")
@@ -314,6 +320,20 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("quadferm: validation error")
         assert not out.exists()
 
+    def test_time_whose_growth_overflows_exits_1_without_traceback(
+            self, tmp_path, capsys):
+        # one flow of t = 1e308 at max|Re λ| = 10 cannot count its chunks
+        cfg = tmp_path / "job.ini"
+        cfg.write_text("[model]\nkind = explicit\n[model.a]\nrow1 = -10 0\n"
+                       "[model.m]\nrow1 = 5 0\n[times]\nvalues = 0 1e308\n",
+                       encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("quadferm: validation error: flow time ")
+        assert not out.exists()
+
     def test_skin_profile_and_slope(self, tmp_path):
         cfg = tmp_path / "job.ini"
         cfg.write_text("[model]\nkind = hatano-nelson\n"
@@ -493,6 +513,21 @@ class TestCommands:
         assert capsys.readouterr().err \
             == f"quadferm: validation error: {late}\n"
         assert not (tmp_path / "no").exists()
+
+    def test_empty_out_fails_before_the_job_runs(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # what `--out "$OUT"` passes when OUT is unset
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the job ran")
+
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(SINGLE_MODE + "\n[times]\nvalues = 0 1\n",
+                       encoding="utf-8")
+        monkeypatch.setattr(cli, "evolve_grid", no_grid)
+        assert main(["evolve", "--config", str(cfg), "--out", ""]) == 1
+        assert capsys.readouterr().err == (
+            "quadferm: validation error: cannot write output '': "
+            "[Errno 2] No such file or directory: ''\n")
 
     def test_failed_job_leaves_an_existing_output_untouched(self, tmp_path):
         cfg = tmp_path / "job.ini"
