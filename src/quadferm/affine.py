@@ -33,8 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import (_GKSL_TOL, _real_abscissa, _van_loan_pair, as_square,
-                     hermitize, is_hermitian)
+from .linalg import (_GKSL_TOL, _norm, _real_abscissa, _van_loan_pair,
+                     as_square, hermitize, is_hermitian)
 
 __all__ = [
     "AffineElement",
@@ -107,7 +107,7 @@ class AffineGenerator:
         a, m = self.a, self.m
         if not is_hermitian(m):
             return False
-        tol = _GKSL_TOL * float(np.linalg.norm(a) + np.linalg.norm(m))
+        tol = _GKSL_TOL * float(_norm(a) + _norm(m))
         lo = float(np.min(np.linalg.eigvalsh(hermitize(m)), initial=0.0))
         gap = -(a + a.conj().T) - m
         hi = float(np.min(np.linalg.eigvalsh(hermitize(gap)), initial=0.0))

@@ -20,7 +20,8 @@ reason where it stands: the dense oracle's input check of antisymmetry in
 ======================  ====================================================
 rule                    error model
 ======================  ====================================================
-normwise relative       ``||r|| <= tol ||x||`` with no floor: forming x
+normwise relative       ``||r|| <= tol ||x||`` with no floor, in Frobenius
+                        norms that do not overflow (:func:`_norm`): forming x
                         errs by about u ||x||, in any units; so noise on
                         the undamped modes of an admissible pair,
                         ``P0 M P0``, zero in exact arithmetic, is about
@@ -41,6 +42,8 @@ floored                 ``||r|| <= tol max(1, ||x||)``, only where x may be
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -93,9 +96,21 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm that does not overflow while the norm itself fits:
+    np.linalg.norm squares the entries, so past about 1e154 it reads inf,
+    and a normwise test ``||r|| <= tol ||x||`` would then always hold.  Only
+    then is ``a`` divided by its largest entry first; NaN stays NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(a)
+        if math.isfinite(norm):
+            return norm
+        big = np.max(np.abs(a))
+        return big * np.linalg.norm(a / big)
+
+
 def is_hermitian(a: np.ndarray) -> bool:
-    return bool(np.linalg.norm(a - a.conj().T)
-                <= _HERMITIAN_TOL * np.linalg.norm(a))
+    return bool(_norm(a - a.conj().T) <= _HERMITIAN_TOL * _norm(a))
 
 
 def mat_exp(a) -> np.ndarray:
@@ -212,11 +227,13 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
     Bartels-Stewart (CACM 15 (1972) 820): trsyl on the damped block of the
     ordered Schur form ``D⁻¹ A D = q r q†`` gives ``D⁻¹ T D⁻¹``, in the
     frame ``D = diag(sqrt|M_jj|)`` (1 where ``M_jj = 0``) that graded
-    solutions need (the skin effect), or D = I where that frame would more
-    than double ``||A||_F`` or where ``D⁻¹ M D⁻¹`` is not finite (``d_i
-    d_k`` is subnormal once ``|M_jj|`` is, and ``M_ik / (d_i d_k)`` may
-    overflow).  For an ``admissible`` pair, M vanishes on the undamped
-    modes, which span the complement of the damped ones, D⁻¹ q_u.
+    solutions need (the skin effect).  ``D⁻¹ M D⁻¹`` is formed as ``M_ik /
+    d_i / d_k``, which cannot overflow where ``|M_ik| <= d_i d_k``, as for
+    M >= 0, though ``d_i d_k`` may underflow.  D = I where that frame would
+    more than double ``||A||_F``, or where ``D⁻¹ A D`` or ``D⁻¹ M D⁻¹`` is
+    not finite (M not positive).  For an ``admissible`` pair, M vanishes on
+    the undamped modes, which span the complement of the damped ones, D⁻¹
+    q_u.
 
     T must solve the full equation ``A T + T A† + M = 0`` entry by entry:
     its :func:`_backward_error` with ``B = max(|T|, s sᵀ)``, ``s =
@@ -226,10 +243,9 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
     test reads alike at every scale of (A, M) and in every frame, so it
     holds one T to one standard whichever frame solved it; a graded T
     whose small entries are roundoff fails it.  The error names its cause:
-    the unit frame taken for an overflowing one, which cannot grade T;
-    else noise that reaches an undamped mode (one in the band but off the
-    axis has no limit here), naming each undamped ``lambda_i``; else an
-    equation too ill-conditioned for a direct solve.
+    noise that reaches an undamped mode (one in the band but off the axis
+    has no limit here), naming each undamped ``lambda_i``; else an equation
+    too ill-conditioned for a direct solve.
 
     Before solving, with an undamped mode, the noise on the undamped modes
     must pass ``||P0 M P0|| <= 1e-10 ||M||``: an admissible pair has ``P0 M
@@ -241,13 +257,13 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
     n = a.shape[0]
     d = np.sqrt(np.where(m.diagonal() == 0, 1.0, np.abs(m.diagonal())))
     with np.errstate(all="ignore"):  # a frame that overflows is not used
-        m_scaled = m / np.outer(d, d)
-        inflated = np.linalg.norm(a / d[:, None] * d) > 2 * np.linalg.norm(a)
-    overflowed = not inflated and not np.all(np.isfinite(m_scaled))
-    if inflated or overflowed:
+        a_scaled = a / d[:, None] * d
+        m_scaled = m / d[:, None] / d
+    if not (np.isfinite(a_scaled).all() and np.isfinite(m_scaled).all()
+            and _norm(a_scaled) / 2 <= _norm(a)):
         # an inflating frame's error grows as the square of the inflation
-        d, m_scaled = np.ones_like(d), m
-    r, q, j = _ordered_schur(a / d[:, None] * d)
+        d, a_scaled, m_scaled = np.ones_like(d), a, m
+    r, q, j = _ordered_schur(a_scaled)
     named = ", ".join(f"lambda_{i} = {z:.6g}"
                       for i, z in enumerate(r.diagonal()[j:]))
     if j < n and not admissible:
@@ -259,14 +275,14 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
     w = np.linalg.qr(q[:, j:] / d[:, None])[0]
     p0 = hermitize(w @ w.conj().T)
     if j < n:
-        noise = np.linalg.norm(p0 @ m @ p0)
-        if noise > _RESIDUAL_TOL * np.linalg.norm(m):
+        noise = _norm(p0 @ m @ p0)
+        if noise > _RESIDUAL_TOL * _norm(m):
             raise PhysicsError(
                 f"noise on the undamped modes ||P0 M P0|| = {noise:.3e} "
                 f"exceeds {_RESIDUAL_TOL:g} ||M||; noise reaches the "
                 f"undamped modes [{named}]"
             )
-        comm = np.linalg.norm(a @ p0 - p0 @ a)
+        comm = _norm(a @ p0 - p0 @ a)
         if comm > _COMMUTE_TOL * np.linalg.norm(a, 2):
             raise PhysicsError(
                 f"persistent projector fails to commute with the drift "
@@ -278,7 +294,7 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
         rhs = qd.conj().T @ m_scaled @ qd
         y, y_scale, _ = scipy.linalg.lapack.ztrsyl(r[:j, :j], r[:j, :j],
                                                    -rhs, tranb="C")
-        t_mat = qd @ (y / y_scale) @ qd.conj().T * np.outer(d, d)
+        t_mat = qd @ (y / y_scale) @ qd.conj().T * d[:, None] * d
     s = np.sqrt(np.abs(t_mat.diagonal()))
     b = np.maximum(np.abs(t_mat), np.outer(s, s))
     ratio = _backward_error(a, t_mat, m, b)
@@ -287,10 +303,7 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
         where = (f"{worst:.3e} of |A|B + B|A†| + |M|, B = max(|T|, "
                  f"sqrt|T_ii T_kk|), at (i, k) = {divmod(int(np.argmax(ratio)), n)}")
         raise PhysicsError(
-            "noise frame diag(sqrt|M_jj|) overflows, and the unit frame "
-            f"misses A T + T A† + M = 0 entrywise by {where}; the solution "
-            "is too graded for it" if overflowed
-            else f"Lyapunov residual {where} exceeds {_RESIDUAL_TOL:g}; " + (
+            f"Lyapunov residual {where} exceeds {_RESIDUAL_TOL:g}; " + (
                 f"noise reaches the undamped modes [{named}]" if j < n
                 else "the equation is too ill-conditioned for a direct solve")
         )

@@ -16,6 +16,7 @@ that the bath split, not the Hamiltonian alone, decides localization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,7 +26,7 @@ from .affine import AffineGenerator
 from .errors import PhysicsError, ValidationError
 from .gaussian import steady_state
 from .linalg import (_FIXED_POINT_TOL, _FLAT_SPLIT_TOL, _PROFILE_TOL,
-                     _SIMILARITY_TOL, _backward_error, hermitize,
+                     _SIMILARITY_TOL, _backward_error, _norm, hermitize,
                      lyapunov_solve)
 
 __all__ = [
@@ -37,6 +38,9 @@ __all__ = [
     "localization_slope",
 ]
 
+#: gamma enters squared, in ``sqrt(gamma^2 - lam^2)``
+_SQRT_MAX = math.sqrt(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class HatanoNelsonParams:
@@ -44,8 +48,9 @@ class HatanoNelsonParams:
     (gamma +/- lam on the two directions), uniform loss rate a*gamma, and
     the steady-state amplitude x.
 
-    Validity requires omega > 0, gamma > lam > 0 and a > 2 (which makes the
-    bath construction positive definite), and
+    Validity requires finite parameters with omega > 0, gamma > lam > 0,
+    gamma^2 finite, and a > 2 (which makes the bath construction positive
+    definite), and
     ``0 < x < kappa^(2n-2) / 2`` so every steady occupation stays below 1/2.
     ``x`` defaults to the midpoint-safe ``kappa^(2n-2) / 4``.
     """
@@ -60,6 +65,11 @@ class HatanoNelsonParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"chain length must be >= 1, got {self.n}")
+        for name, value in (("omega", self.omega), ("lambda", self.lam),
+                            ("gamma", self.gamma), ("a", self.a),
+                            ("x", self.x)):
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not self.omega > 0:
             raise ValidationError(f"omega must be positive, got {self.omega}")
         if not self.lam > 0:
@@ -69,6 +79,10 @@ class HatanoNelsonParams:
                 f"gamma must exceed lambda, got gamma={self.gamma}, "
                 f"lambda={self.lam}"
             )
+        if not self.gamma < _SQRT_MAX:
+            raise ValidationError(
+                f"gamma^2 overflows: gamma must be below {_SQRT_MAX:.6g}, "
+                f"got {self.gamma}")
         if not self.a > 2:
             raise ValidationError(f"loss parameter a must exceed 2, got {self.a}")
         cap = self.kappa ** (2 * self.n - 2) / 2
@@ -123,7 +137,8 @@ def build_matrices(p: HatanoNelsonParams) -> SkinMatrices:
     (gamma + lam) on the subdiagonal and -(gamma - lam) on the
     superdiagonal; conjugating by V(kappa) turns it into
     ``(omega - i a gamma) I - i sqrt(gamma^2 - lam^2) g``, which is normal;
-    PhysicsError unless that holds to ``_SIMILARITY_TOL ||H_nh||``.
+    PhysicsError unless that holds to ``_SIMILARITY_TOL ||H_nh||`` (a NaN
+    residual does not).
     """
     n = p.n
     f, g = _hopping_patterns(n)
@@ -134,8 +149,8 @@ def build_matrices(p: HatanoNelsonParams) -> SkinMatrices:
     v_inv = np.diag(p.kappa ** -np.arange(n))
     target = (p.omega - 1j * p.a * p.gamma) * np.eye(n) \
         - 1j * np.sqrt(p.gamma ** 2 - p.lam ** 2) * g
-    residual = np.linalg.norm(v_kappa @ h_nh @ v_inv - target)
-    if residual > _SIMILARITY_TOL * np.linalg.norm(h_nh):
+    residual = _norm(v_kappa @ h_nh @ v_inv - target)
+    if not residual <= _SIMILARITY_TOL * _norm(h_nh):
         raise PhysicsError(
             f"similarity check failed with residual {residual:.3e}; "
             "chain parameters are numerically degenerate"

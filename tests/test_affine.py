@@ -29,6 +29,12 @@ class TestAdmissibility:
         assert not AffineGenerator([[-1e-12]], [[-1e-12]]).gksl
         assert not AffineGenerator([[-1.0]], [[-1.0]]).gksl
 
+    def test_growing_drift_whose_norm_overflows_is_not_admissible(self):
+        # squaring 1e200 overflows a plain ||A||, and a bound of inf would
+        # pass e^{1e200 t}
+        assert not AffineGenerator(np.diag([1e200, -1.0]),
+                                   np.zeros((2, 2))).gksl
+
 
 class TestAction:
     def test_identity_element(self, rng):

@@ -13,6 +13,7 @@ from quadferm import cli, fock, verify
 from quadferm.cli import main
 from quadferm.config import parse_config_text
 from quadferm.errors import ValidationError
+from quadferm.skin import HatanoNelsonParams
 
 from conftest import csv_writer_render as _csv_writer_render
 
@@ -42,6 +43,12 @@ l1 = 1.0 0.0
 [model.gain]
 g1 = 0.65465367070797709 0.0
 """
+
+
+#: the skin chain whose default amplitude is subnormal from n = 242 on
+_SUBNORMAL_CHAIN = ("[model]\nkind = hatano-nelson\n[model.hatano-nelson]\n"
+                    "n = {n}\nomega = 1.0\nlambda = 0.45\ngamma = 0.5\n"
+                    "a = 2.1\n")
 
 
 def _explicit_ini(a, m):
@@ -366,37 +373,68 @@ class TestCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("n", [242, 244])
-    def test_skin_with_subnormal_amplitude_exits_2_without_warnings(
-            self, tmp_path, capsys, n):
+    def test_skin_with_subnormal_amplitude_solves_without_warnings(
+            self, tmp_path, n):
         # the default amplitude kappa^(2n-2)/4 is subnormal at these n, and
-        # so is the noise it grades: the solve's frame overflows on it, and
-        # the unit frame it falls back to cannot grade the solution, which
-        # the solve's entrywise test names
+        # so is the noise it grades: d_i d_k underflows, but M_ik / d_i / d_k
+        # does not, so the noise frame grades the solution
         cfg = tmp_path / "job.ini"
-        cfg.write_text("[model]\nkind = hatano-nelson\n"
-                       f"[model.hatano-nelson]\nn = {n}\nomega = 1.0\n"
-                       "lambda = 0.45\ngamma = 0.5\na = 2.1\n",
-                       encoding="utf-8")
+        cfg.write_text(_SUBNORMAL_CHAIN.format(n=n), encoding="utf-8")
         out = tmp_path / "skin.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["skin", "--config", str(cfg), "--out", str(out)]) == 2
+            assert main(["skin", "--config", str(cfg), "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        occ = np.array([float(r[header.index("occupation")]) for r in rows])
+        p = HatanoNelsonParams(n=n, omega=1.0, lam=0.45, gamma=0.5, a=2.1)
+        target = np.exp(np.log(p.x) - 2 * np.log(p.kappa) * np.arange(n))
+        assert np.max(np.abs(occ / target - 1)) <= 1e-10
+
+    def test_steady_on_a_chain_with_subnormal_noise_is_the_skin_profile(
+            self, tmp_path):
+        # the chain above at n = 242 through asymptotic_decomposition,
+        # whose output no profile check reads
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(_SUBNORMAL_CHAIN.format(n=242), encoding="utf-8")
+        steady_out, skin_out = tmp_path / "steady.csv", tmp_path / "skin.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["steady", "--config", str(cfg),
+                         "--out", str(steady_out)]) == 0
+            assert main(["skin", "--config", str(cfg),
+                         "--out", str(skin_out)]) == 0
+        _, h1, r1 = read_csv(steady_out)
+        _, h2, r2 = read_csv(skin_out)
+        occ_steady = np.array([float(r1[0][h1.index(f"occ{j}")])
+                               for j in range(1, 243)])
+        occ_skin = np.array([float(r[h2.index("occupation")]) for r in r2])
+        assert np.max(np.abs(occ_steady / occ_skin - 1)) <= 1e-12
+
+    def test_steady_whose_noise_frame_overflows_exits_2_without_traceback(
+            self, tmp_path, capsys):
+        # D⁻¹ A D overflows at A_00 / d_0, and the unit frame sees -1 in
+        # the band of -1e308
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(_explicit_ini(np.diag([-1e308, -1.0]).astype(complex),
+                                     np.diag([1e-300, 1.0]).astype(complex)),
+                       encoding="utf-8")
+        out = tmp_path / "steady.csv"
+        with warnings.catch_warnings():
+            # gksl's -A - A† overflows at -1e308 and warns; not a traceback
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["steady", "--config", str(cfg),
+                         "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("quadferm: physics error: noise frame "
-                              "diag(sqrt|M_jj|) overflows, and the unit frame "
-                              "misses A T + T A† + M = 0 entrywise")
-        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            "quadferm: physics error: no unique steady state: ")
         assert not out.exists()
 
-    def test_steady_on_a_chain_too_graded_for_the_unit_frame_exits_2(
-            self, tmp_path, capsys):
-        # the skin chain above at n = 242 through asymptotic_decomposition,
-        # whose output no profile check reads: the unit frame's solution
-        # has noise for its small occupations, and the solve refuses it
+    def test_steady_on_a_growing_drift_exits_2(self, tmp_path, capsys):
+        # squaring 1e200 overflows a plain ||A||, and gksl's bound with it
         cfg = tmp_path / "job.ini"
-        cfg.write_text("[model]\nkind = hatano-nelson\n"
-                       "[model.hatano-nelson]\nn = 242\nomega = 1.0\n"
-                       "lambda = 0.45\ngamma = 0.5\na = 2.1\n",
+        cfg.write_text(_explicit_ini(np.diag([1e200, -1.0]).astype(complex),
+                                     np.zeros((2, 2), dtype=complex)),
                        encoding="utf-8")
         out = tmp_path / "steady.csv"
         with warnings.catch_warnings():
@@ -404,9 +442,24 @@ class TestCommands:
             assert main(["steady", "--config", str(cfg),
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("quadferm: physics error: noise frame "
-                              "diag(sqrt|M_jj|) overflows, and the unit frame "
-                              "misses A T + T A† + M = 0 entrywise")
+        assert err.startswith(
+            "quadferm: physics error: no unique steady state: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["skin", "steady", "evolve"])
+    def test_chain_whose_gamma_squared_overflows_exits_1(
+            self, tmp_path, capsys, command):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text("[model]\nkind = hatano-nelson\n"
+                       "[model.hatano-nelson]\nn = 6\ngamma = 1e200\n"
+                       "[times]\nvalues = 0 1\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("quadferm: validation error: gamma^2 overflows")
         assert err.count("\n") == 1
         assert not out.exists()
 

@@ -26,6 +26,11 @@ class TestIsHermitian:
         assert is_hermitian(np.zeros((2, 2)))
         assert is_hermitian(1e-300 * np.array([[1.0, 1j], [-1j, 2.0]]))
 
+    def test_huge_non_hermitian_matrix_is_not_hermitian(self):
+        # squaring entries of 1e200 overflows a plain Frobenius norm
+        assert not is_hermitian(np.array([[1e200, 1e200j], [0.0, 1.0]]))
+        assert is_hermitian(1e200 * np.array([[1.0, 1j], [-1j, 2.0]]))
+
 
 class TestMatExp:
     def test_zero_matrix(self):
@@ -223,9 +228,12 @@ class TestLyapunovSolve:
             lyapunov_solve(np.diag([0.5, -1.0]), np.eye(2))
 
     @pytest.mark.parametrize("m", [
-        # M_11 / (d_1 d_1) overflows, and M_01 / (d_0 d_1) with both tiny
+        # M_11 / d_1 / d_1 = 1 keeps the noise frame where d_1 d_1
+        # underflows; M_01 / d_0 / d_1 overflows, so M >= 0 fails and the
+        # unit frame solves
         [[1.0, 0.0], [0.0, 1e-310]],
-        [[1e-300, 1e10], [1e10, 1e-300]]], ids=["subnormal", "off-diagonal"])
+        [[1e-300, 1e10], [1e10, 1e-300]]],
+        ids=["subnormal-in-noise-frame", "off-diagonal"])
     def test_overflowing_noise_frame_falls_back_to_the_unit_frame(self, m):
         m = np.array(m, dtype=complex)
         with warnings.catch_warnings():
@@ -235,20 +243,43 @@ class TestLyapunovSolve:
 
     @pytest.mark.parametrize("solve", ["lyapunov_solve",
                                        "asymptotic_decomposition"])
-    def test_unit_frame_refuses_a_solution_it_cannot_grade(self, solve):
-        # an 8-site skin bath with its noise scaled until the smallest
-        # M_jj is subnormal: the frame overflows, and the unit frame's
-        # solution misses the equation entry by entry
-        params = build_bath(HatanoNelsonParams(n=8, omega=1.0, lam=0.45,
-                                               gamma=0.5, a=2.1))
-        m = params.m * (1e-310 / np.abs(params.m.diagonal()).min())
-        with pytest.raises(PhysicsError,
-                           match=r"unit frame misses .* entrywise"):
-            if solve == "lyapunov_solve":
-                lyapunov_solve(params.a, m)
-            else:
-                asymptotic_decomposition(AffineGenerator(params.a, m),
-                                         GaussianState.vacuum(8))
+    def test_subnormal_noise_keeps_its_frame(self, solve):
+        # an 8-site skin bath with its noise scaled by c until the smallest
+        # M_jj is subnormal: d_i d_k underflows, but M_ik / d_i / d_k does
+        # not, so the noise frame grades the solution c X, X = x V(kappa)^-2
+        p = HatanoNelsonParams(n=8, omega=1.0, lam=0.45, gamma=0.5, a=2.1)
+        params = build_bath(p)
+        c = 1e-310 / np.abs(params.m.diagonal()).min()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lyapunov_solve(params.a, c * params.m)
+            if solve == "asymptotic_decomposition":
+                dec = asymptotic_decomposition(
+                    AffineGenerator(params.a, c * params.m),
+                    GaussianState.vacuum(8))
+                assert np.array_equal(dec.m_inf, out)
+        target = c * p.x * np.diag(p.kappa ** (-2.0 * np.arange(8)))
+        s = np.sqrt(target.diagonal().real)
+        assert np.max(np.abs(out - target) / np.outer(s, s)) <= 1e-13
+
+    def test_solution_scales_with_the_noise(self):
+        # (A, 2^k M) solves to 2^k T entry by entry down to k = -1000, where
+        # the smallest M_jj is subnormal and d_i d_k underflows
+        params = build_bath(HatanoNelsonParams(n=30, omega=1.0, lam=0.3,
+                                               gamma=0.5, a=2.5))
+        ref = lyapunov_solve(params.a, params.m)
+        s = np.sqrt(ref.diagonal().real)
+        for k in range(-1000, 101, 100):
+            out = lyapunov_solve(params.a, 2.0 ** k * params.m)
+            # scaling by 2^-k is exact, so the error is read unrounded
+            assert np.all(np.abs(out * 2.0 ** -k - ref)
+                          <= 1e-13 * np.outer(s, s)), k
+
+    def test_drift_whose_noise_frame_overflows_is_named(self):
+        # D⁻¹ A D overflows at A_00 / d_0; the unit frame then sees the -1
+        # mode in the band of the -1e308 one
+        with pytest.raises(PhysicsError, match="^no unique steady state"):
+            lyapunov_solve(np.diag([-1e308, -1.0]), np.diag([1e-300, 1.0]))
 
     @pytest.mark.parametrize("solve", ["lyapunov_solve",
                                        "asymptotic_decomposition"])

@@ -53,6 +53,21 @@ class TestParams:
         with pytest.raises(ValidationError, match="omega"):
             HatanoNelsonParams(n=2, omega=0.0, lam=0.3, gamma=0.5, a=2.5)
 
+    @pytest.mark.parametrize("name, field", [
+        ("omega", "omega"), ("lambda", "lam"), ("gamma", "gamma"),
+        ("a", "a"), ("x", "x")])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_parameter_is_named(self, name, field, value):
+        fields = dict(n=3, omega=1.0, lam=0.3, gamma=0.5, a=2.5, x=None)
+        fields[field] = value
+        with pytest.raises(ValidationError,
+                           match=f"^{name} must be finite, got {value}$"):
+            HatanoNelsonParams(**fields)
+
+    def test_gamma_whose_square_overflows_is_named(self):
+        with pytest.raises(ValidationError, match="^gamma\\^2 overflows"):
+            HatanoNelsonParams(n=3, omega=1.0, lam=0.3, gamma=1e200, a=2.5)
+
 
 class TestBuildMatrices:
     def test_scaling_matrix(self):
@@ -78,6 +93,13 @@ class TestBuildMatrices:
             - 1j * np.sqrt(p.gamma ** 2 - p.lam ** 2) * mats.g
         res = np.linalg.norm(mats.v_kappa @ mats.h_nh @ v_inv - target)
         assert res <= 1e-10
+
+    def test_nan_similarity_residual_is_refused(self):
+        # a * gamma = 1e310 overflows, and 0 * inf in V H V^-1 reads NaN
+        p = HatanoNelsonParams(n=3, omega=1.0, lam=0.3, gamma=1e10, a=1e300)
+        with np.errstate(all="ignore"), pytest.raises(
+                PhysicsError, match="^similarity check failed with residual nan"):
+            build_matrices(p)
 
     def test_spectrum_sits_below_loss_line(self):
         p = default_params(6)
