@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import (_GKSL_TOL, _norm, _real_abscissa, _van_loan_pair,
+from .linalg import (_GKSL_TOL, _real_abscissa, _unit_scale, _van_loan_pair,
                      as_square, hermitize, is_hermitian)
 
 __all__ = [
@@ -103,11 +103,15 @@ class AffineGenerator:
         """Admissibility: True iff m is Hermitian and ``O <= m <= -a - a†``,
         each least eigenvalue (of m and of ``-a - a† - m``) within
         ``linalg._GKSL_TOL (||a|| + ||m||)``, a bound that scales with the
-        pair.  Computed on first read, then cached."""
-        a, m = self.a, self.m
-        if not is_hermitian(m):
+        pair.  The test reads (a, m) times one power of two, their
+        ``linalg._unit_scale``, so ``-a - a† - m`` cannot overflow and each
+        scale 2^k of the pair that underflows no entry gets the same
+        answer.  Computed on first read, then cached."""
+        if not is_hermitian(self.m):
             return False
-        tol = _GKSL_TOL * float(_norm(a) + _norm(m))
+        s = _unit_scale(self.a, self.m)
+        a, m = self.a * s, self.m * s
+        tol = _GKSL_TOL * float(np.linalg.norm(a) + np.linalg.norm(m))
         lo = float(np.min(np.linalg.eigvalsh(hermitize(m)), initial=0.0))
         gap = -(a + a.conj().T) - m
         hi = float(np.min(np.linalg.eigvalsh(hermitize(gap)), initial=0.0))

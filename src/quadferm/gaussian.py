@@ -54,8 +54,10 @@ class GaussianState:
 
     def __post_init__(self):
         r = as_square(self.r, "correlation matrix")
+        if not is_hermitian(r):
+            raise ValidationError("correlation matrix must be Hermitian")
         h = hermitize(r)
-        (occ,) = _check_states(r[None], h[None])
+        (occ,) = _check_states(h[None])
         object.__setattr__(self, "r", h)
         object.__setattr__(self, "spectrum", occ)
 
@@ -127,25 +129,26 @@ def evolve_grid(params: AffineGenerator, state: GaussianState,
     no block exponential, so a decade or doubling grid builds fresh flows
     only below the gate.  Any other s builds a fresh :func:`flow`.  Since
     every flow is of exactly its step, the steps add up to each t_k as
-    they do with a fresh flow per step.  The states are checked once, as
-    one stack, by :func:`_check_states`.
+    they do with a fresh flow per step.  M is checked Hermitian once,
+    before any step; the states are then checked once, as one stack, by
+    :func:`_check_states`.
 
-    Raises ValidationError for a size mismatch or a negative step (a
-    negative or unsorted time), and PhysicsError if a spectrum escapes
-    [0, 1] beyond tolerance, which signals an inadmissible generator or
-    numerical failure.
+    Raises ValidationError for a size mismatch, a non-Hermitian M (whose
+    states would not be), or a negative step (a negative or unsorted
+    time), and PhysicsError if a spectrum escapes [0, 1] beyond
+    tolerance, which signals an inadmissible generator or numerical
+    failure.
     """
     if params.n != state.n:
         raise ValidationError(
             f"size mismatch: params {params.n}, state {state.n}"
         )
+    if not is_hermitian(params.m):
+        raise ValidationError("correlation matrix must be Hermitian: the "
+                              "noise M is not, so no evolved state is")
     times = [float(t) for t in times]
     hs = np.zeros((len(times), state.n, state.n), dtype=complex)
     tau, g = np.nan, None   # g = flow(params, tau), the last flow
-    # u r u† + m is Hermitian when m is; rounding can break that in a small
-    # r, so it is hermitized first, and the check may then read hs itself
-    hermitian = is_hermitian(params.m)
-    rs = hs if hermitian else np.zeros_like(hs)   # what the check reads
     r, prev = state.r, 0.0
     try:
         for k, t in enumerate(times):
@@ -154,23 +157,21 @@ def evolve_grid(params: AffineGenerator, state: GaussianState,
             if step != tau and step >= prev:
                 base, step = state.r, t
             if step != tau:
-                g, tau = _next_flow(params, g, tau, step, hermitian), step
-            r = act(g, base)
-            if not hermitian:
-                rs[k] = r
-            hs[k] = r = hermitize(r)   # this state's r
+                g, tau = _next_flow(params, g, tau, step), step
+            # u r u† + m is Hermitian; rounding can break that in a small r
+            hs[k] = r = hermitize(act(g, base))
             prev = t
     except Exception:
         # whatever a step raises, an earlier state's own error comes first;
         # rows not reached are zero, which pass
-        _check_states(rs[:k + 1], hs[:k + 1])
+        _check_states(hs[:k + 1])
         raise
     return [GaussianState._checked(*pair)
-            for pair in zip(hs, _check_states(rs, hs))]
+            for pair in zip(hs, _check_states(hs))]
 
 
 def _next_flow(params: AffineGenerator, g: AffineElement, tau: float,
-               s: float, hermitian: bool) -> AffineElement:
+               s: float) -> AffineElement:
     """``flow(params, s)`` given ``g = flow(params, tau)``: g to the j-th
     power where ``s = j tau`` exactly with j >= 2 and tau is past the
     growth gate, which reads the cached abscissa (tau > 0 has built it)
@@ -181,18 +182,16 @@ def _next_flow(params: AffineGenerator, g: AffineElement, tau: float,
         # Fraction compares the product exactly, not its rounding
         if 1.5 <= ratio < np.inf and round(ratio) * Fraction(tau) == s:
             return AffineElement(*_affine_power(g.u, g.m, round(ratio),
-                                                hermitian))
+                                                hermitian=True))
     return flow(params, s)
 
 
-def _check_states(rs: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """Check T correlation matrices, a (T, n, n) stack rs, as states: each
-    finite and Hermitian (:func:`~quadferm.linalg.is_hermitian`), and its
-    hermitized hs with spectrum in [0, 1] to ``_SPECTRUM_TOL``.  Returns
-    hs's (T, n) spectra from one batched ``eigvalsh``, ascending, or raises
-    the error of the first state that fails."""
-    ok = [np.isfinite(r).all() and is_hermitian(r) for r in rs] + [False]
-    k = ok.index(False)
+def _check_states(hs: np.ndarray) -> np.ndarray:
+    """Check T Hermitian correlation matrices, a (T, n, n) stack, as
+    states: each finite, with spectrum in [0, 1] to ``_SPECTRUM_TOL``.
+    Returns their (T, n) spectra from one batched ``eigvalsh``, ascending,
+    or raises the error of the first state that fails."""
+    k = [*np.isfinite(hs).all(axis=(1, 2)), False].index(False)
     occ = np.linalg.eigvalsh(hs[:k])
     escaped = (occ < -_SPECTRUM_TOL) | (occ > 1 + _SPECTRUM_TOL)
     if escaped.any():
@@ -200,9 +199,8 @@ def _check_states(rs: np.ndarray, hs: np.ndarray) -> np.ndarray:
         raise PhysicsError(
             f"correlation spectrum escapes [0, 1]: [{lo:.3e}, {hi:.6f}]"
         )
-    if k < len(rs):
-        as_square(rs[k], "correlation matrix")   # names non-finite entries
-        raise ValidationError("correlation matrix must be Hermitian")
+    if k < len(hs):
+        raise ValidationError("correlation matrix contains non-finite entries")
     return occ
 
 

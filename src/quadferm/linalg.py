@@ -20,9 +20,11 @@ reason where it stands: the dense oracle's input check of antisymmetry in
 ======================  ====================================================
 rule                    error model
 ======================  ====================================================
-normwise relative       ``||r|| <= tol ||x||`` with no floor, in Frobenius
-                        norms that do not overflow (:func:`_norm`): forming x
-                        errs by about u ||x||, in any units; so noise on
+normwise relative       ``_relative(r, x) <= tol``, that is ``||r|| <= tol
+                        ||x||`` in Frobenius norms with no floor, taken after
+                        one common power-of-two scaling so that they do not
+                        overflow (:func:`_relative`): forming x errs by
+                        about u ||x||, in any units; so noise on
                         the undamped modes of an admissible pair,
                         ``P0 M P0``, zero in exact arithmetic, is about
                         u ||M||
@@ -64,7 +66,7 @@ _GKSL_TOL = 1e-10           # normwise: affine.AffineGenerator.gksl
 _SIMILARITY_TOL = 1e-10     # normwise: skin.build_matrices
 _FLAT_SPLIT_TOL = 1e-9      # normwise: skin.featureless_choice
 _IDEMPOTENT_TOL = 1e-10     # normwise: opbasis.project_persistent
-_COMMUTE_TOL = 1e-6         # normwise: _noise_limit's P0, against ||A||_2
+_COMMUTE_TOL = 1e-6         # normwise: _noise_limit's P0 against A
 _FIXED_POINT_TOL = 1e-12    # componentwise: skin.build_bath
 _PROFILE_TOL = 1e-10        # componentwise: skin.steady_profile
 _SPECTRUM_TOL = 1e-10       # absolute: gaussian.GaussianState
@@ -96,21 +98,31 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def _norm(a: np.ndarray) -> float:
-    """Frobenius norm that does not overflow while the norm itself fits:
-    np.linalg.norm squares the entries, so past about 1e154 it reads inf,
-    and a normwise test ``||r|| <= tol ||x||`` would then always hold.  Only
-    then is ``a`` divided by its largest entry first; NaN stays NaN."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(a)
-        if math.isfinite(norm):
-            return norm
-        big = np.max(np.abs(a))
-        return big * np.linalg.norm(a / big)
+def _unit_scale(*arrays) -> float:
+    """The power of two ``2^-e`` that takes the largest entry of ``arrays``
+    into [0.5, 1) (into [1, 2) past 2^1023, and 2^1023 at most; 1 if all
+    are zero), NaN if an entry is not finite.  Multiplying by it is exact
+    wherever no entry underflows, and no Frobenius norm of the result
+    overflows."""
+    tops = [float(abs(x).max(initial=0.0)) for x in arrays]
+    return (math.ldexp(1.0, min(-math.frexp(max(tops))[1], 1023))
+            if all(map(math.isfinite, tops)) else math.nan)
+
+
+def _relative(r: np.ndarray, x: np.ndarray) -> float:
+    """``||r||_F / ||x||_F``, the normwise rule's one ratio: both divided
+    by one :func:`_unit_scale`, so no norm overflows or underflows
+    wholesale, and where neither would the ratio is bit for bit the
+    unscaled one.  0 for r = 0, +inf for r != 0 and x = 0, and NaN where
+    an entry is NaN or infinite, so ``_relative(r, x) <= tol`` refuses
+    it."""
+    s = _unit_scale(r, x)
+    num, den = np.linalg.norm(r * s), np.linalg.norm(x * s)
+    return float(num / den) if den else (0.0 if num == 0 else math.inf)
 
 
 def is_hermitian(a: np.ndarray) -> bool:
-    return bool(_norm(a - a.conj().T) <= _HERMITIAN_TOL * _norm(a))
+    return bool(_relative(a - a.conj().T, a) <= _HERMITIAN_TOL)
 
 
 def mat_exp(a) -> np.ndarray:
@@ -251,7 +263,7 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
     must pass ``||P0 M P0|| <= 1e-10 ||M||``: an admissible pair has ``P0 M
     P0 = 0`` up to roundoff, so this holds or fails alike at every scale
     (a slowly damped mode in the band that receives noise); and P0 must
-    commute with A, ``||A P0 - P0 A|| <= 1e-6 ||A||_2``.  PhysicsError
+    commute with A, ``||A P0 - P0 A|| <= 1e-6 ||A||``.  PhysicsError
     names each undamped ``lambda_i`` of a pair not ``admissible``.
     """
     n = a.shape[0]
@@ -259,8 +271,7 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
     with np.errstate(all="ignore"):  # a frame that overflows is not used
         a_scaled = a / d[:, None] * d
         m_scaled = m / d[:, None] / d
-    if not (np.isfinite(a_scaled).all() and np.isfinite(m_scaled).all()
-            and _norm(a_scaled) / 2 <= _norm(a)):
+    if not (np.isfinite(m_scaled).all() and _relative(a_scaled, a) <= 2):
         # an inflating frame's error grows as the square of the inflation
         d, a_scaled, m_scaled = np.ones_like(d), a, m
     r, q, j = _ordered_schur(a_scaled)
@@ -275,18 +286,19 @@ def _noise_limit(a: np.ndarray, m: np.ndarray, admissible: bool
     w = np.linalg.qr(q[:, j:] / d[:, None])[0]
     p0 = hermitize(w @ w.conj().T)
     if j < n:
-        noise = _norm(p0 @ m @ p0)
-        if noise > _RESIDUAL_TOL * _norm(m):
+        noise = _relative(p0 @ m @ p0, m)
+        if not noise <= _RESIDUAL_TOL:
             raise PhysicsError(
                 f"noise on the undamped modes ||P0 M P0|| = {noise:.3e} "
-                f"exceeds {_RESIDUAL_TOL:g} ||M||; noise reaches the "
+                f"||M|| exceeds {_RESIDUAL_TOL:g} ||M||; noise reaches the "
                 f"undamped modes [{named}]"
             )
-        comm = _norm(a @ p0 - p0 @ a)
-        if comm > _COMMUTE_TOL * np.linalg.norm(a, 2):
+        comm = _relative(a @ p0 - p0 @ a, a)
+        if not comm <= _COMMUTE_TOL:
             raise PhysicsError(
                 f"persistent projector fails to commute with the drift "
-                f"(residual {comm:.3e}); spectrum too close to the band edge"
+                f"(residual {comm:.3e} ||A||); spectrum too close to the "
+                "band edge"
             )
     t_mat = np.zeros((n, n), dtype=complex)
     if j:

@@ -33,7 +33,7 @@ from .errors import ValidationError
 from .fock import (_apply, _check_modes, _rank_one_terms, density_modes,
                    smeared_annihilation, smeared_creation, unvec,
                    vacuum_projector, vec)
-from .linalg import _IDEMPOTENT_TOL, as_square, is_hermitian
+from .linalg import _IDEMPOTENT_TOL, _relative, as_square, is_hermitian
 
 __all__ = [
     "phi_element",
@@ -209,8 +209,8 @@ def project_persistent(rho: np.ndarray, p0: np.ndarray) -> np.ndarray:
     square Hermitian idempotent, ``||p0 p0 - p0|| <= _IDEMPOTENT_TOL ||p0||``.
     """
     p0 = as_square(p0, "persistent projector")
-    if not is_hermitian(p0) or np.linalg.norm(p0 @ p0 - p0) \
-            > _IDEMPOTENT_TOL * np.linalg.norm(p0):
+    if not (is_hermitian(p0)
+            and _relative(p0 @ p0 - p0, p0) <= _IDEMPOTENT_TOL):
         raise ValidationError(
             "persistent projector must be Hermitian and idempotent")
     occ, vecs_p = np.linalg.eigh(p0)

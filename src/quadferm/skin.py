@@ -26,7 +26,7 @@ from .affine import AffineGenerator
 from .errors import PhysicsError, ValidationError
 from .gaussian import steady_state
 from .linalg import (_FIXED_POINT_TOL, _FLAT_SPLIT_TOL, _PROFILE_TOL,
-                     _SIMILARITY_TOL, _backward_error, _norm, hermitize,
+                     _SIMILARITY_TOL, _backward_error, _relative, hermitize,
                      lyapunov_solve)
 
 __all__ = [
@@ -49,8 +49,8 @@ class HatanoNelsonParams:
     the steady-state amplitude x.
 
     Validity requires finite parameters with omega > 0, gamma > lam > 0,
-    gamma^2 finite, and a > 2 (which makes the bath construction positive
-    definite), and
+    gamma^2 finite, a > 2 (which makes the bath construction positive
+    definite) with the loss rate 2 a gamma finite, and
     ``0 < x < kappa^(2n-2) / 2`` so every steady occupation stays below 1/2.
     ``x`` defaults to the midpoint-safe ``kappa^(2n-2) / 4``.
     """
@@ -85,6 +85,10 @@ class HatanoNelsonParams:
                 f"got {self.gamma}")
         if not self.a > 2:
             raise ValidationError(f"loss parameter a must exceed 2, got {self.a}")
+        if not math.isfinite(2 * self.a * self.gamma):
+            raise ValidationError(
+                f"loss rate 2 a gamma overflows: a={self.a}, "
+                f"gamma={self.gamma}")
         cap = self.kappa ** (2 * self.n - 2) / 2
         if cap / 2 == 0:
             raise ValidationError(
@@ -149,10 +153,10 @@ def build_matrices(p: HatanoNelsonParams) -> SkinMatrices:
     v_inv = np.diag(p.kappa ** -np.arange(n))
     target = (p.omega - 1j * p.a * p.gamma) * np.eye(n) \
         - 1j * np.sqrt(p.gamma ** 2 - p.lam ** 2) * g
-    residual = _norm(v_kappa @ h_nh @ v_inv - target)
-    if not residual <= _SIMILARITY_TOL * _norm(h_nh):
+    residual = _relative(v_kappa @ h_nh @ v_inv - target, h_nh)
+    if not residual <= _SIMILARITY_TOL:
         raise PhysicsError(
-            f"similarity check failed with residual {residual:.3e}; "
+            f"similarity check failed with residual {residual:.3e} ||H_nh||; "
             "chain parameters are numerically degenerate"
         )
     return SkinMatrices(h_nh=h_nh, f=f, g=g, v_kappa=v_kappa)
@@ -240,7 +244,7 @@ def featureless_choice(p: HatanoNelsonParams, delta: float) -> np.ndarray:
     a_mat = -1j * h - d_mat - e_mat
     x_out = lyapunov_solve(a_mat, 2 * e_mat)
     target = delta / (1 + delta) * np.eye(n)
-    err = np.linalg.norm(x_out - target) / np.linalg.norm(target)
+    err = _relative(x_out - target, target)
     if not err <= _FLAT_SPLIT_TOL:
         raise PhysicsError("flat-split steady state deviates from "
                            f"delta/(1+delta) I by {err:.3e} relative")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,13 @@ class TestAdmissibility:
         # pass e^{1e200 t}
         assert not AffineGenerator(np.diag([1e200, -1.0]),
                                    np.zeros((2, 2))).gksl
+
+    def test_pair_at_the_top_of_the_range_is_admissible(self):
+        # -A - A† reads 2e308 unscaled, which overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert AffineGenerator(np.diag([-1e308, -1.0]),
+                                   np.diag([1e-300, 1.0])).gksl
 
 
 class TestAction:

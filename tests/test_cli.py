@@ -412,22 +412,22 @@ class TestCommands:
 
     def test_steady_whose_noise_frame_overflows_exits_2_without_traceback(
             self, tmp_path, capsys):
-        # D⁻¹ A D overflows at A_00 / d_0, and the unit frame sees -1 in
-        # the band of -1e308
+        # an admissible pair whose mode at -1 lies in the band of -1e308
+        # and receives noise; gksl reads the pair scaled by 2^-1023, so
+        # -A - A† does not overflow
         cfg = tmp_path / "job.ini"
         cfg.write_text(_explicit_ini(np.diag([-1e308, -1.0]).astype(complex),
                                      np.diag([1e-300, 1.0]).astype(complex)),
                        encoding="utf-8")
         out = tmp_path / "steady.csv"
         with warnings.catch_warnings():
-            # gksl's -A - A† overflows at -1e308 and warns; not a traceback
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             assert main(["steady", "--config", str(cfg),
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith(
-            "quadferm: physics error: no unique steady state: ")
+            "quadferm: physics error: noise on the undamped modes ")
         assert not out.exists()
 
     def test_steady_on_a_growing_drift_exits_2(self, tmp_path, capsys):

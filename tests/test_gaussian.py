@@ -396,6 +396,13 @@ class TestEvolveGrid:
                            match="correlation matrix must be Hermitian"):
             evolve_grid(params, GaussianState.vacuum(2), [0.5, 1.0])
 
+    def test_non_hermitian_noise_rejected_before_any_step(self):
+        # at t = 0 every state is the initial one, which is Hermitian
+        params = AffineGenerator(-np.eye(2), [[0.2, 0.1], [0.0, 0.2]])
+        with pytest.raises(ValidationError,
+                           match="correlation matrix must be Hermitian"):
+            evolve_grid(params, GaussianState.vacuum(2), [0.0])
+
     def test_unitary_stepping_error_matches_per_time_error(self, rng):
         # closed system: r(t) = V e^{-i L t} V† r V e^{i L t} V†
         n = 32

@@ -9,7 +9,8 @@ from scipy.linalg import expm
 from quadferm.errors import PhysicsError, ValidationError
 from quadferm.affine import AffineGenerator, flow
 from quadferm.gaussian import GaussianState, asymptotic_decomposition
-from quadferm.linalg import hermitize, is_hermitian, lyapunov_solve, mat_exp
+from quadferm.linalg import (_relative, hermitize, is_hermitian,
+                             lyapunov_solve, mat_exp)
 from quadferm.skin import HatanoNelsonParams, build_bath
 from quadferm.verify import (random_complex_matrix, random_gksl_params,
                              random_psd)
@@ -30,6 +31,41 @@ class TestIsHermitian:
         # squaring entries of 1e200 overflows a plain Frobenius norm
         assert not is_hermitian(np.array([[1e200, 1e200j], [0.0, 1.0]]))
         assert is_hermitian(1e200 * np.array([[1.0, 1j], [-1j, 2.0]]))
+
+    def test_matrix_whose_norm_overflows_is_not_hermitian(self):
+        # its Frobenius norm, about 2.4e308, exceeds the largest double
+        assert not is_hermitian(np.array([[1.5e308, 1e308], [0.0, 1.5e308]]))
+        assert is_hermitian(np.array([[1.5e308, 1e308], [1e308, 1.5e308]]))
+
+
+class TestRelative:
+    def test_zero_residual_reads_zero(self):
+        assert _relative(np.zeros((2, 2)), np.eye(2)) == 0.0
+        assert _relative(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+
+    def test_nonzero_residual_against_zero_reads_inf(self):
+        assert _relative(1e-300 * np.eye(2), np.zeros((2, 2))) == np.inf
+
+    def test_nan_stays_nan(self):
+        r = np.array([[np.nan, 0.0], [0.0, 0.0]])
+        assert np.isnan(_relative(r, np.eye(2)))
+        assert np.isnan(_relative(np.zeros((2, 2)), r))
+
+    @pytest.mark.parametrize("where", ["r", "x"])
+    def test_an_inf_entry_is_refused(self, where):
+        big = np.array([[np.inf, 0.0], [0.0, 1.0]])
+        r, x = (big, np.eye(2)) if where == "r" else (np.eye(2), big)
+        assert not _relative(r, x) <= 1.0
+
+    def test_matches_the_plain_ratio_bit_for_bit(self, rng):
+        r, x = random_complex_matrix(rng, 4), random_complex_matrix(rng, 4)
+        assert _relative(r, x) == np.linalg.norm(r) / np.linalg.norm(x)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_ratio_survives_where_plain_norms_do_not(self, scale):
+        # squared entries underflow at 1e-300 and overflow at 1e300
+        r = scale * np.array([[0.0, 3.0], [4.0, 0.0]])
+        assert _relative(r, 2 * r) == 0.5
 
 
 class TestMatExp:

@@ -18,7 +18,8 @@ from quadferm.errors import PhysicsError, ValidationError
 from quadferm.gaussian import (GaussianState, _check_states, _entropies,
                                asymptotic_decomposition, evolve_grid,
                                steady_state)
-from quadferm.linalg import hermitize, lyapunov_solve
+from quadferm.linalg import (_relative, hermitize, is_hermitian,
+                             lyapunov_solve)
 from quadferm.skin import HatanoNelsonParams, build_bath
 from quadferm.verify import (random_complex_matrix, random_correlation_matrix,
                              random_gksl_params)
@@ -169,6 +170,45 @@ def test_decisions_and_results_are_scale_free(seed, n, k, margin, skew, t):
                                  GaussianState.vacuum(2))
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=1, max_value=4),
+       k=st.integers(min_value=-1100, max_value=1100),
+       margin=st.sampled_from([-1e-3, -1e-8, 0.0, 1e-8, 1e-3]),
+       skew=st.sampled_from([0.0, 1e-9, 1e-3]))
+@example(seed=0, n=2, k=-1100, margin=0.0, skew=1e-9)  # the bottom
+@example(seed=0, n=2, k=1100, margin=0.0, skew=1e-3)  # the top
+def test_normwise_decisions_are_scale_free_over_the_exponent_range(
+        seed, n, k, margin, skew):
+    # The normwise checks read their operands through one power of two, so
+    # at every 2^k that keeps the operands' nonzero entries normal and
+    # finite (k is clamped to that range) is_hermitian and gksl decide as
+    # at k = 0, and _relative returns the same bits.
+    rng = np.random.default_rng(seed)
+    base = random_gksl_params(rng, n, min_damping=0.2)
+    a = base.a
+    shift = margin * (np.linalg.norm(a) + np.linalg.norm(base.m)) \
+        - np.linalg.eigvalsh(base.m)[0]
+    m = base.m + shift * np.eye(n)
+    noise = random_complex_matrix(rng, n)
+    noise = noise - noise.conj().T  # anti-Hermitian: all of it is skew
+    x = random_correlation_matrix(rng, n, lo=0.0, hi=1.0)
+    r = x + skew * np.linalg.norm(x) / np.linalg.norm(noise) * noise
+
+    mags = np.abs(np.concatenate([y.ravel() for y in (a, m, noise, x, r)]))
+    mags = mags[mags > 0]
+    k = min(max(k, -1021 - math.frexp(mags.min())[1]),
+            1024 - math.frexp(mags.max())[1])
+
+    def scaled(y):
+        # two exact steps: 2^k alone over- or underflows near the ends
+        return y * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
+
+    assert (AffineGenerator(scaled(a), scaled(m)).gksl
+            == AffineGenerator(a, m).gksl == (margin >= 0))
+    assert is_hermitian(scaled(r)) == is_hermitian(r) == (skew == 0)
+    assert _relative(scaled(noise), scaled(x)) == _relative(noise, x)
+
+
 def _bits(pattern: int) -> float:
     return float(np.uint64(pattern).view(np.float64))
 
@@ -260,14 +300,12 @@ def test_entropy_kernel_matches_the_loop_bit_for_bit(spectra):
        count=st.integers(min_value=0, max_value=5))
 def test_stacked_check_matches_one_eigvalsh_per_state(seed, n, count):
     rng = np.random.default_rng(seed)
-    rs = np.zeros((count, n, n), dtype=complex)
-    hs = np.zeros_like(rs)
-    for r, h in zip(rs, hs):
-        # Hermitian to the check's tolerance only
-        r[...] = random_correlation_matrix(rng, n) \
-            + 1e-15 * random_complex_matrix(rng, n)
-        h[...] = hermitize(r)
-    spectra = _check_states(rs, hs)
+    hs = np.zeros((count, n, n), dtype=complex)
+    for h in hs:
+        # hermitized from a state Hermitian to the check's tolerance only
+        h[...] = hermitize(random_correlation_matrix(rng, n)
+                           + 1e-15 * random_complex_matrix(rng, n))
+    spectra = _check_states(hs)
     assert spectra.shape == (count, n)
     for h, spectrum in zip(hs, spectra):
         assert spectrum.tobytes() == np.linalg.eigvalsh(h).tobytes()

@@ -68,6 +68,12 @@ class TestParams:
         with pytest.raises(ValidationError, match="^gamma\\^2 overflows"):
             HatanoNelsonParams(n=3, omega=1.0, lam=0.3, gamma=1e200, a=2.5)
 
+    def test_overflowing_loss_rate_is_named(self):
+        with pytest.raises(ValidationError,
+                           match="^loss rate 2 a gamma overflows: "
+                                 "a=1e\\+300, gamma=10000000000.0$"):
+            HatanoNelsonParams(n=3, omega=1.0, lam=0.3, gamma=1e10, a=1e300)
+
 
 class TestBuildMatrices:
     def test_scaling_matrix(self):
@@ -95,8 +101,12 @@ class TestBuildMatrices:
         assert res <= 1e-10
 
     def test_nan_similarity_residual_is_refused(self):
-        # a * gamma = 1e310 overflows, and 0 * inf in V H V^-1 reads NaN
-        p = HatanoNelsonParams(n=3, omega=1.0, lam=0.3, gamma=1e10, a=1e300)
+        # a * gamma = 1e310 overflows, and 0 * inf in V H V^-1 reads NaN;
+        # HatanoNelsonParams refuses that loss rate, so these params are
+        # built without its check
+        p = object.__new__(HatanoNelsonParams)
+        p.__dict__.update(n=3, omega=1.0, lam=0.3, gamma=1e10, a=1e300,
+                          x=None)
         with np.errstate(all="ignore"), pytest.raises(
                 PhysicsError, match="^similarity check failed with residual nan"):
             build_matrices(p)
