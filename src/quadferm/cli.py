@@ -13,15 +13,22 @@ admissible generator add `# persistent_modes=k` and `# frequency<j>=ω_j`.
 Output starts with `# key=value` provenance lines followed by a header row
 and data rows; every numeric cell uses 17 significant digits so doubles
 round-trip exactly and repeated runs are byte-identical.  A job prints each
-distinct magnitude once and reuses its text, with a "-" where the sign bit
-is set, for every cell that holds it: "%.17g" is a function of the bits, so
-the bytes are those of one conversion per cell.
+distinct magnitude once and reuses its text, with a "-" where the cell's
+own sign bit is set: "%.17g" is a function of the bits, so the bytes are
+those of one conversion per cell.  In an `evolve` or `steady` table a cell
+below R's diagonal takes its magnitude from its mirror above it, and an
+occupation from R's diagonal (`_state_source`), so only the other cells
+are sorted; a guard compares every such cell's magnitude with its
+source's and, if one differs, dedupes every cell instead.
 
 Each command is a function of the job that returns its table (comments,
-header, rows) and exit status; `main` looks it up in `_COMMANDS`, writes
-the table (to ``--out``, the job's ``[output] path``, or stdout) and maps
-errors to exit codes: 0 success, 1 validation error, 2 physics/convergence
-error, 3 verification failure.
+header, rows) and exit status; `main` looks it up in `_COMMANDS`, renders
+the table and streams its lines, each joined as it is written (to
+``--out``, the job's ``[output] path``, or stdout), so the whole text is
+never held, and maps errors to exit codes: 0 success, 1 validation error,
+2 physics/convergence error, 3 verification failure.  A failed write, to
+a file or to stdout, is a validation error; after one to stdout its
+descriptor goes to the null device, so the flush at exit cannot fail too.
 """
 
 from __future__ import annotations
@@ -29,8 +36,11 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import itertools
 import os
 import sys
+from collections.abc import Iterable, Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,59 +74,95 @@ def _csv_field(text: str) -> str:
 
 #: Every bit of a float64 but its sign
 _MAGNITUDE = np.uint64(0x7FFF_FFFF_FFFF_FFFF)
+#: The bits of +inf, the largest magnitude that is not a NaN
+_INFINITY = np.uint64(0x7FF0_0000_0000_0000)
 
 
-def _format_numbers(x: np.ndarray) -> np.ndarray:
-    """``"%.17g" % v`` for every v in float64 x, as an object array of x's
-    shape: one conversion per distinct magnitude (the bits with the sign
-    cleared), one string per distinct bit pattern, which is its
-    magnitude's text with ``"-"`` before it where the sign bit is set,
-    gathered back by the inverse index. Every NaN prints ``nan``, as
-    "%.17g" prints it whatever its sign and payload."""
-    keys, inverse = np.unique(x.view(np.uint64).ravel(), return_inverse=True)
-    mags, of_key = np.unique(keys & _MAGNITUDE, return_inverse=True)
-    text = np.array(("\n".join(["%.17g"] * len(mags))
-                     % tuple(mags.view(np.float64).tolist())).split("\n"),
-                    dtype=object)[of_key]
-    negative = (keys > _MAGNITUDE) & ~np.isnan(keys.view(np.float64))
-    text[negative] = "-" + text[negative]
-    return text[inverse].reshape(x.shape)
+def _format_numbers(x: np.ndarray,
+                    source: np.ndarray | None = None) -> Iterator[list[str]]:
+    """``"%.17g" % v`` for every v in the 2-D float64 x, one list per row,
+    from one ``np.unique`` over the magnitudes (the bits with the sign
+    cleared) of the columns that are their own ``source``.
+
+    ``source[j]`` is the column whose magnitude column j repeats in every
+    row (`_state_source`); None, or a map some cell disagrees with, makes
+    every column its own. Each magnitude is converted once, on the call;
+    each row's cells are gathered as it is read, and each takes its
+    magnitude's text with ``"-"`` before it where its own sign bit is set.
+    Every NaN prints ``nan``, as "%.17g" prints it whatever its sign and
+    payload."""
+    bits = x.view(np.uint64)
+    columns = np.arange(x.shape[1])
+    if source is None:
+        source = columns
+    mapped = np.flatnonzero(source != columns)
+    # the guard, in place on a gathered copy of the sources
+    diff = bits[:, source[mapped]]
+    diff ^= bits[:, mapped]
+    diff &= _MAGNITUDE
+    if diff.any():
+        source = columns
+    own = np.flatnonzero(source == columns)
+    mags = bits[:, own]
+    mags &= _MAGNITUDE
+    uniq, inverse = np.unique(mags.ravel(), return_inverse=True)
+    text = ("\n".join(["%.17g"] * len(uniq))
+            % tuple(uniq.view(np.float64).tolist())).split("\n")
+    # the NaNs sort last, and print no sign
+    signed = int(np.searchsorted(uniq, _INFINITY, side="right"))
+    text = np.array(text + ["-" + t for t in text[:signed]] + text[signed:],
+                    dtype=object)
+    position = np.searchsorted(own, source)
+    return (text[of_own[position] + (row >> 63).view(np.int64) * len(uniq)]
+            .tolist()
+            for of_own, row in zip(inverse.reshape(len(x), len(own)), bits))
+
+
+class _StateHeader(NamedTuple):
+    """An ``evolve`` or ``steady`` table's rendered header row and its
+    `_state_source` map."""
+
+    line: str
+    source: np.ndarray
 
 
 def _render(comments: list[tuple[str, object]],
-            header: tuple[str, ...] | str, rows) -> str:
-    """Provenance lines, header (its names, or the row `_state_header`
-    rendered) and rows (a list, or a 2-D float64 array used without a
-    copy) as CSV text.
+            header: tuple[str, ...] | _StateHeader, rows) -> Iterator[str]:
+    """Provenance lines, header (its names, or a `_StateHeader`) and rows
+    (a list, or a 2-D float64 array used without a copy) as CSV lines, each
+    ending in "\n". Every distinct magnitude is converted on the call; a
+    row of an array is gathered and joined only as its line is read, so
+    neither the whole text nor a table of every cell's text is ever held.
 
-    An array goes to `_format_numbers` as it is. Every list row has the
-    first row's layout of string and numeric cells, and the numeric cells
-    of all rows go into one float64 array. `_format_numbers` prints each
-    distinct magnitude in it once with "%.17g", which gives the bytes of
-    ``format(float(x), ".17g")``. The text depends on the bits alone, so
-    sharing it between equal magnitudes changes no byte; keying on bits,
-    not on float equality, keeps 0.0 and -0.0 apart by the sign. An
-    `evolve` job repeats most of its magnitudes (the parts below R's
-    diagonal, which is Hermitian, and a relaxed state), so it prints a
-    fraction of its cells.
+    An array goes to `_format_numbers` as it is, with the header's source
+    map if it has one. Every list row has the first row's layout of string
+    and numeric cells, and the numeric cells of all rows go into one
+    float64 array. `_format_numbers` prints each distinct magnitude in it
+    once with "%.17g", which gives the bytes of ``format(float(x),
+    ".17g")``. The text depends on the bits alone, so sharing it between
+    equal magnitudes changes no byte; keying on bits, not on float
+    equality, keeps 0.0 and -0.0 apart by the sign.
     """
-    lines = [f"# {key}={value}" for key, value in comments]
-    lines.append(header if isinstance(header, str) else _header_line(header))
-    table = []
+    lines = [f"# {key}={value}\n" for key, value in comments]
+    source = None
+    if isinstance(header, _StateHeader):
+        line, source = header
+    else:
+        line = _header_line(header)
+    lines.append(line + "\n")
+    cells = ()
     if isinstance(rows, np.ndarray):
-        table = _format_numbers(rows).tolist()
+        cells = _format_numbers(rows, source)
     elif rows:
         text = [j for j, cell in enumerate(rows[0]) if isinstance(cell, str)]
         num = [j for j in range(len(rows[0])) if j not in text]
-        cells = np.empty((len(rows), len(rows[0])), dtype=object)
-        cells[:, num] = _format_numbers(np.array(
-            [[row[j] for j in num] for row in rows], dtype=float))
+        table = np.empty((len(rows), len(rows[0])), dtype=object)
+        table[:, num] = list(_format_numbers(np.array(
+            [[row[j] for j in num] for row in rows], dtype=float)))
         for j in text:
-            cells[:, j] = [_csv_field(row[j]) for row in rows]
-        table = cells.tolist()
-    lines += map(_line, table)
-    lines.append("")
-    return "\n".join(lines)
+            table[:, j] = [_csv_field(row[j]) for row in rows]
+        cells = table.tolist()
+    return itertools.chain(lines, (_line(row) + "\n" for row in cells))
 
 
 def _line(cells: list[str]) -> str:
@@ -129,8 +175,9 @@ def _header_line(names) -> str:
     return _line(list(map(_csv_field, names)))
 
 
-def _unwritable(path: str, exc: OSError) -> ValidationError:
-    return ValidationError(f"cannot write output {path!r}: {exc}")
+def _unwritable(path: str | None, exc: OSError) -> ValidationError:
+    where = "stdout" if path is None else repr(path)
+    return ValidationError(f"cannot write output {where}: {exc}")
 
 
 def _check_output(path: str | None) -> None:
@@ -151,28 +198,65 @@ def _check_output(path: str | None) -> None:
     raise _unwritable(path, OSError(code, os.strerror(code), path))
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _emit(lines: Iterable[str], path: str | None) -> None:
+    """Write the lines to ``path``, opened only now, or to stdout."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        if path is None:
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(lines)
     except OSError as exc:
+        if path is None:
+            _discard_stdout()
         raise _unwritable(path, exc) from exc
 
 
+def _discard_stdout() -> None:
+    """Point stdout's descriptor, if it has one, at the null device, so the
+    bytes its buffer still holds after a failed write are dropped when the
+    interpreter flushes it at exit instead of failing again (a second
+    error message and exit status 120)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 @functools.cache
-def _state_header(command: str, n: int) -> str:
-    """The rendered header row of an ``evolve`` or ``steady`` table at n
-    modes (3,241 names at n = 40), built once per (command, n): the lead,
-    R's cells as `_state_table` orders them, the occupations, the
-    entropy."""
+def _state_header(command: str, n: int) -> _StateHeader:
+    """The header of an ``evolve`` or ``steady`` table at n modes (3,241
+    names at n = 40), built once per (command, n): the lead, R's cells as
+    `_state_table` orders them, the occupations, the entropy."""
     lead, prefix = (("t",), "r") if command == "evolve" else ((), "minf")
     cells = (f"{prefix}{j}{k}_{part}" for j in range(1, n + 1)
              for k in range(1, n + 1) for part in ("re", "im"))
-    return _header_line(
-        (*lead, *cells, *(f"occ{j}" for j in range(1, n + 1)), "entropy"))
+    return _StateHeader(_header_line(
+        (*lead, *cells, *(f"occ{j}" for j in range(1, n + 1)), "entropy")),
+        _state_source(n, len(lead)))
+
+
+@functools.cache
+def _state_source(n: int, lead: int) -> np.ndarray:
+    """For each column of a `_state_table` with ``lead`` leading columns at
+    n modes, the column whose magnitude it repeats: R's (k, j) cell below
+    the diagonal that of (j, k), part by part, and ``occ_j`` R's real
+    (j, j) part; every other column itself. An r from `hermitize`,
+    ``(a + a†)/2``, has these: r_kj's real part is r_jk's with the two
+    terms added in the other order, its imaginary part r_jk's negated
+    (or both +0.0)."""
+    cells = np.arange(2 * n * n).reshape(n, n, 2)
+    below = np.tri(n, k=-1, dtype=bool)[:, :, None]
+    cells = np.where(below, cells.transpose(1, 0, 2), cells).ravel()
+    source = np.concatenate((np.arange(lead), lead + cells,
+                             lead + 2 * (n + 1) * np.arange(n),
+                             [lead + 2 * n * n + n]))
+    source.flags.writeable = False
+    return source
 
 
 def _matrix_cells(mat: np.ndarray) -> np.ndarray:

@@ -72,13 +72,20 @@ class JobConfig:
 
 
 def _floats(text: str, where: str) -> list[float]:
-    out = []
-    for token in text.replace(",", " ").split():
-        try:
-            out.append(float(token))
-        except ValueError:
-            raise ValidationError(f"{where}: cannot parse {token!r} as a number")
-    return out
+    tokens = text.replace(",", " ").split()
+    try:
+        return list(map(float, tokens))
+    except ValueError:
+        bad = next(t for t in tokens if not _parses(t))
+    raise ValidationError(f"{where}: cannot parse {bad!r} as a number")
+
+
+def _parses(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _complex_values(text: str, where: str) -> np.ndarray:

@@ -1,6 +1,9 @@
 import csv
 import dataclasses
+import errno
 import inspect
+import io
+import os
 import re
 import subprocess
 import sys
@@ -13,6 +16,7 @@ from quadferm import cli, fock, verify
 from quadferm.cli import main
 from quadferm.config import parse_config_text
 from quadferm.errors import ValidationError
+from quadferm.gaussian import GaussianState, evolve_grid
 from quadferm.skin import HatanoNelsonParams
 
 from conftest import csv_writer_render as _csv_writer_render
@@ -108,6 +112,16 @@ class TestConfigParsing:
         with pytest.raises(ValidationError,
                            match=r"\[model\.m\] row1: cannot parse '0\.0x'"):
             parse_config_text(bad)
+
+    def test_first_bad_token_of_a_row_is_named_exactly(self):
+        bad = EXPLICIT.replace("row1 = 0.4 0.0   0.0 0.0",
+                               "row1 = 0.4 0.0   1e 0.0  x 0.0")
+        with pytest.raises(ValidationError) as info:
+            parse_config_text(bad)
+        assert str(info.value) == "[model.m] row1: cannot parse '1e' as a number"
+        with pytest.raises(ValidationError) as info:
+            parse_config_text(EXPLICIT + "\n[times]\nvalues = 0, 0.5,, 1.o 2\n")
+        assert str(info.value) == "[times] values: cannot parse '1.o' as a number"
 
     def test_unsorted_times_rejected(self):
         with pytest.raises(ValidationError, match="ascending"):
@@ -831,7 +845,7 @@ class TestRenderer:
             ["7", 3, np.float64(0.1), ""],
             ["", np.int64(-12), True, "tail,"],
         ]
-        assert cli._render(comments, header, rows) \
+        assert "".join(cli._render(comments, header, rows)) \
             == _csv_writer_render(comments, header, rows)
 
     def test_all_numeric_rows(self, rng):
@@ -840,7 +854,7 @@ class TestRenderer:
                 np.concatenate(([1.5], cli._matrix_cells(-mat)))]
         assert cli._matrix_cells(mat).tolist() == _per_entry_cells(mat)
         header = ["t"] + [f"c{j}" for j in range(18)]
-        assert cli._render([], header, rows) \
+        assert "".join(cli._render([], header, rows)) \
             == _csv_writer_render([], header, rows)
 
     @pytest.mark.parametrize("argv, body", [
@@ -881,3 +895,118 @@ class TestRenderer:
         monkeypatch.setattr(cli, "_matrix_cells", _per_entry_cells)
         assert main(argv + ["--out", str(old)]) == 0
         assert new.read_bytes() == old.read_bytes()
+
+
+def _evolved_table(n: int, count: int = 4) -> np.ndarray:
+    """The float64 table `evolve` renders for a random admissible pair at
+    n modes over ``count`` times from a random state."""
+    rng = np.random.default_rng(n)
+    params = verify.random_gksl_params(rng, n)
+    state = GaussianState(verify.random_correlation_matrix(rng, n))
+    times = [0.5 * k for k in range(count)]
+    return cli._state_table(evolve_grid(params, state, times), times)
+
+
+def _cell(n: int, j: int, k: int, part: int) -> int:
+    """The column of R's (j, k) cell, part 0 (re) or 1 (im), in an
+    `evolve` table at n modes."""
+    return 1 + 2 * (j * n + k) + part
+
+
+class TestStateRenderer:
+    """An `evolve` table rendered with `_state_source` against the
+    reference renderer, on tables whose mirror cells do and do not repeat
+    their sources' magnitudes."""
+
+    def _check(self, table, n):
+        comments = [("command", "evolve"), ("n", n)]
+        assert "".join(cli._render(comments, cli._state_header("evolve", n),
+                                   table)) \
+            == _csv_writer_render(comments, _state_names("evolve", n), table)
+
+    def test_source_map_names_each_mirror(self):
+        n = 3
+        source = cli._state_source(n, 1)
+        assert len(source) == len(_state_names("evolve", n))
+        assert source[_cell(n, 2, 0, 1)] == _cell(n, 0, 2, 1)
+        assert source[_cell(n, 0, 2, 0)] == _cell(n, 0, 2, 0)
+        assert source[1 + 2 * n * n + 1] == _cell(n, 1, 1, 0)   # occ2
+        assert source[0] == 0 and source[-1] == len(source) - 1
+        assert len(set(source.tolist())) == 1 + n * (n + 1) + 1
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_evolved_table(self, n):
+        table = _evolved_table(n)
+        # the second row holds R's conjugate, also a state, so that upper
+        # and lower imaginary parts are each negative in some row
+        table[1, 2:1 + 2 * n * n:2] *= -1
+        if n > 1:  # Hermitian: a mirror's imaginary part has the other sign
+            assert (np.signbit(table[:, _cell(n, 1, 0, 1)])
+                    != np.signbit(table[:, _cell(n, 0, 1, 1)])).all()
+            assert len(set(np.signbit(table[:, _cell(n, 1, 0, 1)]))) == 2
+        self._check(table, n)
+
+    def test_table_with_no_rows(self):
+        self._check(_evolved_table(3)[:0], 3)
+
+    def test_lower_cell_one_ulp_off_its_mirror(self):
+        table = _evolved_table(3)
+        cell = _cell(3, 2, 1, 0)
+        table[2, cell] = np.nextafter(table[2, cell], np.inf)
+        self._check(table, 3)
+
+    def test_signed_zero_mirror_pairs(self):
+        table = _evolved_table(3)
+        table[:, _cell(3, 0, 1, 1)] = 0.0
+        table[:, _cell(3, 1, 0, 1)] = -0.0
+        table[1, _cell(3, 0, 2, 0)] = -0.0
+        table[1, _cell(3, 2, 0, 0)] = 0.0
+        table[0, 0] = -0.0
+        self._check(table, 3)
+
+    @pytest.mark.parametrize("payloads", [(1, 1), (1, 2)])
+    def test_nan_mirror_pairs(self, payloads):
+        # equal payloads repeat their source's magnitude, whatever the
+        # signs; unequal ones do not, and every cell is deduped
+        table = _evolved_table(3)
+        upper, lower = (np.uint64(0x7FF8_0000_0000_0000 + p)
+                        for p in payloads)
+        bits = table.view(np.uint64)
+        bits[1, _cell(3, 0, 1, 0)] = upper
+        bits[1, _cell(3, 1, 0, 0)] = lower | np.uint64(1 << 63)
+        bits[2, [_cell(3, 2, 2, 0), 1 + 2 * 9 + 2]] = upper   # r33_re, occ3
+        self._check(table, 3)
+
+
+class _FullStream(io.StringIO):
+    """A text stream on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_failed_write_to_stdout_exits_1_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    assert main(["verify", "--n", "1", "--draws", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "quadferm: validation error: cannot write output stdout: "
+        "[Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that refuses every write")
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_stdout_on_a_full_device_exits_1_without_traceback(unbuffered):
+    # buffered, the bytes the failed flush kept are flushed again at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadferm", "verify", "--n", "1",
+             "--draws", "1"], stdout=full, stderr=subprocess.PIPE, text=True,
+            env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "quadferm: validation error: cannot write output stdout: "
+        "[Errno 28] No space left on device"]

@@ -2,7 +2,7 @@
 steady state it converges to, for the one rule that decides whether
 that steady state exists, for the scale-free tolerances of the fast path,
 for the stacked state check and entropy, and for the CSV renderer's number
-dedupe."""
+dedupe and the mirrored magnitudes of every state it renders."""
 
 import math
 
@@ -259,8 +259,33 @@ def _tables(draw):
 def test_render_matches_csv_writer(table):
     header, rows = table
     comments = [("command", "test")]
-    assert cli._render(comments, header, rows) \
+    assert "".join(cli._render(comments, header, rows)) \
         == csv_writer_render(comments, header, rows)
+
+
+def _mirrors_its_magnitudes(r) -> bool:
+    """Whether every cell of r below the diagonal has the magnitude bits
+    (all but the sign) of its mirror above it, part by part: what
+    `cli._state_source` renders a state table by."""
+    mags = np.stack([r.real, r.imag]).view(np.uint64) & np.uint64(2 ** 63 - 1)
+    return np.array_equal(mags, mags.transpose(0, 2, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=1, max_value=6),
+       skew=st.sampled_from([0.0, 1e-16, 1e-14]))
+def test_every_state_mirrors_its_magnitudes(seed, n, skew):
+    rng = np.random.default_rng(seed)
+    params = random_gksl_params(rng, n, min_damping=0.2)
+    # near-Hermitian input, as a job file's [initial.r] may round it
+    r = random_correlation_matrix(rng, n, lo=0.0, hi=1.0)
+    noise = skew * np.linalg.norm(r) * random_complex_matrix(rng, n)
+    state = GaussianState(r + noise)
+    assert _mirrors_its_magnitudes(state.r)
+    for evolved in evolve_grid(params, state, [0, 0.25, 0.5, 1, 3, 50]):
+        assert _mirrors_its_magnitudes(evolved.r)
+    dec = asymptotic_decomposition(params, GaussianState.vacuum(n))
+    assert _mirrors_its_magnitudes(GaussianState(dec.m_inf).r)
 
 
 def _entropy_loop(spectrum) -> float:
