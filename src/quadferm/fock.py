@@ -63,7 +63,12 @@ with one vector per draw broadcast over them.  Every draw of a batch gets
 the bits it would get alone: the gather offsets each draw's slots in one
 ``np.bincount``, numpy and scipy run each matrix of a stack through the
 same routine (``scipy.linalg.expm`` loops over them), and `_norm` takes
-one ``np.linalg.norm`` per draw.  `verify` draws its instances this way.
+one ``np.linalg.norm`` per draw.  Gaussian densities batch the same way:
+``_densities`` builds one per correlation matrix of a stack, from one
+``eigh`` and one ``expm`` over the draws whose spectrum lies inside
+(0, 1), and ``_correlations`` reads R back from each density of a stack;
+``gaussian_density`` and ``read_correlations`` are their one-draw cases.
+`verify` draws its instances this way.
 
 Sizes.  Every function reads the mode count n from its operands: a
 coefficient matrix or generator is n x n, a smearing vector has n entries,
@@ -82,7 +87,7 @@ import scipy.linalg
 from .affine import AffineGenerator
 from .errors import ValidationError
 from .gaussian import GaussianState
-from .linalg import _ANTISYM_TOL, _ENDPOINT_TOL, as_square, hermitize
+from .linalg import _ANTISYM_TOL, _ENDPOINT_TOL, as_square
 
 __all__ = [
     "MAX_MODES",
@@ -726,22 +731,39 @@ def gaussian_density(state: GaussianState) -> np.ndarray:
     For spectra strictly inside (0, 1) this is the closed form
     ``det(I - R) exp((c, log(R (I - R)^{-1}) c))``; occupations at the
     endpoints switch to the equivalent eigenbasis product of single-mode
-    factors, which handles empty and full modes exactly.
+    factors, which handles empty and full modes exactly.  The one-draw
+    case of `_densities`.
     """
-    n = _check_modes(state.n)
-    occ, vecs = np.linalg.eigh(state.r)
+    return _densities(state.r[None])[0]
+
+
+def _densities(rs: np.ndarray) -> np.ndarray:
+    """`gaussian_density` of each matrix of a (draws, n, n) stack of
+    correlation matrices checked as `GaussianState` checks its r, each
+    with the bits it has alone: one batched ``eigh``; the draws whose
+    spectrum lies inside (0, 1) take the closed form from one `_bilinear`
+    and one stacked ``scipy.linalg.expm``, and the others the product form,
+    one draw at a time."""
+    n = _check_modes(rs.shape[-1])
+    dim = 2 ** n
+    occ, vecs = np.linalg.eigh(rs)
     occ = np.clip(occ, 0.0, 1.0)
-    if np.min(occ) > _ENDPOINT_TOL and np.max(occ) < 1 - _ENDPOINT_TOL:
-        log_ratio = np.log(occ / (1 - occ))
-        x_mat = (vecs * log_ratio) @ vecs.conj().T
-        rho = float(np.prod(1 - occ)) * scipy.linalg.expm(quadratic_form(x_mat))
-    else:
-        dim = 2 ** n
-        rho = np.eye(dim, dtype=complex)
-        for p, col in zip(occ, vecs.T):
+    inside = (occ.min(axis=-1) > _ENDPOINT_TOL) \
+        & (occ.max(axis=-1) < 1 - _ENDPOINT_TOL)
+    rho = np.empty((len(rs), dim, dim), dtype=complex)
+    if inside.any():
+        q, u = occ[inside], vecs[inside]
+        x_mat = (u * np.log(q / (1 - q))[:, None]) @ _dagger(u)
+        c = _car(n)
+        rho[inside] = np.prod(1 - q, axis=-1)[:, None, None] \
+            * scipy.linalg.expm(_bilinear(x_mat, _dagger(c), c))
+    for k in np.flatnonzero(~inside):
+        rho[k] = np.eye(dim)
+        for p, col in zip(occ[k], vecs[k].T):
             number_op = smeared_creation(col) @ smeared_annihilation(col)
-            rho = rho @ ((1 - p) * (np.eye(dim) - number_op) + p * number_op)
-    return hermitize(rho)
+            rho[k] = rho[k] @ ((1 - p) * (np.eye(dim) - number_op)
+                               + p * number_op)
+    return (rho + _dagger(rho)) / 2
 
 
 def density_modes(rho) -> int:
@@ -755,10 +777,18 @@ def density_modes(rho) -> int:
 
 
 def read_correlations(rho: np.ndarray) -> np.ndarray:
-    """Correlation matrix of a density matrix: R_jk = Tr[c_k† c_j rho]."""
-    rho = as_square(rho, "density matrix")
-    ops = _car(density_modes(rho))
-    return np.trace(_dagger(ops)[None] @ ops[:, None] @ rho, axis1=2, axis2=3)
+    """Correlation matrix of a density matrix: R_jk = Tr[c_k† c_j rho].
+    The one-draw case of `_correlations`."""
+    return _correlations(as_square(rho, "density matrix")[None])[0]
+
+
+def _correlations(rhos: np.ndarray) -> np.ndarray:
+    """`read_correlations` of each matrix of a (draws, 2^n, 2^n) stack,
+    each with the bits it has alone: the n² products c_k† c_j are formed
+    once for all draws."""
+    ops = _car(density_modes(rhos[0]))
+    pairs = _dagger(ops)[None] @ ops[:, None]
+    return np.trace(pairs @ rhos[:, None, None], axis1=-2, axis2=-1)
 
 
 # -- Majorana form of the generator family ---------------------------------

@@ -11,15 +11,19 @@ the acceptance tests pin down.
 
 Every row has one form: it draws its random inputs one draw at a time
 through `_stacked`, in the order a draw-by-draw loop reads them, with any
-per-draw side (an n x n flow or rotation, a Gaussian density) computed
-beside them, and evaluates the rest once on the stacks.  Superoperators
-come from `fock`'s private ``_basic`` and ``_liouvillian`` as `fock._Blocks`
-with a leading batch axis (charge-sector blocks, or one whole-matrix block
-where a bug breaks charge); their products, sums, ``fock._expm`` and
-``fock._norm``, like `_norms`, give each draw the bits it has alone, so k
-draws at once equal k single draws bit for bit.  ``vacuum_invariance``,
-``phi_evolution_covariance``, ``phi_basis_rank`` and ``majorana_commutator``
-evaluate within each draw, for the reason each docstring gives.
+per-draw side (an n x n flow or rotation, an evolved Gaussian state)
+computed beside them, and evaluates the rest once on the stacks.
+Superoperators come from `fock`'s private ``_basic`` and ``_liouvillian``
+as `fock._Blocks` with a leading batch axis (charge-sector blocks, or one
+whole-matrix block where a bug breaks charge); the Gaussian rows check
+their correlation draws as states with one ``gaussian._check_states`` and
+build and read back their densities with one ``fock._densities`` and one
+``fock._correlations``.  Block products, sums, ``fock._expm`` and
+``fock._norm``, like `_norms` and the stacked Gaussian functions, give
+each draw the bits it has alone, so k draws at once equal k single draws
+bit for bit.  ``vacuum_invariance``, ``phi_evolution_covariance``,
+``phi_basis_rank`` and ``majorana_commutator`` evaluate within each draw,
+for the reason each docstring gives.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import affine, fock, opbasis
+from . import affine, fock, gaussian, opbasis
 from .affine import AffineGenerator
 from .errors import ValidationError
-from .gaussian import GaussianState, entropy, evolve_state
+from .gaussian import GaussianState, evolve_state
 from .linalg import hermitize, mat_exp
 
 __all__ = [
@@ -96,8 +100,9 @@ def _comm(x, y):
 def _stacked(draws: int, draw) -> list[np.ndarray]:
     """Each array ``draw()`` returns, stacked over ``draws`` calls made in
     order: the leading axis is the draw.  A row draws its random inputs,
-    and computes whatever it keeps per draw, here one draw at a time, so
-    the stream is the one a draw-by-draw loop reads."""
+    and computes the fast-path side it keeps per draw (a flow, a rotation,
+    an evolved state), here one draw at a time, so the stream is the one a
+    draw-by-draw loop reads."""
     return [np.array(part) for part in zip(*(draw() for _ in range(draws)))]
 
 
@@ -232,64 +237,68 @@ def _check_vacuum_invariance(rng, n, draws):
         AffineGenerator(random_complex_matrix(rng, n), zero), vacuum),)))
 
 
-def _random_gaussian(rng, n):
-    """A random correlation matrix R and its Fock-space density rho_R."""
-    r = random_correlation_matrix(rng, n)
-    return r, fock.gaussian_density(GaussianState(r))
+def _gaussian(r) -> tuple[np.ndarray, np.ndarray]:
+    """The spectra and Fock-space densities of a stack of correlation
+    draws, each as `GaussianState` and `fock.gaussian_density` give it: the
+    draws are `hermitize` output, which `GaussianState` keeps bit for bit,
+    so one `gaussian._check_states` checks them all as states."""
+    return gaussian._check_states(r), fock._densities(r)
 
 
 def _check_quadratic_expectation(rng, n, draws):
-    def draw():
-        r, rho = _random_gaussian(rng, n)
-        t_mat = random_hermitian(rng, n)
-        return r, rho, t_mat, fock.quadratic_form(t_mat)
-    r, rho, t_mat, form = _stacked(draws, draw)
+    r, t_mat = _stacked(draws, lambda: (random_correlation_matrix(rng, n),
+                                        random_hermitian(rng, n)))
+    _, rho = _gaussian(r)
+    c = fock._car(n)
+    form = fock._bilinear(t_mat, fock._dagger(c), c)
     return _modulus(np.trace(form @ rho, axis1=-2, axis2=-1)
                     - np.trace(t_mat @ r, axis1=-2, axis2=-1))
 
 
 def _check_density_unit_trace(rng, n, draws):
-    _, rho = _stacked(draws, lambda: _random_gaussian(rng, n))
+    (r,) = _stacked(draws, lambda: (random_correlation_matrix(rng, n),))
+    _, rho = _gaussian(r)
     return _modulus(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
 
 
 def _check_correlation_roundtrip(rng, n, draws):
-    def draw():
-        r, rho = _random_gaussian(rng, n)
-        return (fock.read_correlations(rho) - r,)
-    return np.max(np.abs(_stacked(draws, draw)[0]), axis=(-2, -1))
+    (r,) = _stacked(draws, lambda: (random_correlation_matrix(rng, n),))
+    _, rho = _gaussian(r)
+    return np.max(np.abs(fock._correlations(rho) - r), axis=(-2, -1))
 
 
 def _check_gaussian_entropy(rng, n, draws):
-    def draw():
-        r, rho = _random_gaussian(rng, n)
-        return rho, entropy(GaussianState(r))
-    rho, fast = _stacked(draws, draw)
+    """The fast side is `gaussian.entropy` of each draw's state, from the
+    spectra that checked it."""
+    (r,) = _stacked(draws, lambda: (random_correlation_matrix(rng, n),))
+    occ, rho = _gaussian(r)
     eigs = np.linalg.eigvalsh(rho)
     dense = -np.sum(eigs * np.log(np.clip(eigs, 1e-300, None)), axis=-1)
-    return np.abs(dense - fast)
+    return np.abs(dense - gaussian._entropies(occ))
 
 
 def _check_fast_path_evolution(rng, n, draws):
     """Gaussian states have charge 0, so one sector stack is exponentiated,
     once, at the first time; each later time is reached by products of
     that step with each draw's vector."""
-    step, steps = 0.5, (1, 4)  # t = 0.5 and 2
+    step, steps, dim = 0.5, (1, 4), 2 ** n  # t = 0.5 and 2
 
     def draw():
         params = random_gksl_params(rng, n)
-        r0, rho0 = _random_gaussian(rng, n)
-        return (params.a, params.m, fock.vec(rho0),
-                *(evolve_state(params, GaussianState(r0), k * step).r
-                  for k in steps))
-    a, m, rho, *fast = _stacked(draws, draw)
+        state = GaussianState(random_correlation_matrix(rng, n))
+        return (params.a, params.m, state.r,
+                *(evolve_state(params, state, k * step).r for k in steps))
+    a, m, r0, *fast = _stacked(draws, draw)
+    # each draw's fock.vec, and below its fock.unvec
+    rho = fock._densities(r0).swapaxes(-1, -2).reshape(draws, -1)
     prop = fock._expm(step * _super_lam(a, m), rho)
     values, done = [], 0
     for k, fast_r in zip(steps, fast):
         for _ in range(k - done):
             rho = prop @ rho
         done = k
-        dense_r = [fock.read_correlations(fock.unvec(v)) for v in rho]
+        dense_r = fock._correlations(
+            rho.reshape(draws, dim, dim).swapaxes(-1, -2))
         values.append(np.max(np.abs(dense_r - fast_r), axis=(-2, -1)))
     return np.stack(values, axis=-1)
 

@@ -649,6 +649,59 @@ class TestGaussianDensity:
             assert abs(dense - np.trace(t_mat @ r)) <= 1e-10
 
 
+def _bit_equal(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestStackedDensities:
+    """`_densities` and `_correlations` against their one-draw cases on a
+    stack that mixes interior draws with draws at the endpoints."""
+
+    @staticmethod
+    def _mixed_stack(rng, n):
+        endpoints = [np.zeros((n, n)), 1e-9 * np.eye(n),
+                     np.diag([0.0] * (n - 1) + [1.0]),
+                     np.diag([1.0] + [0.3] * (n - 1))]
+        rs = [m for e in endpoints
+              for m in (random_correlation_matrix(rng, n), e)]
+        return np.array([GaussianState(r).r for r in rs])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_draw_has_the_bits_of_gaussian_density(
+            self, monkeypatch, rng, n):
+        rs = self._mixed_stack(rng, n)
+        closed = []
+        true_expm = scipy.linalg.expm
+
+        def expm(a):
+            closed.append(len(a))
+            return true_expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", expm)
+        rho = fock._densities(rs)
+        # one exponential of the 4 random draws and 1e-9 I; the vacuum
+        # and the draws with an occupied mode take the product form
+        assert closed == [5]
+        monkeypatch.undo()
+        for k, r in enumerate(rs):
+            alone = fock.gaussian_density(GaussianState(r))
+            assert _bit_equal(rho[k], alone)
+            assert _bit_equal(fock._densities(rs[k:k + 1])[0], alone)
+        assert _bit_equal(rho[1], fock.vacuum_projector(n))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_draw_has_the_bits_of_read_correlations(self, rng, n):
+        rho = fock._densities(self._mixed_stack(rng, n))
+        # C-ordered, as densities come, and F-ordered, as unvec views are
+        for stack in (rho, rho.swapaxes(-1, -2)):
+            back = fock._correlations(stack)
+            for k, d in enumerate(stack):
+                assert _bit_equal(back[k], fock.read_correlations(d))
+                assert _bit_equal(fock._correlations(stack[k:k + 1])[0],
+                                  back[k])
+
+
 class TestReadCorrelations:
     def test_vacuum_reads_zero(self):
         assert np.linalg.norm(fock.read_correlations(fock.vacuum_projector(3))) == 0.0

@@ -9,6 +9,7 @@ import pytest
 
 from quadferm import affine, fock, opbasis, verify
 from quadferm.cli import main
+from quadferm.gaussian import GaussianState, entropy
 from quadferm.linalg import mat_exp
 
 # (name, identity, comparison) of every row, in CSV order.
@@ -189,14 +190,20 @@ def test_a_batch_of_draws_equals_its_draws_one_by_one(name, n):
         assert batched.random() == single.random()
 
 
+def _gaussian_one_draw(rng, n):
+    """One draw's R and its density, from the public one-draw functions."""
+    r = verify.random_correlation_matrix(rng, n)
+    return r, fock.gaussian_density(GaussianState(r))
+
+
 def _quadratic_expectation_gap(rng, n):
-    r, rho = verify._random_gaussian(rng, n)
+    r, rho = _gaussian_one_draw(rng, n)
     t_mat = verify.random_hermitian(rng, n)
     return np.trace(fock.quadratic_form(t_mat) @ rho) - np.trace(t_mat @ r)
 
 
 def _density_unit_trace_gap(rng, n):
-    return np.trace(verify._random_gaussian(rng, n)[1]) - 1.0
+    return np.trace(_gaussian_one_draw(rng, n)[1]) - 1.0
 
 
 @pytest.mark.parametrize("name, gap", [
@@ -210,6 +217,37 @@ def test_complex_gap_rows_give_the_bits_of_python_abs(name, gap):
     check = {c.name: c for c in verify._REGISTRY}[name]
     assert _bits(check.fn(row, 3, 20)) \
         == _bits([abs(gap(one, 3)) for _ in range(20)])
+
+
+def _correlation_roundtrip_one_draw(rng, n):
+    r, rho = _gaussian_one_draw(rng, n)
+    return float(np.max(np.abs(fock.read_correlations(rho) - r)))
+
+
+def _gaussian_entropy_one_draw(rng, n):
+    r, rho = _gaussian_one_draw(rng, n)
+    eigs = np.linalg.eigvalsh(rho)
+    dense = -np.sum(eigs * np.log(np.clip(eigs, 1e-300, None)))
+    return abs(dense - entropy(GaussianState(r)))
+
+
+@pytest.mark.parametrize("name, one_draw", [
+    ("correlation_roundtrip", _correlation_roundtrip_one_draw),
+    ("gaussian_entropy", _gaussian_entropy_one_draw)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_gaussian_rows_equal_the_public_one_draw_functions(name, one_draw, n,
+                                                           seed):
+    # the rows check, build and read back all draws as one stack; each
+    # draw keeps the bits of GaussianState, gaussian_density,
+    # read_correlations and entropy on that draw alone, as the complex gap
+    # rows keep the bits of their one-draw gaps above
+    idx = verify.check_names().index(name)
+    row, one = (np.random.default_rng([seed, idx]) for _ in range(2))
+    check = {c.name: c for c in verify._REGISTRY}[name]
+    assert _bits(check.fn(row, n, check.draw_cap)) \
+        == _bits([one_draw(one, n) for _ in range(check.draw_cap)])
+    assert row.random() == one.random()
 
 
 def _phi_pi_roundtrip_one_draw(rng, n):
